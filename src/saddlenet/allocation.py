@@ -18,6 +18,13 @@ again decomposes into neighbor sums. As in `consensus`, the stacked
 step functions here and the per-agent message-passing route in
 `network` use the same expression shapes and neighbor ordering so both
 produce the same trajectories.
+
+The stacked route keeps the whole iterate in one vector
+``z = [y, a, lam]`` of length ``Q + 2 N m``: the decisions ``y``
+(``Q = sum q_i``, agent by agent), then the auxiliary variables ``a``
+and the multipliers ``lam``, each ``N x m`` in agent-major order. Psi
+uses the same layout, so one step updates all three blocks with one
+expression and one projection onto `AllocationProblem.iterate_set`.
 """
 
 import numpy as np
@@ -116,16 +123,27 @@ class AllocationProblem(object):
         # elementwise products with the same one multiply per component
         if self.m == 1 and all(qi == 1 for qi in self.q):
             self._wdiag = np.array([a.weight[0, 0] for a in agents])
+            self._demand_col = self.demand[:, 0].copy()
         else:
             self._wdiag = None
-        if all(isinstance(a.cset, sets.Box) for a in agents):
-            self._lo = np.concatenate([a.cset.lower for a in agents])
-            self._hi = np.concatenate([a.cset.upper for a in agents])
-        else:
-            self._lo = self._hi = None
+        self.decision_set = sets.Product([a.cset for a in agents])
+        # domain of the stacked iterate: the agent sets, then the free
+        # auxiliary variables and multipliers
+        nm = self.n * self.m
+        self.iterate_set = sets.Product([self.decision_set,
+                                         sets.WholeSpace(2 * nm)])
+        self._zslices = (slice(0, self.dim_y),
+                         slice(self.dim_y, self.dim_y + nm),
+                         slice(self.dim_y + nm, self.dim_y + 2 * nm))
 
     def y_block(self, y, i):
         return y[self._yslices[i]]
+
+    def split(self, z):
+        """Views ``(y, a, lam)`` of a stacked iterate ``z = [y, a, lam]``."""
+        sy, sa, sl = self._zslices
+        return (z[sy], z[sa].reshape(self.n, self.m),
+                z[sl].reshape(self.n, self.m))
 
     def rows(self, flat):
         """Reshape a stacked ``Nm`` vector into per-agent rows."""
@@ -157,16 +175,13 @@ class AllocationProblem(object):
     def wy_minus_d(self, y):
         """Per-agent constraint contributions ``W_i y_i - d_i`` as rows."""
         if self._wdiag is not None:
-            return (self._wdiag * y - self.demand[:, 0]).reshape(self.n, 1)
+            return (self._wdiag * y - self._demand_col).reshape(self.n, 1)
         return np.stack([a.weight @ y[self._yslices[i]] - a.demand
                          for i, a in enumerate(self.agents)])
 
     def project_y(self, y):
         """Project the stacked decision vector onto the product set."""
-        if self._lo is not None:
-            return np.clip(y, self._lo, self._hi)
-        return np.concatenate([a.cset.project(y[self._yslices[i]])
-                               for i, a in enumerate(self.agents)])
+        return self.decision_set.project(y)
 
     def __repr__(self):
         return "AllocationProblem({}, n={}, m={})".format(self.name, self.n, self.m)
@@ -183,19 +198,29 @@ def lagrangian_L2(problem, y, a, lam):
                  - 0.5 * np.sum(lam * problem.graph.lap_apply(lam)))
 
 
-def _psi_rows(problem, y, a, lam):
-    """Blocks of Psi: ``(grad h + W'lam, -L lam, -(W y - d - L(a + lam)))``."""
-    gy = problem.gradient_vec(y) + problem.wt_lam(lam)
-    ga = -problem.graph.lap_apply(lam)
-    glam = -(problem.wy_minus_d(y) - problem.graph.lap_apply(a + lam))
-    return gy, ga, glam
+def _psi(problem, y, a, lam):
+    """Psi at ``(y, a, lam)``, written once into a vector laid out like ``z``.
+
+    Blocks: ``grad h + W'lam``, ``-L lam`` and ``-(W y - d - L(a + lam))``.
+    Both Laplacian products come from one `lap_apply` over the stacked
+    columns ``[lam, a + lam]``.
+    """
+    n, m = problem.n, problem.m
+    sy, sa, sl = problem._zslices
+    lap = problem.graph.lap_apply(np.concatenate([lam, a + lam], axis=1))
+    psi = np.empty(sl.stop)
+    np.add(problem.gradient_vec(y), problem.wt_lam(lam), out=psi[sy])
+    np.negative(lap[:, :m], out=psi[sa].reshape(n, m))
+    glam = psi[sl].reshape(n, m)
+    np.subtract(problem.wy_minus_d(y), lap[:, m:], out=glam)
+    np.negative(glam, out=glam)
+    return psi
 
 
 def operator_psi(problem, y, a, lam):
     """Saddle operator Psi at ``(y, a, lam)`` as one stacked vector."""
-    gy, ga, glam = _psi_rows(problem, np.asarray(y, dtype=float).ravel(),
-                             problem.rows(a), problem.rows(lam))
-    return np.concatenate([gy, ga.ravel(), glam.ravel()])
+    return _psi(problem, np.asarray(y, dtype=float).ravel(),
+                problem.rows(a), problem.rows(lam))
 
 
 def feasibility_gap(problem, y):
@@ -238,8 +263,7 @@ def as_saddle_problem(problem):
 
     return SaddleProblem(
         dim_x, nm,
-        sets.Product([a.cset for a in problem.agents]
-                     + [sets.WholeSpace(nm)]),
+        sets.Product([problem.decision_set, sets.WholeSpace(nm)]),
         sets.WholeSpace(nm),
         value, grad_x, grad_y,
         lipschitz={"l_xx": problem.l_h, "l_xy": cross,
@@ -249,37 +273,29 @@ def as_saddle_problem(problem):
 
 
 class AllocationState(object):
-    """Per-agent iterates and cached operator values of the last step.
+    """Stacked iterate ``z = [y, a, lam]`` and its memoized operator value.
 
-    ``y`` is the stacked decision vector of length ``Q``; ``a`` and
-    ``lam`` are ``(N, m)`` arrays. Caching mirrors `ConsensusState`.
+    ``z`` has length ``Q + 2 N m`` (layout in the module docstring).
+    ``y``, ``a`` and ``lam`` are views of ``z`` with shapes ``(Q,)``,
+    ``(N, m)`` and ``(N, m)``. ``psi`` holds Psi at ``z`` in the same
+    layout, filled on demand so that one evaluation serves both the step
+    and the residual. ``psi_prev`` carries the previous step's value for
+    the optimistic correction; ``z_half`` is the mid-point of the
+    extra-gradient step that produced this state.
     """
 
-    def __init__(self, y, a, lam, y_prev=None, a_prev=None, lam_prev=None,
-                 psi_y_prev=None, psi_a_prev=None, psi_lam_prev=None,
-                 y_half=None, a_half=None, lam_half=None):
-        self.y = y
-        self.a = a
-        self.lam = lam
-        self.y_prev = y_prev
-        self.a_prev = a_prev
-        self.lam_prev = lam_prev
-        self.psi_y_prev = psi_y_prev
-        self.psi_a_prev = psi_a_prev
-        self.psi_lam_prev = psi_lam_prev
-        self.y_half = y_half
-        self.a_half = a_half
-        self.lam_half = lam_half
-        self.psi_y = None
-        self.psi_a = None
-        self.psi_lam = None
+    def __init__(self, problem, z, psi_prev=None, z_half=None):
+        self.z = z
+        self.y, self.a, self.lam = problem.split(z)
+        self.psi_prev = psi_prev
+        self.z_half = z_half
+        self.psi = None
 
     def ensure_psi(self, problem):
-        """Memoize Psi at the current point; returns its three blocks."""
-        if self.psi_y is None:
-            self.psi_y, self.psi_a, self.psi_lam = _psi_rows(
-                problem, self.y, self.a, self.lam)
-        return self.psi_y, self.psi_a, self.psi_lam
+        """Memoize Psi at the current point and return it."""
+        if self.psi is None:
+            self.psi = _psi(problem, self.y, self.a, self.lam)
+        return self.psi
 
 
 def initial_state(problem, y0=None, a0=None, lam0=None):
@@ -287,24 +303,22 @@ def initial_state(problem, y0=None, a0=None, lam0=None):
     if y0 is None:
         y0 = problem.project_y(np.zeros(problem.dim_y))
     else:
-        y0 = np.asarray(y0, dtype=float).ravel().copy()
-    a0 = np.zeros((problem.n, problem.m)) if a0 is None else problem.rows(a0).copy()
-    lam0 = np.zeros((problem.n, problem.m)) if lam0 is None else problem.rows(lam0).copy()
-    return AllocationState(y0, a0, lam0)
+        y0 = np.asarray(y0, dtype=float).ravel()
+        if y0.size != problem.dim_y:
+            raise ValidationError("y0 has {} entries, expected {}"
+                                  .format(y0.size, problem.dim_y))
+    a0 = np.zeros(problem.n * problem.m) if a0 is None else problem.rows(a0)
+    lam0 = np.zeros(problem.n * problem.m) if lam0 is None else problem.rows(lam0)
+    return AllocationState(problem, np.concatenate(
+        [y0, a0.ravel(), lam0.ravel()]))
 
 
 def step_allocation_ogda(problem, state, alpha):
     """One optimistic step of every agent; returns the new state."""
-    gy, ga, glam = state.ensure_psi(problem)
-    gyp = gy if state.psi_y_prev is None else state.psi_y_prev
-    gap = ga if state.psi_a_prev is None else state.psi_a_prev
-    glp = glam if state.psi_lam_prev is None else state.psi_lam_prev
-    y_new = problem.project_y(state.y - 2.0 * alpha * gy + alpha * gyp)
-    a_new = state.a - 2.0 * alpha * ga + alpha * gap
-    lam_new = state.lam - 2.0 * alpha * glam + alpha * glp
-    return AllocationState(y_new, a_new, lam_new,
-                           y_prev=state.y, a_prev=state.a, lam_prev=state.lam,
-                           psi_y_prev=gy, psi_a_prev=ga, psi_lam_prev=glam)
+    g = state.ensure_psi(problem)
+    gp = g if state.psi_prev is None else state.psi_prev
+    z_new = problem.iterate_set.project(state.z - 2.0 * alpha * g + alpha * gp)
+    return AllocationState(problem, z_new, psi_prev=g)
 
 
 def step_allocation_eg(problem, state, alpha):
@@ -313,25 +327,25 @@ def step_allocation_eg(problem, state, alpha):
     The final update steps from the current point using the mid-point
     operator values for every block, decisions included.
     """
-    gy, ga, glam = state.ensure_psi(problem)
-    y_half = problem.project_y(state.y - alpha * gy)
-    a_half = state.a - alpha * ga
-    lam_half = state.lam - alpha * glam
-    gyh, gah, glh = _psi_rows(problem, y_half, a_half, lam_half)
-    y_new = problem.project_y(state.y - alpha * gyh)
-    a_new = state.a - alpha * gah
-    lam_new = state.lam - alpha * glh
-    return AllocationState(y_new, a_new, lam_new,
-                           y_prev=state.y, a_prev=state.a, lam_prev=state.lam,
-                           y_half=y_half, a_half=a_half, lam_half=lam_half)
+    g = state.ensure_psi(problem)
+    half = AllocationState(
+        problem, problem.iterate_set.project(state.z - alpha * g))
+    g_half = half.ensure_psi(problem)
+    z_new = problem.iterate_set.project(state.z - alpha * g_half)
+    return AllocationState(problem, z_new, z_half=half.z)
 
 
-def _vi_residual_rows(problem, state):
+def _vi_residual(problem, state):
     # natural-map residual of the stacked saddle problem; the free
     # blocks contribute their operator values directly
-    gy, ga, glam = state.ensure_psi(problem)
-    ry = state.y - problem.project_y(state.y - gy)
-    return float(np.sqrt(np.sum(ry ** 2) + np.sum(ga ** 2) + np.sum(glam ** 2)))
+    psi = state.ensure_psi(problem)
+    sy, sa, sl = problem._zslices
+    ry = state.y - problem.project_y(state.y - psi[sy])
+    free = np.square(psi[sa.start:])
+    nm = sa.stop - sa.start
+    return float(np.sqrt(np.add.reduce(np.square(ry))
+                         + np.add.reduce(free[:nm])
+                         + np.add.reduce(free[nm:])))
 
 
 class AllocationTrace(object):
@@ -352,28 +366,29 @@ class AllocationTrace(object):
         self._rows = []
 
     def _append(self, it, state, erg, resid):
-        self._rows.append((it, state.y.copy(), state.a.copy(), state.lam.copy(),
-                           None if erg is None else tuple(e.copy() for e in erg),
+        # `erg` is a fresh stacked average (None on row 0)
+        self._rows.append((it, state.z.copy(), erg,
                            feasibility_gap(self.problem, state.y),
                            self.problem.total_objective(state.y),
                            resid))
 
     def _finalize(self):
         rows = self._rows
-        n, m, q = self.problem.n, self.problem.m, self.problem.dim_y
+        n, m = self.problem.n, self.problem.m
+        sy, sa, sl = self.problem._zslices
         self.iters = np.array([r[0] for r in rows], dtype=int)
-        self.y = np.array([r[1] for r in rows])
-        self.a = np.array([r[2] for r in rows])
-        self.lam = np.array([r[3] for r in rows])
-        self.erg_y = np.full((len(rows), q), np.nan)
-        self.erg_a = np.full((len(rows), n, m), np.nan)
-        self.erg_lam = np.full((len(rows), n, m), np.nan)
+        z = np.array([r[1] for r in rows])
+        erg = np.full(z.shape, np.nan)
         for i, r in enumerate(rows):
-            if r[4] is not None:
-                self.erg_y[i], self.erg_a[i], self.erg_lam[i] = r[4]
-        self.feasibility_gap = np.array([r[5] for r in rows])
-        self.objective = np.array([r[6] for r in rows])
-        self.vi_residual = np.array([r[7] for r in rows])
+            if r[2] is not None:
+                erg[i] = r[2]
+        for name, block in (("", z), ("erg_", erg)):
+            setattr(self, name + "y", block[:, sy].copy())
+            setattr(self, name + "a", block[:, sa].reshape(-1, n, m))
+            setattr(self, name + "lam", block[:, sl].reshape(-1, n, m))
+        self.feasibility_gap = np.array([r[3] for r in rows])
+        self.objective = np.array([r[4] for r in rows])
+        self.vi_residual = np.array([r[5] for r in rows])
         del self._rows
 
     def to_csv(self, path):
@@ -428,16 +443,14 @@ def simulate_allocation(problem, method, alpha=None, max_iters=1000,
 
     state = initial_state(problem, y0, a0, lam0)
     trace = AllocationTrace(problem, method, alpha)
-    state.ensure_psi(problem)
     trace.gradient_calls = 1
-    resid = _vi_residual_rows(problem, state)
+    resid = _vi_residual(problem, state)
     trace._append(0, state, None, resid)
 
-    erg_y = np.zeros(problem.dim_y)
-    erg_a = np.zeros((problem.n, problem.m))
-    erg_lam = np.zeros((problem.n, problem.m))
+    erg = np.zeros(state.z.size)
     count = 0
     step = step_allocation_ogda if method == "OGDA" else step_allocation_eg
+    calls_per_step = 2 if method == "EG" else 1
 
     def reached(r):
         return stop_tol > 0 and r <= stop_tol
@@ -450,23 +463,13 @@ def simulate_allocation(problem, method, alpha=None, max_iters=1000,
     for k in range(max_iters):
         it = k + 1
         state = step(problem, state, alpha)
-        if method == "EG":
-            erg_y += state.y_half
-            erg_a += state.a_half
-            erg_lam += state.lam_half
-        else:
-            erg_y += state.y
-            erg_a += state.a
-            erg_lam += state.lam
+        erg += state.z if state.z_half is None else state.z_half
         count += 1
-        state.ensure_psi(problem)
-        trace.gradient_calls += 2 if method == "EG" else 1
-        resid = _vi_residual_rows(problem, state)
+        trace.gradient_calls += calls_per_step
+        resid = _vi_residual(problem, state)
         done = reached(resid) or it == max_iters
         if it % record_every == 0 or done:
-            trace._append(it, state,
-                          (erg_y / count, erg_a / count, erg_lam / count),
-                          resid)
+            trace._append(it, state, erg / count, resid)
         if reached(resid):
             trace.stopped_at = it
             break

@@ -88,6 +88,10 @@ def example2_allocation(seed=0, max_redraws=100):
     c = rng.uniform(0.0, 1.0, n)
     w = rng.uniform(-1.0, 1.0, n)
     d = rng.uniform(-2.0, 2.0, n)
+    # factors of the vectorized gradient, formed once: the same values
+    # `b * c` and `-c` that the per-agent gradients compute on each call
+    bc = b * c
+    neg_c = -c
 
     def build(demands):
         agents = []
@@ -103,7 +107,7 @@ def example2_allocation(seed=0, max_redraws=100):
         return AllocationProblem(
             ring(n), agents,
             vector_objective=lambda y: a * y + b * np.log1p(np.exp(c * y)),
-            vector_gradient=lambda y: a + b * c / (1.0 + np.exp(-c * y)),
+            vector_gradient=lambda y: a + bc / (1.0 + np.exp(neg_c * y)),
             name="allocation-logistic-{}".format(seed))
 
     redraws = 0

@@ -96,13 +96,9 @@ class ConsensusProblem(object):
         self.lambda_max = lambda_max(graph)
         self.l_f = max(a.lipschitz for a in agents)
         self.kappa_c = self.l_f + 2.0 * self.lambda_max
-        # stacked clip bounds when every agent set is a box, letting the
-        # row projection stay vectorized without changing any values
-        if all(isinstance(a.cset, sets.Box) for a in agents):
-            self._lo = np.stack([a.cset.lower for a in agents])
-            self._hi = np.stack([a.cset.upper for a in agents])
-        else:
-            self._lo = self._hi = None
+        # product of the agent sets over the flattened rows; boxes make
+        # it one clip
+        self.decision_set = sets.Product([a.cset for a in agents])
 
     def rows(self, flat):
         """Reshape a stacked ``Nm`` vector into per-agent rows."""
@@ -125,9 +121,7 @@ class ConsensusProblem(object):
 
     def project_rows(self, x):
         """Project each row onto its agent's set."""
-        if self._lo is not None:
-            return np.clip(x, self._lo, self._hi)
-        return np.stack([a.cset.project(x[i]) for i, a in enumerate(self.agents)])
+        return self.decision_set.project(np.ravel(x)).reshape(self.n, self.m)
 
     def __repr__(self):
         return "ConsensusProblem({}, n={}, m={})".format(self.name, self.n, self.m)
@@ -184,7 +178,7 @@ def as_saddle_problem(problem):
 
     return SaddleProblem(
         n * m, n * m,
-        sets.Product([a.cset for a in problem.agents]),
+        problem.decision_set,
         sets.WholeSpace(n * m),
         value, grad_x, grad_y,
         lipschitz={"l_xx": problem.l_f + lam, "l_xy": lam,

@@ -51,13 +51,13 @@ class NetworkGraph(object):
             lst.sort()
         self.degrees = np.array([len(lst) for lst in self.neighbors])
         self.max_degree = int(self.degrees.max(initial=0))
-        # padded neighbor index table: row i lists the sorted neighbors of i,
-        # padded with i itself so padded columns contribute exact zeros to
-        # neighbor sums
-        self._nbr = np.empty((n, self.max_degree), dtype=int)
+        # padded neighbor index table by rank: row k holds the k-th sorted
+        # neighbor of every vertex, padded with the vertex itself so padded
+        # entries contribute exact zeros to neighbor sums of finite values
+        self._nbr = np.empty((self.max_degree, n), dtype=int)
         for i in range(n):
-            row = self.neighbors[i] + [i] * (self.max_degree - len(self.neighbors[i]))
-            self._nbr[i] = row
+            pad = [i] * (self.max_degree - len(self.neighbors[i]))
+            self._nbr[:, i] = self.neighbors[i] + pad
         if n > 1 and self.fiedler_value() <= 1e-10:
             raise ValueError("graph is not connected")
 
@@ -88,12 +88,16 @@ class NetworkGraph(object):
         -------
         array of the same shape
             Row i holds ``sum over neighbors j of (u_i - u_j)``,
-            accumulated in ascending neighbor order.
+            accumulated onto zeros in ascending neighbor order. Columns
+            are independent, so stacking several vectors as columns of
+            one call gives the same values as one call per vector.
         """
         u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        for col in range(self.max_degree):
-            out += u - u[self._nbr[:, col]]
+        # one gather for all ranks; block k holds u_i - u_(k-th neighbor of i)
+        diffs = u - u.take(self._nbr, axis=0)
+        out = np.zeros(u.shape)
+        for block in diffs:
+            out += block
         return out
 
     def __repr__(self):

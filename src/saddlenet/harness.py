@@ -21,6 +21,8 @@ line. Exit codes: 0 success, 1 validation error, 2 divergence,
 
 import argparse
 import json
+import math
+import numbers
 import os
 import sys
 import time
@@ -127,6 +129,43 @@ def load_config(path):
     return cfg
 
 
+def _integer(key, value, minimum):
+    """`value` as an int of at least `minimum`; bools and floats are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError("config key '{}': expected an integer, got {!r}"
+                          .format(key, value))
+    if value < minimum:
+        raise ConfigError("config key '{}': must be at least {}, got {}"
+                          .format(key, minimum, value))
+    return int(value)
+
+
+def _finite(key, value):
+    """`value` as a finite float; bools, strings and NaN/inf are rejected."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)):
+        raise ConfigError("config key '{}': expected a finite number, got {!r}"
+                          .format(key, value))
+    return float(value)
+
+
+def _resolve_iters(iters):
+    """An iteration budget: one integer, or a map from method to integer."""
+    if not isinstance(iters, dict):
+        return _integer("iters", iters, 0)
+    if not iters:
+        raise ConfigError("config key 'iters': the method map is empty")
+    out = {}
+    for method, value in iters.items():
+        name = str(method).upper()
+        if name not in METHODS or name in out:
+            raise ConfigError("config key 'iters': unknown or repeated method"
+                              " {!r}; choose from {}"
+                              .format(method, sorted(METHODS)))
+        out[name] = _integer("iters", value, 0)
+    return out
+
+
 def resolve_config(cfg):
     """Merge a raw config with its preset defaults and validate it."""
     unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
@@ -148,8 +187,7 @@ def resolve_config(cfg):
         out["methods"] = list(cfg["methods"])
     out["out"] = cfg.get("out") or os.path.join("runs", name)
 
-    if not isinstance(out["seed"], int):
-        raise ConfigError("config key 'seed': expected an integer")
+    out["seed"] = _integer("seed", out["seed"], 0)
     if not out["methods"]:
         raise ConfigError("config key 'methods': at least one method required")
     bad = [m for m in out["methods"] if str(m).upper() not in METHODS]
@@ -164,19 +202,13 @@ def resolve_config(cfg):
             raise ConfigError("config key 'methods': GDA is not a distributed"
                               " method; use OGDA or EG for preset '{}'"
                               .format(name))
-    if isinstance(out["iters"], dict):
-        out["iters"] = {k: int(v) for k, v in out["iters"].items()}
-    else:
-        out["iters"] = int(out["iters"])
-        if out["iters"] < 0:
-            raise ConfigError("config key 'iters': must be nonnegative")
-    if not isinstance(out["record_every"], int) or out["record_every"] < 1:
-        raise ConfigError("config key 'record_every': positive integer required")
+    out["iters"] = _resolve_iters(out["iters"])
+    out["record_every"] = _integer("record_every", out["record_every"], 1)
     if out["alpha"] not in (None, "paper"):
-        out["alpha"] = float(out["alpha"])
+        out["alpha"] = _finite("alpha", out["alpha"])
         if out["alpha"] <= 0:
             raise ConfigError("config key 'alpha': must be positive")
-    out["stop_tol"] = float(out["stop_tol"])
+    out["stop_tol"] = _finite("stop_tol", out["stop_tol"])
     if out["stop_tol"] < 0:
         raise ConfigError("config key 'stop_tol': must be nonnegative")
     return out
@@ -432,8 +464,7 @@ def cmd_verify(config):
                 st = consensus.initial_state(problem)
                 z0 = np.concatenate([st.x.ravel(), st.v.ravel()])
             else:
-                st = allocation.initial_state(problem)
-                z0 = np.concatenate([st.y, st.a.ravel(), st.lam.ravel()])
+                z0 = allocation.initial_state(problem).z
         for method in ("OGDA", "EG"):
             cfg = SolverConfig(method=method, max_iters=1000, stop_tol=0.0)
             trace = run(stacked, cfg, z0, z_star=z_star)

@@ -153,13 +153,21 @@ def solve_consensus_reference(problem, tol=1e-8):
         if _value_sum(problem, cand) < _value_sum(problem, s):
             s = cand
     if lip > 0:
+        # projected gradient with step 1/lip is nonexpansive, so its moves
+        # never grow in exact arithmetic; a tiny move that fails to shrink
+        # is rounding noise in the gradient sum (the iterate can jitter
+        # by a few ulps forever), and the certificates below judge the
+        # point reached
         step = 1.0 / lip
+        prev_move = np.inf
         for _ in range(10 ** 7):
             s_new = box.project(s - step * _grad_sum(problem, s))
             move = np.max(np.abs(s_new - s))
             s = s_new
-            if move <= 1e-16 * (1.0 + np.max(np.abs(s))):
+            floor = 1e-16 * (1.0 + np.max(np.abs(s)))
+            if move <= floor or (move >= prev_move and move <= 1e6 * floor):
                 break
+            prev_move = move
     cone = sets.normal_cone_residual(box, s, _grad_sum(problem, s))
     if cone > tol:
         raise CertificationError(

@@ -4,8 +4,11 @@ The solvers only ever touch constraint sets through two operations:
 projection and membership. The descriptors here cover whole spaces,
 boxes, Euclidean balls, and Cartesian products of these, all with
 closed-form projections. Products project blockwise, which is exactly
-what the stacked primal-dual iterates need.
+what the stacked primal-dual iterates need; a product of boxes and
+whole spaces projects with one clip over its concatenated bounds.
 """
+
+import functools
 
 import numpy as np
 
@@ -92,15 +95,16 @@ class Box(ConvexSet):
             upper = np.broadcast_to(upper, (dim,)).copy()
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("bounds must be vectors of equal length")
-        if np.any(lower > upper):
-            raise ValueError("box has lower > upper in some coordinate")
+        # false for NaN bounds too, which would make every projection NaN
+        if not (lower <= upper).all():
+            raise ValueError("box needs lower <= upper, no NaN, in every"
+                             " coordinate")
         self.lower = lower
         self.upper = upper
         self.dim = lower.size
 
     def project(self, p):
-        p = _as_vector(p, self.dim)
-        return np.clip(p, self.lower, self.upper)
+        return _as_vector(p, self.dim).clip(self.lower, self.upper)
 
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()
@@ -114,6 +118,10 @@ class Ball(ConvexSet):
 
     def __init__(self, center, radius):
         center = np.atleast_1d(np.asarray(center, dtype=float))
+        if not np.isfinite(center).all():
+            raise ValueError("ball center must be finite")
+        if not np.isfinite(radius):
+            raise ValueError("ball radius must be finite")
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         self.center = center
@@ -135,8 +143,31 @@ class Ball(ConvexSet):
         return "Ball(dim={}, radius={})".format(self.dim, self.radius)
 
 
+def _clip_bounds(cset):
+    """``(lower, upper)`` such that clipping projects onto `cset`, or None.
+
+    Whole spaces clip to -inf/+inf, which leaves every value (signed
+    zeros and NaN included) unchanged, so a product of boxes and whole
+    spaces, nested or not, projects with a single clip. Exact types
+    only: a subclass may project differently.
+    """
+    if type(cset) is Box:
+        return cset.lower, cset.upper
+    if type(cset) is WholeSpace:
+        return np.full(cset.dim, -np.inf), np.full(cset.dim, np.inf)
+    if isinstance(cset, Product):
+        return cset._bounds
+    return None
+
+
 class Product(ConvexSet):
-    """Cartesian product of convex sets; projects each factor independently."""
+    """Cartesian product of convex sets; projects each factor independently.
+
+    When every factor is a `Box`, a `WholeSpace` or such a product, the
+    projection is one clip over the concatenated factor bounds, which
+    gives the same values as projecting factor by factor. The bounds are
+    gathered on the first projection, so building a product stays cheap.
+    """
 
     def __init__(self, *factors):
         if len(factors) == 1 and isinstance(factors[0], (list, tuple)):
@@ -149,8 +180,20 @@ class Product(ConvexSet):
         self._slices = [slice(offsets[i], offsets[i + 1])
                         for i in range(len(factors))]
 
+    @functools.cached_property
+    def _bounds(self):
+        """Concatenated ``(lower, upper)`` clip bounds, or None."""
+        bounds = [_clip_bounds(f) for f in self.factors]
+        if any(b is None for b in bounds):
+            return None
+        return (np.concatenate([lo for lo, _ in bounds]),
+                np.concatenate([hi for _, hi in bounds]))
+
     def project(self, p):
         p = _as_vector(p, self.dim)
+        bounds = self._bounds
+        if bounds is not None:
+            return p.clip(*bounds)
         out = np.empty_like(p)
         for f, s in zip(self.factors, self._slices):
             out[s] = f.project(p[s])

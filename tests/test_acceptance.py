@@ -257,8 +257,8 @@ def test_criterion_7_distributed_stacked_equivalence(criterion):
                           float(np.max(np.abs(trace.lam - lh))))
             if dev > worst:
                 worst, where = dev, (name, method)
-    ok = worst <= 1e-12
-    detail = "max deviation {:.3e} at {} (<= 1e-12 passes)".format(
+    ok = worst == 0.0
+    detail = "max deviation {:.3e} at {} (== 0 passes)".format(
         worst, where)
     criterion(7, "per-agent versus stacked trajectories", ok, detail)
     assert ok, detail

@@ -113,7 +113,7 @@ def test_stacked_matches_generic_solver():
     stacked = np.concatenate([trace.y.reshape(rows, -1),
                               trace.a.reshape(rows, -1),
                               trace.lam.reshape(rows, -1)], axis=1)
-    assert np.max(np.abs(stacked - generic.z)) <= 1e-12
+    assert np.max(np.abs(stacked - generic.z)) == 0.0
 
 
 def test_quadratics_converge_to_kkt_both_methods():

@@ -130,7 +130,7 @@ def test_stacked_matches_generic_solver():
     stacked = np.concatenate(
         [trace.x.reshape(trace.x.shape[0], -1),
          trace.v.reshape(trace.v.shape[0], -1)], axis=1)
-    assert np.max(np.abs(stacked - generic.z)) <= 1e-12
+    assert np.max(np.abs(stacked - generic.z)) == 0.0
 
 
 def test_quadratics_converge_to_mean_both_methods():

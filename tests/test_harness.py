@@ -195,3 +195,32 @@ def test_preset_table_is_complete():
         assert callable(preset["build"])
         assert preset["methods"]
         assert "description" in preset
+
+
+@pytest.mark.parametrize("bad, key", [
+    ({"iters": {"OGDA": -5}}, "iters"),
+    ({"iters": {"FOO": 10}}, "iters"),
+    ({"iters": {}}, "iters"),
+    ({"iters": {"OGDA": 2.5}}, "iters"),
+    ({"iters": {"OGDA": True}}, "iters"),
+    ({"iters": 2.5}, "iters"),
+    ({"iters": True}, "iters"),
+    ({"iters": "many"}, "iters"),
+    ({"alpha": "fast"}, "alpha"),
+    ({"alpha": float("nan")}, "alpha"),
+    ({"stop_tol": "nan"}, "stop_tol"),
+    ({"stop_tol": float("nan")}, "stop_tol"),
+    ({"stop_tol": float("inf")}, "stop_tol"),
+    ({"seed": True}, "seed"),
+    ({"seed": -1}, "seed"),
+    ({"record_every": True}, "record_every"),
+])
+def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, bad, key):
+    cfg = dict(preset="quadratic-saddle", methods=["OGDA"],
+               out=str(tmp_path / "run"), **bad)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "config key '{}'".format(key) in err
+    assert not os.path.exists(cfg["out"])

@@ -24,8 +24,8 @@ def test_consensus_network_matches_stacked_ogda():
     sim = ConsensusNetworkSimulator(prob, method="OGDA")
     x_hist, v_hist = sim.run(300)
     trace = simulate_consensus(prob, "OGDA", max_iters=300, stop_tol=0.0)
-    assert np.max(np.abs(x_hist - trace.x)) <= 1e-12
-    assert np.max(np.abs(v_hist - trace.v)) <= 1e-12
+    assert np.max(np.abs(x_hist - trace.x)) == 0.0
+    assert np.max(np.abs(v_hist - trace.v)) == 0.0
 
 
 def test_consensus_network_matches_stacked_eg():
@@ -33,8 +33,8 @@ def test_consensus_network_matches_stacked_eg():
     sim = ConsensusNetworkSimulator(prob, method="EG")
     x_hist, v_hist = sim.run(300)
     trace = simulate_consensus(prob, "EG", max_iters=300, stop_tol=0.0)
-    assert np.max(np.abs(x_hist - trace.x)) <= 1e-12
-    assert np.max(np.abs(v_hist - trace.v)) <= 1e-12
+    assert np.max(np.abs(x_hist - trace.x)) == 0.0
+    assert np.max(np.abs(v_hist - trace.v)) == 0.0
 
 
 def test_allocation_network_matches_stacked_ogda():
@@ -42,9 +42,9 @@ def test_allocation_network_matches_stacked_ogda():
     sim = AllocationNetworkSimulator(prob, method="OGDA")
     y_hist, a_hist, lam_hist = sim.run(300)
     trace = simulate_allocation(prob, "OGDA", max_iters=300, stop_tol=0.0)
-    assert np.max(np.abs(y_hist - trace.y.reshape(y_hist.shape))) <= 1e-12
-    assert np.max(np.abs(a_hist - trace.a)) <= 1e-12
-    assert np.max(np.abs(lam_hist - trace.lam)) <= 1e-12
+    assert np.max(np.abs(y_hist - trace.y.reshape(y_hist.shape))) == 0.0
+    assert np.max(np.abs(a_hist - trace.a)) == 0.0
+    assert np.max(np.abs(lam_hist - trace.lam)) == 0.0
 
 
 def test_allocation_network_matches_stacked_eg():
@@ -52,8 +52,8 @@ def test_allocation_network_matches_stacked_eg():
     sim = AllocationNetworkSimulator(prob, method="EG")
     y_hist, a_hist, lam_hist = sim.run(200)
     trace = simulate_allocation(prob, "EG", max_iters=200, stop_tol=0.0)
-    assert np.max(np.abs(y_hist - trace.y.reshape(y_hist.shape))) <= 1e-12
-    assert np.max(np.abs(lam_hist - trace.lam)) <= 1e-12
+    assert np.max(np.abs(y_hist - trace.y.reshape(y_hist.shape))) == 0.0
+    assert np.max(np.abs(lam_hist - trace.lam)) == 0.0
     assert a_hist.shape[0] == 201
 
 

@@ -1,3 +1,7 @@
+import contextlib
+import signal
+import time
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,7 @@ from saddlenet import catalog
 from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
                                   feasibility_gap, operator_psi)
 from saddlenet.consensus import ConsensusAgentSpec, ConsensusProblem
-from saddlenet.graphs import NetworkGraph, ring
+from saddlenet.graphs import NetworkGraph, random_connected, ring
 from saddlenet.oracle import (CertificationError, allocation_grid_objective,
                               finite_diff_check, golden_section_min,
                               solve_allocation_kkt, solve_consensus_reference)
@@ -98,6 +102,41 @@ def test_consensus_reference_respects_box_faces():
     prob = ConsensusProblem(ring(3), 1, agents)
     ref = solve_consensus_reference(prob)
     assert ref.x_bar == pytest.approx(5.0, abs=1e-8)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block after `seconds` of wall time."""
+    def expire(signum, frame):
+        raise TimeoutError("still running after {} s".format(seconds))
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_consensus_reference_stops_at_rounding_floor():
+    # on this instance the polishing iterate ends up jittering by about
+    # 1.5e-16 around 0.0763, above the old stop threshold of
+    # 1e-16 * (1 + |s|); the solver must stop there and certify
+    seed = 2570931004
+    graph = random_connected(1000, 0.006, seed)
+    targets = np.random.default_rng([seed, 1]).uniform(-5.0, 5.0, 1000)
+    col = targets.reshape(-1, 1)
+    prob = ConsensusProblem(
+        graph, 1, [quad_agent(t) for t in targets],
+        vector_objective=lambda x: np.sum((x - col) ** 2, axis=1),
+        vector_gradient=lambda x: 2.0 * (x - col))
+    start = time.perf_counter()
+    with deadline(20.0):
+        ref = solve_consensus_reference(prob)
+    assert time.perf_counter() - start < 20.0
+    assert ref.x_bar[0] == pytest.approx(targets.mean(), abs=1e-12)
+    assert ref.cone_residual <= 1e-8
+    assert ref.saddle_residual <= 1e-8
 
 
 def test_allocation_kkt_quadratics():

@@ -99,3 +99,26 @@ def test_sample_points_feasible_and_reproducible():
     assert np.array_equal(pts1, pts2)
     for p in pts1:
         assert prod.contains(p, tol=1e-9)
+
+
+def test_box_rejects_nan_bounds():
+    with pytest.raises(ValueError):
+        Box(np.nan, 1.0, dim=2)
+    with pytest.raises(ValueError):
+        Box([0.0, -1.0], [1.0, np.nan])
+
+
+def test_box_accepts_infinite_bounds():
+    b = Box(-np.inf, np.inf, dim=2)
+    p = np.array([-1e300, 3.0])
+    assert np.array_equal(b.project(p), p)
+    half = Box([0.0, -np.inf], [np.inf, 0.0])
+    assert np.array_equal(half.project(np.array([-2.0, 2.0])), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("center, radius", [
+    ([0.0, np.nan], 1.0), ([np.inf, 0.0], 1.0),
+    ([0.0, 0.0], np.nan), ([0.0, 0.0], np.inf)])
+def test_ball_rejects_non_finite_center_or_radius(center, radius):
+    with pytest.raises(ValueError):
+        Ball(np.array(center), radius)
