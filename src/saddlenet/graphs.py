@@ -8,6 +8,8 @@ vectorized stacked computation and a literal per-agent message-passing
 loop produce identical floating-point results.
 """
 
+import collections
+
 import numpy as np
 
 __all__ = ["NetworkGraph", "ring", "random_connected", "lambda_max"]
@@ -26,7 +28,8 @@ class NetworkGraph(object):
     Raises
     ------
     ValueError
-        On out-of-range vertices, self-loops, or a disconnected graph.
+        On out-of-range vertices, self-loops, or a disconnected graph
+        (checked by breadth-first search, linear in the edge count).
     """
 
     def __init__(self, n, edges):
@@ -52,14 +55,30 @@ class NetworkGraph(object):
         self.degrees = np.array([len(lst) for lst in self.neighbors])
         self.max_degree = int(self.degrees.max(initial=0))
         # padded neighbor index table by rank: row k holds the k-th sorted
-        # neighbor of every vertex, padded with the vertex itself so padded
-        # entries contribute exact zeros to neighbor sums of finite values
+        # neighbor of every vertex, padded with the vertex itself; on an
+        # irregular graph `_real` marks the entries that are neighbors, and
+        # `lap_apply` leaves the padded differences at zero (u_i - u_i
+        # would be NaN for an infinite u_i)
         self._nbr = np.empty((self.max_degree, n), dtype=int)
         for i in range(n):
             pad = [i] * (self.max_degree - len(self.neighbors[i]))
             self._nbr[:, i] = self.neighbors[i] + pad
-        if n > 1 and self.fiedler_value() <= 1e-10:
+        self._real = None
+        if self.degrees.min() < self.max_degree:
+            self._real = np.arange(self.max_degree)[:, None] < self.degrees
+        if not self._connected():
             raise ValueError("graph is not connected")
+
+    def _connected(self):
+        """Breadth-first search from vertex 0 over `neighbors`."""
+        seen = {0}
+        queue = collections.deque([0])
+        while queue:
+            for j in self.neighbors[queue.popleft()]:
+                if j not in seen:
+                    seen.add(j)
+                    queue.append(j)
+        return len(seen) == self.n
 
     def laplacian(self):
         """Return the dense Laplacian L = D - A as an `(n, n)` array."""
@@ -94,7 +113,13 @@ class NetworkGraph(object):
         """
         u = np.asarray(u, dtype=float)
         # one gather for all ranks; block k holds u_i - u_(k-th neighbor of i)
-        diffs = u - u.take(self._nbr, axis=0)
+        taken = u.take(self._nbr, axis=0)
+        if self._real is None:
+            diffs = u - taken
+        else:
+            diffs = np.zeros(taken.shape)
+            real = self._real.reshape(self._real.shape + (1,) * (u.ndim - 1))
+            np.subtract(u, taken, out=diffs, where=real)
         out = np.zeros(u.shape)
         for block in diffs:
             out += block

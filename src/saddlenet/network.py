@@ -1,20 +1,33 @@
 """Bulk-synchronous message-passing simulation of the distributed runs.
 
 This module re-implements the consensus and allocation dynamics the way
-they would run on an actual network: each agent is an object holding
+they would run on an actual network: each agent is one `_Agent` holding
 only its own variables, and all cross-agent information flows through
 `Network.exchange`, which delivers payloads strictly along graph edges.
 No agent ever reads another agent's fields or any stacked array.
 
-The point of the duplication is evidence, not speed. Agents accumulate
-neighbor sums in ascending neighbor order and use the same update
-expressions as the stacked step functions in `consensus` and
-`allocation`, so the two routes produce the same trajectories up to the
-last bit (checked in the tests); the stacked route is the one that gets
-the fast vectorized oracles.
+An agent keeps its variables in one local vector, its own slice of the
+stacked iterate: ``[x_i, v_i]`` for consensus and ``[y_i, a_i, lam_i]``
+for allocation. Each round it publishes one payload of ``2m`` floats,
+computed from the variables it shares alone: ``[x_i + v_i, x_i]`` from
+``(x_i, v_i)``, and ``[lam_i, a_i + lam_i]`` from ``(a_i, lam_i)``.
+Decisions ``y_i`` and gradients never leave an agent. With its own
+payload ``p_i``, agent i forms one neighbor sum ``s = sum_j (p_i - p_j)``
+onto zeros in ascending neighbor order, which is row i of the stacked
+`NetworkGraph.lap_apply` over the payload columns. A per-problem local
+operator turns ``s`` into the agent's block of Phi (resp. Psi), and the
+agent moves its whole vector with the stacked step's expression and one
+projection onto its set times the free variables.
+
+The point of the duplication is evidence, not speed. Since the sums and
+the update expressions are the stacked ones, elementwise, the two routes
+produce the same trajectories up to the last bit (checked in the tests);
+the stacked route is the one that gets the fast vectorized oracles.
 """
 
 import numpy as np
+
+from . import sets
 
 __all__ = ["Network", "ConsensusNetworkSimulator", "AllocationNetworkSimulator"]
 
@@ -37,60 +50,114 @@ class Network(object):
                 for i in range(self.graph.n)]
 
 
-class _ConsensusAgent(object):
-    """One consensus agent: local decision, local multiplier, local oracle."""
+class _Agent(object):
+    """One agent: a local vector ``w``, its payload and its local operator.
 
-    def __init__(self, spec, x0, v0):
-        self.spec = spec
-        self.x = x0.copy()
-        self.v = v0.copy()
-        self.phi_x_prev = None
-        self.phi_v_prev = None
-        self.x_half = None
-        self.v_half = None
+    ``payload(w)`` returns the array the agent publishes at point ``w``.
+    ``local(w, s, out)`` writes the agent's operator value at ``w`` into
+    ``out``, given the neighbor sum ``s``, which it may overwrite.
+    ``cset`` is the agent's own set times its free variables.
+    """
+
+    def __init__(self, w0, payload, local, cset):
+        self.w = self.point = np.array(w0, dtype=float)
+        self._payload = payload
+        self._local = local
+        self._cset = cset
+        self._own = None
+        self._g_prev = None
 
     def publish(self):
-        # steps rebind x and v instead of mutating them, so handing out
-        # references cannot leak a mid-step value
-        return (self.x, self.v)
+        # every step rebinds `point`, so a published payload never
+        # changes after the neighbors received it
+        self._own = self._payload(self.point)
+        return self._own
 
-    def publish_half(self):
-        return (self.x_half, self.v_half)
-
-    def _phi(self, x_loc, v_loc, inbox):
-        # same accumulation order and expression shape as the stacked
-        # route: neighbor sums grow in ascending neighbor order
-        w = x_loc + v_loc
-        sx = np.zeros_like(x_loc)
-        sv = np.zeros_like(x_loc)
-        for j, (xj, vj) in inbox.items():
-            sx += w - (xj + vj)
-            sv += x_loc - xj
-        gx = self.spec.gradient(x_loc) + sx
-        gv = -sv
-        return gx, gv
+    def _operator(self, inbox):
+        own = self._own
+        s = np.zeros(own.size)
+        for p in inbox.values():
+            s += own - p
+        g = np.empty(self.w.size)
+        self._local(self.point, s, g)
+        return g
 
     def step_ogda(self, inbox, alpha):
-        gx, gv = self._phi(self.x, self.v, inbox)
-        gxp = gx if self.phi_x_prev is None else self.phi_x_prev
-        gvp = gv if self.phi_v_prev is None else self.phi_v_prev
-        self.x = self.spec.cset.project(self.x - 2.0 * alpha * gx + alpha * gxp)
-        self.v = self.v - 2.0 * alpha * gv + alpha * gvp
-        self.phi_x_prev = gx
-        self.phi_v_prev = gv
+        g = self._operator(inbox)
+        gp = g if self._g_prev is None else self._g_prev
+        self.w = self.point = self._cset.project(
+            self.w - 2.0 * alpha * g + alpha * gp)
+        self._g_prev = g
 
     def step_eg_probe(self, inbox, alpha):
-        gx, gv = self._phi(self.x, self.v, inbox)
-        self.x_half = self.spec.cset.project(self.x - alpha * gx)
-        self.v_half = self.v - alpha * gv
+        self.point = self._cset.project(self.w - alpha * self._operator(inbox))
 
     def step_eg_commit(self, inbox_half, alpha):
-        gxh, gvh = self._phi(self.x_half, self.v_half, inbox_half)
-        self.x = self.spec.cset.project(self.x - alpha * gxh)
-        self.v = self.v - alpha * gvh
+        self.w = self.point = self._cset.project(
+            self.w - alpha * self._operator(inbox_half))
 
 
-class ConsensusNetworkSimulator(object):
+class _Simulator(object):
+    """Per-agent run loop shared by the consensus and allocation simulators.
+
+    A subclass passes each agent's starting vector and its ``(payload,
+    local)`` pair, and reshapes the rows of `_history`.
+    """
+
+    def __init__(self, problem, method, alpha, kappa, starts, roles):
+        from .solvers import step_bound
+        method = str(method).upper()
+        if method not in ("OGDA", "EG"):
+            raise ValueError("distributed methods are OGDA and EG")
+        self.problem = problem
+        self.method = method
+        self.alpha = 0.9 * step_bound(method, kappa) if alpha is None else alpha
+        self.network = Network(problem.graph)
+        self.agents = [
+            _Agent(w0, payload, local, sets.Product(
+                [spec.cset, sets.WholeSpace(len(w0) - spec.cset.dim)]))
+            for w0, spec, (payload, local)
+            in zip(starts, problem.agents, roles)]
+
+    def _history(self, iters):
+        """Rows of the concatenated agent vectors, row 0 the initial point."""
+        agents, alpha = self.agents, self.alpha
+        hist = np.empty((iters + 1, sum(ag.w.size for ag in agents)))
+        np.concatenate([ag.w for ag in agents], out=hist[0])
+        for k in range(1, iters + 1):
+            inbox = self.network.exchange([ag.publish() for ag in agents])
+            if self.method == "OGDA":
+                for ag, box in zip(agents, inbox):
+                    ag.step_ogda(box, alpha)
+            else:
+                for ag, box in zip(agents, inbox):
+                    ag.step_eg_probe(box, alpha)
+                inbox = self.network.exchange([ag.publish() for ag in agents])
+                for ag, box in zip(agents, inbox):
+                    ag.step_eg_commit(box, alpha)
+            np.concatenate([ag.w for ag in agents], out=hist[k])
+        return hist
+
+
+def _consensus_roles(spec, m):
+    """Payload ``[x + v, x]`` and ``Phi_i = [grad f_i(x) + s_1, -s_2]``.
+
+    With this payload the neighbor sum is ``s = [(L(x + v))_i, (L x)_i]``.
+    """
+    grad = spec.gradient
+
+    def payload(w):
+        x = w[:m]
+        return np.concatenate((x + w[m:], x))
+
+    def local(w, s, out):
+        np.add(grad(w[:m]), s[:m], out=out[:m])
+        np.negative(s[m:], out=out[m:])
+
+    return payload, local
+
+
+class ConsensusNetworkSimulator(_Simulator):
     """Run the consensus dynamics through per-agent message passing.
 
     Parameters
@@ -107,21 +174,11 @@ class ConsensusNetworkSimulator(object):
 
     def __init__(self, problem, method="OGDA", alpha=None, x0=None, v0=None):
         from .consensus import initial_state
-        from .solvers import step_bound
-        method = str(method).upper()
-        if method not in ("OGDA", "EG"):
-            raise ValueError("distributed methods are OGDA and EG")
-        self.problem = problem
-        self.method = method
-        self.alpha = 0.9 * step_bound(method, problem.kappa_c) if alpha is None else alpha
-        self.network = Network(problem.graph)
         start = initial_state(problem, x0, v0)
-        self.agents = [_ConsensusAgent(spec, start.x[i], start.v[i])
-                       for i, spec in enumerate(problem.agents)]
-
-    def _snapshot(self):
-        return (np.stack([ag.x for ag in self.agents]),
-                np.stack([ag.v for ag in self.agents]))
+        super().__init__(problem, method, alpha, problem.kappa_c,
+                         np.concatenate([start.x, start.v], axis=1),
+                         [_consensus_roles(spec, problem.m)
+                          for spec in problem.agents])
 
     def run(self, iters):
         """Advance `iters` steps; returns stacked histories.
@@ -129,113 +186,62 @@ class ConsensusNetworkSimulator(object):
         Returns ``(x_hist, v_hist)`` of shape ``(iters + 1, N, m)``
         with row 0 holding the initial point.
         """
-        x_hist = [self._snapshot()[0]]
-        v_hist = [self._snapshot()[1]]
-        for _ in range(iters):
-            inbox = self.network.exchange([ag.publish() for ag in self.agents])
-            if self.method == "OGDA":
-                for i, ag in enumerate(self.agents):
-                    ag.step_ogda(inbox[i], self.alpha)
-            else:
-                for i, ag in enumerate(self.agents):
-                    ag.step_eg_probe(inbox[i], self.alpha)
-                inbox_half = self.network.exchange(
-                    [ag.publish_half() for ag in self.agents])
-                for i, ag in enumerate(self.agents):
-                    ag.step_eg_commit(inbox_half[i], self.alpha)
-            snap = self._snapshot()
-            x_hist.append(snap[0])
-            v_hist.append(snap[1])
-        return np.array(x_hist), np.array(v_hist)
+        n, m = self.problem.n, self.problem.m
+        hist = self._history(iters).reshape(iters + 1, n, 2 * m)
+        return hist[:, :, :m], hist[:, :, m:]
 
 
-class _AllocationAgent(object):
-    """One allocation agent; only ``(a_i, lam_i)`` ever leave the agent."""
+def _allocation_roles(spec, m):
+    """Payload ``[lam, a + lam]`` and Psi_i from ``s``.
 
-    def __init__(self, spec, y0, a0, lam0):
-        self.spec = spec
-        self.y = y0.copy()
-        self.a = a0.copy()
-        self.lam = lam0.copy()
-        self.psi_y_prev = None
-        self.psi_a_prev = None
-        self.psi_lam_prev = None
-        self.y_half = None
-        self.a_half = None
-        self.lam_half = None
+    With this payload the neighbor sum is ``s = [(L lam)_i,
+    (L(a + lam))_i]`` and ``Psi_i = [grad h_i(y) + W_i' lam, -s_1,
+    -((W_i y - d_i) - s_2)]``.
+    """
+    q = spec.cset.dim
+    grad, weight, weight_t, demand = (spec.gradient, spec.weight,
+                                      spec.weight.T, spec.demand)
+    sa, sl = slice(q, q + m), slice(q + m, None)
 
-    def publish(self):
-        return (self.a, self.lam)
+    def payload(w):
+        lam = w[sl]
+        return np.concatenate((lam, w[sa] + lam))
 
-    def publish_half(self):
-        return (self.a_half, self.lam_half)
+    def local(w, s, out):
+        y = w[:q]
+        np.add(grad(y), weight_t @ w[sl], out=out[:q])
+        s_u = s[m:]
+        np.subtract(weight @ y - demand, s_u, out=s_u)
+        np.negative(s, out=out[q:])
 
-    def _psi(self, y_loc, a_loc, lam_loc, inbox):
-        u = a_loc + lam_loc
-        sa = np.zeros_like(lam_loc)
-        su = np.zeros_like(lam_loc)
-        for j, (aj, lj) in inbox.items():
-            sa += lam_loc - lj
-            su += u - (aj + lj)
-        gy = self.spec.gradient(y_loc) + self.spec.weight.T @ lam_loc
-        ga = -sa
-        glam = -((self.spec.weight @ y_loc - self.spec.demand) - su)
-        return gy, ga, glam
-
-    def step_ogda(self, inbox, alpha):
-        gy, ga, glam = self._psi(self.y, self.a, self.lam, inbox)
-        gyp = gy if self.psi_y_prev is None else self.psi_y_prev
-        gap = ga if self.psi_a_prev is None else self.psi_a_prev
-        glp = glam if self.psi_lam_prev is None else self.psi_lam_prev
-        self.y = self.spec.cset.project(self.y - 2.0 * alpha * gy + alpha * gyp)
-        self.a = self.a - 2.0 * alpha * ga + alpha * gap
-        self.lam = self.lam - 2.0 * alpha * glam + alpha * glp
-        self.psi_y_prev = gy
-        self.psi_a_prev = ga
-        self.psi_lam_prev = glam
-
-    def step_eg_probe(self, inbox, alpha):
-        gy, ga, glam = self._psi(self.y, self.a, self.lam, inbox)
-        self.y_half = self.spec.cset.project(self.y - alpha * gy)
-        self.a_half = self.a - alpha * ga
-        self.lam_half = self.lam - alpha * glam
-
-    def step_eg_commit(self, inbox_half, alpha):
-        gyh, gah, glh = self._psi(self.y_half, self.a_half, self.lam_half,
-                                  inbox_half)
-        self.y = self.spec.cset.project(self.y - alpha * gyh)
-        self.a = self.a - alpha * gah
-        self.lam = self.lam - alpha * glh
+    return payload, local
 
 
-class AllocationNetworkSimulator(object):
+class AllocationNetworkSimulator(_Simulator):
     """Run the allocation dynamics through per-agent message passing.
 
-    Mirrors `ConsensusNetworkSimulator`; exchanged payloads carry only
-    the auxiliary variable and the multiplier, never decisions or
-    gradients.
+    Mirrors `ConsensusNetworkSimulator`; payloads are computed from the
+    auxiliary variable and the multiplier alone, never from decisions
+    or gradients.
     """
 
     def __init__(self, problem, method="OGDA", alpha=None, y0=None,
                  a0=None, lam0=None):
         from .allocation import initial_state
-        from .solvers import step_bound
-        method = str(method).upper()
-        if method not in ("OGDA", "EG"):
-            raise ValueError("distributed methods are OGDA and EG")
-        self.problem = problem
-        self.method = method
-        self.alpha = 0.9 * step_bound(method, problem.kappa_s) if alpha is None else alpha
-        self.network = Network(problem.graph)
+        m = problem.m
         start = initial_state(problem, y0, a0, lam0)
-        self.agents = [_AllocationAgent(spec, problem.y_block(start.y, i),
-                                        start.a[i], start.lam[i])
-                       for i, spec in enumerate(problem.agents)]
-
-    def _snapshot(self):
-        return (np.concatenate([ag.y for ag in self.agents]),
-                np.stack([ag.a for ag in self.agents]),
-                np.stack([ag.lam for ag in self.agents]))
+        super().__init__(problem, method, alpha, problem.kappa_s,
+                         [np.concatenate((problem.y_block(start.y, i),
+                                          start.a[i], start.lam[i]))
+                          for i in range(problem.n)],
+                         [_allocation_roles(spec, m)
+                          for spec in problem.agents])
+        # columns of y, a and lam in the concatenated agent vectors
+        cols = np.split(np.arange(problem.dim_y + 2 * m * problem.n),
+                        np.cumsum([q + 2 * m for q in problem.q])[:-1])
+        self._cols = (np.concatenate([c[:-2 * m] for c in cols]),
+                      np.stack([c[-2 * m:-m] for c in cols]),
+                      np.stack([c[-m:] for c in cols]))
 
     def run(self, iters):
         """Advance `iters` steps; returns stacked histories.
@@ -243,22 +249,5 @@ class AllocationNetworkSimulator(object):
         Returns ``(y_hist, a_hist, lam_hist)`` with ``iters + 1`` rows,
         row 0 holding the initial point.
         """
-        snap = self._snapshot()
-        y_hist, a_hist, lam_hist = [snap[0]], [snap[1]], [snap[2]]
-        for _ in range(iters):
-            inbox = self.network.exchange([ag.publish() for ag in self.agents])
-            if self.method == "OGDA":
-                for i, ag in enumerate(self.agents):
-                    ag.step_ogda(inbox[i], self.alpha)
-            else:
-                for i, ag in enumerate(self.agents):
-                    ag.step_eg_probe(inbox[i], self.alpha)
-                inbox_half = self.network.exchange(
-                    [ag.publish_half() for ag in self.agents])
-                for i, ag in enumerate(self.agents):
-                    ag.step_eg_commit(inbox_half[i], self.alpha)
-            snap = self._snapshot()
-            y_hist.append(snap[0])
-            a_hist.append(snap[1])
-            lam_hist.append(snap[2])
-        return np.array(y_hist), np.array(a_hist), np.array(lam_hist)
+        hist = self._history(iters)
+        return tuple(hist[:, cols] for cols in self._cols)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,22 @@ def test_invalid_graphs_rejected():
         NetworkGraph(3, [(1, 1)])
     with pytest.raises(ValueError):
         NetworkGraph(3, [(0, 1)])  # disconnected: node 2 isolated
+    with pytest.raises(ValueError):
+        NetworkGraph(4, [(0, 1), (2, 3)])  # two components, no isolated node
+
+
+def test_lap_apply_keeps_infinities_at_low_degree_vertices():
+    # on the path 0-1-2 vertex 0 has one neighbor fewer than vertex 1
+    path = NetworkGraph(3, [(0, 1), (1, 2)])
+    out = path.lap_apply(np.array([np.inf, 0.0, 0.0]))
+    assert np.array_equal(out, [np.inf, -np.inf, 0.0])
+
+
+def test_ring_of_ten_thousand_builds_without_dense_matrices():
+    # connectivity is a breadth-first search, so no n x n Laplacian is formed
+    start = time.perf_counter()
+    g = ring(10_000)
+    out = g.lap_apply(np.ones(10_000))
+    elapsed = time.perf_counter() - start
+    assert np.array_equal(out, np.zeros(10_000))
+    assert elapsed < 5.0, elapsed

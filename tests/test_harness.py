@@ -1,9 +1,11 @@
+import itertools
 import json
 import os
 
 import numpy as np
 import pytest
 
+from saddlenet import network
 from saddlenet.harness import (PRESETS, ConfigError, cmd_solve, load_config,
                                main, resolve_config)
 
@@ -164,6 +166,36 @@ def test_verify_fails_on_corrupted_gradient(tmp_path, capsys):
     assert not report["passed"]
     failed = [c["check"] for c in report["checks"] if not c["passed"]]
     assert failed == ["gradient_finite_diff"]
+
+
+def test_verify_fails_when_one_agent_is_one_ulp_off(tmp_path, capsys,
+                                                   monkeypatch):
+    # negative control for the exact stacked-versus-per-agent rule: agent
+    # 0 of the 5-ring nudges every operator value it computes by one ULP
+    roles = network._consensus_roles
+    calls = itertools.count()
+
+    def nudged_roles(spec, m):
+        payload, local = roles(spec, m)
+        if next(calls) % 5:
+            return payload, local
+
+        def nudged(w, s, out):
+            local(w, s, out)
+            np.nextafter(out, np.inf, out=out)
+
+        return payload, nudged
+
+    monkeypatch.setattr(network, "_consensus_roles", nudged_roles)
+    code = main(["verify", "--preset", "consensus5",
+                 "--out", str(tmp_path / "v")])
+    assert code == 3
+    report = json.loads(capsys.readouterr().out)
+    failed = {c["check"]: c["margin"] for c in report["checks"]
+              if not c["passed"]}
+    assert sorted(failed) == ["distributed_stacked_equivalence_EG",
+                              "distributed_stacked_equivalence_OGDA"]
+    assert all(dev > 0.0 for dev in failed.values())
 
 
 def test_verify_report_lists_margins(tmp_path, capsys):

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from saddlenet import catalog
-from saddlenet.allocation import simulate_allocation
-from saddlenet.consensus import simulate_consensus
-from saddlenet.graphs import ring
+from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
+                                  simulate_allocation)
+from saddlenet.consensus import (ConsensusAgentSpec, ConsensusProblem,
+                                 simulate_consensus)
+from saddlenet.graphs import random_connected, ring
 from saddlenet.network import (AllocationNetworkSimulator,
                                ConsensusNetworkSimulator, Network)
+from saddlenet.sets import Ball, Box
 
 
 def test_exchange_delivers_neighbor_payloads_in_order():
@@ -80,3 +83,113 @@ def test_network_converges_to_consensus():
     sim = ConsensusNetworkSimulator(prob, method="EG")
     x_hist, _ = sim.run(20000)
     assert np.max(np.abs(x_hist[-1] - 3.0)) <= 1e-3
+
+
+def quadratic_consensus(graph, m, seed):
+    """Trackers ``|x - t_i|^2`` with binding sets and no vector oracles."""
+    rng = np.random.default_rng(seed)
+    agents = []
+    for i in range(graph.n):
+        t = rng.uniform(-3.0, 3.0, size=m)
+        cset = (Ball(np.zeros(m), 1.5) if i == 1
+                else Box(-1.0 - 0.5 * i, 1.0, dim=m))
+        agents.append(ConsensusAgentSpec(
+            lambda x, t=t: float(np.sum((x - t) ** 2)),
+            lambda x, t=t: 2.0 * (x - t), cset, 2.0))
+    return ConsensusProblem(graph, m, agents)
+
+
+def mixed_allocation(graph, seed):
+    """m = 2 with decision sizes 1, 2, 3 in turn and one ball agent set."""
+    rng = np.random.default_rng(seed)
+    agents = []
+    for i in range(graph.n):
+        q = 1 + i % 3
+        t = rng.uniform(-3.0, 3.0, size=q)
+        cset = Ball(np.full(q, 0.25), 1.0) if i == 1 else Box(-1.0, 1.0, dim=q)
+        agents.append(AllocationAgentSpec(
+            lambda y, t=t: float(0.5 * np.sum((y - t) ** 2)),
+            lambda y, t=t: y - t, cset,
+            rng.uniform(-1.0, 1.0, size=(2, q)),
+            rng.uniform(-0.5, 0.5, size=2), 1.0))
+    return AllocationProblem(graph, agents)
+
+
+def consensus_deviation(prob, method, iters):
+    x_hist, v_hist = ConsensusNetworkSimulator(prob, method=method).run(iters)
+    trace = simulate_consensus(prob, method, max_iters=iters, stop_tol=0.0)
+    return max(np.max(np.abs(x_hist - trace.x)),
+               np.max(np.abs(v_hist - trace.v)))
+
+
+def allocation_deviation(prob, method, iters):
+    y_hist, a_hist, lam_hist = AllocationNetworkSimulator(
+        prob, method=method).run(iters)
+    trace = simulate_allocation(prob, method, max_iters=iters, stop_tol=0.0)
+    return max(np.max(np.abs(y_hist - trace.y)),
+               np.max(np.abs(a_hist - trace.a)),
+               np.max(np.abs(lam_hist - trace.lam)))
+
+
+@pytest.mark.parametrize("method", ["OGDA", "EG"])
+def test_network_matches_stacked_on_irregular_graph(method):
+    graph = random_connected(7, 0.3, seed=4)
+    assert graph.degrees.min() < graph.max_degree
+    assert consensus_deviation(quadratic_consensus(graph, 1, seed=1),
+                               method, 300) == 0.0
+    assert allocation_deviation(mixed_allocation(graph, seed=2),
+                                method, 300) == 0.0
+
+
+@pytest.mark.parametrize("method", ["OGDA", "EG"])
+def test_allocation_network_matches_stacked_mixed_sizes(method):
+    prob = mixed_allocation(ring(6), seed=3)
+    assert prob.m == 2 and sorted(set(prob.q)) == [1, 2, 3]
+    assert allocation_deviation(prob, method, 300) == 0.0
+
+
+@pytest.mark.parametrize("method", ["OGDA", "EG"])
+def test_consensus_network_matches_stacked_two_dims(method):
+    prob = quadratic_consensus(ring(5), 2, seed=5)
+    assert consensus_deviation(prob, method, 300) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["consensus", "allocation"])
+@pytest.mark.parametrize("method", ["OGDA", "EG"])
+def test_messages_travel_along_edges_with_2m_floats(kind, method,
+                                                    monkeypatch):
+    graph = random_connected(6, 0.3, seed=7)
+    if kind == "consensus":
+        sim = ConsensusNetworkSimulator(quadratic_consensus(graph, 2, 8),
+                                        method=method)
+    else:
+        sim = AllocationNetworkSimulator(mixed_allocation(graph, 9),
+                                         method=method)
+    m = sim.problem.m
+    exchange = Network.exchange
+    rounds = []
+
+    def checked(net, payloads):
+        for j, (agent, payload) in enumerate(zip(sim.agents, payloads)):
+            assert isinstance(payload, np.ndarray)
+            assert payload.dtype == np.float64 and payload.shape == (2 * m,)
+            # computed from (x_j, v_j) resp. (a_j, lam_j) alone
+            w = agent.point
+            if kind == "consensus":
+                x, v = w[:m], w[m:]
+                expect = np.concatenate([x + v, x])
+            else:
+                a, lam = w[-2 * m:-m], w[-m:]
+                expect = np.concatenate([lam, a + lam])
+            assert np.array_equal(payload, expect), j
+        inboxes = exchange(net, payloads)
+        for i, box in enumerate(inboxes):
+            assert list(box) == graph.neighbors[i]
+            for j, payload in box.items():
+                assert payload is payloads[j]
+        rounds.append(len(inboxes))
+        return inboxes
+
+    monkeypatch.setattr(Network, "exchange", checked)
+    sim.run(20)
+    assert rounds == [graph.n] * (20 if method == "OGDA" else 40)

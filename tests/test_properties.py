@@ -76,18 +76,26 @@ def lap_literal(graph, u):
     return out
 
 
+def same_values(got, want):
+    """Equal values, NaN equal to NaN, and equal signs on every zero."""
+    nan = np.isnan(want)
+    return (np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan])))
+
+
 @settings(max_examples=200, deadline=None)
 @given(GRAPHS, st.one_of(st.none(), st.integers(1, 4)), st.data())
 def test_lap_apply_equals_literal_loop(graph, m, data):
     shape = (graph.n,) if m is None else (graph.n, m)
-    finite = st.one_of(SIGNED_ZEROS, st.floats(allow_nan=False,
-                                                allow_infinity=False))
-    u = np.array(data.draw(st.lists(finite, min_size=int(np.prod(shape)),
+    values = st.one_of(SIGNED_ZEROS, st.sampled_from([np.inf, -np.inf]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    u = np.array(data.draw(st.lists(values, min_size=int(np.prod(shape)),
                                     max_size=int(np.prod(shape)))),
                  dtype=float).reshape(shape)
-    # wide values may overflow; both sides must then agree on inf and NaN
+    # wide values may overflow and infinities cancel to NaN; both sides
+    # must agree on inf and NaN, and on the sign of every zero
     with np.errstate(over="ignore", invalid="ignore"):
-        assert graph.lap_apply(u).tobytes() == lap_literal(graph, u).tobytes()
+        assert same_values(graph.lap_apply(u), lap_literal(graph, u))
 
 
 def vector_allocation():
