@@ -256,3 +256,23 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, bad, key):
     err = capsys.readouterr().err
     assert "config key '{}'".format(key) in err
     assert not os.path.exists(cfg["out"])
+
+
+RUN_KEYS = {"method", "alpha", "iterations", "stopped_at", "gradient_calls",
+            "wall_time_s", "final_vi_residual", "trace_csv"}
+
+
+@pytest.mark.parametrize("preset, extra", [
+    ("quadratic-saddle", {"final_f", "final_f_gap"}),
+    ("consensus5", {"final_objective", "final_consensus_residual"}),
+    ("allocation3", {"final_objective", "final_feasibility_gap",
+                     "dual_consensus"}),
+])
+def test_summary_run_entry_keys(tmp_path, preset, extra):
+    out = str(tmp_path / "run")
+    assert main(solve_args(preset, out, ["--iters", "20"])) == 0
+    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    assert set(summary) == {"preset", "seed", "runs"}
+    assert [r["method"] for r in summary["runs"]] == PRESETS[preset]["methods"]
+    for entry in summary["runs"]:
+        assert set(entry) == RUN_KEYS | extra
