@@ -14,17 +14,19 @@ enforces. The saddle operator
 
 ``Psi = [grad h + W' lam; -L lam; -(W y - d - L (a + lam))]``
 
-again decomposes into neighbor sums. As in `consensus`, the stacked
-step functions here and the per-agent message-passing route in
-`network` use the same expression shapes and neighbor ordering so both
-produce the same trajectories.
+again decomposes into neighbor sums.
 
-The stacked route keeps the whole iterate in one vector
-``z = [y, a, lam]`` of length ``Q + 2 N m``: the decisions ``y``
+`as_saddle_problem` casts the instance as one stacked saddle problem
+over ``z = [y, a, lam]`` of length ``Q + 2 N m``: the decisions ``y``
 (``Q = sum q_i``, agent by agent), then the auxiliary variables ``a``
-and the multipliers ``lam``, each ``N x m`` in agent-major order. Psi
-uses the same layout, so one step updates all three blocks with one
-expression and one projection onto `AllocationProblem.iterate_set`.
+and the multipliers ``lam``, each ``N x m`` in agent-major order. Its
+operator is Psi in the same layout, from a single
+`NetworkGraph.lap_apply` over the columns ``[lam, a + lam]``, the
+payloads the agents of `network` exchange. `simulate_allocation` runs
+the generic `solvers.run` on it and reads the per-agent trace off the
+recorded rows. As in `consensus`, the per-agent route in `network` uses
+the same expressions and neighbor ordering, so both produce the same
+trajectories.
 """
 
 import numpy as np
@@ -32,12 +34,11 @@ import numpy as np
 from . import sets
 from .core import SaddleProblem, ValidationError
 from .graphs import lambda_max
-from .solvers import step_bound
+from .solvers import SolverConfig, run
 
-__all__ = ["AllocationAgentSpec", "AllocationProblem", "AllocationState",
-           "lagrangian_L2", "operator_psi", "step_allocation_ogda",
-           "step_allocation_eg", "feasibility_gap", "simulate_allocation",
-           "AllocationTrace"]
+__all__ = ["AllocationAgentSpec", "AllocationProblem", "lagrangian_L2",
+           "operator_psi", "feasibility_gap", "as_saddle_problem",
+           "initial_state", "simulate_allocation", "AllocationTrace"]
 
 
 class AllocationAgentSpec(object):
@@ -127,11 +128,7 @@ class AllocationProblem(object):
         else:
             self._wdiag = None
         self.decision_set = sets.Product([a.cset for a in agents])
-        # domain of the stacked iterate: the agent sets, then the free
-        # auxiliary variables and multipliers
         nm = self.n * self.m
-        self.iterate_set = sets.Product([self.decision_set,
-                                         sets.WholeSpace(2 * nm)])
         self._zslices = (slice(0, self.dim_y),
                          slice(self.dim_y, self.dim_y + nm),
                          slice(self.dim_y + nm, self.dim_y + 2 * nm))
@@ -234,7 +231,7 @@ def as_saddle_problem(problem):
 
     Primal block: stacked ``(y, a)`` over the product of the agent sets
     and a free block; dual block: stacked multipliers. The declared
-    operator constant is ``kappa_s``.
+    operator constant is ``kappa_s``. The operator is the fused Psi.
     """
     nm = problem.n * problem.m
     dim_x = problem.dim_y + nm
@@ -261,6 +258,9 @@ def as_saddle_problem(problem):
         e = problem.wy_minus_d(y) - problem.graph.lap_apply(a + lam)
         return e.ravel()
 
+    def operator(z):
+        return _psi(problem, *problem.split(z))
+
     return SaddleProblem(
         dim_x, nm,
         sets.Product([problem.decision_set, sets.WholeSpace(nm)]),
@@ -268,38 +268,15 @@ def as_saddle_problem(problem):
         value, grad_x, grad_y,
         lipschitz={"l_xx": problem.l_h, "l_xy": cross,
                    "l_yx": cross, "l_yy": lam_norm},
-        kappa=problem.kappa_s,
+        kappa=problem.kappa_s, operator=operator,
         name=problem.name + "-stacked")
 
 
-class AllocationState(object):
-    """Stacked iterate ``z = [y, a, lam]`` and its memoized operator value.
-
-    ``z`` has length ``Q + 2 N m`` (layout in the module docstring).
-    ``y``, ``a`` and ``lam`` are views of ``z`` with shapes ``(Q,)``,
-    ``(N, m)`` and ``(N, m)``. ``psi`` holds Psi at ``z`` in the same
-    layout, filled on demand so that one evaluation serves both the step
-    and the residual. ``psi_prev`` carries the previous step's value for
-    the optimistic correction; ``z_half`` is the mid-point of the
-    extra-gradient step that produced this state.
-    """
-
-    def __init__(self, problem, z, psi_prev=None, z_half=None):
-        self.z = z
-        self.y, self.a, self.lam = problem.split(z)
-        self.psi_prev = psi_prev
-        self.z_half = z_half
-        self.psi = None
-
-    def ensure_psi(self, problem):
-        """Memoize Psi at the current point and return it."""
-        if self.psi is None:
-            self.psi = _psi(problem, self.y, self.a, self.lam)
-        return self.psi
-
-
 def initial_state(problem, y0=None, a0=None, lam0=None):
-    """Starting state; decisions default to the projection of zero."""
+    """Stacked start ``z0 = [y0, a0, lam0]``.
+
+    Decisions default to the projection of zero, the other blocks to zero.
+    """
     if y0 is None:
         y0 = problem.project_y(np.zeros(problem.dim_y))
     else:
@@ -309,87 +286,36 @@ def initial_state(problem, y0=None, a0=None, lam0=None):
                                   .format(y0.size, problem.dim_y))
     a0 = np.zeros(problem.n * problem.m) if a0 is None else problem.rows(a0)
     lam0 = np.zeros(problem.n * problem.m) if lam0 is None else problem.rows(lam0)
-    return AllocationState(problem, np.concatenate(
-        [y0, a0.ravel(), lam0.ravel()]))
-
-
-def step_allocation_ogda(problem, state, alpha):
-    """One optimistic step of every agent; returns the new state."""
-    g = state.ensure_psi(problem)
-    gp = g if state.psi_prev is None else state.psi_prev
-    z_new = problem.iterate_set.project(state.z - 2.0 * alpha * g + alpha * gp)
-    return AllocationState(problem, z_new, psi_prev=g)
-
-
-def step_allocation_eg(problem, state, alpha):
-    """One extra-gradient step of every agent; returns the new state.
-
-    The final update steps from the current point using the mid-point
-    operator values for every block, decisions included.
-    """
-    g = state.ensure_psi(problem)
-    half = AllocationState(
-        problem, problem.iterate_set.project(state.z - alpha * g))
-    g_half = half.ensure_psi(problem)
-    z_new = problem.iterate_set.project(state.z - alpha * g_half)
-    return AllocationState(problem, z_new, z_half=half.z)
-
-
-def _vi_residual(problem, state):
-    # natural-map residual of the stacked saddle problem; the free
-    # blocks contribute their operator values directly
-    psi = state.ensure_psi(problem)
-    sy, sa, sl = problem._zslices
-    ry = state.y - problem.project_y(state.y - psi[sy])
-    free = np.square(psi[sa.start:])
-    nm = sa.stop - sa.start
-    return float(np.sqrt(np.add.reduce(np.square(ry))
-                         + np.add.reduce(free[:nm])
-                         + np.add.reduce(free[nm:])))
+    return np.concatenate([y0, a0.ravel(), lam0.ravel()])
 
 
 class AllocationTrace(object):
     """Recorded trajectory of a distributed allocation run.
 
+    Reads the per-agent view off a `RunTrace` of the stacked problem.
     Arrays indexed by recorded row: ``y`` of shape ``(rows, Q)``,
     ``a``/``lam`` of shape ``(rows, N, m)``, running ergodic averages
     (NaN on row 0), ``feasibility_gap``, ``objective`` and the stacked
     natural-map residual ``vi_residual``.
     """
 
-    def __init__(self, problem, method, alpha):
+    def __init__(self, problem, trace):
+        n, m = problem.n, problem.m
+        sy, sa, sl = problem._zslices
         self.problem = problem
-        self.method = method
-        self.alpha = alpha
-        self.gradient_calls = 0
-        self.stopped_at = None
-        self._rows = []
-
-    def _append(self, it, state, erg, resid):
-        # `erg` is a fresh stacked average (None on row 0)
-        self._rows.append((it, state.z.copy(), erg,
-                           feasibility_gap(self.problem, state.y),
-                           self.problem.total_objective(state.y),
-                           resid))
-
-    def _finalize(self):
-        rows = self._rows
-        n, m = self.problem.n, self.problem.m
-        sy, sa, sl = self.problem._zslices
-        self.iters = np.array([r[0] for r in rows], dtype=int)
-        z = np.array([r[1] for r in rows])
-        erg = np.full(z.shape, np.nan)
-        for i, r in enumerate(rows):
-            if r[2] is not None:
-                erg[i] = r[2]
-        for name, block in (("", z), ("erg_", erg)):
-            setattr(self, name + "y", block[:, sy].copy())
+        self.method = trace.method
+        self.alpha = trace.alpha
+        self.gradient_calls = trace.gradient_calls
+        self.stopped_at = trace.stopped_at
+        self.iters = trace.iters
+        self.vi_residual = trace.vi_residual
+        for name, block in (("", trace.z), ("erg_", trace.ergodic)):
+            setattr(self, name + "y", block[:, sy])
             setattr(self, name + "a", block[:, sa].reshape(-1, n, m))
             setattr(self, name + "lam", block[:, sl].reshape(-1, n, m))
-        self.feasibility_gap = np.array([r[3] for r in rows])
-        self.objective = np.array([r[4] for r in rows])
-        self.vi_residual = np.array([r[5] for r in rows])
-        del self._rows
+        self.feasibility_gap = np.array([feasibility_gap(problem, y)
+                                         for y in self.y])
+        self.objective = np.array([problem.total_objective(y) for y in self.y])
 
     def to_csv(self, path):
         """Write the per-agent trace: one row per (iteration, agent).
@@ -425,53 +351,15 @@ class AllocationTrace(object):
 def simulate_allocation(problem, method, alpha=None, max_iters=1000,
                         y0=None, a0=None, lam0=None, record_every=1,
                         stop_tol=0.0):
-    """Run the distributed allocation dynamics on stacked arrays.
+    """Run the distributed allocation dynamics on the stacked problem.
 
-    Parameters mirror `simulate_consensus`; the step-size bounds use
-    ``kappa_s``. Returns an `AllocationTrace`.
+    Parameters and errors mirror `simulate_consensus`; the step-size
+    bounds use ``kappa_s``. Returns an `AllocationTrace`.
     """
-    method = str(method).upper()
-    if method not in ("OGDA", "EG"):
+    if str(method).upper() not in ("OGDA", "EG"):
         raise ValidationError("distributed methods are OGDA and EG")
-    bound = step_bound(method, problem.kappa_s)
-    if alpha is None:
-        alpha = 0.9 * bound
-    elif not alpha < bound:
-        raise ValidationError(
-            "step size {:g} violates the {} bound {:g} (kappa_s={:g})"
-            .format(alpha, method, bound, problem.kappa_s))
-
-    state = initial_state(problem, y0, a0, lam0)
-    trace = AllocationTrace(problem, method, alpha)
-    trace.gradient_calls = 1
-    resid = _vi_residual(problem, state)
-    trace._append(0, state, None, resid)
-
-    erg = np.zeros(state.z.size)
-    count = 0
-    step = step_allocation_ogda if method == "OGDA" else step_allocation_eg
-    calls_per_step = 2 if method == "EG" else 1
-
-    def reached(r):
-        return stop_tol > 0 and r <= stop_tol
-
-    if reached(resid):
-        trace.stopped_at = 0
-        trace._finalize()
-        return trace
-
-    for k in range(max_iters):
-        it = k + 1
-        state = step(problem, state, alpha)
-        erg += state.z if state.z_half is None else state.z_half
-        count += 1
-        trace.gradient_calls += calls_per_step
-        resid = _vi_residual(problem, state)
-        done = reached(resid) or it == max_iters
-        if it % record_every == 0 or done:
-            trace._append(it, state, erg / count, resid)
-        if reached(resid):
-            trace.stopped_at = it
-            break
-    trace._finalize()
-    return trace
+    config = SolverConfig(method, step_size=alpha, max_iters=max_iters,
+                          stop_tol=stop_tol, record_every=record_every)
+    trace = run(as_saddle_problem(problem), config,
+                initial_state(problem, y0, a0, lam0))
+    return AllocationTrace(problem, trace)

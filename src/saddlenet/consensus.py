@@ -10,13 +10,14 @@ is convex-concave over ``Omega x R^{Nm}``, and its saddle operator
 ``Phi = [grad f(x) + L(x + v); -L x]`` decomposes into neighbor sums,
 so the generic projected methods become per-agent update rules.
 
-Both computation routes live here: vectorized step functions over
-stacked ``(N, m)`` arrays (what the experiment harness runs), and
-`as_saddle_problem`, which exposes the same dynamics to the generic
-solvers. Every neighbor sum goes through `NetworkGraph.lap_apply` and
-every update uses the same expression shape as the generic steps, so
-the two routes agree to the last bit; the message-passing simulation in
-`network` is held to the same standard.
+`as_saddle_problem` casts the instance as one stacked saddle problem
+over ``z = [x, v]`` (each block ``N x m``, agent-major), whose operator
+is Phi from a single `NetworkGraph.lap_apply` over the columns
+``[x + v, x]``, the payloads the agents of `network` exchange.
+`simulate_consensus` runs the generic `solvers.run` on it and reads the
+per-agent trace off the recorded rows. Every neighbor sum goes through
+`lap_apply` and the per-agent route in `network` uses the same
+expressions, so the two routes agree to the last bit.
 """
 
 import numpy as np
@@ -24,12 +25,11 @@ import numpy as np
 from . import sets
 from .core import SaddleProblem, ValidationError
 from .graphs import lambda_max
-from .solvers import step_bound
+from .solvers import SolverConfig, run
 
-__all__ = ["ConsensusAgentSpec", "ConsensusProblem", "ConsensusState",
-           "lagrangian_L1", "operator_phi", "step_consensus_ogda",
-           "step_consensus_eg", "consensus_residual", "simulate_consensus",
-           "ConsensusTrace"]
+__all__ = ["ConsensusAgentSpec", "ConsensusProblem", "lagrangian_L1",
+           "operator_phi", "consensus_residual", "as_saddle_problem",
+           "initial_state", "simulate_consensus", "ConsensusTrace"]
 
 
 class ConsensusAgentSpec(object):
@@ -132,21 +132,31 @@ def lagrangian_L1(problem, x, v):
     x = problem.rows(x)
     v = problem.rows(v)
     lap_x = problem.graph.lap_apply(x)
-    return float(np.sum(problem.objective_rows(x)) + np.sum(v * lap_x)
-                 + 0.5 * np.sum(x * lap_x))
+    # np.add.reduce over all axes is what np.sum calls, minus its Python
+    # wrapper; the run loop evaluates this once per recorded row
+    total = np.add.reduce
+    return float(total(problem.objective_rows(x), axis=None)
+                 + total(v * lap_x, axis=None)
+                 + 0.5 * total(x * lap_x, axis=None))
 
 
-def _phi_rows(problem, x, v):
-    """Blocks of Phi as stacked rows: ``(grad f + L(x + v), -L x)``."""
-    gx = problem.gradient_rows(x) + problem.graph.lap_apply(x + v)
-    gv = -problem.graph.lap_apply(x)
-    return gx, gv
+def _phi(problem, x, v):
+    """Phi at rows ``(x, v)``, written once into a vector laid out like ``z``.
+
+    Blocks: ``grad f + L(x + v)`` and ``-L x``. Both Laplacian products
+    come from one `lap_apply` over the stacked columns ``[x + v, x]``.
+    """
+    n, m = problem.n, problem.m
+    lap = problem.graph.lap_apply(np.concatenate([x + v, x], axis=1))
+    phi = np.empty(2 * n * m)
+    np.add(problem.gradient_rows(x), lap[:, :m], out=phi[:n * m].reshape(n, m))
+    np.negative(lap[:, m:], out=phi[n * m:].reshape(n, m))
+    return phi
 
 
 def operator_phi(problem, x, v):
     """Saddle operator Phi at ``(x, v)`` as one stacked ``2Nm`` vector."""
-    gx, gv = _phi_rows(problem, problem.rows(x), problem.rows(v))
-    return np.concatenate([gx.ravel(), gv.ravel()])
+    return _phi(problem, problem.rows(x), problem.rows(v))
 
 
 def consensus_residual(problem, x):
@@ -161,118 +171,52 @@ def as_saddle_problem(problem):
     Dual block: unconstrained stacked multipliers. The declared operator
     constant is ``kappa_c``, which is what the distributed step-size
     bounds are stated against (tighter than twice the max block
-    constant).
+    constant). The operator is the fused Phi.
     """
     n, m = problem.n, problem.m
+    nm = n * m
     lam = problem.lambda_max
 
     def value(x, v):
         return lagrangian_L1(problem, x, v)
 
     def grad_x(x, v):
-        gx, _ = _phi_rows(problem, problem.rows(x), problem.rows(v))
-        return gx.ravel()
+        x = problem.rows(x)
+        return (problem.gradient_rows(x)
+                + problem.graph.lap_apply(x + problem.rows(v))).ravel()
 
     def grad_y(x, v):
         return problem.graph.lap_apply(problem.rows(x)).ravel()
 
+    def operator(z):
+        return _phi(problem, z[:nm].reshape(n, m), z[nm:].reshape(n, m))
+
     return SaddleProblem(
-        n * m, n * m,
+        nm, nm,
         problem.decision_set,
-        sets.WholeSpace(n * m),
+        sets.WholeSpace(nm),
         value, grad_x, grad_y,
         lipschitz={"l_xx": problem.l_f + lam, "l_xy": lam,
                    "l_yx": lam, "l_yy": 0.0},
-        kappa=problem.kappa_c,
+        kappa=problem.kappa_c, operator=operator,
         name=problem.name + "-stacked")
 
 
-class ConsensusState(object):
-    """Per-agent iterates and the cached operator values of the last step.
-
-    ``x`` and ``v`` are ``(N, m)`` arrays. ``phi_x``/``phi_v`` memoize
-    Phi at the current point (filled on demand, so one evaluation per
-    iteration covers both the step and the residual), and
-    ``phi_x_prev``/``phi_v_prev`` carry the previous step's values for
-    the optimistic correction. ``x_half``/``v_half`` hold the mid-point
-    of the extra-gradient step that produced this state.
-    """
-
-    def __init__(self, x, v, x_prev=None, v_prev=None,
-                 phi_x_prev=None, phi_v_prev=None,
-                 x_half=None, v_half=None):
-        self.x = x
-        self.v = v
-        self.x_prev = x_prev
-        self.v_prev = v_prev
-        self.phi_x_prev = phi_x_prev
-        self.phi_v_prev = phi_v_prev
-        self.x_half = x_half
-        self.v_half = v_half
-        self.phi_x = None
-        self.phi_v = None
-
-    def ensure_phi(self, problem):
-        """Memoize Phi at the current point; returns ``(phi_x, phi_v)``."""
-        if self.phi_x is None:
-            self.phi_x, self.phi_v = _phi_rows(problem, self.x, self.v)
-        return self.phi_x, self.phi_v
-
-
 def initial_state(problem, x0=None, v0=None):
-    """Build the starting state; decisions default to the projection of zero."""
+    """Stacked start ``z0 = [x0, v0]``.
+
+    Decisions default to the projection of zero, multipliers to zero.
+    """
     if x0 is None:
         x0 = problem.project_rows(np.zeros((problem.n, problem.m)))
-    else:
-        x0 = problem.rows(x0).copy()
-    v0 = np.zeros((problem.n, problem.m)) if v0 is None else problem.rows(v0).copy()
-    return ConsensusState(x0, v0)
-
-
-def step_consensus_ogda(problem, state, alpha):
-    """One optimistic step of every agent; returns the new state.
-
-    Each agent moves with twice the current minus the cached previous
-    operator value, projecting its decision block onto its own set; the
-    first call (no cache yet) reduces to a plain projected step.
-    """
-    gx, gv = state.ensure_phi(problem)
-    gxp = gx if state.phi_x_prev is None else state.phi_x_prev
-    gvp = gv if state.phi_v_prev is None else state.phi_v_prev
-    x_new = problem.project_rows(state.x - 2.0 * alpha * gx + alpha * gxp)
-    v_new = state.v - 2.0 * alpha * gv + alpha * gvp
-    return ConsensusState(x_new, v_new, x_prev=state.x, v_prev=state.v,
-                          phi_x_prev=gx, phi_v_prev=gv)
-
-
-def step_consensus_eg(problem, state, alpha):
-    """One extra-gradient step of every agent; returns the new state.
-
-    Agents probe the mid-point with current neighbor values, exchange
-    mid-points, and step from the current point using the mid-point
-    operator values (two exchanges per iteration).
-    """
-    gx, gv = state.ensure_phi(problem)
-    x_half = problem.project_rows(state.x - alpha * gx)
-    v_half = state.v - alpha * gv
-    gxh, gvh = _phi_rows(problem, x_half, v_half)
-    x_new = problem.project_rows(state.x - alpha * gxh)
-    v_new = state.v - alpha * gvh
-    return ConsensusState(x_new, v_new, x_prev=state.x, v_prev=state.v,
-                          x_half=x_half, v_half=v_half)
-
-
-def _vi_residual_rows(problem, state):
-    # natural-map residual of the stacked saddle problem, reusing the
-    # memoized operator values (no extra oracle calls)
-    gx, gv = state.ensure_phi(problem)
-    rx = state.x - problem.project_rows(state.x - gx)
-    return float(np.sqrt(np.sum(rx ** 2) + np.sum(gv ** 2)))
+    v0 = np.zeros(problem.n * problem.m) if v0 is None else problem.rows(v0)
+    return np.concatenate([problem.rows(x0).ravel(), v0.ravel()])
 
 
 class ConsensusTrace(object):
     """Recorded trajectory of a distributed consensus run.
 
+    Reads the per-agent view off a `RunTrace` of the stacked problem.
     Arrays indexed by recorded row: iterates ``x``/``v`` of shape
     ``(rows, N, m)``, running ergodic averages ``erg_x``/``erg_v``
     (iterates for OGDA, mid-points for EG; NaN on row 0),
@@ -280,38 +224,27 @@ class ConsensusTrace(object):
     and the stacked natural-map residual ``vi_residual``.
     """
 
-    def __init__(self, problem, method, alpha):
+    def __init__(self, problem, trace):
+        n, m = problem.n, problem.m
+        rows = trace.iters.size
         self.problem = problem
-        self.method = method
-        self.alpha = alpha
-        self.gradient_calls = 0
-        self.stopped_at = None
-        self._rows = []
-
-    def _append(self, it, state, erg_x, erg_v, resid):
-        self._rows.append((it, state.x.copy(), state.v.copy(),
-                           None if erg_x is None else erg_x.copy(),
-                           None if erg_v is None else erg_v.copy(),
-                           consensus_residual(self.problem, state.x),
-                           self.problem.total_objective(state.x),
-                           resid))
-
-    def _finalize(self):
-        rows = self._rows
-        n, m = self.problem.n, self.problem.m
-        self.iters = np.array([r[0] for r in rows], dtype=int)
-        self.x = np.array([r[1] for r in rows])
-        self.v = np.array([r[2] for r in rows])
-        self.erg_x = np.full((len(rows), n, m), np.nan)
-        self.erg_v = np.full((len(rows), n, m), np.nan)
-        for i, r in enumerate(rows):
-            if r[3] is not None:
-                self.erg_x[i] = r[3]
-                self.erg_v[i] = r[4]
-        self.consensus_residual = np.array([r[5] for r in rows])
-        self.objective = np.array([r[6] for r in rows])
-        self.vi_residual = np.array([r[7] for r in rows])
-        del self._rows
+        self.method = trace.method
+        self.alpha = trace.alpha
+        self.gradient_calls = trace.gradient_calls
+        self.stopped_at = trace.stopped_at
+        self.iters = trace.iters
+        self.vi_residual = trace.vi_residual
+        self.x, self.v = (block.reshape(rows, n, m)
+                          for block in np.hsplit(trace.z, 2))
+        self.erg_x, self.erg_v = (block.reshape(rows, n, m)
+                                  for block in np.hsplit(trace.ergodic, 2))
+        # one Laplacian pass over every row's decisions as columns
+        lap = problem.graph.lap_apply(
+            self.x.transpose(1, 0, 2).reshape(n, rows * m))
+        self.consensus_residual = np.array(
+            [np.linalg.norm(block)
+             for block in lap.reshape(n, rows, m).transpose(1, 0, 2)])
+        self.objective = np.array([problem.total_objective(x) for x in self.x])
 
     def to_csv(self, path):
         """Write the per-agent trace: one row per (iteration, agent)."""
@@ -334,7 +267,7 @@ class ConsensusTrace(object):
 
 def simulate_consensus(problem, method, alpha=None, max_iters=1000,
                        x0=None, v0=None, record_every=1, stop_tol=0.0):
-    """Run the distributed consensus dynamics on stacked arrays.
+    """Run the distributed consensus dynamics on the stacked problem.
 
     Parameters
     ----------
@@ -351,56 +284,16 @@ def simulate_consensus(problem, method, alpha=None, max_iters=1000,
     Returns
     -------
     ConsensusTrace
+
+    Raises
+    ------
+    DivergenceError
+        When an iterate turns non-finite or leaves the guard region.
     """
-    method = str(method).upper()
-    if method not in ("OGDA", "EG"):
+    if str(method).upper() not in ("OGDA", "EG"):
         raise ValidationError("distributed methods are OGDA and EG")
-    bound = step_bound(method, problem.kappa_c)
-    if alpha is None:
-        alpha = 0.9 * bound
-    elif not alpha < bound:
-        raise ValidationError(
-            "step size {:g} violates the {} bound {:g} (kappa_c={:g})"
-            .format(alpha, method, bound, problem.kappa_c))
-
-    state = initial_state(problem, x0, v0)
-    trace = ConsensusTrace(problem, method, alpha)
-    state.ensure_phi(problem)
-    trace.gradient_calls = 1
-    resid = _vi_residual_rows(problem, state)
-    trace._append(0, state, None, None, resid)
-
-    erg_x = np.zeros((problem.n, problem.m))
-    erg_v = np.zeros((problem.n, problem.m))
-    count = 0
-    step = step_consensus_ogda if method == "OGDA" else step_consensus_eg
-
-    def reached(r):
-        return stop_tol > 0 and r <= stop_tol
-
-    if reached(resid):
-        trace.stopped_at = 0
-        trace._finalize()
-        return trace
-
-    for k in range(max_iters):
-        it = k + 1
-        state = step(problem, state, alpha)
-        if method == "EG":
-            erg_x += state.x_half
-            erg_v += state.v_half
-        else:
-            erg_x += state.x
-            erg_v += state.v
-        count += 1
-        state.ensure_phi(problem)
-        trace.gradient_calls += 2 if method == "EG" else 1
-        resid = _vi_residual_rows(problem, state)
-        done = reached(resid) or it == max_iters
-        if it % record_every == 0 or done:
-            trace._append(it, state, erg_x / count, erg_v / count, resid)
-        if reached(resid):
-            trace.stopped_at = it
-            break
-    trace._finalize()
-    return trace
+    config = SolverConfig(method, step_size=alpha, max_iters=max_iters,
+                          stop_tol=stop_tol, record_every=record_every)
+    trace = run(as_saddle_problem(problem), config,
+                initial_state(problem, x0, v0))
+    return ConsensusTrace(problem, trace)

@@ -66,12 +66,17 @@ class SaddleProblem(object):
         Explicit Lipschitz constant of F overriding the blockwise
         bound. The stacked network problems declare their own constants
         (kappa_c, kappa_s), which are tighter than 2 max of the blocks.
+    operator : callable, optional
+        ``operator(z) -> F(z)`` on stacked points, for problems that
+        evaluate both blocks of F in one pass. It must equal
+        ``col(grad_x, -grad_y)`` to the last bit; the gradient oracles
+        stay the reference the finite-difference check reads.
     name : str, optional
         Label used in reports.
     """
 
     def __init__(self, dim_x, dim_y, set_x, set_y, value, grad_x, grad_y,
-                 lipschitz, kappa=None, name=None):
+                 lipschitz, kappa=None, operator=None, name=None):
         if set_x.dim != dim_x or set_y.dim != dim_y:
             raise ValidationError("set dimensions disagree with block dimensions")
         self.dim_x = int(dim_x)
@@ -89,6 +94,7 @@ class SaddleProblem(object):
             raise ValidationError("lipschitz constants must be nonnegative")
         self.lipschitz = dict(lipschitz)
         self._kappa = None if kappa is None else float(kappa)
+        self.operator = operator
         self.name = name or "saddle-problem"
         self.domain = sets.Product(set_x, set_y)
         self.meta = {}
@@ -117,11 +123,15 @@ class SaddleProblem(object):
 
 
 def operator_F(problem, z):
-    """Evaluate ``F(z) = col(grad_x f, -grad_y f)`` at a stacked point."""
+    """Evaluate ``F(z) = col(grad_x f, -grad_y f)`` at a stacked point.
+
+    Uses the problem's fused `operator` when it has one.
+    """
     if isinstance(z, IterateZ):
-        x, y = z.x, z.y
-    else:
-        x, y = problem.split(z)
+        z = z.vector
+    if problem.operator is not None:
+        return problem.operator(z)
+    x, y = problem.split(z)
     return np.concatenate([problem.grad_x(x, y), -problem.grad_y(x, y)])
 
 

@@ -20,6 +20,7 @@ line. Exit codes: 0 success, 1 validation error, 2 divergence,
 """
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -239,12 +240,10 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _stacked(problem, kind):
-    if kind == "consensus":
-        return consensus.as_saddle_problem(problem)
-    if kind == "allocation":
-        return allocation.as_saddle_problem(problem)
-    return problem
+# per network kind: the module with its stacked problem and start, and its run
+_NETWORK = {"consensus": consensus, "allocation": allocation}
+_SIMULATE = {"consensus": consensus.simulate_consensus,
+             "allocation": allocation.simulate_allocation}
 
 
 def _reference(problem, config):
@@ -285,67 +284,53 @@ def _resolve_alpha(problem, config, method):
     return alpha
 
 
-def _solve_saddle(problem, config, outdir, summary):
-    z0 = problem.meta.get("z0")
-    if z0 is None:
-        z0 = problem.domain.project(np.zeros(problem.domain.dim))
-    z_star = problem.meta.get("z_star")
-    for method in config["methods"]:
-        alpha = _resolve_alpha(problem, config, method)
-        cfg = SolverConfig(method=method, step_size=alpha,
-                           max_iters=_iters_for(config, method),
-                           stop_tol=config["stop_tol"],
-                           record_every=config["record_every"])
-        t0 = time.perf_counter()
-        trace = run(problem, cfg, z0, z_star=z_star)
-        wall = time.perf_counter() - t0
-        if (method == "OGDA" and z_star is not None
-                and config["record_every"] == 1):
-            delta_diagnostic(problem, trace)
-        path = os.path.join(outdir, "{}-{}.csv".format(config["preset"], method))
-        trace.to_csv(path)
-        entry = {"method": method, "alpha": trace.alpha,
-                 "iterations": int(trace.iters[-1]),
-                 "stopped_at": trace.stopped_at,
-                 "gradient_calls": trace.gradient_calls,
-                 "wall_time_s": wall,
-                 "final_vi_residual": float(trace.vi_residual[-1]),
-                 "final_f": float(trace.f_value[-1]), "trace_csv": path}
-        if trace.f_star is not None:
-            entry["final_f_gap"] = abs(float(trace.f_value[-1]) - trace.f_star)
-        summary["runs"].append(entry)
-
-
-def _solve_network(problem, config, outdir, summary):
+def _solve(problem, config, outdir, summary):
+    """Run each configured method; write its trace and a summary entry."""
     kind = config["kind"]
-    simulate = (consensus.simulate_consensus if kind == "consensus"
-                else allocation.simulate_allocation)
+    if kind == "saddle":
+        z0 = problem.meta.get("z0")
+        if z0 is None:
+            z0 = problem.domain.project(np.zeros(problem.domain.dim))
+
+        def simulate(method, alpha, **budget):
+            return run(problem, SolverConfig(method, step_size=alpha, **budget),
+                       z0, z_star=problem.meta.get("z_star"))
+    else:
+        simulate = functools.partial(_SIMULATE[kind], problem)
     for method in config["methods"]:
         alpha = _resolve_alpha(problem, config, method)
         t0 = time.perf_counter()
-        trace = simulate(problem, method, alpha=alpha,
+        trace = simulate(method, alpha=alpha,
                          max_iters=_iters_for(config, method),
-                         record_every=config["record_every"],
-                         stop_tol=config["stop_tol"])
+                         stop_tol=config["stop_tol"],
+                         record_every=config["record_every"])
         wall = time.perf_counter() - t0
         path = os.path.join(outdir, "{}-{}.csv".format(config["preset"], method))
-        trace.to_csv(path)
         entry = {"method": method, "alpha": trace.alpha,
                  "iterations": int(trace.iters[-1]),
                  "stopped_at": trace.stopped_at,
                  "gradient_calls": trace.gradient_calls,
                  "wall_time_s": wall,
                  "final_vi_residual": float(trace.vi_residual[-1]),
-                 "final_objective": float(trace.objective[-1]),
                  "trace_csv": path}
+        if kind == "saddle":
+            if (method == "OGDA" and trace.z_star is not None
+                    and config["record_every"] == 1):
+                delta_diagnostic(problem, trace)
+            entry["final_f"] = float(trace.f_value[-1])
+            if trace.f_star is not None:
+                entry["final_f_gap"] = abs(entry["final_f"] - trace.f_star)
+        else:
+            entry["final_objective"] = float(trace.objective[-1])
         if kind == "consensus":
             entry["final_consensus_residual"] = float(
                 trace.consensus_residual[-1])
-        else:
+        elif kind == "allocation":
             entry["final_feasibility_gap"] = float(trace.feasibility_gap[-1])
             lam = trace.lam[-1]
             entry["dual_consensus"] = float(
                 np.max(lam, axis=0).max() - np.min(lam, axis=0).min())
+        trace.to_csv(path)
         summary["runs"].append(entry)
 
 
@@ -360,10 +345,7 @@ def cmd_solve(config):
         ref_payload = {k: v for k, v in reference.items() if k != "_obj"}
         _write_json(os.path.join(
             outdir, "{}-reference.json".format(config["preset"])), ref_payload)
-    if config["kind"] == "saddle":
-        _solve_saddle(problem, config, outdir, summary)
-    else:
-        _solve_network(problem, config, outdir, summary)
+    _solve(problem, config, outdir, summary)
     _write_json(os.path.join(outdir, "config.json"),
                 {k: v for k, v in config.items()
                  if k in _CONFIG_KEYS or k in ("kind",)})
@@ -380,21 +362,14 @@ def _sample_domain_points(problem, count, seed):
     return sets.sample_points(problem.domain, count, rng)
 
 
-def _check_equivalence(problem, kind, method, iters=1000):
+def _network_rows(problem, kind, method, iters):
+    """Per-agent run of `iters` steps, as rows laid out like the stacked ``z``."""
     if kind == "consensus":
-        trace = consensus.simulate_consensus(problem, method, max_iters=iters,
-                                             stop_tol=0.0)
         sim = network.ConsensusNetworkSimulator(problem, method=method)
-        xh, vh = sim.run(iters)
-        return max(float(np.max(np.abs(trace.x - xh[trace.iters]))),
-                   float(np.max(np.abs(trace.v - vh[trace.iters]))))
-    trace = allocation.simulate_allocation(problem, method, max_iters=iters,
-                                           stop_tol=0.0)
-    sim = network.AllocationNetworkSimulator(problem, method=method)
-    yh, ah, lh = sim.run(iters)
-    return max(float(np.max(np.abs(trace.y - yh[trace.iters]))),
-               float(np.max(np.abs(trace.a - ah[trace.iters]))),
-               float(np.max(np.abs(trace.lam - lh[trace.iters]))))
+    else:
+        sim = network.AllocationNetworkSimulator(problem, method=method)
+    return np.concatenate([h.reshape(iters + 1, -1) for h in sim.run(iters)],
+                          axis=1)
 
 
 def _reference_z(problem, config, reference):
@@ -413,7 +388,8 @@ def cmd_verify(config):
     """Run the invariant suite on the configured instance."""
     problem = PRESETS[config["preset"]]["build"](config["seed"])
     kind = config["kind"]
-    stacked = _stacked(problem, kind)
+    stacked = (_NETWORK[kind].as_saddle_problem(problem) if kind in _NETWORK
+               else problem)
     checks = []
 
     def add(name, passed, margin, detail):
@@ -442,33 +418,39 @@ def cmd_verify(config):
     add("gradient_finite_diff", fd["passed"], fd["max_rel_error"],
         "max relative error over 100 points (tolerance 1e-5)")
 
-    if kind in ("consensus", "allocation"):
-        for method in ("OGDA", "EG"):
-            dev = _check_equivalence(problem, kind, method)
-            add("distributed_stacked_equivalence_{}".format(method),
-                dev == 0.0, dev,
-                "max trajectory deviation, 1000 iterations (== 0 passes)")
-
     reference = None
+    reference_error = None
     if not config.get("negative_control"):
         try:
             reference = _reference(problem, config)
         except oracle.CertificationError as exc:
-            add("reference_certification", False, None, str(exc))
+            reference_error = str(exc)
     z_star = _reference_z(problem, config, reference)
 
-    if z_star is not None:
-        if kind == "saddle":
-            z0 = problem.meta.get("z0")
-        else:
-            if kind == "consensus":
-                st = consensus.initial_state(problem)
-                z0 = np.concatenate([st.x.ravel(), st.v.ravel()])
-            else:
-                z0 = allocation.initial_state(problem).z
+    # one stacked run per method serves the equivalence and the
+    # certificate checks
+    iters = 1000
+    traces = {}
+    if kind in _NETWORK or z_star is not None:
+        z0 = (_NETWORK[kind].initial_state(problem) if kind in _NETWORK
+              else problem.meta.get("z0"))
         for method in ("OGDA", "EG"):
-            cfg = SolverConfig(method=method, max_iters=1000, stop_tol=0.0)
-            trace = run(stacked, cfg, z0, z_star=z_star)
+            cfg = SolverConfig(method=method, max_iters=iters, stop_tol=0.0)
+            traces[method] = run(stacked, cfg, z0, z_star=z_star)
+
+    if kind in _NETWORK:
+        for method, trace in traces.items():
+            rows = _network_rows(problem, kind, method, iters)
+            dev = float(np.max(np.abs(trace.z - rows[trace.iters])))
+            add("distributed_stacked_equivalence_{}".format(method),
+                dev == 0.0, dev,
+                "max trajectory deviation, 1000 iterations (== 0 passes)")
+
+    if reference_error is not None:
+        add("reference_certification", False, None, reference_error)
+
+    if z_star is not None:
+        for method, trace in traces.items():
             bound = trace.rate_certificate()
             gap = trace.ergodic_gap[1:] - (bound[1:] + 1e-10)
             add("rate_certificate_{}".format(method),

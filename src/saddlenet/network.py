@@ -167,16 +167,18 @@ class ConsensusNetworkSimulator(_Simulator):
         ``OGDA`` (one exchange per iteration) or ``EG`` (two: current
         points, then probe points).
     alpha : float, optional
-        Defaults to the same step size as `simulate_consensus`.
+        Defaults to ``0.9`` times the method's bound at ``kappa_c``, the
+        default of the stacked route.
     x0, v0 : array_like, optional
         Initial stacked values; same defaults as the stacked route.
     """
 
     def __init__(self, problem, method="OGDA", alpha=None, x0=None, v0=None):
         from .consensus import initial_state
-        start = initial_state(problem, x0, v0)
+        x, v = np.split(initial_state(problem, x0, v0), 2)
         super().__init__(problem, method, alpha, problem.kappa_c,
-                         np.concatenate([start.x, start.v], axis=1),
+                         np.concatenate([problem.rows(x), problem.rows(v)],
+                                        axis=1),
                          [_consensus_roles(spec, problem.m)
                           for spec in problem.agents])
 
@@ -229,10 +231,9 @@ class AllocationNetworkSimulator(_Simulator):
                  a0=None, lam0=None):
         from .allocation import initial_state
         m = problem.m
-        start = initial_state(problem, y0, a0, lam0)
+        y, a, lam = problem.split(initial_state(problem, y0, a0, lam0))
         super().__init__(problem, method, alpha, problem.kappa_s,
-                         [np.concatenate((problem.y_block(start.y, i),
-                                          start.a[i], start.lam[i]))
+                         [np.concatenate((problem.y_block(y, i), a[i], lam[i]))
                           for i in range(problem.n)],
                          [_allocation_roles(spec, m)
                           for spec in problem.agents])

@@ -5,11 +5,11 @@ from saddlenet import catalog
 from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
                                   as_saddle_problem, feasibility_gap,
                                   initial_state, lagrangian_L2, operator_psi,
-                                  simulate_allocation, step_allocation_eg,
-                                  step_allocation_ogda)
+                                  simulate_allocation)
 from saddlenet.core import ValidationError, operator_F
 from saddlenet.graphs import NetworkGraph, lambda_max, ring
 from saddlenet.sets import Box
+from saddlenet.solvers import DivergenceError, SolverConfig, run
 
 
 def zero_agents(n, demand=0.0):
@@ -90,12 +90,15 @@ def test_steps_preserve_certified_kkt_point():
     prob = catalog.allocation_quadratics()
     ref = solve_allocation_kkt(prob)
     alpha = 0.4 / prob.kappa_s
-    for step in (step_allocation_ogda, step_allocation_eg):
-        state = initial_state(prob, ref.y, ref.a, ref.lam)
-        nxt = step(prob, state, alpha)
-        assert np.max(np.abs(nxt.y - ref.y)) <= 1e-12
-        assert np.max(np.abs(nxt.a - ref.a)) <= 1e-12
-        assert np.max(np.abs(nxt.lam - ref.lam)) <= 1e-12
+    for method in ("OGDA", "EG"):
+        trace = run(as_saddle_problem(prob),
+                    SolverConfig(method, step_size=alpha, max_iters=1,
+                                 stop_tol=0.0),
+                    initial_state(prob, ref.y, ref.a, ref.lam))
+        y, a, lam = prob.split(trace.z[-1])
+        assert np.max(np.abs(y - ref.y)) <= 1e-12
+        assert np.max(np.abs(a - ref.a)) <= 1e-12
+        assert np.max(np.abs(lam - ref.lam)) <= 1e-12
 
 
 def test_stacked_matches_generic_solver():
@@ -170,3 +173,16 @@ def test_vectorized_oracles_match_rowwise():
         assert np.allclose(prob.gradient_vec(y), rowwise, atol=1e-12)
         row_obj = sum(a.objective(y[i:i + 1]) for i, a in enumerate(prob.agents))
         assert prob.total_objective(y) == pytest.approx(row_obj, rel=1e-12)
+
+
+def test_non_finite_gradient_trips_divergence_guard():
+    agents = zero_agents(3)
+    agents[1] = AllocationAgentSpec(
+        objective=lambda y: float("nan"),
+        gradient=lambda y: np.full(y.shape, np.nan),
+        cset=Box(-10.0, 10.0, dim=1), weight=np.array([[1.0]]),
+        demand=np.array([0.0]), lipschitz=0.0)
+    prob = AllocationProblem(ring(3), agents)
+    with pytest.raises(DivergenceError) as err:
+        simulate_allocation(prob, "EG", max_iters=20, stop_tol=1e-8)
+    assert err.value.iteration == 1

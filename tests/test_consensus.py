@@ -5,11 +5,11 @@ from saddlenet import catalog
 from saddlenet.consensus import (ConsensusAgentSpec, ConsensusProblem,
                                  as_saddle_problem, consensus_residual,
                                  initial_state, lagrangian_L1, operator_phi,
-                                 simulate_consensus, step_consensus_eg,
-                                 step_consensus_ogda)
+                                 simulate_consensus)
 from saddlenet.core import ValidationError, operator_F
 from saddlenet.graphs import NetworkGraph, ring
 from saddlenet.sets import Box
+from saddlenet.solvers import DivergenceError, SolverConfig, run
 
 
 def zero_agents(n, box=(-10.0, 10.0)):
@@ -85,6 +85,16 @@ def test_consensus_residual_values():
     assert r == pytest.approx(np.sqrt(2.0), abs=1e-15)
 
 
+def one_step(prob, method, alpha, x, v):
+    """The iterate after one stacked step from ``(x, v)``, as rows."""
+    trace = run(as_saddle_problem(prob),
+                SolverConfig(method, step_size=alpha, max_iters=1,
+                             stop_tol=0.0),
+                initial_state(prob, x, v))
+    x1, v1 = np.split(trace.z[-1], 2)
+    return prob.rows(x1), prob.rows(v1)
+
+
 def test_steps_preserve_fixed_point_zero_gradients():
     # identical targets: every agent minimized at 2, so zero duals suffice
     agents = [ConsensusAgentSpec(
@@ -96,12 +106,10 @@ def test_steps_preserve_fixed_point_zero_gradients():
     x = np.full((5, 1), 2.0)
     v = np.zeros((5, 1))
     alpha = 0.4 / prob.kappa_c
-    nxt = step_consensus_ogda(prob, initial_state(prob, x, v), alpha)
-    assert np.allclose(nxt.x, x, atol=1e-15)
-    assert np.allclose(nxt.v, v, atol=1e-15)
-    nxt = step_consensus_eg(prob, initial_state(prob, x, v), alpha)
-    assert np.allclose(nxt.x, x, atol=1e-15)
-    assert np.allclose(nxt.v, v, atol=1e-15)
+    for method in ("OGDA", "EG"):
+        x1, v1 = one_step(prob, method, alpha, x, v)
+        assert np.allclose(x1, x, atol=1e-15)
+        assert np.allclose(v1, v, atol=1e-15)
 
 
 def test_steps_preserve_certified_saddle_point():
@@ -109,12 +117,11 @@ def test_steps_preserve_certified_saddle_point():
     prob = catalog.consensus_quadratics(n=5)
     ref = solve_consensus_reference(prob)
     alpha = 0.4 / prob.kappa_c
-    state = initial_state(prob, ref.x, ref.v)
-    for step in (step_consensus_ogda, step_consensus_eg):
-        nxt = step(prob, initial_state(prob, ref.x, ref.v), alpha)
-        assert np.max(np.abs(nxt.x - ref.x)) <= 1e-12
-        assert np.max(np.abs(nxt.v - ref.v)) <= 1e-12
-    assert state.x.shape == (5, 1)
+    for method in ("OGDA", "EG"):
+        x1, v1 = one_step(prob, method, alpha, ref.x, ref.v)
+        assert np.max(np.abs(x1 - ref.x)) <= 1e-12
+        assert np.max(np.abs(v1 - ref.v)) <= 1e-12
+    assert x1.shape == (5, 1)
 
 
 def test_stacked_matches_generic_solver():
@@ -197,3 +204,15 @@ def test_infeasible_start_feasible_after_first_step():
     x0 = np.full((5, 1), 50.0)
     trace = simulate_consensus(prob, "OGDA", max_iters=3, x0=x0, stop_tol=0.0)
     assert np.all(np.abs(trace.x[1]) <= 10.0)
+
+
+def test_non_finite_gradient_trips_divergence_guard():
+    agents = zero_agents(5)
+    agents[2] = ConsensusAgentSpec(
+        objective=lambda s: float("nan"),
+        gradient=lambda s: np.full(s.shape, np.nan),
+        cset=Box(-10.0, 10.0, dim=1), lipschitz=0.0)
+    prob = ConsensusProblem(ring(5), 1, agents)
+    with pytest.raises(DivergenceError) as err:
+        simulate_consensus(prob, "OGDA", max_iters=20, stop_tol=1e-8)
+    assert err.value.iteration == 1

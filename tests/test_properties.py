@@ -1,18 +1,20 @@
 """Property tests: the fused fast paths equal their literal definitions bitwise.
 
-Three fast paths are checked byte for byte against the plain loops they
+Four fast paths are checked byte for byte against the plain loops they
 replace: the single-clip projection of a product of boxes and whole
-spaces, the one-gather `lap_apply`, and the one-pass evaluation of the
-allocation operator Psi.
+spaces, the one-gather `lap_apply`, and the one-pass evaluations of the
+allocation operator Psi and the consensus operator Phi.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from saddlenet import catalog
+from saddlenet import allocation, catalog, consensus
 from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
-                                  initial_state, operator_psi)
+                                  operator_psi)
+from saddlenet.consensus import ConsensusAgentSpec, ConsensusProblem
+from saddlenet.core import operator_F
 from saddlenet.graphs import random_connected, ring
 from saddlenet.sets import Box, Product, WholeSpace
 
@@ -121,6 +123,25 @@ def psi_blockwise(prob, y, a, lam):
     return np.concatenate([gy, ga.ravel(), glam.ravel()])
 
 
+def counting_lap_apply(graph):
+    """Record the shape of every `lap_apply` call on `graph`; returns the list."""
+    calls = []
+    original = graph.lap_apply
+
+    def counted(u):
+        calls.append(np.shape(u))
+        return original(u)
+
+    graph.lap_apply = counted
+    return calls
+
+
+def stacked_reference(saddle, z):
+    """F from the gradient oracles: ``col(grad_x, -grad_y)``."""
+    x, y = saddle.split(z)
+    return np.concatenate([saddle.grad_x(x, y), -saddle.grad_y(x, y)])
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(["scalar", "vector"]), st.data())
 def test_psi_is_one_laplacian_pass(kind, data):
@@ -135,23 +156,65 @@ def test_psi_is_one_laplacian_pass(kind, data):
 
     y, a, lam = draw(prob.dim_y), draw(nm), draw(nm)
     expect = psi_blockwise(prob, y, prob.rows(a), prob.rows(lam))
+    saddle = allocation.as_saddle_problem(prob)
+    z = np.concatenate([y, a, lam])
+    reference = stacked_reference(saddle, z)
 
-    calls = []
-    original = prob.graph.lap_apply
-
-    def counted(u):
-        calls.append(np.shape(u))
-        return original(u)
-
-    prob.graph.lap_apply = counted
+    calls = counting_lap_apply(prob.graph)
     try:
         got = operator_psi(prob, y, a, lam)
         assert calls == [(prob.n, 2 * prob.m)]
-        state = initial_state(prob, y, a, lam)
-        psi = state.ensure_psi(prob)
-        state.ensure_psi(prob)
-        assert len(calls) == 2
+        f_z = operator_F(saddle, z)
+        assert calls == [(prob.n, 2 * prob.m)] * 2
     finally:
         del prob.graph.lap_apply
     assert got.tobytes() == expect.tobytes()
-    assert psi.tobytes() == expect.tobytes()
+    assert f_z.tobytes() == expect.tobytes()
+    assert f_z.tobytes() == reference.tobytes()
+
+
+def vector_consensus():
+    """Four agents on a ring with m = 2 and shifted quadratic trackers."""
+    rng = np.random.default_rng(7)
+    agents = []
+    for _ in range(4):
+        target = rng.normal(size=2)
+        agents.append(ConsensusAgentSpec(
+            lambda s, t=target: float(np.sum((s - t) ** 2)),
+            lambda s, t=target: 2.0 * (s - t),
+            Box(-2.0, 2.0, dim=2), 2.0))
+    return ConsensusProblem(ring(4), 2, agents)
+
+
+def phi_blockwise(prob, x, v):
+    """Phi from its two block formulas, one Laplacian pass per product."""
+    lap = prob.graph.lap_apply
+    gx = prob.gradient_rows(x) + lap(x + v)
+    gv = -lap(x)
+    return np.concatenate([gx.ravel(), gv.ravel()])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["scalar", "vector"]), st.data())
+def test_phi_is_one_laplacian_pass(kind, data):
+    prob = (catalog.consensus_quadratics(5) if kind == "scalar"
+            else vector_consensus())
+    values = st.one_of(SIGNED_ZEROS, st.floats(-1e3, 1e3))
+    nm = prob.n * prob.m
+    z = np.array(data.draw(st.lists(values, min_size=2 * nm,
+                                    max_size=2 * nm)), dtype=float)
+    x, v = prob.rows(z[:nm]), prob.rows(z[nm:])
+    expect = phi_blockwise(prob, x, v)
+    saddle = consensus.as_saddle_problem(prob)
+    reference = stacked_reference(saddle, z)
+
+    calls = counting_lap_apply(prob.graph)
+    try:
+        f_z = operator_F(saddle, z)
+        assert calls == [(prob.n, 2 * prob.m)]
+        operator_F(saddle, z)
+        assert calls == [(prob.n, 2 * prob.m)] * 2
+    finally:
+        del prob.graph.lap_apply
+    assert f_z.tobytes() == expect.tobytes()
+    assert f_z.tobytes() == reference.tobytes()
