@@ -15,9 +15,11 @@ from .solvers import (SolverConfig, RunTrace, DivergenceError, step_bound,
 from .graphs import NetworkGraph, ring, random_connected, lambda_max
 from .consensus import (ConsensusAgentSpec, ConsensusProblem,
                         lagrangian_L1, operator_phi, consensus_residual,
+                        step_consensus_ogda, step_consensus_eg,
                         simulate_consensus)
 from .allocation import (AllocationAgentSpec, AllocationProblem,
                          lagrangian_L2, operator_psi, feasibility_gap,
+                         step_allocation_ogda, step_allocation_eg,
                          simulate_allocation)
 from .network import (Network, ConsensusNetworkSimulator,
                       AllocationNetworkSimulator)

@@ -34,11 +34,12 @@ import numpy as np
 from . import sets
 from .core import SaddleProblem, ValidationError
 from .graphs import lambda_max
-from .solvers import SolverConfig, run
+from .solvers import SolverConfig, run, step_bound, step_eg, step_ogda
 
 __all__ = ["AllocationAgentSpec", "AllocationProblem", "lagrangian_L2",
            "operator_psi", "feasibility_gap", "as_saddle_problem",
-           "initial_state", "simulate_allocation", "AllocationTrace"]
+           "initial_state", "step_allocation_ogda", "step_allocation_eg",
+           "simulate_allocation", "AllocationTrace"]
 
 
 class AllocationAgentSpec(object):
@@ -289,6 +290,16 @@ def initial_state(problem, y0=None, a0=None, lam0=None):
     return np.concatenate([y0, a0.ravel(), lam0.ravel()])
 
 
+def step_allocation_ogda(problem, z, z_prev, alpha):
+    """One OGDA step of the stacked dynamics from ``z`` after ``z_prev``."""
+    return step_ogda(as_saddle_problem(problem), z, z_prev, alpha)
+
+
+def step_allocation_eg(problem, z, alpha):
+    """One EG step of the stacked dynamics; returns ``(z_half, z_next)``."""
+    return step_eg(as_saddle_problem(problem), z, alpha)
+
+
 class AllocationTrace(object):
     """Recorded trajectory of a distributed allocation run.
 
@@ -356,8 +367,14 @@ def simulate_allocation(problem, method, alpha=None, max_iters=1000,
     Parameters and errors mirror `simulate_consensus`; the step-size
     bounds use ``kappa_s``. Returns an `AllocationTrace`.
     """
-    if str(method).upper() not in ("OGDA", "EG"):
+    method = str(method).upper()
+    if method not in ("OGDA", "EG"):
         raise ValidationError("distributed methods are OGDA and EG")
+    bound = step_bound(method, problem.kappa_s)
+    if alpha is not None and not alpha < bound:
+        raise ValidationError(
+            "step size {:g} violates the {} bound {:g} (kappa_s={:g})"
+            .format(alpha, method, bound, problem.kappa_s))
     config = SolverConfig(method, step_size=alpha, max_iters=max_iters,
                           stop_tol=stop_tol, record_every=record_every)
     trace = run(as_saddle_problem(problem), config,

@@ -25,11 +25,12 @@ import numpy as np
 from . import sets
 from .core import SaddleProblem, ValidationError
 from .graphs import lambda_max
-from .solvers import SolverConfig, run
+from .solvers import SolverConfig, run, step_bound, step_eg, step_ogda
 
 __all__ = ["ConsensusAgentSpec", "ConsensusProblem", "lagrangian_L1",
            "operator_phi", "consensus_residual", "as_saddle_problem",
-           "initial_state", "simulate_consensus", "ConsensusTrace"]
+           "initial_state", "step_consensus_ogda", "step_consensus_eg",
+           "simulate_consensus", "ConsensusTrace"]
 
 
 class ConsensusAgentSpec(object):
@@ -161,7 +162,18 @@ def operator_phi(problem, x, v):
 
 def consensus_residual(problem, x):
     """Norm of ``(L (x) I_m) x``; zero exactly at consensus."""
-    return float(np.linalg.norm(problem.graph.lap_apply(problem.rows(x))))
+    return float(_residual_rows(problem, problem.rows(x)[None])[0])
+
+
+def _residual_rows(problem, xs):
+    """`consensus_residual` of each ``(N, m)`` block of ``xs``.
+
+    One Laplacian pass takes every block's decisions as columns.
+    """
+    rows, n, m = xs.shape
+    lap = problem.graph.lap_apply(xs.transpose(1, 0, 2).reshape(n, rows * m))
+    return np.array([np.linalg.norm(block)
+                     for block in lap.reshape(n, rows, m).transpose(1, 0, 2)])
 
 
 def as_saddle_problem(problem):
@@ -213,6 +225,16 @@ def initial_state(problem, x0=None, v0=None):
     return np.concatenate([problem.rows(x0).ravel(), v0.ravel()])
 
 
+def step_consensus_ogda(problem, z, z_prev, alpha):
+    """One OGDA step of the stacked dynamics from ``z`` after ``z_prev``."""
+    return step_ogda(as_saddle_problem(problem), z, z_prev, alpha)
+
+
+def step_consensus_eg(problem, z, alpha):
+    """One EG step of the stacked dynamics; returns ``(z_half, z_next)``."""
+    return step_eg(as_saddle_problem(problem), z, alpha)
+
+
 class ConsensusTrace(object):
     """Recorded trajectory of a distributed consensus run.
 
@@ -238,12 +260,7 @@ class ConsensusTrace(object):
                           for block in np.hsplit(trace.z, 2))
         self.erg_x, self.erg_v = (block.reshape(rows, n, m)
                                   for block in np.hsplit(trace.ergodic, 2))
-        # one Laplacian pass over every row's decisions as columns
-        lap = problem.graph.lap_apply(
-            self.x.transpose(1, 0, 2).reshape(n, rows * m))
-        self.consensus_residual = np.array(
-            [np.linalg.norm(block)
-             for block in lap.reshape(n, rows, m).transpose(1, 0, 2)])
+        self.consensus_residual = _residual_rows(problem, self.x)
         self.objective = np.array([problem.total_objective(x) for x in self.x])
 
     def to_csv(self, path):
@@ -290,8 +307,14 @@ def simulate_consensus(problem, method, alpha=None, max_iters=1000,
     DivergenceError
         When an iterate turns non-finite or leaves the guard region.
     """
-    if str(method).upper() not in ("OGDA", "EG"):
+    method = str(method).upper()
+    if method not in ("OGDA", "EG"):
         raise ValidationError("distributed methods are OGDA and EG")
+    bound = step_bound(method, problem.kappa_c)
+    if alpha is not None and not alpha < bound:
+        raise ValidationError(
+            "step size {:g} violates the {} bound {:g} (kappa_c={:g})"
+            .format(alpha, method, bound, problem.kappa_c))
     config = SolverConfig(method, step_size=alpha, max_iters=max_iters,
                           stop_tol=stop_tol, record_every=record_every)
     trace = run(as_saddle_problem(problem), config,

@@ -69,8 +69,7 @@ class SaddleProblem(object):
     operator : callable, optional
         ``operator(z) -> F(z)`` on stacked points, for problems that
         evaluate both blocks of F in one pass. It must equal
-        ``col(grad_x, -grad_y)`` to the last bit; the gradient oracles
-        stay the reference the finite-difference check reads.
+        ``col(grad_x, -grad_y)`` to the last bit.
     name : str, optional
         Label used in reports.
     """

@@ -31,7 +31,8 @@ import time
 import numpy as np
 
 from . import allocation, catalog, consensus, network, oracle, sets
-from .core import ValidationError, check_monotone, estimate_kappa, vi_residual
+from .core import (ValidationError, check_monotone, estimate_kappa,
+                   operator_F, vi_residual)
 from .solvers import (DivergenceError, METHODS, SolverConfig, delta_diagnostic,
                       eg_contraction_check, run)
 
@@ -409,11 +410,13 @@ def cmd_verify(config):
     except ValidationError as exc:
         add("lipschitz_bound", False, None, str(exc))
 
+    # the gradient checked is F, the operator the solvers run, with its
+    # dual block negated back
     points = _sample_domain_points(stacked, 100, config["seed"])
+    sign = np.where(np.arange(stacked.dim) < stacked.dim_x, 1.0, -1.0)
     fd = oracle.finite_diff_check(
         lambda p: stacked.value(*stacked.split(p)),
-        lambda p: np.concatenate([stacked.grad_x(*stacked.split(p)),
-                                  stacked.grad_y(*stacked.split(p))]),
+        lambda p: sign * operator_F(stacked, p),
         points)
     add("gradient_finite_diff", fd["passed"], fd["max_rel_error"],
         "max relative error over 100 points (tolerance 1e-5)")

@@ -5,8 +5,9 @@ from saddlenet import catalog
 from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
                                   as_saddle_problem, feasibility_gap,
                                   initial_state, lagrangian_L2, operator_psi,
-                                  simulate_allocation)
-from saddlenet.core import ValidationError, operator_F
+                                  simulate_allocation, step_allocation_eg,
+                                  step_allocation_ogda)
+from saddlenet.core import SaddleProblem, ValidationError, operator_F
 from saddlenet.graphs import NetworkGraph, lambda_max, ring
 from saddlenet.sets import Box
 from saddlenet.solvers import DivergenceError, SolverConfig, run
@@ -102,21 +103,45 @@ def test_steps_preserve_certified_kkt_point():
 
 
 def test_stacked_matches_generic_solver():
-    from saddlenet.solvers import SolverConfig, run
+    # the generic side takes F from grad_x and grad_y, not the fused Psi
     prob = catalog.allocation_quadratics()
     saddle = as_saddle_problem(prob)
+    oracles = SaddleProblem(saddle.dim_x, saddle.dim_y, saddle.set_x,
+                            saddle.set_y, saddle.value, saddle.grad_x,
+                            saddle.grad_y, saddle.lipschitz,
+                            kappa=saddle.kappa_m)
+    assert oracles.operator is None
     alpha = 0.9 / (2.0 * prob.kappa_s)
-    trace = simulate_allocation(prob, "OGDA", alpha=alpha, max_iters=200,
-                                stop_tol=0.0)
-    z0 = np.concatenate([trace.y[0].ravel(), trace.a[0].ravel(),
-                         trace.lam[0].ravel()])
-    generic = run(saddle, SolverConfig("OGDA", step_size=alpha, max_iters=200,
-                                       stop_tol=0.0), z0)
-    rows = trace.y.shape[0]
-    stacked = np.concatenate([trace.y.reshape(rows, -1),
-                              trace.a.reshape(rows, -1),
-                              trace.lam.reshape(rows, -1)], axis=1)
-    assert np.max(np.abs(stacked - generic.z)) == 0.0
+    for method in ("OGDA", "EG"):
+        trace = simulate_allocation(prob, method, alpha=alpha, max_iters=200,
+                                    stop_tol=0.0)
+        generic = run(oracles, SolverConfig(method, step_size=alpha,
+                                            max_iters=200, stop_tol=0.0),
+                      initial_state(prob))
+        rows = trace.y.shape[0]
+        stacked = np.concatenate([trace.y.reshape(rows, -1),
+                                  trace.a.reshape(rows, -1),
+                                  trace.lam.reshape(rows, -1)], axis=1)
+        assert generic.iters.size == 201
+        assert np.max(np.abs(stacked - generic.z)) == 0.0
+
+
+def test_step_functions_match_run():
+    prob = catalog.allocation_quadratics()
+    alpha = 0.4 / prob.kappa_s
+    z0 = initial_state(prob, y0=np.full(3, 50.0))
+    for method in ("OGDA", "EG"):
+        trace = run(as_saddle_problem(prob),
+                    SolverConfig(method, step_size=alpha, max_iters=2,
+                                 stop_tol=0.0), z0)
+        z = z_prev = z0
+        for k in (1, 2):
+            if method == "OGDA":
+                z, z_prev = step_allocation_ogda(prob, z, z_prev, alpha), z
+            else:
+                z_half, z = step_allocation_eg(prob, z, alpha)
+                assert z_half.tobytes() == trace.z_half[k].tobytes()
+            assert z.tobytes() == trace.z[k].tobytes()
 
 
 def test_quadratics_converge_to_kkt_both_methods():
@@ -141,7 +166,7 @@ def test_gda_rejected_for_distributed_runs():
 def test_step_size_validated_against_kappa_s():
     prob = catalog.allocation_quadratics()
     too_big = 1.1 / (2.0 * prob.kappa_s)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="kappa_s"):
         simulate_allocation(prob, "OGDA", alpha=too_big, max_iters=10)
 
 

@@ -5,8 +5,9 @@ from saddlenet import catalog
 from saddlenet.consensus import (ConsensusAgentSpec, ConsensusProblem,
                                  as_saddle_problem, consensus_residual,
                                  initial_state, lagrangian_L1, operator_phi,
-                                 simulate_consensus)
-from saddlenet.core import ValidationError, operator_F
+                                 simulate_consensus, step_consensus_eg,
+                                 step_consensus_ogda)
+from saddlenet.core import SaddleProblem, ValidationError, operator_F
 from saddlenet.graphs import NetworkGraph, ring
 from saddlenet.sets import Box
 from saddlenet.solvers import DivergenceError, SolverConfig, run
@@ -125,19 +126,44 @@ def test_steps_preserve_certified_saddle_point():
 
 
 def test_stacked_matches_generic_solver():
-    from saddlenet.solvers import SolverConfig, run
+    # the generic side takes F from grad_x and grad_y, not the fused Phi
     prob = catalog.consensus_quadratics(n=5)
     saddle = as_saddle_problem(prob)
+    oracles = SaddleProblem(saddle.dim_x, saddle.dim_y, saddle.set_x,
+                            saddle.set_y, saddle.value, saddle.grad_x,
+                            saddle.grad_y, saddle.lipschitz,
+                            kappa=saddle.kappa_m)
+    assert oracles.operator is None
     alpha = 0.9 / (2.0 * prob.kappa_c)
-    trace = simulate_consensus(prob, "OGDA", alpha=alpha, max_iters=200,
-                               stop_tol=0.0)
-    z0 = np.concatenate([trace.x[0].ravel(), trace.v[0].ravel()])
-    generic = run(saddle, SolverConfig("OGDA", step_size=alpha, max_iters=200,
-                                       stop_tol=0.0), z0)
-    stacked = np.concatenate(
-        [trace.x.reshape(trace.x.shape[0], -1),
-         trace.v.reshape(trace.v.shape[0], -1)], axis=1)
-    assert np.max(np.abs(stacked - generic.z)) == 0.0
+    for method in ("OGDA", "EG"):
+        trace = simulate_consensus(prob, method, alpha=alpha, max_iters=200,
+                                   stop_tol=0.0)
+        generic = run(oracles, SolverConfig(method, step_size=alpha,
+                                            max_iters=200, stop_tol=0.0),
+                      initial_state(prob))
+        stacked = np.concatenate(
+            [trace.x.reshape(trace.x.shape[0], -1),
+             trace.v.reshape(trace.v.shape[0], -1)], axis=1)
+        assert generic.iters.size == 201
+        assert np.max(np.abs(stacked - generic.z)) == 0.0
+
+
+def test_step_functions_match_run():
+    prob = catalog.consensus_quadratics(n=5)
+    alpha = 0.4 / prob.kappa_c
+    z0 = initial_state(prob, np.full((5, 1), 50.0))
+    for method in ("OGDA", "EG"):
+        trace = run(as_saddle_problem(prob),
+                    SolverConfig(method, step_size=alpha, max_iters=2,
+                                 stop_tol=0.0), z0)
+        z = z_prev = z0
+        for k in (1, 2):
+            if method == "OGDA":
+                z, z_prev = step_consensus_ogda(prob, z, z_prev, alpha), z
+            else:
+                z_half, z = step_consensus_eg(prob, z, alpha)
+                assert z_half.tobytes() == trace.z_half[k].tobytes()
+            assert z.tobytes() == trace.z[k].tobytes()
 
 
 def test_quadratics_converge_to_mean_both_methods():
@@ -159,7 +185,7 @@ def test_gda_rejected_for_distributed_runs():
 def test_step_size_validated_against_kappa_c():
     prob = catalog.consensus_quadratics(n=5)
     too_big = 1.1 / (2.0 * prob.kappa_c)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="kappa_c"):
         simulate_consensus(prob, "OGDA", alpha=too_big, max_iters=10)
 
 

@@ -7,6 +7,7 @@ allocation operator Psi and the consensus operator Phi.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -218,3 +219,17 @@ def test_phi_is_one_laplacian_pass(kind, data):
         del prob.graph.lap_apply
     assert f_z.tobytes() == expect.tobytes()
     assert f_z.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["scalar", "vector"])
+def test_trace_consensus_residual_is_rowwise_norm(kind):
+    # the trace takes every row's residual from one Laplacian pass
+    prob = (catalog.consensus_quadratics(5) if kind == "scalar"
+            else vector_consensus())
+    trace = consensus.simulate_consensus(prob, "EG", max_iters=30,
+                                         stop_tol=0.0)
+    rowwise = np.array([np.linalg.norm(prob.graph.lap_apply(x))
+                        for x in trace.x])
+    assert trace.consensus_residual.tobytes() == rowwise.tobytes()
+    assert [consensus.consensus_residual(prob, x)
+            for x in trace.x] == rowwise.tolist()
