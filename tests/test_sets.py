@@ -122,3 +122,36 @@ def test_box_accepts_infinite_bounds():
 def test_ball_rejects_non_finite_center_or_radius(center, radius):
     with pytest.raises(ValueError):
         Ball(np.array(center), radius)
+
+
+INF, NAN = np.inf, np.nan
+# bounds meeting at signed zeros, open to infinity, or excluding zero
+CLIP_LOWER = [-1.0, -0.0, 0.0, 0.0, -INF, -INF, 1.0, -0.0]
+CLIP_UPPER = [1.0, 0.0, 0.0, -0.0, INF, 0.0, 2.0, INF]
+# the projection of a constant input onto those bounds, coordinate by
+# coordinate: on a tie the upper bound's zero wins, otherwise the lower
+# bound's, and NaN passes through
+CLIP_EXPECTED = [
+    (0.0, [0.0, 0.0, 0.0, -0.0, 0.0, 0.0, 1.0, -0.0]),
+    (-0.0, [-0.0, 0.0, 0.0, -0.0, -0.0, 0.0, 1.0, -0.0]),
+    (INF, [1.0, 0.0, 0.0, -0.0, INF, 0.0, 2.0, INF]),
+    (-INF, [-1.0, 0.0, 0.0, -0.0, -INF, -INF, 1.0, -0.0]),
+    (NAN, [NAN] * 8),
+]
+
+
+@pytest.mark.parametrize("value, expected", CLIP_EXPECTED)
+@pytest.mark.parametrize("build", [
+    lambda: (Box(CLIP_LOWER, CLIP_UPPER), 0),
+    lambda: (Product(Box(CLIP_LOWER[:3], CLIP_UPPER[:3]),
+                     Box(CLIP_LOWER[3:], CLIP_UPPER[3:])), 0),
+    lambda: (Product(WholeSpace(2), Box(CLIP_LOWER, CLIP_UPPER)), 2),
+], ids=["box", "product-of-boxes", "product-with-whole-space"])
+def test_clip_projection_special_values(build, value, expected):
+    cset, free = build()
+    got = cset.project(np.full(cset.dim, value))
+    want = np.array([value] * free + expected)
+    assert np.array_equal(got, want, equal_nan=True)
+    # equal signs on every zero, which array_equal does not see
+    nan = np.isnan(want)
+    assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
