@@ -154,7 +154,7 @@ class AllocationProblem(object):
                          for i, a in enumerate(self.agents)])
 
     def total_objective(self, y):
-        return float(np.sum(self.objective_rows(y)))
+        return float(np.add.reduce(self.objective_rows(y), axis=None))
 
     def gradient_vec(self, y):
         """Stacked objective gradient of length ``Q``."""
@@ -186,14 +186,22 @@ class AllocationProblem(object):
 
 
 def lagrangian_L2(problem, y, a, lam):
-    """Modified Lagrangian value; `a` and `lam` as rows or flat vectors."""
+    """Modified Lagrangian value; `a` and `lam` as rows or flat vectors.
+
+    Both Laplacian products come from one `lap_apply` over the stacked
+    columns ``[a, lam]``.
+    """
     y = np.asarray(y, dtype=float).ravel()
     a = problem.rows(a)
     lam = problem.rows(lam)
-    e = problem.wy_minus_d(y)
-    return float(np.sum(problem.objective_rows(y))
-                 + np.sum(lam * (e - problem.graph.lap_apply(a)))
-                 - 0.5 * np.sum(lam * problem.graph.lap_apply(lam)))
+    m = problem.m
+    lap = problem.graph.lap_apply(np.concatenate([a, lam], axis=1))
+    # np.add.reduce over all axes is what np.sum calls, minus its Python
+    # wrapper
+    total = np.add.reduce
+    return float(total(problem.objective_rows(y), axis=None)
+                 + total(lam * (problem.wy_minus_d(y) - lap[:, :m]), axis=None)
+                 - 0.5 * total(lam * lap[:, m:], axis=None))
 
 
 def _psi(problem, y, a, lam):

@@ -112,7 +112,7 @@ class ConsensusProblem(object):
         return np.array([a.objective(x[i]) for i, a in enumerate(self.agents)])
 
     def total_objective(self, x):
-        return float(np.sum(self.objective_rows(x)))
+        return float(np.add.reduce(self.objective_rows(x), axis=None))
 
     def gradient_rows(self, x):
         """Stacked gradients ``grad f_i(x_i)`` as an ``(N, m)`` array."""

@@ -294,8 +294,10 @@ def _solve(problem, config, outdir, summary):
             z0 = problem.domain.project(np.zeros(problem.domain.dim))
 
         def simulate(method, alpha, **budget):
-            return run(problem, SolverConfig(method, step_size=alpha, **budget),
-                       z0, z_star=problem.meta.get("z_star"))
+            trace = run(problem, SolverConfig(method, step_size=alpha, **budget),
+                        z0, z_star=problem.meta.get("z_star"))
+            trace.f_value  # computed on first read: keep it in the timed run
+            return trace
     else:
         simulate = functools.partial(_SIMULATE[kind], problem)
     for method in config["methods"]:

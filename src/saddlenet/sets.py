@@ -12,6 +12,14 @@ import functools
 
 import numpy as np
 
+# the clip ufunc that `ndarray.clip` dispatches to when both bounds are
+# given; calling it directly skips that method's Python wrapper, which
+# costs more than the clip itself on the solvers' short vectors
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 __all__ = ["ConvexSet", "WholeSpace", "Box", "Ball", "Product",
            "normal_cone_residual"]
 
@@ -104,7 +112,7 @@ class Box(ConvexSet):
         self.dim = lower.size
 
     def project(self, p):
-        return _as_vector(p, self.dim).clip(self.lower, self.upper)
+        return _clip(_as_vector(p, self.dim), self.lower, self.upper)
 
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()
@@ -193,7 +201,7 @@ class Product(ConvexSet):
         p = _as_vector(p, self.dim)
         bounds = self._bounds
         if bounds is not None:
-            return p.clip(*bounds)
+            return _clip(p, *bounds)
         out = np.empty_like(p)
         for f, s in zip(self.factors, self._slices):
             out[s] = f.project(p[s])

@@ -8,8 +8,18 @@ are about (plain iterates for OGDA, mid-points for EG), streams rows to
 the trace at a configurable granularity, and counts operator
 evaluations: one per iteration for GDA and OGDA (the previous value is
 cached), two for EG, plus the single initial evaluation at z_0.
+
+Per iteration a run evaluates the operator as counted above and
+projects once per step plus once for the natural-map residual (two
+projections for GDA and OGDA, three for EG), computing both into work
+buffers it allocates once. Per recorded row it stores the iterate, the
+ergodic average, the residual and the step length; given a reference
+point it also takes the distance to it and the objective at the
+ergodic average. The objective at the iterates (`RunTrace.f_value`) is
+evaluated only when read.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -164,8 +174,11 @@ class RunTrace(object):
     - ``z``: iterates, shape ``(rows, dim)``.
     - ``z_half``: for EG, row k holds the mid-point of the step that
       produced iterate k (NaN on the first row); None otherwise.
-    - ``f_value``, ``vi_residual``, ``step_norm``: objective, natural-map
-      residual, and displacement of the producing step (NaN on row 0).
+    - ``vi_residual``, ``step_norm``: natural-map residual and
+      displacement of the producing step (NaN on row 0).
+    - ``f_value``: objective at each recorded iterate, computed from
+      ``z`` on first read, so runs whose callers never read it skip
+      the objective.
     - ``ergodic_x``, ``ergodic_y``: running averages over iterates 1..T
       (OGDA/GDA) or mid-points 0..T-1 (EG); NaN on row 0.
     - ``dist_to_ref``, ``ergodic_gap``: distance to the reference point
@@ -174,7 +187,7 @@ class RunTrace(object):
     """
 
     def __init__(self, method, alpha, record_every, stop_tol, kappa_m,
-                 z0, z_star, f_star, dim_x):
+                 z0, z_star, f_star, dim_x, objective):
         self.method = method
         self.alpha = alpha
         self.record_every = record_every
@@ -187,40 +200,64 @@ class RunTrace(object):
         self.gradient_calls = 0
         self.stopped_at = None
         self.delta_k = None
-        self._rows = []
+        self._objective = objective
+        # row arrays start with room for 64 rows, double when full and
+        # are trimmed to the recorded rows by `_finalize`
+        rows, dim = 64, z0.size
+        self.iters = np.empty(rows, dtype=int)
+        self.z = np.empty((rows, dim))
+        self.z_half = np.empty((rows, dim)) if method == "EG" else None
+        self.ergodic = np.empty((rows, dim))
+        self.vi_residual, self.step_norm, self.ergodic_gap, self.dist_to_ref = (
+            np.empty(rows) for _ in range(4))
+        self._rows = 0
 
-    def _append(self, it, z, z_half, f_value, resid, step_norm, erg, gap):
-        dist = np.nan if self.z_star is None else _norm(z - self.z_star)
-        self._rows.append((it, z.copy(),
-                           None if z_half is None else z_half.copy(),
-                           f_value, resid, step_norm,
-                           None if erg is None else erg.copy(), gap, dist))
+    _ROW_ARRAYS = ("iters", "z", "z_half", "ergodic", "vi_residual",
+                   "step_norm", "ergodic_gap", "dist_to_ref")
+
+    def _resize(self, rows):
+        """Reallocate the row arrays for `rows` rows, keeping those written."""
+        kept = self._rows
+        for name in self._ROW_ARRAYS:
+            old = getattr(self, name)
+            if old is not None:
+                new = np.empty((rows,) + old.shape[1:], dtype=old.dtype)
+                new[:kept] = old[:kept]
+                setattr(self, name, new)
+
+    def _record(self, it, z, z_half, resid, step_norm, erg_sum, erg_count):
+        """Write one row; the ergodic point is ``erg_sum / erg_count``."""
+        i = self._rows
+        if i == self.iters.size:
+            self._resize(2 * i)
+        self._rows = i + 1
+        self.iters[i] = it
+        self.z[i] = z
+        if self.z_half is not None:
+            self.z_half[i] = np.nan if z_half is None else z_half
+        self.vi_residual[i] = resid
+        self.step_norm[i] = step_norm
+        gap = np.nan
+        if erg_count == 0:
+            self.ergodic[i] = np.nan
+        else:
+            erg = np.divide(erg_sum, erg_count, out=self.ergodic[i])
+            if self.f_star is not None:
+                gap = abs(self._objective(erg) - self.f_star)
+        self.ergodic_gap[i] = gap
+        self.dist_to_ref[i] = (np.nan if self.z_star is None
+                               else _norm(z - self.z_star))
 
     def _finalize(self):
-        rows = self._rows
-        dim = rows[0][1].size
-        n = len(rows)
-        self.iters = np.array([r[0] for r in rows], dtype=int)
-        self.z = np.array([r[1] for r in rows])
-        if self.method == "EG":
-            self.z_half = np.full((n, dim), np.nan)
-            for i, r in enumerate(rows):
-                if r[2] is not None:
-                    self.z_half[i] = r[2]
-        else:
-            self.z_half = None
-        self.f_value = np.array([r[3] for r in rows])
-        self.vi_residual = np.array([r[4] for r in rows])
-        self.step_norm = np.array([r[5] for r in rows])
-        self.ergodic = np.full((n, dim), np.nan)
-        for i, r in enumerate(rows):
-            if r[6] is not None:
-                self.ergodic[i] = r[6]
+        if self._rows < self.iters.size:
+            self._resize(self._rows)
         self.ergodic_x = self.ergodic[:, :self.dim_x]
         self.ergodic_y = self.ergodic[:, self.dim_x:]
-        self.ergodic_gap = np.array([r[7] for r in rows])
-        self.dist_to_ref = np.array([r[8] for r in rows])
-        del self._rows
+
+    @functools.cached_property
+    def f_value(self):
+        """Objective at each recorded iterate, computed on first read."""
+        return np.array([self._objective(z) for z in self.z])
 
     def iterate(self, row):
         """Return the recorded iterate of a row as an `IterateZ`."""
@@ -291,31 +328,42 @@ def run(problem, config, z0, z_star=None):
     method = config.method
     proj = problem.domain.project
 
-    f_star = None
-    if z_star is not None:
-        z_star = np.asarray(z_star, dtype=float)
-        xs, ys = problem.split(z_star)
-        f_star = float(problem.value(xs, ys))
-
-    trace = RunTrace(method, alpha, config.record_every, config.stop_tol,
-                     problem.kappa_m, z0, z_star, f_star, problem.dim_x)
-
     def objective(z):
         x, y = problem.split(z)
         return float(problem.value(x, y))
 
-    def gap(erg):
-        if erg is None or f_star is None:
-            return np.nan
-        return abs(objective(erg) - f_star)
+    f_star = None
+    if z_star is not None:
+        z_star = np.asarray(z_star, dtype=float)
+        f_star = objective(z_star)
+
+    max_iters, every = config.max_iters, config.record_every
+    trace = RunTrace(method, alpha, every, config.stop_tol, problem.kappa_m,
+                     z0, z_star, f_star, problem.dim_x, objective)
+
+    # work buffers for the step argument, OGDA's correction term and the
+    # natural-map residual; the domain is a `sets.Product`, whose
+    # projection returns a new array, so iterates never alias them
+    dim = problem.dim
+    arg, corr, diff = np.empty(dim), np.empty(dim), np.empty(dim)
+    two_alpha = 2.0 * alpha
+
+    def residual(z, f_z):
+        np.subtract(z, f_z, out=diff)
+        return _norm(np.subtract(z, proj(diff), out=diff))
+
+    def descent(z, f, scale):
+        # P(z - scale * F)
+        np.multiply(f, scale, out=arg)
+        return proj(np.subtract(z, arg, out=arg))
 
     z = z0.copy()
     f_z = operator_F(problem, z)
     trace.gradient_calls = 1
-    resid = _norm(z - proj(z - f_z))
-    trace._append(0, z, None, objective(z), resid, np.nan, None, np.nan)
+    resid = residual(z, f_z)
+    trace._record(0, z, None, resid, np.nan, None, 0)
 
-    erg_sum = np.zeros(problem.dim)
+    erg_sum = np.zeros(dim)
     erg_count = 0
     f_z_prev = f_z  # OGDA cache, z_{-1} = z_0
 
@@ -327,18 +375,22 @@ def run(problem, config, z0, z_star=None):
         trace._finalize()
         return trace
 
-    for k in range(config.max_iters):
+    for k in range(max_iters):
         it = k + 1
         z_half = None
         if method == "GDA":
-            z_new = proj(z - alpha * f_z)
+            z_new = descent(z, f_z, alpha)
         elif method == "OGDA":
-            z_new = proj(z - 2.0 * alpha * f_z + alpha * f_z_prev)
+            # z - 2 alpha F(z) + alpha F(z_prev), in that order
+            np.multiply(f_z, two_alpha, out=arg)
+            np.subtract(z, arg, out=arg)
+            np.multiply(f_z_prev, alpha, out=corr)
+            z_new = proj(np.add(arg, corr, out=arg))
         else:
-            z_half = proj(z - alpha * f_z)
+            z_half = descent(z, f_z, alpha)
             f_half = operator_F(problem, z_half)
             trace.gradient_calls += 1
-            z_new = proj(z - alpha * f_half)
+            z_new = descent(z, f_half, alpha)
 
         # NaN and inf fail the comparison too
         if not _norm(z_new) <= DIVERGENCE_NORM:
@@ -352,13 +404,12 @@ def run(problem, config, z0, z_star=None):
         f_z_prev = f_z
         f_z = operator_F(problem, z_new)
         trace.gradient_calls += 1
-        resid = _norm(z_new - proj(z_new - f_z))
+        resid = residual(z_new, f_z)
 
-        done = reached(resid) or it == config.max_iters
-        if it % config.record_every == 0 or done:
-            erg = erg_sum / erg_count
-            trace._append(it, z_new, z_half, objective(z_new), resid,
-                          _norm(z_new - z), erg, gap(erg))
+        done = reached(resid) or it == max_iters
+        if it % every == 0 or done:
+            step = _norm(np.subtract(z_new, z, out=diff))
+            trace._record(it, z_new, z_half, resid, step, erg_sum, erg_count)
         z = z_new
         if reached(resid):
             trace.stopped_at = it

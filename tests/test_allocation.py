@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from saddlenet import catalog
+from saddlenet import allocation, catalog
 from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
                                   as_saddle_problem, feasibility_gap,
                                   initial_state, lagrangian_L2, operator_psi,
@@ -211,3 +211,14 @@ def test_non_finite_gradient_trips_divergence_guard():
     with pytest.raises(DivergenceError) as err:
         simulate_allocation(prob, "EG", max_iters=20, stop_tol=1e-8)
     assert err.value.iteration == 1
+
+
+@pytest.mark.parametrize("method", ["OGDA", "EG"])
+def test_simulate_never_evaluates_the_lagrangian(method, monkeypatch):
+    calls = []
+    lagrangian = allocation.lagrangian_L2
+    monkeypatch.setattr(allocation, "lagrangian_L2",
+                        lambda *args: calls.append(args) or lagrangian(*args))
+    simulate_allocation(catalog.allocation_quadratics(), method,
+                        max_iters=1000, stop_tol=1e-9)
+    assert calls == []

@@ -242,3 +242,19 @@ def test_non_finite_gradient_trips_divergence_guard():
     with pytest.raises(DivergenceError) as err:
         simulate_consensus(prob, "OGDA", max_iters=20, stop_tol=1e-8)
     assert err.value.iteration == 1
+
+
+@pytest.mark.parametrize("method", ["OGDA", "EG"])
+def test_simulate_never_evaluates_the_lagrangian(method, monkeypatch):
+    prob = catalog.consensus_quadratics(5)
+    calls = []
+    lap_apply = prob.graph.lap_apply
+
+    def counted(u):
+        calls.append(np.shape(u))
+        return lap_apply(u)
+
+    monkeypatch.setattr(prob.graph, "lap_apply", counted)
+    trace = simulate_consensus(prob, method, max_iters=1000, stop_tol=1e-8)
+    # one pass per operator evaluation, one for the residual column
+    assert len(calls) == trace.gradient_calls + 1

@@ -1,9 +1,10 @@
 """Property tests: the fused fast paths equal their literal definitions bitwise.
 
-Four fast paths are checked byte for byte against the plain loops they
+Five fast paths are checked byte for byte against the plain loops they
 replace: the single-clip projection of a product of boxes and whole
 spaces, the one-gather `lap_apply`, and the one-pass evaluations of the
-allocation operator Psi and the consensus operator Phi.
+allocation operator Psi, the modified Lagrangian L2 and the consensus
+operator Phi.
 """
 
 import numpy as np
@@ -143,11 +144,8 @@ def stacked_reference(saddle, z):
     return np.concatenate([saddle.grad_x(x, y), -saddle.grad_y(x, y)])
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(["scalar", "vector"]), st.data())
-def test_psi_is_one_laplacian_pass(kind, data):
-    prob = (catalog.allocation_quadratics() if kind == "scalar"
-            else vector_allocation())
+def allocation_point(prob, data):
+    """Draw flat ``(y, a, lam)`` with finite values and signed zeros."""
     values = st.one_of(SIGNED_ZEROS, st.floats(-1e3, 1e3))
     nm = prob.n * prob.m
 
@@ -155,7 +153,15 @@ def test_psi_is_one_laplacian_pass(kind, data):
         return np.array(data.draw(st.lists(values, min_size=size,
                                            max_size=size)), dtype=float)
 
-    y, a, lam = draw(prob.dim_y), draw(nm), draw(nm)
+    return draw(prob.dim_y), draw(nm), draw(nm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["scalar", "vector"]), st.data())
+def test_psi_is_one_laplacian_pass(kind, data):
+    prob = (catalog.allocation_quadratics() if kind == "scalar"
+            else vector_allocation())
+    y, a, lam = allocation_point(prob, data)
     expect = psi_blockwise(prob, y, prob.rows(a), prob.rows(lam))
     saddle = allocation.as_saddle_problem(prob)
     z = np.concatenate([y, a, lam])
@@ -172,6 +178,31 @@ def test_psi_is_one_laplacian_pass(kind, data):
     assert got.tobytes() == expect.tobytes()
     assert f_z.tobytes() == expect.tobytes()
     assert f_z.tobytes() == reference.tobytes()
+
+
+def lagrangian_L2_two_pass(prob, y, a, lam):
+    """L2 from its formula, one Laplacian pass per product."""
+    lap = prob.graph.lap_apply
+    return float(np.sum(prob.objective_rows(y))
+                 + np.sum(lam * (prob.wy_minus_d(y) - lap(a)))
+                 - 0.5 * np.sum(lam * lap(lam)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["scalar", "vector"]), st.data())
+def test_lagrangian_L2_is_one_laplacian_pass(kind, data):
+    prob = (catalog.allocation_quadratics() if kind == "scalar"
+            else vector_allocation())
+    y, a, lam = allocation_point(prob, data)
+    expect = lagrangian_L2_two_pass(prob, y, prob.rows(a), prob.rows(lam))
+
+    calls = counting_lap_apply(prob.graph)
+    try:
+        got = allocation.lagrangian_L2(prob, y, a, lam)
+    finally:
+        del prob.graph.lap_apply
+    assert calls == [(prob.n, 2 * prob.m)]
+    assert np.float64(got).tobytes() == np.float64(expect).tobytes()
 
 
 def vector_consensus():

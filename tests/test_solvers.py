@@ -309,3 +309,40 @@ def test_gradient_call_accounting():
     t = run(prob, SolverConfig("EG", max_iters=10, stop_tol=0.0),
             np.array([1.0, 1.0]))
     assert t.gradient_calls == 21
+
+
+SADDLE_PRESETS = [lambda: catalog.example1_bilinear(seed=0),
+                  catalog.quadratic_saddle]
+
+
+@pytest.mark.parametrize("method", ["GDA", "OGDA", "EG"])
+@pytest.mark.parametrize("build", SADDLE_PRESETS,
+                         ids=["example1", "quadratic-saddle"])
+def test_lazy_f_value_is_objective_per_row(build, method):
+    prob = build()
+    cfg = SolverConfig(method, max_iters=200, stop_tol=0.0)
+    trace = run(prob, cfg, prob.meta["z0"], z_star=prob.meta["z_star"])
+    eager = np.array([float(prob.value(*prob.split(z))) for z in trace.z])
+    assert trace.f_value.tobytes() == eager.tobytes()
+
+
+@pytest.mark.parametrize("method", ["GDA", "OGDA", "EG"])
+def test_sparse_rows_equal_dense_rows(method):
+    # 73 rows: more than the row arrays first hold, and a final row
+    # off the recording grid
+    prob = catalog.example1_bilinear(seed=0)
+    z0, z_star = prob.meta["z0"], prob.meta["z_star"]
+    dense = run(prob, SolverConfig(method, max_iters=500, stop_tol=0.0),
+                z0, z_star=z_star)
+    sparse = run(prob, SolverConfig(method, max_iters=500, stop_tol=0.0,
+                                    record_every=7), z0, z_star=z_star)
+    rows = list(range(0, 500, 7)) + [500]
+    assert sparse.iters.tolist() == rows
+    for name in ("z", "ergodic", "vi_residual", "step_norm", "ergodic_gap",
+                 "dist_to_ref", "f_value"):
+        assert (getattr(sparse, name).tobytes()
+                == getattr(dense, name)[rows].tobytes()), name
+    if method == "EG":
+        assert sparse.z_half.tobytes() == dense.z_half[rows].tobytes()
+    else:
+        assert sparse.z_half is None
