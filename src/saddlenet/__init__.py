@@ -8,7 +8,8 @@ and resource-allocation problems those dynamics solve over a network.
 
 from .sets import WholeSpace, Box, Ball, Product, normal_cone_residual
 from .core import (SaddleProblem, IterateZ, ValidationError, operator_F,
-                   vi_residual, check_monotone, estimate_kappa, spectral_norm)
+                   objective, vi_residual, check_monotone, estimate_kappa,
+                   spectral_norm)
 from .solvers import (SolverConfig, RunTrace, DivergenceError, step_bound,
                       step_gda, step_ogda, step_eg, run, delta_diagnostic,
                       eg_contraction_check)

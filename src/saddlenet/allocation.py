@@ -22,7 +22,9 @@ over ``z = [y, a, lam]`` of length ``Q + 2 N m``: the decisions ``y``
 and the multipliers ``lam``, each ``N x m`` in agent-major order. Its
 operator is Psi in the same layout, from a single
 `NetworkGraph.lap_apply` over the columns ``[lam, a + lam]``, the
-payloads the agents of `network` exchange. `simulate_allocation` runs
+payloads the agents of `network` exchange. Psi and L2 take one point
+or a stack of points, whose leading axes ride along as further
+Laplacian columns. `simulate_allocation` runs
 the generic `solvers.run` on it and reads the per-agent trace off the
 recorded rows. As in `consensus`, the per-agent route in `network` uses
 the same expressions and neighbor ordering, so both produce the same
@@ -32,7 +34,7 @@ trajectories.
 import numpy as np
 
 from . import sets
-from .core import SaddleProblem, ValidationError
+from .core import SaddleProblem, ValidationError, _batched, _norm
 from .graphs import lambda_max
 from .solvers import SolverConfig, run, step_bound, step_eg, step_ogda
 
@@ -85,8 +87,10 @@ class AllocationProblem(object):
     vector_objective, vector_gradient : callable, optional
         Vectorized oracles on the stacked decision vector (length
         ``Q = sum q_i``) returning per-agent values ``(N,)`` resp. the
-        stacked gradient ``(Q,)``; must match the per-agent oracles
-        elementwise. Long runs need these to stay fast.
+        stacked gradient ``(Q,)``. Leading axes are a batch of points,
+        ``(..., Q)`` to ``(..., N)`` resp. ``(..., Q)``. They must match
+        the per-agent oracles elementwise. Long runs need these to stay
+        fast.
 
     Attributes
     ----------
@@ -138,18 +142,26 @@ class AllocationProblem(object):
         return y[self._yslices[i]]
 
     def split(self, z):
-        """Views ``(y, a, lam)`` of a stacked iterate ``z = [y, a, lam]``."""
+        """Views ``(y, a, lam)`` of a stacked iterate ``z = [y, a, lam]``.
+
+        On a stack of iterates ``(..., dim)`` the views keep the leading
+        axes: ``(..., Q)`` and rows ``(..., N, m)``.
+        """
         sy, sa, sl = self._zslices
-        return (z[sy], z[sa].reshape(self.n, self.m),
-                z[sl].reshape(self.n, self.m))
+        rows = z.shape[:-1] + (self.n, self.m)
+        return z[..., sy], z[..., sa].reshape(rows), z[..., sl].reshape(rows)
 
     def rows(self, flat):
         """Reshape a stacked ``Nm`` vector into per-agent rows."""
         return np.asarray(flat, dtype=float).reshape(self.n, self.m)
 
     def objective_rows(self, y):
+        """Per-agent objective values ``(..., N)`` of decisions ``(..., Q)``."""
         if self.vector_objective is not None:
-            return np.asarray(self.vector_objective(y), dtype=float)
+            return _batched(self.vector_objective(y), y.shape[:-1] + (self.n,),
+                            "vector_objective")
+        if y.ndim > 1:
+            return np.stack([self.objective_rows(r) for r in y])
         return np.array([a.objective(y[self._yslices[i]])
                          for i, a in enumerate(self.agents)])
 
@@ -157,23 +169,30 @@ class AllocationProblem(object):
         return float(np.add.reduce(self.objective_rows(y), axis=None))
 
     def gradient_vec(self, y):
-        """Stacked objective gradient of length ``Q``."""
+        """Stacked objective gradient, shaped like `y` ``(..., Q)``."""
         if self.vector_gradient is not None:
-            return np.asarray(self.vector_gradient(y), dtype=float)
+            return _batched(self.vector_gradient(y), y.shape,
+                            "vector_gradient")
+        if y.ndim > 1:
+            return np.stack([self.gradient_vec(r) for r in y])
         return np.concatenate([np.atleast_1d(a.gradient(y[self._yslices[i]]))
                                for i, a in enumerate(self.agents)])
 
     def wt_lam(self, lam):
-        """Stacked ``W_i' lam_i`` of length ``Q``."""
+        """Stacked ``W_i' lam_i`` ``(..., Q)`` of multiplier rows ``(..., N, m)``."""
         if self._wdiag is not None:
-            return self._wdiag * lam[:, 0]
+            return self._wdiag * lam[..., 0]
+        if lam.ndim > 2:
+            return np.stack([self.wt_lam(r) for r in lam])
         return np.concatenate([a.weight.T @ lam[i]
                                for i, a in enumerate(self.agents)])
 
     def wy_minus_d(self, y):
-        """Per-agent constraint contributions ``W_i y_i - d_i`` as rows."""
+        """Per-agent ``W_i y_i - d_i`` as rows ``(..., N, m)`` of ``(..., Q)``."""
         if self._wdiag is not None:
-            return (self._wdiag * y - self._demand_col).reshape(self.n, 1)
+            return (self._wdiag * y - self._demand_col)[..., None]
+        if y.ndim > 1:
+            return np.stack([self.wy_minus_d(r) for r in y])
         return np.stack([a.weight @ y[self._yslices[i]] - a.demand
                          for i, a in enumerate(self.agents)])
 
@@ -186,39 +205,49 @@ class AllocationProblem(object):
 
 
 def lagrangian_L2(problem, y, a, lam):
-    """Modified Lagrangian value; `a` and `lam` as rows or flat vectors.
+    """Modified Lagrangian value.
 
-    Both Laplacian products come from one `lap_apply` over the stacked
+    `y` flat with `a` and `lam` as rows or flat vectors give a float.
+    A stack of points, ``y`` of shape ``(..., Q)`` with rows ``a`` and
+    ``lam`` of shape ``(..., N, m)``, gives one value per point. Both
+    Laplacian products come from one `lap_apply` over the stacked
     columns ``[a, lam]``.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    a = problem.rows(a)
-    lam = problem.rows(lam)
+    lam = np.asarray(lam, dtype=float)
+    if lam.ndim < 3:
+        y = np.asarray(y, dtype=float).ravel()
+        a = problem.rows(a)
+        lam = problem.rows(lam)
     m = problem.m
-    lap = problem.graph.lap_apply(np.concatenate([a, lam], axis=1))
-    # np.add.reduce over all axes is what np.sum calls, minus its Python
-    # wrapper
+    lap = problem.graph.lap_rows(np.concatenate([a, lam], axis=-1))
+    # np.add.reduce is what np.sum calls, minus its Python wrapper; over
+    # the trailing axes of each point it sums exactly as over all axes
+    # of one point
     total = np.add.reduce
-    return float(total(problem.objective_rows(y), axis=None)
-                 + total(lam * (problem.wy_minus_d(y) - lap[:, :m]), axis=None)
-                 - 0.5 * total(lam * lap[:, m:], axis=None))
+    both = (-2, -1)
+    value = (total(problem.objective_rows(y), axis=-1)
+             + total(lam * (problem.wy_minus_d(y) - lap[..., :m]), axis=both)
+             - 0.5 * total(lam * lap[..., m:], axis=both))
+    return float(value) if value.ndim == 0 else value
 
 
 def _psi(problem, y, a, lam):
-    """Psi at ``(y, a, lam)``, written once into a vector laid out like ``z``.
+    """Psi at ``(y, a, lam)``, written once into an array laid out like ``z``.
 
     Blocks: ``grad h + W'lam``, ``-L lam`` and ``-(W y - d - L(a + lam))``.
     Both Laplacian products come from one `lap_apply` over the stacked
-    columns ``[lam, a + lam]``.
+    columns ``[lam, a + lam]``; a stack of points, ``y`` of shape
+    ``(..., Q)`` and rows ``(..., N, m)``, adds its points as columns.
     """
     n, m = problem.n, problem.m
     sy, sa, sl = problem._zslices
-    lap = problem.graph.lap_apply(np.concatenate([lam, a + lam], axis=1))
-    psi = np.empty(sl.stop)
-    np.add(problem.gradient_vec(y), problem.wt_lam(lam), out=psi[sy])
-    np.negative(lap[:, :m], out=psi[sa].reshape(n, m))
-    glam = psi[sl].reshape(n, m)
-    np.subtract(problem.wy_minus_d(y), lap[:, m:], out=glam)
+    rows = y.shape[:-1] + (n, m)
+    lap = problem.graph.lap_rows(np.concatenate([lam, a + lam], axis=-1))
+    psi = np.empty(y.shape[:-1] + (sl.stop,))
+    np.add(problem.gradient_vec(y), problem.wt_lam(lam), out=psi[..., sy])
+    np.negative(lap[..., :m], out=psi[..., sa].reshape(rows))
+    glam = psi[..., sl].reshape(rows)
+    np.subtract(problem.wy_minus_d(y), lap[..., m:], out=glam)
     np.negative(glam, out=glam)
     return psi
 
@@ -231,8 +260,12 @@ def operator_psi(problem, y, a, lam):
 
 def feasibility_gap(problem, y):
     """Norm of the aggregate constraint violation ``sum_i (W_i y_i - d_i)``."""
-    y = np.asarray(y, dtype=float).ravel()
-    return float(np.linalg.norm(problem.wy_minus_d(y).sum(axis=0)))
+    return float(_gap_rows(problem, np.asarray(y, dtype=float).reshape(1, -1))[0])
+
+
+def _gap_rows(problem, ys):
+    """`feasibility_gap` of each row of the decisions ``ys`` ``(rows, Q)``."""
+    return np.array([_norm(e) for e in problem.wy_minus_d(ys).sum(axis=-2)])
 
 
 def as_saddle_problem(problem):
@@ -270,6 +303,9 @@ def as_saddle_problem(problem):
     def operator(z):
         return _psi(problem, *problem.split(z))
 
+    def objective(z):
+        return lagrangian_L2(problem, *problem.split(z))
+
     return SaddleProblem(
         dim_x, nm,
         sets.Product([problem.decision_set, sets.WholeSpace(nm)]),
@@ -277,7 +313,7 @@ def as_saddle_problem(problem):
         value, grad_x, grad_y,
         lipschitz={"l_xx": problem.l_h, "l_xy": cross,
                    "l_yx": cross, "l_yy": lam_norm},
-        kappa=problem.kappa_s, operator=operator,
+        kappa=problem.kappa_s, operator=operator, objective=objective,
         name=problem.name + "-stacked")
 
 
@@ -332,9 +368,9 @@ class AllocationTrace(object):
             setattr(self, name + "y", block[:, sy])
             setattr(self, name + "a", block[:, sa].reshape(-1, n, m))
             setattr(self, name + "lam", block[:, sl].reshape(-1, n, m))
-        self.feasibility_gap = np.array([feasibility_gap(problem, y)
-                                         for y in self.y])
-        self.objective = np.array([problem.total_objective(y) for y in self.y])
+        self.feasibility_gap = _gap_rows(problem, self.y)
+        self.objective = np.add.reduce(problem.objective_rows(self.y),
+                                       axis=-1)
 
     def to_csv(self, path):
         """Write the per-agent trace: one row per (iteration, agent).

@@ -178,7 +178,7 @@ def consensus_quadratics(n=5):
     col = targets.reshape(n, 1)
     problem = ConsensusProblem(
         ring(n), 1, _quadratic_consensus_agents(targets),
-        vector_objective=lambda x: np.sum((x - col) ** 2, axis=1),
+        vector_objective=lambda x: np.sum((x - col) ** 2, axis=-1),
         vector_gradient=lambda x: 2.0 * (x - col),
         name="consensus-quadratics-{}".format(n))
     problem.meta.update(targets=targets, x_bar_star=float(targets.mean()))

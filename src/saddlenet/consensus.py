@@ -13,7 +13,9 @@ so the generic projected methods become per-agent update rules.
 `as_saddle_problem` casts the instance as one stacked saddle problem
 over ``z = [x, v]`` (each block ``N x m``, agent-major), whose operator
 is Phi from a single `NetworkGraph.lap_apply` over the columns
-``[x + v, x]``, the payloads the agents of `network` exchange.
+``[x + v, x]``, the payloads the agents of `network` exchange. Phi and
+L1 take one point or a stack of points: the stack's leading axes ride
+along as further Laplacian columns, so one pass serves every point.
 `simulate_consensus` runs the generic `solvers.run` on it and reads the
 per-agent trace off the recorded rows. Every neighbor sum goes through
 `lap_apply` and the per-agent route in `network` uses the same
@@ -23,7 +25,7 @@ expressions, so the two routes agree to the last bit.
 import numpy as np
 
 from . import sets
-from .core import SaddleProblem, ValidationError
+from .core import SaddleProblem, ValidationError, _batched, _norm
 from .graphs import lambda_max
 from .solvers import SolverConfig, run, step_bound, step_eg, step_ogda
 
@@ -68,10 +70,12 @@ class ConsensusProblem(object):
     agents : list of ConsensusAgentSpec
         One per vertex; all sets must have dimension `m`.
     vector_objective, vector_gradient : callable, optional
-        Vectorized oracles mapping stacked ``(N, m)`` decisions to
-        per-agent values ``(N,)`` / gradients ``(N, m)``. They must
-        agree with the per-agent oracles to the last bit (same
-        elementwise operations); used to keep long runs fast.
+        Vectorized oracles mapping stacked ``(..., N, m)`` decisions to
+        per-agent values ``(..., N)`` / gradients ``(..., N, m)``; any
+        leading axes are a batch of points (reduce over ``axis=-1``,
+        never a fixed axis). They must agree with the per-agent oracles
+        to the last bit (same elementwise operations); used to keep
+        long runs fast.
 
     Attributes
     ----------
@@ -106,18 +110,27 @@ class ConsensusProblem(object):
         return np.asarray(flat, dtype=float).reshape(self.n, self.m)
 
     def objective_rows(self, x):
-        """Per-agent objective values ``f_i(x_i)`` as an ``(N,)`` array."""
+        """Per-agent objective values ``f_i(x_i)`` as an ``(..., N)`` array.
+
+        `x` holds rows ``(N, m)`` or a stack of them ``(..., N, m)``.
+        """
         if self.vector_objective is not None:
-            return np.asarray(self.vector_objective(x), dtype=float)
+            return _batched(self.vector_objective(x), x.shape[:-1],
+                            "vector_objective")
+        if x.ndim > 2:
+            return np.stack([self.objective_rows(r) for r in x])
         return np.array([a.objective(x[i]) for i, a in enumerate(self.agents)])
 
     def total_objective(self, x):
         return float(np.add.reduce(self.objective_rows(x), axis=None))
 
     def gradient_rows(self, x):
-        """Stacked gradients ``grad f_i(x_i)`` as an ``(N, m)`` array."""
+        """Stacked gradients ``grad f_i(x_i)``, shaped like `x` ``(..., N, m)``."""
         if self.vector_gradient is not None:
-            return np.asarray(self.vector_gradient(x), dtype=float)
+            return _batched(self.vector_gradient(x), x.shape,
+                            "vector_gradient")
+        if x.ndim > 2:
+            return np.stack([self.gradient_rows(r) for r in x])
         return np.stack([a.gradient(x[i]) for i, a in enumerate(self.agents)])
 
     def project_rows(self, x):
@@ -128,31 +141,46 @@ class ConsensusProblem(object):
         return "ConsensusProblem({}, n={}, m={})".format(self.name, self.n, self.m)
 
 
+def _point_rows(problem, u):
+    """Rows of a flat ``Nm`` vector; blocks and stacks ``(..., N, m)`` pass."""
+    u = np.asarray(u, dtype=float)
+    return problem.rows(u) if u.ndim == 1 else u
+
+
 def lagrangian_L1(problem, x, v):
-    """Augmented Lagrangian value; `x` and `v` as rows or flat vectors."""
-    x = problem.rows(x)
-    v = problem.rows(v)
-    lap_x = problem.graph.lap_apply(x)
-    # np.add.reduce over all axes is what np.sum calls, minus its Python
-    # wrapper; the run loop evaluates this once per recorded row
+    """Augmented Lagrangian value.
+
+    `x` and `v` as rows or flat vectors give a float; stacks of rows
+    ``(..., N, m)`` give one value per point, from one `lap_apply`.
+    """
+    x = _point_rows(problem, x)
+    v = _point_rows(problem, v)
+    lap_x = problem.graph.lap_rows(x)
+    # np.add.reduce is what np.sum calls, minus its Python wrapper; over
+    # the trailing axes of each point it sums exactly as over all axes
+    # of one point
     total = np.add.reduce
-    return float(total(problem.objective_rows(x), axis=None)
-                 + total(v * lap_x, axis=None)
-                 + 0.5 * total(x * lap_x, axis=None))
+    both = (-2, -1)
+    value = (total(problem.objective_rows(x), axis=-1)
+             + total(v * lap_x, axis=both)
+             + 0.5 * total(x * lap_x, axis=both))
+    return float(value) if value.ndim == 0 else value
 
 
 def _phi(problem, x, v):
-    """Phi at rows ``(x, v)``, written once into a vector laid out like ``z``.
+    """Phi at rows ``(x, v)``, written once into an array laid out like ``z``.
 
     Blocks: ``grad f + L(x + v)`` and ``-L x``. Both Laplacian products
-    come from one `lap_apply` over the stacked columns ``[x + v, x]``.
+    come from one `lap_apply` over the stacked columns ``[x + v, x]``;
+    a stack of points ``(..., N, m)`` adds its points as columns.
     """
     n, m = problem.n, problem.m
-    lap = problem.graph.lap_apply(np.concatenate([x + v, x], axis=1))
-    phi = np.empty(2 * n * m)
-    np.add(problem.gradient_rows(x), lap[:, :m], out=phi[:n * m].reshape(n, m))
-    np.negative(lap[:, m:], out=phi[n * m:].reshape(n, m))
-    return phi
+    lead = x.shape[:-2]
+    lap = problem.graph.lap_rows(np.concatenate([x + v, x], axis=-1))
+    phi = np.empty(lead + (2, n, m))
+    np.add(problem.gradient_rows(x), lap[..., :m], out=phi[..., 0, :, :])
+    np.negative(lap[..., m:], out=phi[..., 1, :, :])
+    return phi.reshape(lead + (2 * n * m,))
 
 
 def operator_phi(problem, x, v):
@@ -168,12 +196,13 @@ def consensus_residual(problem, x):
 def _residual_rows(problem, xs):
     """`consensus_residual` of each ``(N, m)`` block of ``xs``.
 
-    One Laplacian pass takes every block's decisions as columns.
+    One Laplacian pass takes every block's decisions as columns; each
+    norm is that of the block raveled into contiguous memory, as
+    `np.linalg.norm` takes it (a strided dot sums in another order).
     """
     rows, n, m = xs.shape
-    lap = problem.graph.lap_apply(xs.transpose(1, 0, 2).reshape(n, rows * m))
-    return np.array([np.linalg.norm(block)
-                     for block in lap.reshape(n, rows, m).transpose(1, 0, 2)])
+    lap = np.ascontiguousarray(problem.graph.lap_rows(xs))
+    return np.array([_norm(block) for block in lap.reshape(rows, n * m)])
 
 
 def as_saddle_problem(problem):
@@ -200,8 +229,15 @@ def as_saddle_problem(problem):
     def grad_y(x, v):
         return problem.graph.lap_apply(problem.rows(x)).ravel()
 
+    def blocks(z):
+        shape = z.shape[:-1] + (n, m)
+        return z[..., :nm].reshape(shape), z[..., nm:].reshape(shape)
+
     def operator(z):
-        return _phi(problem, z[:nm].reshape(n, m), z[nm:].reshape(n, m))
+        return _phi(problem, *blocks(z))
+
+    def objective(z):
+        return lagrangian_L1(problem, *blocks(z))
 
     return SaddleProblem(
         nm, nm,
@@ -210,7 +246,7 @@ def as_saddle_problem(problem):
         value, grad_x, grad_y,
         lipschitz={"l_xx": problem.l_f + lam, "l_xy": lam,
                    "l_yx": lam, "l_yy": 0.0},
-        kappa=problem.kappa_c, operator=operator,
+        kappa=problem.kappa_c, operator=operator, objective=objective,
         name=problem.name + "-stacked")
 
 
@@ -261,7 +297,8 @@ class ConsensusTrace(object):
         self.erg_x, self.erg_v = (block.reshape(rows, n, m)
                                   for block in np.hsplit(trace.ergodic, 2))
         self.consensus_residual = _residual_rows(problem, self.x)
-        self.objective = np.array([problem.total_objective(x) for x in self.x])
+        self.objective = np.add.reduce(problem.objective_rows(self.x),
+                                       axis=-1)
 
     def to_csv(self, path):
         """Write the per-agent trace: one row per (iteration, agent)."""

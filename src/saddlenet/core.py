@@ -8,12 +8,16 @@ natural-map residual) that every shipped instance must pass before the
 solvers are trusted on it.
 """
 
+import functools
+import math
+
 import numpy as np
 
 from . import sets
 
 __all__ = ["SaddleProblem", "IterateZ", "ValidationError", "operator_F",
-           "vi_residual", "check_monotone", "estimate_kappa", "spectral_norm"]
+           "objective", "vi_residual", "check_monotone", "estimate_kappa",
+           "spectral_norm"]
 
 
 class ValidationError(ValueError):
@@ -67,15 +71,29 @@ class SaddleProblem(object):
         bound. The stacked network problems declare their own constants
         (kappa_c, kappa_s), which are tighter than 2 max of the blocks.
     operator : callable, optional
-        ``operator(z) -> F(z)`` on stacked points, for problems that
-        evaluate both blocks of F in one pass. It must equal
-        ``col(grad_x, -grad_y)`` to the last bit.
+        Fused operator hook ``operator(z) -> F(z)``, for problems that
+        evaluate both blocks of F in one pass. It takes one point
+        ``(dim,)`` or a stack of points ``(..., dim)`` and returns F of
+        the same shape; every row must equal ``col(grad_x, -grad_y)``
+        at that row to the last bit.
+    objective : callable, optional
+        Fused objective hook ``objective(z) -> f``: a float at one point
+        ``(dim,)``, an array of shape ``(...)`` on a stack ``(..., dim)``.
+        Every value must equal `value` at that row to the last bit.
     name : str, optional
         Label used in reports.
+
+    Notes
+    -----
+    `operator_F` and `objective` evaluate a whole stack of points in
+    one call of a fused hook; without the hook they evaluate `grad_x`,
+    `grad_y` resp. `value` one row at a time. The sampled checks, the
+    finite differences and the descent diagnostic pass stacks.
     """
 
     def __init__(self, dim_x, dim_y, set_x, set_y, value, grad_x, grad_y,
-                 lipschitz, kappa=None, operator=None, name=None):
+                 lipschitz, kappa=None, operator=None, objective=None,
+                 name=None):
         if set_x.dim != dim_x or set_y.dim != dim_y:
             raise ValidationError("set dimensions disagree with block dimensions")
         self.dim_x = int(dim_x)
@@ -94,6 +112,7 @@ class SaddleProblem(object):
         self.lipschitz = dict(lipschitz)
         self._kappa = None if kappa is None else float(kappa)
         self.operator = operator
+        self.objective = objective
         self.name = name or "saddle-problem"
         self.domain = sets.Product(set_x, set_y)
         self.meta = {}
@@ -121,17 +140,62 @@ class SaddleProblem(object):
             self.name, self.dim_x, self.dim_y)
 
 
-def operator_F(problem, z):
-    """Evaluate ``F(z) = col(grad_x f, -grad_y f)`` at a stacked point.
+def _batched(values, shape, oracle):
+    """`values` as a float array of `shape`, else name the oracle at fault.
 
-    Uses the problem's fused `operator` when it has one.
+    Vectorized oracles map leading batch axes through; one that reduces
+    over a fixed axis returns the wrong shape on a stack of points.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape != shape:
+        raise ValidationError(
+            "{} returned shape {} where {} was expected; vectorized oracles"
+            " must keep every leading batch axis".format(
+                oracle, values.shape, shape))
+    return values
+
+
+def _rowwise(point_fn, z):
+    """`point_fn` of each row of a stack ``(..., dim)``, stacked alike."""
+    z = np.asarray(z, dtype=float)
+    out = np.array([point_fn(p) for p in z.reshape(-1, z.shape[-1])],
+                   dtype=float)
+    return out.reshape(z.shape[:-1] + out.shape[1:])
+
+
+def operator_F(problem, z):
+    """Evaluate ``F(z) = col(grad_x f, -grad_y f)``.
+
+    `z` is one stacked point ``(dim,)`` or an array of them
+    ``(..., dim)``; F has the same shape. The problem's fused `operator`
+    takes the whole stack in one call; without it each row is one
+    `operator_F` call on the blockwise gradients.
     """
     if isinstance(z, IterateZ):
         z = z.vector
     if problem.operator is not None:
         return problem.operator(z)
+    if getattr(z, "ndim", 1) > 1:
+        return _rowwise(functools.partial(operator_F, problem), z)
     x, y = problem.split(z)
     return np.concatenate([problem.grad_x(x, y), -problem.grad_y(x, y)])
+
+
+def objective(problem, z):
+    """Evaluate f at one point (a float) or at each row of a stack.
+
+    Mirrors `operator_F`: the fused `objective` hook takes the whole
+    stack ``(..., dim)`` in one call and returns an array of shape
+    ``(...)``; without it each row is one call of `value`.
+    """
+    if isinstance(z, IterateZ):
+        z = z.vector
+    if problem.objective is not None:
+        return problem.objective(z)
+    if getattr(z, "ndim", 1) > 1:
+        return _rowwise(functools.partial(objective, problem), z)
+    x, y = problem.split(z)
+    return float(problem.value(x, y))
 
 
 def vi_residual(problem, z, f_z=None):
@@ -147,6 +211,13 @@ def vi_residual(problem, z, f_z=None):
     if f_z is None:
         f_z = operator_F(problem, z)
     return float(np.linalg.norm(z - problem.domain.project(z - f_z)))
+
+
+def _norm(v):
+    # np.linalg.norm of a 1-D float vector is the square root of v.dot(v);
+    # calling those two directly gives the same bits without its Python
+    # dispatch, which costs more than the dot on the solvers' vectors
+    return math.sqrt(v.dot(v))
 
 
 def _sample_feasible(problem, count, rng):
@@ -169,10 +240,12 @@ def check_monotone(problem, n_pairs=1000, seed=0, tol=1e-10):
     rng = np.random.default_rng(seed)
     z1 = _sample_feasible(problem, n_pairs, rng)
     z2 = _sample_feasible(problem, n_pairs, rng)
+    f1 = operator_F(problem, z1)
+    f2 = operator_F(problem, z2)
     min_inner = np.inf
     worst = None
-    for a, b in zip(z1, z2):
-        inner = float((operator_F(problem, a) - operator_F(problem, b)) @ (a - b))
+    for a, b, fa, fb in zip(z1, z2, f1, f2):
+        inner = float((fa - fb).dot(a - b))
         if inner < min_inner:
             min_inner = inner
             worst = (a.copy(), b.copy())
@@ -190,13 +263,15 @@ def estimate_kappa(problem, n_pairs=1000, seed=0, rel_tol=1e-8):
     rng = np.random.default_rng(seed)
     z1 = _sample_feasible(problem, n_pairs, rng)
     z2 = _sample_feasible(problem, n_pairs, rng)
+    f1 = operator_F(problem, z1)
+    f2 = operator_F(problem, z2)
     kappa = problem.kappa_m
     max_ratio = 0.0
-    for a, b in zip(z1, z2):
-        gap = np.linalg.norm(a - b)
+    for a, b, fa, fb in zip(z1, z2, f1, f2):
+        gap = _norm(a - b)
         if gap == 0.0:
             continue
-        ratio = float(np.linalg.norm(operator_F(problem, a) - operator_F(problem, b)) / gap)
+        ratio = _norm(fa - fb) / gap
         if ratio > kappa * (1.0 + rel_tol):
             raise ValidationError(
                 "sampled Lipschitz ratio {:.12g} exceeds declared kappa_m {:.12g} "

@@ -100,16 +100,17 @@ class NetworkGraph(object):
 
         Parameters
         ----------
-        u : array of shape (n,) or (n, m)
-            One value (or m-vector) per vertex.
+        u : array of shape (n,) or (n, ...)
+            One value (or array of any shape) per vertex.
 
         Returns
         -------
         array of the same shape
             Row i holds ``sum over neighbors j of (u_i - u_j)``,
-            accumulated onto zeros in ascending neighbor order. Columns
-            are independent, so stacking several vectors as columns of
-            one call gives the same values as one call per vector.
+            accumulated onto zeros in ascending neighbor order. Trailing
+            axes are independent columns, so stacking several vectors as
+            columns of one call gives the same values as one call per
+            vector.
         """
         u = np.asarray(u, dtype=float)
         # one gather for all ranks; block k holds u_i - u_(k-th neighbor of i)
@@ -120,10 +121,19 @@ class NetworkGraph(object):
             diffs = np.zeros(taken.shape)
             real = self._real.reshape(self._real.shape + (1,) * (u.ndim - 1))
             np.subtract(u, taken, out=diffs, where=real)
-        out = np.zeros(u.shape)
-        for block in diffs:
-            out += block
-        return out
+        # rank by rank onto zeros: the rank axis is outermost in memory,
+        # so the reduction adds whole blocks in order, as a loop would
+        return np.add.reduce(diffs, axis=0, initial=0.0)
+
+    def lap_rows(self, u):
+        """`lap_apply` of per-vertex rows ``(..., n, c)``.
+
+        Leading axes, such as a stack of points, join the trailing ones
+        as independent columns of one `lap_apply`. Moving the vertex
+        axis to the front and back are `swapaxes` views, both no-ops for
+        a single ``(n, c)`` block.
+        """
+        return self.lap_apply(u.swapaxes(0, -2)).swapaxes(0, -2)
 
     def __repr__(self):
         return "NetworkGraph(n={}, edges={})".format(self.n, len(self.edges))

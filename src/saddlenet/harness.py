@@ -32,7 +32,7 @@ import numpy as np
 
 from . import allocation, catalog, consensus, network, oracle, sets
 from .core import (ValidationError, check_monotone, estimate_kappa,
-                   operator_F, vi_residual)
+                   objective, operator_F, vi_residual)
 from .solvers import (DivergenceError, METHODS, SolverConfig, delta_diagnostic,
                       eg_contraction_check, run)
 
@@ -417,7 +417,7 @@ def cmd_verify(config):
     points = _sample_domain_points(stacked, 100, config["seed"])
     sign = np.where(np.arange(stacked.dim) < stacked.dim_x, 1.0, -1.0)
     fd = oracle.finite_diff_check(
-        lambda p: stacked.value(*stacked.split(p)),
+        functools.partial(objective, stacked),
         lambda p: sign * operator_F(stacked, p),
         points)
     add("gradient_finite_diff", fd["passed"], fd["max_rel_error"],

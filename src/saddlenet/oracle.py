@@ -54,9 +54,14 @@ def finite_diff_check(value, gradient, points, tol=1e-5):
     Parameters
     ----------
     value : callable
-        Scalar function of a 1-D point.
+        The scalar function, evaluated on stacks: it maps an array of
+        points ``(k, dim)``, one per row, to their ``k`` values. It is
+        called once per tested point, on the ``(2 dim, dim)`` stack of
+        the ``+h`` perturbations along each coordinate followed by the
+        ``-h`` ones. A one-point function ``f`` serves as
+        ``lambda P: [f(p) for p in P]``.
     gradient : callable
-        Claimed gradient of `value`.
+        Claimed gradient of the scalar function at one 1-D point.
     points : array_like
         Points to test, one per row.
     tol : float
@@ -65,18 +70,29 @@ def finite_diff_check(value, gradient, points, tol=1e-5):
     Returns
     -------
     dict with ``max_rel_error``, ``passed`` and ``worst_point``.
+
+    Raises
+    ------
+    ValueError
+        When `value` does not return one value per row of its stack.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    dim = points.shape[1]
     worst = 0.0
     worst_point = None
     for p in points:
         h = 1e-6 * (1.0 + np.linalg.norm(p))
         g = np.asarray(gradient(p), dtype=float)
-        fd = np.empty_like(g)
-        for i in range(p.size):
-            e = np.zeros(p.size)
-            e[i] = h
-            fd[i] = (value(p + e) - value(p - e)) / (2.0 * h)
+        # row i of each half moves coordinate i alone: adding h * 0.0
+        # leaves the other coordinates exactly as they were
+        step = h * np.eye(dim)
+        vals = np.asarray(value(np.concatenate([p + step, p - step])),
+                          dtype=float)
+        if vals.shape != (2 * dim,):
+            raise ValueError("value returned shape {} on a stack of {} points;"
+                             " it must return one value per row"
+                             .format(vals.shape, 2 * dim))
+        fd = (vals[:dim] - vals[dim:]) / (2.0 * h)
         err = np.max(np.abs(fd - g)) / (1.0 + np.max(np.abs(g)))
         if err > worst:
             worst = err

@@ -223,10 +223,15 @@ def sample_points(cset, count, rng):
     """Draw `count` feasible points, uniform over the bounding box then projected.
 
     Returns an array of shape `(count, dim)`. Used by the sampled
-    monotonicity, Lipschitz and normal-cone checks.
+    monotonicity, Lipschitz and normal-cone checks. A set that projects
+    by one clip (a `Box`, or a product of boxes and whole spaces) clips
+    the whole draw at once; other sets project row by row.
     """
     lo, hi = cset.bounding_box()
     pts = rng.uniform(lo, hi, size=(count, cset.dim))
+    bounds = _clip_bounds(cset)
+    if bounds is not None:
+        return _clip(pts, *bounds, out=pts)
     for i in range(count):
         pts[i] = cset.project(pts[i])
     return pts

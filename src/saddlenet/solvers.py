@@ -20,11 +20,10 @@ evaluated only when read.
 """
 
 import functools
-import math
 
 import numpy as np
 
-from .core import (IterateZ, ValidationError, operator_F)
+from .core import IterateZ, ValidationError, _norm, objective, operator_F
 
 __all__ = ["METHODS", "SolverConfig", "RunTrace", "DivergenceError",
            "step_bound", "step_gda", "step_ogda", "step_eg", "run",
@@ -37,13 +36,6 @@ TRACE_COLUMNS = ("iter", "f_value", "vi_residual", "step_norm",
 
 # iterates larger than this trip the divergence guard
 DIVERGENCE_NORM = 1e12
-
-
-def _norm(v):
-    # np.linalg.norm of a 1-D float vector is the square root of v.dot(v);
-    # calling those two directly gives the same bits without its Python
-    # dispatch, which costs more than the dot on the run loop's vectors
-    return math.sqrt(v.dot(v))
 
 
 class DivergenceError(RuntimeError):
@@ -177,8 +169,8 @@ class RunTrace(object):
     - ``vi_residual``, ``step_norm``: natural-map residual and
       displacement of the producing step (NaN on row 0).
     - ``f_value``: objective at each recorded iterate, computed from
-      ``z`` on first read, so runs whose callers never read it skip
-      the objective.
+      ``z`` on first read (one `core.objective` call on the stack of
+      rows), so runs whose callers never read it skip the objective.
     - ``ergodic_x``, ``ergodic_y``: running averages over iterates 1..T
       (OGDA/GDA) or mid-points 0..T-1 (EG); NaN on row 0.
     - ``dist_to_ref``, ``ergodic_gap``: distance to the reference point
@@ -257,7 +249,7 @@ class RunTrace(object):
     @functools.cached_property
     def f_value(self):
         """Objective at each recorded iterate, computed on first read."""
-        return np.array([self._objective(z) for z in self.z])
+        return self._objective(self.z)
 
     def iterate(self, row):
         """Return the recorded iterate of a row as an `IterateZ`."""
@@ -327,19 +319,16 @@ def run(problem, config, z0, z_star=None):
     alpha = config.resolved_step(problem.kappa_m)
     method = config.method
     proj = problem.domain.project
-
-    def objective(z):
-        x, y = problem.split(z)
-        return float(problem.value(x, y))
+    f = functools.partial(objective, problem)
 
     f_star = None
     if z_star is not None:
         z_star = np.asarray(z_star, dtype=float)
-        f_star = objective(z_star)
+        f_star = f(z_star)
 
     max_iters, every = config.max_iters, config.record_every
     trace = RunTrace(method, alpha, every, config.stop_tol, problem.kappa_m,
-                     z0, z_star, f_star, problem.dim_x, objective)
+                     z0, z_star, f_star, problem.dim_x, f)
 
     # work buffers for the step argument, OGDA's correction term and the
     # natural-map residual; the domain is a `sets.Product`, whose
@@ -451,7 +440,7 @@ def delta_diagnostic(problem, trace, z_star=None, alpha=None, kappa_m=None):
 
     Z = trace.z
     Zprev = np.vstack([Z[:1], Z[:-1]])  # z_{-1} = z_0
-    F = np.array([operator_F(problem, Z[i]) for i in range(Z.shape[0])])
+    F = operator_F(problem, Z)
     Fprev = np.vstack([F[:1], F[:-1]])
     diff_ref = Z - z_star
     delta = (np.sum(diff_ref ** 2, axis=1) / (2.0 * alpha)

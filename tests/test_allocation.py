@@ -222,3 +222,15 @@ def test_simulate_never_evaluates_the_lagrangian(method, monkeypatch):
     simulate_allocation(catalog.allocation_quadratics(), method,
                         max_iters=1000, stop_tol=1e-9)
     assert calls == []
+
+
+def test_vector_gradient_dropping_the_batch_axis_raises():
+    targets = np.array([1.0, 2.0, 3.0])
+    prob = AllocationProblem(
+        ring(3), catalog.allocation_quadratics().agents,
+        vector_objective=lambda y: 0.5 * (y - targets) ** 2,
+        vector_gradient=lambda y: np.ravel(y - targets))
+    y = np.array([0.5, -0.5, 1.0])
+    assert prob.gradient_vec(y).shape == (3,)
+    with pytest.raises(ValidationError, match="vector_gradient"):
+        prob.gradient_vec(np.stack([y, y]))

@@ -7,7 +7,8 @@ from saddlenet.consensus import (ConsensusAgentSpec, ConsensusProblem,
                                  initial_state, lagrangian_L1, operator_phi,
                                  simulate_consensus, step_consensus_eg,
                                  step_consensus_ogda)
-from saddlenet.core import SaddleProblem, ValidationError, operator_F
+from saddlenet.core import (SaddleProblem, ValidationError, objective,
+                            operator_F)
 from saddlenet.graphs import NetworkGraph, ring
 from saddlenet.sets import Box
 from saddlenet.solvers import DivergenceError, SolverConfig, run
@@ -258,3 +259,30 @@ def test_simulate_never_evaluates_the_lagrangian(method, monkeypatch):
     trace = simulate_consensus(prob, method, max_iters=1000, stop_tol=1e-8)
     # one pass per operator evaluation, one for the residual column
     assert len(calls) == trace.gradient_calls + 1
+
+
+def test_fixed_axis_vector_oracle_raises_on_stacks():
+    # an oracle that reduces over axis 1 is right on one point but
+    # returns (k, m) on a stack of k points; that must not pass silently
+    targets = np.arange(1.0, 6.0).reshape(5, 1)
+    prob = ConsensusProblem(
+        ring(5), 1, catalog.consensus_quadratics(5).agents,
+        vector_objective=lambda x: np.sum((x - targets) ** 2, axis=1),
+        vector_gradient=lambda x: 2.0 * (x - targets))
+    x = np.linspace(-1.0, 1.0, 5).reshape(5, 1)
+    assert prob.objective_rows(x).shape == (5,)
+    stack = np.stack([x, 2.0 * x, 3.0 * x])
+    with pytest.raises(ValidationError, match="vector_objective"):
+        prob.objective_rows(stack)
+    saddle = as_saddle_problem(prob)
+    with pytest.raises(ValidationError, match="vector_objective"):
+        objective(saddle, np.zeros((3, saddle.dim)))
+
+
+def test_vector_gradient_of_wrong_shape_raises():
+    targets = np.arange(1.0, 6.0).reshape(5, 1)
+    prob = ConsensusProblem(
+        ring(5), 1, catalog.consensus_quadratics(5).agents,
+        vector_gradient=lambda x: 2.0 * (x - targets).ravel())
+    with pytest.raises(ValidationError, match="vector_gradient"):
+        operator_F(as_saddle_problem(prob), np.zeros(2 * 5))

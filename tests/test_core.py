@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from saddlenet.core import (SaddleProblem, ValidationError, check_monotone,
-                            estimate_kappa, operator_F, spectral_norm,
-                            vi_residual)
+                            estimate_kappa, objective, operator_F,
+                            spectral_norm, vi_residual)
 from saddlenet.sets import Box, WholeSpace
 
 
@@ -171,3 +171,30 @@ def test_split_join_roundtrip():
     x, y = prob.split(z)
     assert np.array_equal(prob.join(x, y), z)
     assert x.size == 3 and y.size == 2
+
+
+def test_stacks_without_fused_hooks_go_row_by_row():
+    B = np.arange(6.0).reshape(2, 3) - 2.5
+    prob = bilinear_problem(B)
+    Z = np.random.default_rng(4).normal(size=(5, prob.dim))
+    F = operator_F(prob, Z)
+    f = objective(prob, Z)
+    assert F.shape == Z.shape and f.shape == (5,)
+    for i in range(5):
+        assert F[i].tobytes() == operator_F(prob, Z[i]).tobytes()
+        assert f[i] == objective(prob, Z[i])
+    assert isinstance(objective(prob, Z[0]), float)
+    deep = Z[:4].reshape(2, 2, prob.dim)
+    assert operator_F(prob, deep).tobytes() == F[:4].reshape(2, 2, -1).tobytes()
+    assert objective(prob, deep).tobytes() == f[:4].reshape(2, 2).tobytes()
+
+
+def test_fused_hooks_take_the_whole_stack():
+    prob = quadratic_problem()
+    calls = []
+    prob.operator = lambda z: calls.append(z.shape) or np.array(z) * [1.0, 1.0]
+    prob.objective = lambda z: calls.append(z.shape) or np.zeros(z.shape[:-1])
+    Z = np.ones((7, 2))
+    operator_F(prob, Z)
+    objective(prob, Z)
+    assert calls == [(7, 2), (7, 2)]

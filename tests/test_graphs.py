@@ -115,6 +115,19 @@ def test_lap_apply_keeps_infinities_at_low_degree_vertices():
     assert np.array_equal(out, [np.inf, -np.inf, 0.0])
 
 
+def test_lap_apply_sums_onto_zeros():
+    # -0.0 - 0.0 is -0.0 for every neighbour of vertex 0; summed onto a
+    # zero, as the per-agent route does, the row is +0.0, not -0.0
+    u = np.array([-0.0, 0.0, 0.0, 0.0])
+    for graph in (ring(4), NetworkGraph(4, [(0, 1), (0, 2), (1, 3)])):
+        out = graph.lap_apply(u)
+        assert out[0] == 0.0 and not np.signbit(out[0])
+    assert graph.lap_apply(np.stack([u, -u], axis=1)).tobytes() == np.stack(
+        [graph.lap_apply(u), graph.lap_apply(-u)], axis=1).tobytes()
+    single = NetworkGraph(1, [])
+    assert not np.signbit(single.lap_apply(np.array([-0.0]))[0])
+
+
 def test_ring_of_ten_thousand_builds_without_dense_matrices():
     # connectivity is a breadth-first search, so no n x n Laplacian is formed
     start = time.perf_counter()

@@ -37,7 +37,8 @@ def test_golden_section_min_boundary():
 def test_finite_diff_check_passes_on_true_gradient():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(20, 3))
-    report = finite_diff_check(lambda p: 0.5 * float(p @ p), lambda p: p, pts)
+    report = finite_diff_check(lambda P: [0.5 * float(p @ p) for p in P],
+                               lambda p: p, pts)
     assert report["passed"]
     assert report["max_rel_error"] <= 1e-8
 
@@ -45,7 +46,7 @@ def test_finite_diff_check_passes_on_true_gradient():
 def test_finite_diff_check_fails_on_wrong_gradient():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(20, 3))
-    report = finite_diff_check(lambda p: 0.5 * float(p @ p),
+    report = finite_diff_check(lambda P: [0.5 * float(p @ p) for p in P],
                                lambda p: 1.5 * p, pts)
     assert not report["passed"]
     assert report["worst_point"] is not None
@@ -59,7 +60,7 @@ def test_logistic_gradient_value():
     # every shipped agent gradient passes a finite-difference probe at 0
     for agent in prob.agents[:3]:
         pts = np.zeros((1, 1))
-        report = finite_diff_check(lambda p: agent.objective(p),
+        report = finite_diff_check(lambda P: [agent.objective(p) for p in P],
                                    lambda p: agent.gradient(p), pts)
         assert report["passed"]
 
@@ -222,3 +223,23 @@ def test_grid_objective_cross_check():
     assert ref.objective == pytest.approx(
         sum(0.5 * (y - c) ** 2
             for y, c in zip([-1.0, 0.0, 1.0], [1.0, 2.0, 3.0])), abs=1e-8)
+
+
+def test_finite_diff_check_evaluates_one_stack_per_point():
+    rng = np.random.default_rng(2)
+    pts = rng.normal(size=(4, 3))
+    shapes = []
+
+    def value(P):
+        shapes.append(P.shape)
+        return 0.5 * np.einsum("ij,ij->i", P, P)
+
+    report = finite_diff_check(value, lambda p: p, pts)
+    assert report["passed"]
+    assert shapes == [(6, 3)] * 4
+
+
+def test_finite_diff_check_rejects_a_one_point_value():
+    pts = np.ones((2, 3))
+    with pytest.raises(ValueError, match="one value per row"):
+        finite_diff_check(lambda P: float(np.sum(P)), lambda p: p, pts)

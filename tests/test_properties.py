@@ -4,7 +4,9 @@ Five fast paths are checked byte for byte against the plain loops they
 replace: the single-clip projection of a product of boxes and whole
 spaces, the one-gather `lap_apply`, and the one-pass evaluations of the
 allocation operator Psi, the modified Lagrangian L2 and the consensus
-operator Phi.
+operator Phi. The stack axis is checked the same way: `lap_apply` on
+several columns equals one call per column, and `operator_F` and
+`objective` on a stack of points equal one call per point.
 """
 
 import numpy as np
@@ -16,9 +18,9 @@ from saddlenet import allocation, catalog, consensus
 from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
                                   operator_psi)
 from saddlenet.consensus import ConsensusAgentSpec, ConsensusProblem
-from saddlenet.core import operator_F
+from saddlenet.core import objective, operator_F
 from saddlenet.graphs import random_connected, ring
-from saddlenet.sets import Box, Product, WholeSpace
+from saddlenet.sets import Ball, Box, Product, WholeSpace
 
 SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
 SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
@@ -264,3 +266,109 @@ def test_trace_consensus_residual_is_rowwise_norm(kind):
     assert trace.consensus_residual.tobytes() == rowwise.tobytes()
     assert [consensus.consensus_residual(prob, x)
             for x in trace.x] == rowwise.tolist()
+
+
+IRREGULAR = st.builds(random_connected, st.integers(4, 9),
+                      st.floats(0.05, 0.5), st.integers(0, 2 ** 32 - 1)
+                      ).filter(lambda g: g.degrees.min() < g.max_degree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(GRAPHS, IRREGULAR), st.integers(1, 5), st.integers(1, 3),
+       st.data())
+def test_lap_apply_columns_are_independent(graph, k, c, data):
+    values = st.one_of(SIGNED_ZEROS, st.sampled_from([np.inf, -np.inf]),
+                       st.floats(-1e300, 1e300))
+    u = np.array(data.draw(st.lists(values, min_size=graph.n * k * c,
+                                    max_size=graph.n * k * c)),
+                 dtype=float).reshape(graph.n, k, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = graph.lap_apply(u)
+        rows = graph.lap_rows(u.swapaxes(0, 1))
+        for j in range(k):
+            want = graph.lap_apply(u[:, j, :].copy())
+            assert np.ascontiguousarray(got[:, j, :]).tobytes() == want.tobytes()
+            assert np.ascontiguousarray(rows[j]).tobytes() == want.tobytes()
+
+
+def consensus_on(graph, kind, rng):
+    """Quadratic trackers on `graph`: scalar with vector oracles, or m = 2
+    with per-agent oracles only and agent 0 on a `Ball`."""
+    m = 1 if kind == "scalar" else 2
+    targets = rng.normal(size=(graph.n, m))
+    agents = [ConsensusAgentSpec(
+        lambda s, t=t: float(np.sum((s - t) ** 2)),
+        lambda s, t=t: 2.0 * (s - t),
+        Ball(np.zeros(m), 2.0) if i == 0 and m == 2 else Box(-2.0, 2.0, dim=m),
+        2.0) for i, t in enumerate(targets)]
+    if kind == "vector":
+        return ConsensusProblem(graph, m, agents)
+    return ConsensusProblem(
+        graph, m, agents,
+        vector_objective=lambda x: np.sum((x - targets) ** 2, axis=-1),
+        vector_gradient=lambda x: 2.0 * (x - targets))
+
+
+def allocation_on(graph, kind, rng):
+    """Quadratic suppliers on `graph`: scalar with vector oracles, or m = 2
+    with decision sizes cycling through 1, 2, 3 and agent 0 on a `Ball`."""
+    if kind == "scalar":
+        targets = rng.normal(size=graph.n)
+        agents = [AllocationAgentSpec(
+            lambda y, t=t: float(0.5 * np.sum((y - t) ** 2)),
+            lambda y, t=t: y - t, Box(-2.0, 2.0, dim=1),
+            [[rng.uniform(-1.0, 1.0)]], [rng.uniform(-1.0, 1.0)], 1.0)
+            for t in targets]
+        return AllocationProblem(
+            graph, agents,
+            vector_objective=lambda y: 0.5 * (y - targets) ** 2,
+            vector_gradient=lambda y: y - targets)
+    agents = []
+    for i in range(graph.n):
+        q = 1 + i % 3
+        target = rng.normal(size=q)
+        agents.append(AllocationAgentSpec(
+            lambda y, t=target: float(0.5 * np.sum((y - t) ** 2)),
+            lambda y, t=target: y - t,
+            Ball(np.zeros(q), 2.0) if i == 0 else Box(-2.0, 2.0, dim=q),
+            rng.uniform(-1.0, 1.0, size=(2, q)),
+            rng.uniform(-1.0, 1.0, size=2), 1.0))
+    return AllocationProblem(graph, agents)
+
+
+STACK_GRAPHS = st.one_of(st.integers(3, 6).map(ring), IRREGULAR)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["consensus", "allocation"]),
+       st.sampled_from(["scalar", "vector"]), STACK_GRAPHS,
+       st.integers(1, 4), st.data())
+def test_stacked_operator_and_objective_equal_per_point(problem_kind, kind,
+                                                        graph, k, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    if problem_kind == "consensus":
+        saddle = consensus.as_saddle_problem(consensus_on(graph, kind, rng))
+    else:
+        saddle = allocation.as_saddle_problem(allocation_on(graph, kind, rng))
+    values = st.one_of(SIGNED_ZEROS, st.floats(-1e3, 1e3))
+    Z = np.array(data.draw(st.lists(values, min_size=k * saddle.dim,
+                                    max_size=k * saddle.dim)),
+                 dtype=float).reshape(k, saddle.dim)
+
+    calls = counting_lap_apply(graph)
+    try:
+        F = operator_F(saddle, Z)
+        f = objective(saddle, Z)
+        assert [shape[0] for shape in calls] == [graph.n, graph.n]
+        assert all(len(shape) == 3 and shape[1] == k for shape in calls)
+    finally:
+        del graph.lap_apply
+    assert F.shape == Z.shape and f.shape == (k,)
+    for i in range(k):
+        assert F[i].tobytes() == operator_F(saddle, Z[i]).tobytes()
+        assert np.float64(f[i]).tobytes() == np.float64(
+            objective(saddle, Z[i])).tobytes()
+    # deeper stacks keep their leading shape
+    deep = np.stack([Z, Z[::-1]])
+    assert operator_F(saddle, deep).tobytes() == np.stack([F, F[::-1]]).tobytes()
+    assert objective(saddle, deep).tobytes() == np.stack([f, f[::-1]]).tobytes()

@@ -155,3 +155,22 @@ def test_clip_projection_special_values(build, value, expected):
     # equal signs on every zero, which array_equal does not see
     nan = np.isnan(want)
     assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Product(Box(-1.0, 1.0, dim=2), WholeSpace(3),
+                    Product(Box([0.0, -5.0], [0.5, 5.0]), WholeSpace(1))),
+    lambda: Product(Box(-1.0, 1.0, dim=2), Ball([0.5, -0.5, 1.0], 0.75),
+                    WholeSpace(2)),
+], ids=["box-product", "ball-product"])
+def test_sample_points_equals_rowwise_projection(build):
+    # a clip-compiled set projects the whole draw at once; the result is
+    # the per-row loop's, byte for byte, for the same seed
+    cset = build()
+    got = sample_points(cset, 50, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    lo, hi = cset.bounding_box()
+    want = rng.uniform(lo, hi, size=(50, cset.dim))
+    for i in range(50):
+        want[i] = cset.project(want[i])
+    assert got.tobytes() == want.tobytes()
