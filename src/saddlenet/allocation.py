@@ -34,7 +34,8 @@ trajectories.
 import numpy as np
 
 from . import sets
-from .core import SaddleProblem, ValidationError, _batched, _norm
+from .core import (SaddleProblem, ValidationError, _batched, _norm,
+                   spectral_norm)
 from .graphs import lambda_max
 from .solvers import SolverConfig, run, step_bound, step_eg, step_ogda
 
@@ -122,7 +123,7 @@ class AllocationProblem(object):
         self.lambda_max = lambda_max(graph)
         self.l_h = max(a.lipschitz for a in agents)
         # block-diagonal W, so the largest singular value is the max over agents
-        self.sigma_w = max(np.linalg.norm(a.weight, 2) for a in agents)
+        self.sigma_w = max(spectral_norm(a.weight) for a in agents)
         self.kappa_s = self.l_h + self.sigma_w + 2.0 * self.lambda_max + 1.0
         self.demand = np.stack([a.demand for a in agents])
         # scalar fast path: every W_i is 1x1, so the coupling reduces to

@@ -27,8 +27,8 @@ def example1_bilinear(seed=0):
     Entries of B drawn uniformly from [0, 5] under the seed. Since B is
     entrywise positive the only saddle point is the origin with value
     zero (checked: the operator vanishes there and the residual is 0).
-    The cross-block constant is the spectral norm of B from power
-    iteration, so kappa_m = 2 ||B||.
+    The cross-block constant is `core.spectral_norm` of B, an upper
+    bound on ||B|| by construction, so kappa_m = 2 ||B||.
 
     Seed 0 has sigma_max(B) = 28.55 and sigma_min(B) = 0.52. The value
     f = x'By changes sign along OGDA, EG and GDA trajectories alike, so

@@ -6,11 +6,16 @@ neighbor sums. `NetworkGraph.lap_apply` performs that assembly with a
 fixed accumulation order (ascending neighbor index) so that the
 vectorized stacked computation and a literal per-agent message-passing
 loop produce identical floating-point results.
+
+The step sizes of both networked problems rest on `lambda_max`, an upper
+bound by construction: `core.spectral_norm` of the dense Laplacian.
 """
 
 import collections
 
 import numpy as np
+
+from .core import spectral_norm
 
 __all__ = ["NetworkGraph", "ring", "random_connected", "lambda_max"]
 
@@ -164,44 +169,21 @@ def random_connected(n, edge_prob, seed):
     for k in range(1, n):
         attach = order[rng.integers(0, k)]
         edges.add((min(order[k], attach), max(order[k], attach)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                edges.add((i, j))
+    # one draw per pair (i, j > i), row by row: the same stream as one
+    # scalar `rng.random()` per pair, in O(n) memory
+    for i in range(n - 1):
+        hit = np.flatnonzero(rng.random(n - 1 - i) < edge_prob) + (i + 1)
+        edges.update((i, j) for j in hit.tolist())
     return NetworkGraph(n, edges)
 
 
-def lambda_max(graph, tol=1e-10, max_iters=10000):
-    """Largest Laplacian eigenvalue by power iteration.
+def lambda_max(graph):
+    """Certified upper bound on the largest Laplacian eigenvalue.
 
-    Starts from the all-ones vector perturbed at index 0 so runs are
-    reproducible, and stops when the Rayleigh quotient settles within
-    `tol`. The result is checked against the Gershgorin bound
-    ``2 * max degree``.
-
-    Raises
-    ------
-    RuntimeError
-        When the iteration has not settled after `max_iters` steps.
+    The Laplacian is symmetric positive semidefinite, so its top
+    eigenvalue is its spectral norm: `core.spectral_norm` of the dense
+    Laplacian, which rounds LAPACK's value up by its backward-error
+    margin. The result is capped at ``2 * max degree``, an exact upper
+    bound (Anderson and Morley), so even rings give exactly 4.
     """
-    L = graph.laplacian()
-    if graph.n == 1:
-        return 0.0
-    v = np.ones(graph.n)
-    v[0] += 1.0
-    v /= np.linalg.norm(v)
-    prev = np.inf
-    for _ in range(max_iters):
-        w = L @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        eig = float(v @ (L @ v))
-        if abs(eig - prev) <= tol * max(1.0, abs(eig)):
-            bound = 2.0 * graph.max_degree
-            if eig > bound + 1e-9:
-                raise RuntimeError("eigenvalue exceeds the Gershgorin bound")
-            return min(eig, bound)
-        prev = eig
-    raise RuntimeError("power iteration did not converge")
+    return min(spectral_norm(graph.laplacian()), 2.0 * graph.max_degree)

@@ -296,7 +296,8 @@ def _solve(problem, config, outdir, summary):
         def simulate(method, alpha, **budget):
             trace = run(problem, SolverConfig(method, step_size=alpha, **budget),
                         z0, z_star=problem.meta.get("z_star"))
-            trace.f_value  # computed on first read: keep it in the timed run
+            # computed on first read: keep them in the timed run
+            trace.f_value, trace.dist_to_ref, trace.ergodic_gap
             return trace
     else:
         simulate = functools.partial(_SIMULATE[kind], problem)

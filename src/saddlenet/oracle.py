@@ -20,6 +20,11 @@ __all__ = ["CertificationError", "golden_section_min", "finite_diff_check",
            "KKTReference", "solve_allocation_kkt", "allocation_grid_objective"]
 
 
+# largest stack `finite_diff_check` hands to `value` in one call: half
+# +h rows and half -h rows, so memory stays O(dim) per call at any dim
+FD_CHUNK_ROWS = 256
+
+
 class CertificationError(RuntimeError):
     """A reference solution failed its independent certificate."""
 
@@ -55,11 +60,12 @@ def finite_diff_check(value, gradient, points, tol=1e-5):
     ----------
     value : callable
         The scalar function, evaluated on stacks: it maps an array of
-        points ``(k, dim)``, one per row, to their ``k`` values. It is
-        called once per tested point, on the ``(2 dim, dim)`` stack of
-        the ``+h`` perturbations along each coordinate followed by the
-        ``-h`` ones. A one-point function ``f`` serves as
-        ``lambda P: [f(p) for p in P]``.
+        points ``(k, dim)``, one per row, to their ``k`` values. Per
+        tested point the coordinates are taken in chunks of
+        ``FD_CHUNK_ROWS / 2``; each chunk is one call on the stack of
+        its ``+h`` perturbations followed by its ``-h`` ones, so a call
+        sees at most `FD_CHUNK_ROWS` rows. A one-point function ``f``
+        serves as ``lambda P: [f(p) for p in P]``.
     gradient : callable
         Claimed gradient of the scalar function at one 1-D point.
     points : array_like
@@ -78,21 +84,25 @@ def finite_diff_check(value, gradient, points, tol=1e-5):
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     dim = points.shape[1]
+    width = FD_CHUNK_ROWS // 2
     worst = 0.0
     worst_point = None
     for p in points:
         h = 1e-6 * (1.0 + np.linalg.norm(p))
         g = np.asarray(gradient(p), dtype=float)
-        # row i of each half moves coordinate i alone: adding h * 0.0
-        # leaves the other coordinates exactly as they were
-        step = h * np.eye(dim)
-        vals = np.asarray(value(np.concatenate([p + step, p - step])),
-                          dtype=float)
-        if vals.shape != (2 * dim,):
-            raise ValueError("value returned shape {} on a stack of {} points;"
-                             " it must return one value per row"
-                             .format(vals.shape, 2 * dim))
-        fd = (vals[:dim] - vals[dim:]) / (2.0 * h)
+        fd = np.empty(dim)
+        for lo in range(0, dim, width):
+            k = min(width, dim - lo)
+            # row r of each half moves coordinate lo + r alone: adding
+            # h * 0.0 leaves the other coordinates exactly as they were
+            step = h * np.eye(k, dim, lo)
+            vals = np.asarray(value(np.concatenate([p + step, p - step])),
+                              dtype=float)
+            if vals.shape != (2 * k,):
+                raise ValueError("value returned shape {} on a stack of {}"
+                                 " points; it must return one value per row"
+                                 .format(vals.shape, 2 * k))
+            fd[lo:lo + k] = (vals[:k] - vals[k:]) / (2.0 * h)
         err = np.max(np.abs(fd - g)) / (1.0 + np.max(np.abs(g)))
         if err > worst:
             worst = err

@@ -13,10 +13,9 @@ Per iteration a run evaluates the operator as counted above and
 projects once per step plus once for the natural-map residual (two
 projections for GDA and OGDA, three for EG), computing both into work
 buffers it allocates once. Per recorded row it stores the iterate, the
-ergodic average, the residual and the step length; given a reference
-point it also takes the distance to it and the objective at the
-ergodic average. The objective at the iterates (`RunTrace.f_value`) is
-evaluated only when read.
+ergodic average, the residual and the step length. The columns derived
+from those rows (`RunTrace.f_value`, `dist_to_ref`, `ergodic_gap`) are
+evaluated only when read, each in one pass over the stored rows.
 """
 
 import functools
@@ -174,7 +173,8 @@ class RunTrace(object):
     - ``ergodic_x``, ``ergodic_y``: running averages over iterates 1..T
       (OGDA/GDA) or mid-points 0..T-1 (EG); NaN on row 0.
     - ``dist_to_ref``, ``ergodic_gap``: distance to the reference point
-      and ``|f(ergodic) - f(reference)|`` when a reference was given.
+      and ``|f(ergodic) - f(reference)|`` (NaN without a reference, and
+      on row 0 of the gap), computed on first read like ``f_value``.
     - ``delta_k``: filled in by `delta_diagnostic`.
     """
 
@@ -200,12 +200,11 @@ class RunTrace(object):
         self.z = np.empty((rows, dim))
         self.z_half = np.empty((rows, dim)) if method == "EG" else None
         self.ergodic = np.empty((rows, dim))
-        self.vi_residual, self.step_norm, self.ergodic_gap, self.dist_to_ref = (
-            np.empty(rows) for _ in range(4))
+        self.vi_residual, self.step_norm = np.empty(rows), np.empty(rows)
         self._rows = 0
 
     _ROW_ARRAYS = ("iters", "z", "z_half", "ergodic", "vi_residual",
-                   "step_norm", "ergodic_gap", "dist_to_ref")
+                   "step_norm")
 
     def _resize(self, rows):
         """Reallocate the row arrays for `rows` rows, keeping those written."""
@@ -229,16 +228,10 @@ class RunTrace(object):
             self.z_half[i] = np.nan if z_half is None else z_half
         self.vi_residual[i] = resid
         self.step_norm[i] = step_norm
-        gap = np.nan
         if erg_count == 0:
             self.ergodic[i] = np.nan
         else:
-            erg = np.divide(erg_sum, erg_count, out=self.ergodic[i])
-            if self.f_star is not None:
-                gap = abs(self._objective(erg) - self.f_star)
-        self.ergodic_gap[i] = gap
-        self.dist_to_ref[i] = (np.nan if self.z_star is None
-                               else _norm(z - self.z_star))
+            np.divide(erg_sum, erg_count, out=self.ergodic[i])
 
     def _finalize(self):
         if self._rows < self.iters.size:
@@ -250,6 +243,21 @@ class RunTrace(object):
     def f_value(self):
         """Objective at each recorded iterate, computed on first read."""
         return self._objective(self.z)
+
+    @functools.cached_property
+    def dist_to_ref(self):
+        """Distance of each recorded iterate to the reference point."""
+        if self.z_star is None:
+            return np.full(self.iters.size, np.nan)
+        return np.array([_norm(z - self.z_star) for z in self.z])
+
+    @functools.cached_property
+    def ergodic_gap(self):
+        """``|f(ergodic) - f(reference)|`` per row; NaN on row 0."""
+        gap = np.full(self.iters.size, np.nan)
+        if self.f_star is not None and gap.size > 1:
+            gap[1:] = np.abs(self._objective(self.ergodic[1:]) - self.f_star)
+        return gap
 
     def iterate(self, row):
         """Return the recorded iterate of a row as an `IterateZ`."""

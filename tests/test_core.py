@@ -157,12 +157,24 @@ def test_spectral_norm_matches_numpy():
     rng = np.random.default_rng(13)
     for _ in range(10):
         M = rng.normal(size=(8, 5))
-        assert spectral_norm(M, iters=3000) == pytest.approx(np.linalg.norm(M, 2), rel=1e-8)
+        assert spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-8)
 
 
 def test_spectral_norm_rank_one():
     M = 2.5 * np.ones((10, 10))
     assert spectral_norm(M) == pytest.approx(25.0, rel=1e-10)
+    # never below the exact value, and above it by the margin alone
+    assert 25.0 <= spectral_norm(M) <= 25.0 * (1.0 + 1e-13)
+
+
+def test_spectral_norm_bounds_the_largest_singular_value():
+    rng = np.random.default_rng(29)
+    for shape in [(1, 1), (3, 7), (8, 5), (20, 20), (64, 3)]:
+        for _ in range(20):
+            M = rng.normal(size=shape) * rng.uniform(1e-3, 1e3)
+            top = np.linalg.svd(M, compute_uv=False)[0]
+            assert top <= spectral_norm(M) <= top * (1.0 + 1e-12)
+    assert spectral_norm(np.zeros((4, 3))) == 0.0
 
 
 def test_split_join_roundtrip():

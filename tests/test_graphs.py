@@ -61,6 +61,49 @@ def test_random_connected_full_probability_is_complete():
     assert lambda_max(g) == pytest.approx(float(n), abs=1e-9)
 
 
+def lap_top_eigenvalue(graph):
+    return float(np.max(np.linalg.eigvalsh(graph.laplacian())))
+
+
+@pytest.mark.parametrize("n", list(range(3, 13)) + [20, 200, 201])
+def test_lambda_max_of_ring_is_certified(n):
+    g = ring(n)
+    val = lambda_max(g)
+    assert lap_top_eigenvalue(g) <= val <= 2.0 * g.max_degree
+    if n % 2 == 0:
+        assert val == 4.0
+
+
+def test_lambda_max_of_random_graphs_is_certified():
+    for n, p, seed in [(2, 0.5, 0), (5, 0.3, 1), (9, 0.2, 2), (14, 0.6, 3),
+                       (30, 0.1, 4), (60, 0.05, 5), (60, 1.0, 6)]:
+        g = random_connected(n, p, seed)
+        assert lap_top_eigenvalue(g) <= lambda_max(g) <= 2.0 * g.max_degree
+
+
+def random_connected_loop(n, edge_prob, seed):
+    """The pair loop `random_connected` replaced: one scalar draw per pair."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    edges = set()
+    for k in range(1, n):
+        attach = order[rng.integers(0, k)]
+        edges.add((min(order[k], attach), max(order[k], attach)))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < edge_prob:
+                edges.add((i, j))
+    return NetworkGraph(n, edges)
+
+
+def test_random_connected_edges_equal_the_pair_loop():
+    for n in (2, 3, 7, 20, 61):
+        for p in (0.05, 0.3, 1.0):
+            for seed in (0, 1, 12345):
+                want = random_connected_loop(n, p, seed).edges
+                assert random_connected(n, p, seed).edges == want, (n, p, seed)
+
+
 def test_random_connected_two_nodes():
     g = random_connected(2, 0.5, seed=1)
     assert np.array_equal(g.laplacian(), [[1.0, -1.0], [-1.0, 1.0]])

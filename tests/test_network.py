@@ -31,6 +31,15 @@ def test_consensus_network_matches_stacked_ogda():
     assert np.max(np.abs(v_hist - trace.v)) == 0.0
 
 
+def test_consensus_on_ring_200_matches_stacked_ogda():
+    # the step bound rests on lambda_max, which must be computable here
+    prob = catalog.consensus_quadratics(n=200)
+    x_hist, v_hist = ConsensusNetworkSimulator(prob, method="OGDA").run(100)
+    trace = simulate_consensus(prob, "OGDA", max_iters=100, stop_tol=0.0)
+    assert np.max(np.abs(x_hist - trace.x)) == 0.0
+    assert np.max(np.abs(v_hist - trace.v)) == 0.0
+
+
 def test_consensus_network_matches_stacked_eg():
     prob = catalog.consensus_quadratics(n=5)
     sim = ConsensusNetworkSimulator(prob, method="EG")

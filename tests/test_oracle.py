@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from saddlenet import catalog
+from saddlenet import catalog, oracle
 from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
                                   feasibility_gap, operator_psi)
 from saddlenet.consensus import ConsensusAgentSpec, ConsensusProblem
@@ -237,6 +237,41 @@ def test_finite_diff_check_evaluates_one_stack_per_point():
     report = finite_diff_check(value, lambda p: p, pts)
     assert report["passed"]
     assert shapes == [(6, 3)] * 4
+
+
+def finite_diff_one_stack(value, gradient, points):
+    """The unchunked check: one ``(2 dim, dim)`` stack per point."""
+    worst, worst_point = 0.0, None
+    for p in points:
+        h = 1e-6 * (1.0 + np.linalg.norm(p))
+        g = np.asarray(gradient(p), dtype=float)
+        step = h * np.eye(p.size)
+        vals = np.asarray(value(np.concatenate([p + step, p - step])))
+        fd = (vals[:p.size] - vals[p.size:]) / (2.0 * h)
+        err = np.max(np.abs(fd - g)) / (1.0 + np.max(np.abs(g)))
+        if err > worst:
+            worst, worst_point = err, p.copy()
+    return worst, worst_point
+
+
+def test_finite_diff_check_bounds_its_stacks_and_keeps_the_bits():
+    dim = oracle.FD_CHUNK_ROWS + 37
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(3, dim))
+    pts[0, :5] = -0.0  # both versions form off-axis entries as p + 0.0
+    sizes = []
+
+    def value(P):
+        sizes.append(len(P))
+        return [float(np.sin(p).sum()) for p in P]
+
+    report = finite_diff_check(value, np.cos, pts)
+    assert max(sizes) <= oracle.FD_CHUNK_ROWS and sum(sizes) == 3 * 2 * dim
+    sizes.clear()
+    worst, worst_point = finite_diff_one_stack(value, np.cos, pts)
+    assert sizes == [2 * dim] * 3
+    assert np.float64(report["max_rel_error"]).tobytes() == worst.tobytes()
+    assert report["worst_point"].tobytes() == worst_point.tobytes()
 
 
 def test_finite_diff_check_rejects_a_one_point_value():

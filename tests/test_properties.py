@@ -6,19 +6,21 @@ spaces, the one-gather `lap_apply`, and the one-pass evaluations of the
 allocation operator Psi, the modified Lagrangian L2 and the consensus
 operator Phi. The stack axis is checked the same way: `lap_apply` on
 several columns equals one call per column, and `operator_F` and
-`objective` on a stack of points equal one call per point.
+`objective` on a stack of points equal one call per point. The declared
+constants kappa_c and kappa_s are checked against sampled Lipschitz
+ratios on random graphs and boxes.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from saddlenet import allocation, catalog, consensus
 from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
                                   operator_psi)
 from saddlenet.consensus import ConsensusAgentSpec, ConsensusProblem
-from saddlenet.core import objective, operator_F
+from saddlenet.core import estimate_kappa, objective, operator_F
 from saddlenet.graphs import random_connected, ring
 from saddlenet.sets import Ball, Box, Product, WholeSpace
 
@@ -291,15 +293,18 @@ def test_lap_apply_columns_are_independent(graph, k, c, data):
             assert np.ascontiguousarray(rows[j]).tobytes() == want.tobytes()
 
 
-def consensus_on(graph, kind, rng):
+def consensus_on(graph, kind, rng, bounds=None):
     """Quadratic trackers on `graph`: scalar with vector oracles, or m = 2
-    with per-agent oracles only and agent 0 on a `Ball`."""
+    with per-agent oracles only and agent 0 on a `Ball`. Agent i's box
+    is ``bounds[i]``, by default ``(-2, 2)``."""
     m = 1 if kind == "scalar" else 2
+    bounds = bounds or [(-2.0, 2.0)] * graph.n
     targets = rng.normal(size=(graph.n, m))
     agents = [ConsensusAgentSpec(
         lambda s, t=t: float(np.sum((s - t) ** 2)),
         lambda s, t=t: 2.0 * (s - t),
-        Ball(np.zeros(m), 2.0) if i == 0 and m == 2 else Box(-2.0, 2.0, dim=m),
+        Ball(np.zeros(m), 2.0) if i == 0 and m == 2
+        else Box(*bounds[i], dim=m),
         2.0) for i, t in enumerate(targets)]
     if kind == "vector":
         return ConsensusProblem(graph, m, agents)
@@ -309,16 +314,19 @@ def consensus_on(graph, kind, rng):
         vector_gradient=lambda x: 2.0 * (x - targets))
 
 
-def allocation_on(graph, kind, rng):
+def allocation_on(graph, kind, rng, bounds=None):
     """Quadratic suppliers on `graph`: scalar with vector oracles, or m = 2
-    with decision sizes cycling through 1, 2, 3 and agent 0 on a `Ball`."""
+    with decision sizes cycling through 1, 2, 3 and agent 0 on a `Ball`.
+    In the scalar kind agent i's box is ``bounds[i]``, by default
+    ``(-2, 2)``."""
     if kind == "scalar":
+        bounds = bounds or [(-2.0, 2.0)] * graph.n
         targets = rng.normal(size=graph.n)
         agents = [AllocationAgentSpec(
             lambda y, t=t: float(0.5 * np.sum((y - t) ** 2)),
-            lambda y, t=t: y - t, Box(-2.0, 2.0, dim=1),
+            lambda y, t=t: y - t, Box(*b, dim=1),
             [[rng.uniform(-1.0, 1.0)]], [rng.uniform(-1.0, 1.0)], 1.0)
-            for t in targets]
+            for t, b in zip(targets, bounds)]
         return AllocationProblem(
             graph, agents,
             vector_objective=lambda y: 0.5 * (y - targets) ** 2,
@@ -372,3 +380,32 @@ def test_stacked_operator_and_objective_equal_per_point(problem_kind, kind,
     deep = np.stack([Z, Z[::-1]])
     assert operator_F(saddle, deep).tobytes() == np.stack([F, F[::-1]]).tobytes()
     assert objective(saddle, deep).tobytes() == np.stack([f, f[::-1]]).tobytes()
+
+
+# rings up to 200 vertices: the declared constants must be computable at
+# every size the graph builders accept, not only at the presets' sizes
+KAPPA_GRAPHS = st.one_of(
+    st.integers(3, 200).map(ring),
+    st.builds(random_connected, st.integers(2, 30), st.floats(0.05, 1.0),
+              st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["consensus", "allocation"]), KAPPA_GRAPHS,
+       st.integers(0, 2 ** 32 - 1))
+@example("consensus", ring(200), 0)
+@example("allocation", ring(200), 1)
+def test_declared_kappa_bounds_the_sampled_ratio(problem_kind, graph, seed):
+    # boxes [lo, lo + width] with widths over six decades
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-1e3, 1e3, size=graph.n)
+    bounds = list(zip(lo, lo + 10.0 ** rng.uniform(-3.0, 3.0, size=graph.n)))
+    if problem_kind == "consensus":
+        saddle = consensus.as_saddle_problem(
+            consensus_on(graph, "scalar", rng, bounds))
+    else:
+        saddle = allocation.as_saddle_problem(
+            allocation_on(graph, "scalar", rng, bounds))
+    report = estimate_kappa(saddle, n_pairs=200, seed=0)
+    assert report["passed"]
+    assert report["max_ratio"] <= report["kappa_m"]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from saddlenet import catalog
-from saddlenet.core import SaddleProblem, ValidationError, operator_F
+from saddlenet import allocation, catalog
+from saddlenet.core import SaddleProblem, ValidationError, _norm, operator_F
+from saddlenet.oracle import solve_allocation_kkt
 from saddlenet.sets import Box, WholeSpace
 from saddlenet.solvers import (DivergenceError, SolverConfig, delta_diagnostic,
                                eg_contraction_check, run, step_bound, step_eg,
@@ -320,10 +321,44 @@ SADDLE_PRESETS = [lambda: catalog.example1_bilinear(seed=0),
                          ids=["example1", "quadratic-saddle"])
 def test_lazy_f_value_is_objective_per_row(build, method):
     prob = build()
+    z_star = prob.meta["z_star"]
     cfg = SolverConfig(method, max_iters=200, stop_tol=0.0)
-    trace = run(prob, cfg, prob.meta["z0"], z_star=prob.meta["z_star"])
+    trace = run(prob, cfg, prob.meta["z0"], z_star=z_star)
     eager = np.array([float(prob.value(*prob.split(z))) for z in trace.z])
     assert trace.f_value.tobytes() == eager.tobytes()
+    # the derived columns equal the per-row values the loop used to store
+    dist = np.array([_norm(z - z_star) for z in trace.z])
+    assert trace.dist_to_ref.tobytes() == dist.tobytes()
+    f_star = float(prob.value(*prob.split(z_star)))
+    gap = [np.nan] + [abs(float(prob.value(*prob.split(e))) - f_star)
+                      for e in trace.ergodic[1:]]
+    assert trace.ergodic_gap.tobytes() == np.array(gap).tobytes()
+
+
+def test_run_evaluates_the_objective_once_for_the_reference(monkeypatch):
+    # a stacked allocation run with a reference point evaluates L2 at the
+    # reference alone; the ergodic gap is one stacked call when read
+    prob = catalog.allocation_quadratics()
+    kkt = solve_allocation_kkt(prob)
+    z_star = np.concatenate([kkt.y, kkt.a.ravel(), kkt.lam.ravel()])
+    stacked = allocation.as_saddle_problem(prob)
+    calls = []
+    l2 = allocation.lagrangian_L2
+
+    def counted(*args):
+        calls.append(args[1].shape)
+        return l2(*args)
+
+    monkeypatch.setattr(allocation, "lagrangian_L2", counted)
+    cfg = SolverConfig("OGDA", max_iters=300, stop_tol=0.0)
+    trace = run(stacked, cfg, allocation.initial_state(prob), z_star=z_star)
+    assert len(calls) == 1
+    gap = trace.ergodic_gap
+    assert len(calls) == 2 and calls[1][0] == trace.iters.size - 1
+    f_star = l2(prob, *prob.split(z_star))
+    eager = [np.nan] + [abs(l2(prob, *prob.split(e)) - f_star)
+                        for e in trace.ergodic[1:]]
+    assert gap.tobytes() == np.array(eager).tobytes()
 
 
 @pytest.mark.parametrize("method", ["GDA", "OGDA", "EG"])
