@@ -35,10 +35,15 @@ def example1_bilinear(seed=0):
     |f(z_k)| is not a convergence measure; the distance to the origin
     is. At the paper step, progress along the weakest direction is set
     by alpha * sigma_min(B), which makes convergence slow.
+
+    The problem has fused `operator` and `objective` hooks that take one
+    point or a stack of points in one call; their values equal those
+    of the blockwise oracles bit for bit.
     """
     rng = np.random.default_rng(seed)
     b = rng.uniform(0.0, 5.0, size=(10, 10))
     b_norm = spectral_norm(b)
+    operator, objective = _bilinear_hooks(b)
     problem = SaddleProblem(
         10, 10,
         sets.Box(-5.0, 5.0, dim=10), sets.Box(-2.0, 2.0, dim=10),
@@ -46,11 +51,39 @@ def example1_bilinear(seed=0):
         lambda x, y: b @ y,
         lambda x, y: b.T @ x,
         lipschitz={"l_xx": 0.0, "l_xy": b_norm, "l_yx": b_norm, "l_yy": 0.0},
+        operator=operator, objective=objective,
         name="bilinear-box-{}".format(seed))
     problem.meta.update(seed=seed, matrix=b, matrix_norm=b_norm,
                         z_star=np.zeros(20), f_star=0.0,
                         z0=10.0 * np.ones(20), alpha_paper=0.01)
     return problem
+
+
+def _bilinear_hooks(b):
+    """Fused operator and objective of ``f(x, y) = x'By`` on points and stacks.
+
+    A stack ``(..., dim)`` goes through per-item batched matmuls, so each
+    row runs the kernel the one-point oracles run (gemv, then dot) and
+    keeps their bits; a stacked gemm (``X @ b``) or einsum would not.
+    """
+    n, bt = b.shape[0], b.T
+
+    def operator(z):
+        # one point, the run loop's case: the gradients' products, unbatched
+        if z.ndim == 1:
+            return np.concatenate([b @ z[n:], -(bt @ z[:n])])
+        out = np.empty(z.shape)
+        out[..., :n] = np.matmul(b, z[..., n:, None])[..., 0]
+        np.negative(np.matmul(bt, z[..., :n, None])[..., 0],
+                    out=out[..., n:])
+        return out
+
+    def objective(z):
+        values = np.matmul(np.matmul(z[..., None, :n], b),
+                           z[..., n:, None])[..., 0, 0]
+        return float(values) if z.ndim == 1 else values
+
+    return operator, objective
 
 
 def paper_step_size(problem, method, base=0.01):

@@ -89,6 +89,13 @@ class SaddleProblem(object):
     one call of a fused hook; without the hook they evaluate `grad_x`,
     `grad_y` resp. `value` one row at a time. The sampled checks, the
     finite differences and the descent diagnostic pass stacks.
+
+    A stack hook keeps each row's bits when every row runs the kernel
+    the one-point oracle runs. Per-item batched matmul does: with
+    ``b`` a matrix, ``np.matmul(b, y[..., :, None])`` applies to each
+    row the matrix-vector product that ``b @ y`` applies to one point.
+    A stacked gemm (``Y @ b.T``) or ``einsum`` may block and sum in
+    another order, and then its rows differ in the last bits.
     """
 
     def __init__(self, dim_x, dim_y, set_x, set_y, value, grad_x, grad_y,

@@ -8,8 +8,12 @@ operator Phi. The stack axis is checked the same way: `lap_apply` on
 several columns equals one call per column, and `operator_F` and
 `objective` on a stack of points equal one call per point. The declared
 constants kappa_c and kappa_s are checked against sampled Lipschitz
-ratios on random graphs and boxes.
+ratios on random graphs and boxes. The fused hooks of `example1` are
+checked against its blockwise oracles, and a hookless copy of it must
+run the same trajectories and trace columns bit for bit.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -23,6 +27,7 @@ from saddlenet.consensus import ConsensusAgentSpec, ConsensusProblem
 from saddlenet.core import estimate_kappa, objective, operator_F
 from saddlenet.graphs import random_connected, ring
 from saddlenet.sets import Ball, Box, Product, WholeSpace
+from saddlenet.solvers import SolverConfig, delta_diagnostic, run
 
 SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
 SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
@@ -409,3 +414,58 @@ def test_declared_kappa_bounds_the_sampled_ratio(problem_kind, graph, seed):
     report = estimate_kappa(saddle, n_pairs=200, seed=0)
     assert report["passed"]
     assert report["max_ratio"] <= report["kappa_m"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3), st.sampled_from([(), (1,), (4,), (2, 3), (3, 1)]),
+       st.data())
+def test_example1_hooks_equal_the_blockwise_oracles(seed, lead, data):
+    # points drawn from the boxes [-5, 5]^10 x [-2, 2]^10, signed zeros
+    # included; a stack (k, 20) or (j, k, 20), or one point
+    prob = catalog.example1_bilinear(seed)
+    rows = int(np.prod(lead, dtype=int))
+    x = data.draw(st.lists(st.one_of(SIGNED_ZEROS, st.floats(-5.0, 5.0)),
+                           min_size=10 * rows, max_size=10 * rows))
+    y = data.draw(st.lists(st.one_of(SIGNED_ZEROS, st.floats(-2.0, 2.0)),
+                           min_size=10 * rows, max_size=10 * rows))
+    Z = np.concatenate([np.reshape(x, (rows, 10)), np.reshape(y, (rows, 10))],
+                       axis=1)
+    F = prob.operator(Z.reshape(lead + (20,)))
+    f = prob.objective(Z.reshape(lead + (20,)))
+    assert F.shape == lead + (20,)
+    if lead == ():
+        assert isinstance(f, float)
+    assert np.shape(f) == lead
+    blocks = [prob.split(z) for z in Z]
+    want_F = [np.concatenate([prob.grad_x(x, y), -prob.grad_y(x, y)])
+              for x, y in blocks]
+    want_f = [prob.value(x, y) for x, y in blocks]
+    assert same_values(F.reshape(rows, 20), np.array(want_F))
+    assert same_values(np.reshape(f, rows), np.array(want_f))
+
+
+def hookless(prob):
+    bare = copy.copy(prob)
+    bare.operator = bare.objective = None
+    return bare
+
+
+@pytest.mark.parametrize("method", ["GDA", "OGDA", "EG"])
+def test_hookless_example1_runs_the_same_trace(method):
+    prob = catalog.example1_bilinear(seed=0)
+    alpha = catalog.paper_step_size(prob, method)[0]
+    cfg = SolverConfig(method, step_size=alpha, max_iters=300, stop_tol=0.0)
+    traces = []
+    for p in (prob, hookless(prob)):
+        trace = run(p, cfg, p.meta["z0"], z_star=p.meta["z_star"])
+        if method == "OGDA":
+            delta_diagnostic(p, trace)
+        traces.append(trace)
+    fused, rows = traces
+    assert rows.gradient_calls == fused.gradient_calls
+    for name in ("z", "f_value", "dist_to_ref", "ergodic_gap", "delta_k"):
+        got, want = getattr(fused, name), getattr(rows, name)
+        if method != "OGDA" and name == "delta_k":
+            assert got is None and want is None
+        else:
+            assert got.tobytes() == want.tobytes(), name

@@ -295,6 +295,62 @@ def test_trace_csv_roundtrip(tmp_path):
     assert float(row1[1]) == pytest.approx(trace.f_value[1], rel=1e-15)
 
 
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize("method", ["OGDA", "EG"])
+def test_dist_to_ref_equals_the_row_norms(method, every):
+    prob = catalog.example1_bilinear(seed=0)
+    z_star = np.random.default_rng(5).uniform(-2.0, 2.0, prob.dim)
+    z_star[:3] = -0.0
+    cfg = SolverConfig(method, max_iters=200, stop_tol=0.0,
+                       record_every=every)
+    trace = run(prob, cfg, prob.meta["z0"], z_star=z_star)
+    assert trace.iters.size == (201 if every == 1 else 30)
+    rows = np.array([_norm(z - z_star) for z in trace.z])
+    assert trace.dist_to_ref.tobytes() == rows.tobytes()
+    bare = run(prob, cfg, prob.meta["z0"])
+    assert bare.dist_to_ref.shape == (trace.iters.size,)
+    assert np.all(np.isnan(bare.dist_to_ref))
+
+
+def csv_per_cell(trace):
+    """The trace CSV formatted one cell at a time."""
+    def fmt(v):
+        if v is None or (isinstance(v, float) and not np.isfinite(v)):
+            return ""
+        return "%.17g" % v
+
+    delta = trace.delta_k
+    lines = ["iter,f_value,vi_residual,step_norm,dist_to_ref,ergodic_gap,"
+             "delta_k"]
+    for i in range(trace.iters.size):
+        lines.append(",".join(
+            [str(int(trace.iters[i]))]
+            + [fmt(float(col[i])) for col in (
+                trace.f_value, trace.vi_residual, trace.step_norm,
+                trace.dist_to_ref, trace.ergodic_gap)]
+            + [fmt(None if delta is None else float(delta[i]))]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("with_delta", [False, True])
+def test_trace_csv_equals_the_per_cell_format(tmp_path, with_delta):
+    prob = catalog.example1_bilinear(seed=0)
+    cfg = SolverConfig("OGDA", max_iters=40, stop_tol=0.0)
+    trace = run(prob, cfg, prob.meta["z0"], z_star=prob.meta["z_star"])
+    if with_delta:
+        delta_diagnostic(prob, trace)
+    # NaN, infinities, signed zeros and extreme magnitudes in every column
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -1.7e308, 0.1]
+    for name in ("f_value", "vi_residual", "step_norm", "dist_to_ref",
+                 "ergodic_gap"):
+        getattr(trace, name)[1:1 + len(specials)] = specials
+    if with_delta:
+        trace.delta_k[-len(specials):] = specials
+    path = tmp_path / "trace.csv"
+    trace.to_csv(str(path))
+    assert path.read_text() == csv_per_cell(trace)
+
+
 def test_infeasible_start_projected_on_first_step():
     prob = xy_problem(Box(-2.0, 2.0, dim=1), Box(-2.0, 2.0, dim=1))
     cfg = SolverConfig("OGDA", step_size=0.1, max_iters=3, stop_tol=0.0)
