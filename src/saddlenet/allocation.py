@@ -37,7 +37,8 @@ from . import sets
 from .core import (SaddleProblem, ValidationError, _batched, _norm,
                    spectral_norm)
 from .graphs import lambda_max
-from .solvers import SolverConfig, run, step_bound, step_eg, step_ogda
+from .solvers import (SolverConfig, _write_agent_csv, run, step_bound,
+                      step_eg, step_ogda)
 
 __all__ = ["AllocationAgentSpec", "AllocationProblem", "lagrangian_L2",
            "operator_psi", "feasibility_gap", "as_saddle_problem",
@@ -390,18 +391,9 @@ class AllocationTrace(object):
                   + ["a{}".format(c) for c in range(m)]
                   + ["lambda{}".format(c) for c in range(m)]
                   + ["feasibility_gap", "objective_sum"])
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for r in range(self.iters.size):
-                yr = self.y[r].reshape(self.problem.n, q)
-                for i in range(self.problem.n):
-                    row = ([str(int(self.iters[r])), str(i)]
-                           + ["%.17g" % val for val in yr[i]]
-                           + ["%.17g" % val for val in self.a[r, i]]
-                           + ["%.17g" % val for val in self.lam[r, i]]
-                           + ["%.17g" % self.feasibility_gap[r],
-                              "%.17g" % self.objective[r]])
-                    fh.write(",".join(row) + "\n")
+        y = self.y.reshape(self.iters.size, self.problem.n, q)
+        _write_agent_csv(path, header, self.iters, (y, self.a, self.lam),
+                         (self.feasibility_gap, self.objective))
 
 
 def simulate_allocation(problem, method, alpha=None, max_iters=1000,

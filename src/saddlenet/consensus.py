@@ -27,7 +27,8 @@ import numpy as np
 from . import sets
 from .core import SaddleProblem, ValidationError, _batched, _norm
 from .graphs import lambda_max
-from .solvers import SolverConfig, run, step_bound, step_eg, step_ogda
+from .solvers import (SolverConfig, _write_agent_csv, run, step_bound,
+                      step_eg, step_ogda)
 
 __all__ = ["ConsensusAgentSpec", "ConsensusProblem", "lagrangian_L1",
            "operator_phi", "consensus_residual", "as_saddle_problem",
@@ -307,16 +308,8 @@ class ConsensusTrace(object):
                   + ["x{}".format(c) for c in range(m)]
                   + ["v{}".format(c) for c in range(m)]
                   + ["consensus_residual", "objective_sum"])
-        with open(path, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for r in range(self.iters.size):
-                for i in range(self.problem.n):
-                    row = ([str(int(self.iters[r])), str(i)]
-                           + ["%.17g" % val for val in self.x[r, i]]
-                           + ["%.17g" % val for val in self.v[r, i]]
-                           + ["%.17g" % self.consensus_residual[r],
-                              "%.17g" % self.objective[r]])
-                    fh.write(",".join(row) + "\n")
+        _write_agent_csv(path, header, self.iters, (self.x, self.v),
+                         (self.consensus_residual, self.objective))
 
 
 def simulate_consensus(problem, method, alpha=None, max_iters=1000,

@@ -227,8 +227,17 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
-def _sample_feasible(problem, count, rng):
-    return sets.sample_points(problem.domain, count, rng)
+def _sampled_pairs(problem, n_pairs, seed):
+    """Feasible draws ``z1``, ``z2`` of `n_pairs` rows each, and F at both."""
+    rng = np.random.default_rng(seed)
+    z1 = sets.sample_points(problem.domain, n_pairs, rng)
+    z2 = sets.sample_points(problem.domain, n_pairs, rng)
+    return z1, z2, operator_F(problem, z1), operator_F(problem, z2)
+
+
+def _row_dots(u, v):
+    # one dot per row, the one `u[i].dot(v[i])` takes, in one batched matmul
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
 def check_monotone(problem, n_pairs=1000, seed=0, tol=1e-10):
@@ -244,19 +253,17 @@ def check_monotone(problem, n_pairs=1000, seed=0, tol=1e-10):
         ``min_inner`` (worst sampled product), ``passed`` (all products
         at least ``-tol``) and ``worst_pair``.
     """
-    rng = np.random.default_rng(seed)
-    z1 = _sample_feasible(problem, n_pairs, rng)
-    z2 = _sample_feasible(problem, n_pairs, rng)
-    f1 = operator_F(problem, z1)
-    f2 = operator_F(problem, z2)
-    min_inner = np.inf
-    worst = None
-    for a, b, fa, fb in zip(z1, z2, f1, f2):
-        inner = float((fa - fb).dot(a - b))
-        if inner < min_inner:
-            min_inner = inner
-            worst = (a.copy(), b.copy())
-    return {"min_inner": min_inner, "passed": min_inner >= -tol, "worst_pair": worst}
+    z1, z2, f1, f2 = _sampled_pairs(problem, n_pairs, seed)
+    inner = _row_dots(f1 - f2, z1 - z2)
+    # the first pair of least product; NaN products are skipped, and
+    # without a finite product there is no witness
+    below = np.flatnonzero(inner < np.inf)
+    if below.size == 0:
+        return {"min_inner": np.inf, "passed": True, "worst_pair": None}
+    i = below[np.argmin(inner[below])]
+    min_inner = float(inner[i])
+    return {"min_inner": min_inner, "passed": min_inner >= -tol,
+            "worst_pair": (z1[i].copy(), z2[i].copy())}
 
 
 def estimate_kappa(problem, n_pairs=1000, seed=0, rel_tol=1e-8):
@@ -267,23 +274,21 @@ def estimate_kappa(problem, n_pairs=1000, seed=0, rel_tol=1e-8):
     witnessing pair when the ratio exceeds ``kappa_m`` beyond relative
     round-off slack.
     """
-    rng = np.random.default_rng(seed)
-    z1 = _sample_feasible(problem, n_pairs, rng)
-    z2 = _sample_feasible(problem, n_pairs, rng)
-    f1 = operator_F(problem, z1)
-    f2 = operator_F(problem, z2)
+    z1, z2, f1, f2 = _sampled_pairs(problem, n_pairs, seed)
+    dz, df = z1 - z2, f1 - f2
+    gap = np.sqrt(_row_dots(dz, dz))
+    moved = gap != 0.0
+    ratio = np.sqrt(_row_dots(df[moved], df[moved])) / gap[moved]
     kappa = problem.kappa_m
-    max_ratio = 0.0
-    for a, b, fa, fb in zip(z1, z2, f1, f2):
-        gap = _norm(a - b)
-        if gap == 0.0:
-            continue
-        ratio = _norm(fa - fb) / gap
-        if ratio > kappa * (1.0 + rel_tol):
-            raise ValidationError(
-                "sampled Lipschitz ratio {:.12g} exceeds declared kappa_m {:.12g} "
-                "at pair z1={}, z2={}".format(ratio, kappa, a, b))
-        max_ratio = max(max_ratio, ratio)
+    over = np.flatnonzero(ratio > kappa * (1.0 + rel_tol))
+    if over.size:
+        i = np.flatnonzero(moved)[over[0]]
+        raise ValidationError(
+            "sampled Lipschitz ratio {:.12g} exceeds declared kappa_m {:.12g} "
+            "at pair z1={}, z2={}".format(float(ratio[over[0]]), kappa,
+                                          z1[i], z2[i]))
+    # NaN ratios are skipped, as by a running max from 0
+    max_ratio = float(np.max(ratio[~np.isnan(ratio)], initial=0.0))
     return {"max_ratio": max_ratio, "kappa_m": kappa, "passed": True}
 
 

@@ -245,6 +245,9 @@ def _write_json(path, payload):
 _NETWORK = {"consensus": consensus, "allocation": allocation}
 _SIMULATE = {"consensus": consensus.simulate_consensus,
              "allocation": allocation.simulate_allocation}
+# the per-agent simulators whose replay checks the stacked runs
+_AGENTS = {"consensus": network.ConsensusNetworkSimulator,
+           "allocation": network.AllocationNetworkSimulator}
 
 
 def _reference(problem, config):
@@ -366,16 +369,6 @@ def _sample_domain_points(problem, count, seed):
     return sets.sample_points(problem.domain, count, rng)
 
 
-def _network_rows(problem, kind, method, iters):
-    """Per-agent run of `iters` steps, as rows laid out like the stacked ``z``."""
-    if kind == "consensus":
-        sim = network.ConsensusNetworkSimulator(problem, method=method)
-    else:
-        sim = network.AllocationNetworkSimulator(problem, method=method)
-    return np.concatenate([h.reshape(iters + 1, -1) for h in sim.run(iters)],
-                          axis=1)
-
-
 def _reference_z(problem, config, reference):
     kind = config["kind"]
     if kind == "saddle":
@@ -446,8 +439,7 @@ def cmd_verify(config):
 
     if kind in _NETWORK:
         for method, trace in traces.items():
-            rows = _network_rows(problem, kind, method, iters)
-            dev = float(np.max(np.abs(trace.z - rows[trace.iters])))
+            dev = _AGENTS[kind](problem, method=method).replay(trace)
             add("distributed_stacked_equivalence_{}".format(method),
                 dev == 0.0, dev,
                 "max trajectory deviation, 1000 iterations (== 0 passes)")

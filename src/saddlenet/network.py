@@ -19,10 +19,25 @@ operator turns ``s`` into the agent's block of Phi (resp. Psi), and the
 agent moves its whole vector with the stacked step's expression and one
 projection onto its set times the free variables.
 
-The point of the duplication is evidence, not speed. Since the sums and
-the update expressions are the stacked ones, elementwise, the two routes
-produce the same trajectories up to the last bit (checked in the tests);
-the stacked route is the one that gets the fast vectorized oracles.
+The local vector may also be a stack of points ``(..., local_dim)``:
+payloads are then ``(..., 2m)``, sums, update expressions and
+projections act on every row alike, and the per-point gradient oracles
+are called once per row. One agent implementation serves two routes:
+
+- `run` (the serial run): every agent holds one point and the network
+  takes ``iters`` rounds, one exchange per OGDA step and two per EG step.
+- `replay` (the replay): every agent holds its slices of all the
+  iterates a stacked `solvers.run` recorded, and takes one step from
+  each of them in one exchange (two for EG).
+
+Since an agent's step depends only on its own slice and its neighbors'
+payloads, the serial run reproduces a stacked trace bitwise iff it
+starts from the trace's first row and every replayed step from row k
+gives row k + 1 (and, for EG, the recorded mid-point); induction over k
+proves it. The sums and update expressions are the stacked ones,
+elementwise, so both hold to the last bit. `saddlenet verify` replays;
+the tests compare the serial run with the stacked one as independent
+evidence.
 """
 
 import numpy as np
@@ -53,6 +68,7 @@ class Network(object):
 class _Agent(object):
     """One agent: a local vector ``w``, its payload and its local operator.
 
+    ``w`` is one point or a stack of points ``(..., local_dim)``.
     ``payload(w)`` returns the array the agent publishes at point ``w``.
     ``local(w, s, out)`` writes the agent's operator value at ``w`` into
     ``out``, given the neighbor sum ``s``, which it may overwrite.
@@ -75,18 +91,20 @@ class _Agent(object):
 
     def _operator(self, inbox):
         own = self._own
-        s = np.zeros(own.size)
+        s = np.zeros(own.shape)
         for p in inbox.values():
             s += own - p
-        g = np.empty(self.w.size)
+        g = np.empty(self.point.shape)
         self._local(self.point, s, g)
         return g
+
+    def _ogda(self, g, g_prev, alpha):
+        return self._cset.project(self.w - 2.0 * alpha * g + alpha * g_prev)
 
     def step_ogda(self, inbox, alpha):
         g = self._operator(inbox)
         gp = g if self._g_prev is None else self._g_prev
-        self.w = self.point = self._cset.project(
-            self.w - 2.0 * alpha * g + alpha * gp)
+        self.w = self.point = self._ogda(g, gp, alpha)
         self._g_prev = g
 
     def step_eg_probe(self, inbox, alpha):
@@ -98,13 +116,14 @@ class _Agent(object):
 
 
 class _Simulator(object):
-    """Per-agent run loop shared by the consensus and allocation simulators.
+    """Per-agent run loop and replay shared by the two simulators.
 
-    A subclass passes each agent's starting vector and its ``(payload,
-    local)`` pair, and reshapes the rows of `_history`.
+    A subclass passes the stacked start ``z0``, the columns of each
+    agent's local vector in the stacked layout, and each agent's
+    ``(payload, local)`` pair.
     """
 
-    def __init__(self, problem, method, alpha, kappa, starts, roles):
+    def __init__(self, problem, method, alpha, kappa, z0, cols, roles):
         from .solvers import step_bound
         method = str(method).upper()
         if method not in ("OGDA", "EG"):
@@ -113,16 +132,21 @@ class _Simulator(object):
         self.method = method
         self.alpha = 0.9 * step_bound(method, kappa) if alpha is None else alpha
         self.network = Network(problem.graph)
-        self.agents = [
-            _Agent(w0, payload, local, sets.Product(
-                [spec.cset, sets.WholeSpace(len(w0) - spec.cset.dim)]))
-            for w0, spec, (payload, local)
-            in zip(starts, problem.agents, roles)]
+        self._z0 = z0
+        self._cols = cols
+        self._roles = [
+            (payload, local, sets.Product(
+                [spec.cset, sets.WholeSpace(c.size - spec.cset.dim)]))
+            for c, spec, (payload, local) in zip(cols, problem.agents, roles)]
+        self.agents = self._agents([z0[c] for c in cols])
+
+    def _agents(self, starts):
+        return [_Agent(w0, *role) for w0, role in zip(starts, self._roles)]
 
     def _history(self, iters):
-        """Rows of the concatenated agent vectors, row 0 the initial point."""
+        """Stacked iterates of `iters` further rounds, row 0 the current one."""
         agents, alpha = self.agents, self.alpha
-        hist = np.empty((iters + 1, sum(ag.w.size for ag in agents)))
+        hist = np.empty((iters + 1, self._z0.size))
         np.concatenate([ag.w for ag in agents], out=hist[0])
         for k in range(1, iters + 1):
             inbox = self.network.exchange([ag.publish() for ag in agents])
@@ -136,7 +160,57 @@ class _Simulator(object):
                 for ag, box in zip(agents, inbox):
                     ag.step_eg_commit(box, alpha)
             np.concatenate([ag.w for ag in agents], out=hist[k])
-        return hist
+        # from the agents' concatenated vectors to the stacked layout
+        stacked = np.empty_like(hist)
+        stacked[:, np.concatenate(self._cols)] = hist
+        return stacked
+
+    def replay(self, trace):
+        """Largest deviation of the per-agent steps from a stacked trace.
+
+        `trace` is a `solvers.RunTrace` of the stacked problem with this
+        simulator's method and step that recorded every iteration. Every
+        agent takes its slices of the recorded iterates as one stack and
+        steps from all of them at once, through one exchange (EG: two).
+        Returns the largest absolute difference between those steps and
+        the next recorded iterates (for EG, also between the probes and
+        the recorded mid-points) and between the trace's first row and
+        this simulator's start. It is 0.0 exactly when every replayed
+        step lands on the recorded values, which by induction from the
+        shared start means that `run` reproduces the trace (a difference
+        does not see the sign of a zero); it is NaN when a value is NaN.
+        """
+        if trace.method != self.method or trace.alpha != self.alpha:
+            raise ValueError(
+                "trace ran {} at step {!r}; this simulator runs {} at {!r}"
+                .format(trace.method, trace.alpha, self.method, self.alpha))
+        if not np.array_equal(trace.iters, np.arange(trace.iters.size)):
+            raise ValueError("replay needs every iteration recorded")
+        z, alpha, cols = trace.z, self.alpha, self._cols
+        agents = self._agents([z[:-1, c] for c in cols])
+        devs = [np.abs(z[0] - self._z0)]
+        inbox = self.network.exchange([ag.publish() for ag in agents])
+        if self.method == "OGDA":
+            for ag, box, c in zip(agents, inbox, cols):
+                g = ag._operator(box)
+                # the previous point's operator; z_{-1} = z_0 on row 0
+                step = ag._ogda(g, np.concatenate((g[:1], g[:-1])), alpha)
+                devs.append(np.abs(step - z[1:, c]))
+        else:
+            for ag, box, c in zip(agents, inbox, cols):
+                ag.step_eg_probe(box, alpha)
+                devs.append(np.abs(ag.point - trace.z_half[1:, c]))
+            inbox = self.network.exchange([ag.publish() for ag in agents])
+            for ag, box, c in zip(agents, inbox, cols):
+                ag.step_eg_commit(box, alpha)
+                devs.append(np.abs(ag.w - z[1:, c]))
+        return float(np.max([np.max(d, initial=0.0) for d in devs]))
+
+
+def _matvec(matrix, v):
+    # per-item batched matmul: every point of a stack gets the bits that
+    # `matrix @ v` gives that point alone (see `core.SaddleProblem`)
+    return np.matmul(matrix, v[..., None])[..., 0]
 
 
 def _consensus_roles(spec, m):
@@ -147,12 +221,13 @@ def _consensus_roles(spec, m):
     grad = spec.gradient
 
     def payload(w):
-        x = w[:m]
-        return np.concatenate((x + w[m:], x))
+        x = w[..., :m]
+        return np.concatenate((x + w[..., m:], x), axis=-1)
 
     def local(w, s, out):
-        np.add(grad(w[:m]), s[:m], out=out[:m])
-        np.negative(s[m:], out=out[m:])
+        g = sets._each_point(grad, w[..., :m], out[..., :m])
+        np.add(g, s[..., :m], out=g)
+        np.negative(s[..., m:], out=out[..., m:])
 
     return payload, local
 
@@ -175,11 +250,13 @@ class ConsensusNetworkSimulator(_Simulator):
 
     def __init__(self, problem, method="OGDA", alpha=None, x0=None, v0=None):
         from .consensus import initial_state
-        x, v = np.split(initial_state(problem, x0, v0), 2)
+        n, m = problem.n, problem.m
+        # z = [x, v], each agent-major: agent i holds [x_i, v_i]
+        cols = np.arange(2 * n * m).reshape(2, n, m)
         super().__init__(problem, method, alpha, problem.kappa_c,
-                         np.concatenate([problem.rows(x), problem.rows(v)],
-                                        axis=1),
-                         [_consensus_roles(spec, problem.m)
+                         initial_state(problem, x0, v0),
+                         [cols[:, i].ravel() for i in range(n)],
+                         [_consensus_roles(spec, m)
                           for spec in problem.agents])
 
     def run(self, iters):
@@ -188,9 +265,9 @@ class ConsensusNetworkSimulator(_Simulator):
         Returns ``(x_hist, v_hist)`` of shape ``(iters + 1, N, m)``
         with row 0 holding the initial point.
         """
-        n, m = self.problem.n, self.problem.m
-        hist = self._history(iters).reshape(iters + 1, n, 2 * m)
-        return hist[:, :, :m], hist[:, :, m:]
+        shape = (iters + 1, self.problem.n, self.problem.m)
+        x, v = np.hsplit(self._history(iters), 2)
+        return x.reshape(shape), v.reshape(shape)
 
 
 def _allocation_roles(spec, m):
@@ -206,15 +283,16 @@ def _allocation_roles(spec, m):
     sa, sl = slice(q, q + m), slice(q + m, None)
 
     def payload(w):
-        lam = w[sl]
-        return np.concatenate((lam, w[sa] + lam))
+        lam = w[..., sl]
+        return np.concatenate((lam, w[..., sa] + lam), axis=-1)
 
     def local(w, s, out):
-        y = w[:q]
-        np.add(grad(y), weight_t @ w[sl], out=out[:q])
-        s_u = s[m:]
-        np.subtract(weight @ y - demand, s_u, out=s_u)
-        np.negative(s, out=out[q:])
+        y = w[..., :q]
+        g = sets._each_point(grad, y, out[..., :q])
+        np.add(g, _matvec(weight_t, w[..., sl]), out=g)
+        s_u = s[..., m:]
+        np.subtract(_matvec(weight, y) - demand, s_u, out=s_u)
+        np.negative(s, out=out[..., q:])
 
     return payload, local
 
@@ -230,25 +308,20 @@ class AllocationNetworkSimulator(_Simulator):
     def __init__(self, problem, method="OGDA", alpha=None, y0=None,
                  a0=None, lam0=None):
         from .allocation import initial_state
-        m = problem.m
-        y, a, lam = problem.split(initial_state(problem, y0, a0, lam0))
-        super().__init__(problem, method, alpha, problem.kappa_s,
+        z0 = initial_state(problem, y0, a0, lam0)
+        # z = [y, a, lam]: agent i holds [y_i, a_i, lam_i]
+        y, a, lam = problem.split(np.arange(z0.size))
+        super().__init__(problem, method, alpha, problem.kappa_s, z0,
                          [np.concatenate((problem.y_block(y, i), a[i], lam[i]))
                           for i in range(problem.n)],
-                         [_allocation_roles(spec, m)
+                         [_allocation_roles(spec, problem.m)
                           for spec in problem.agents])
-        # columns of y, a and lam in the concatenated agent vectors
-        cols = np.split(np.arange(problem.dim_y + 2 * m * problem.n),
-                        np.cumsum([q + 2 * m for q in problem.q])[:-1])
-        self._cols = (np.concatenate([c[:-2 * m] for c in cols]),
-                      np.stack([c[-2 * m:-m] for c in cols]),
-                      np.stack([c[-m:] for c in cols]))
 
     def run(self, iters):
         """Advance `iters` steps; returns stacked histories.
 
         Returns ``(y_hist, a_hist, lam_hist)`` with ``iters + 1`` rows,
-        row 0 holding the initial point.
+        row 0 holding the initial point: ``y_hist`` of shape
+        ``(iters + 1, Q)``, the others ``(iters + 1, N, m)``.
         """
-        hist = self._history(iters)
-        return tuple(hist[:, cols] for cols in self._cols)
+        return self.problem.split(self._history(iters))

@@ -6,9 +6,16 @@ boxes, Euclidean balls, and Cartesian products of these, all with
 closed-form projections. Products project blockwise, which is exactly
 what the stacked primal-dual iterates need; a product of boxes and
 whole spaces projects with one clip over its concatenated bounds.
+
+Projections take one point ``(dim,)`` or a stack of points
+``(..., dim)``. Boxes, whole spaces and clip-compiled products project a
+stack in one clip, which broadcasts over the leading axes and gives
+every row the bits of its one-point projection; balls and other
+products project a stack row by row.
 """
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -33,6 +40,28 @@ def _as_vector(p, dim, name="p"):
     return p
 
 
+def _as_points(p, dim):
+    """`p` as one point ``(dim,)`` or a stack of points ``(..., dim)``."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim == 0:
+        p = p.reshape(1)
+    if p.shape[-1] != dim:
+        raise ValueError("p has shape {}, expected ({},) or (..., {})"
+                         .format(p.shape, dim, dim))
+    return p
+
+
+def _each_point(fn, p, out):
+    """Write ``fn(point)`` into `out` for each point of a stack ``(..., dim)``.
+
+    One call per point, for functions that take a single point only;
+    a single point ``(dim,)`` is one call on the whole of `p`.
+    """
+    for i in itertools.product(*map(range, p.shape[:-1])):
+        out[i] = fn(p[i])
+    return out
+
+
 class ConvexSet(object):
     """Base class for closed convex set descriptors.
 
@@ -44,7 +73,11 @@ class ConvexSet(object):
     dim = None
 
     def project(self, p):
-        """Return the Euclidean-nearest point of the set to `p`."""
+        """Return the Euclidean-nearest point of the set to `p`.
+
+        `p` is one point ``(dim,)`` or a stack ``(..., dim)``, whose
+        rows are projected each as one point.
+        """
         raise NotImplementedError
 
     def contains(self, p, tol=1e-12):
@@ -75,7 +108,7 @@ class WholeSpace(ConvexSet):
         self.dim = int(dim)
 
     def project(self, p):
-        return _as_vector(p, self.dim)
+        return _as_points(p, self.dim)
 
     def bounding_box(self):
         return -10.0 * np.ones(self.dim), 10.0 * np.ones(self.dim)
@@ -112,7 +145,7 @@ class Box(ConvexSet):
         self.dim = lower.size
 
     def project(self, p):
-        return _clip(_as_vector(p, self.dim), self.lower, self.upper)
+        return _clip(_as_points(p, self.dim), self.lower, self.upper)
 
     def bounding_box(self):
         return self.lower.copy(), self.upper.copy()
@@ -137,7 +170,9 @@ class Ball(ConvexSet):
         self.dim = center.size
 
     def project(self, p):
-        p = _as_vector(p, self.dim)
+        p = _as_points(p, self.dim)
+        if p.ndim > 1:
+            return _each_point(self.project, p, np.empty_like(p))
         offset = p - self.center
         dist = np.linalg.norm(offset)
         if dist <= self.radius:
@@ -198,10 +233,12 @@ class Product(ConvexSet):
                 np.concatenate([hi for _, hi in bounds]))
 
     def project(self, p):
-        p = _as_vector(p, self.dim)
+        p = _as_points(p, self.dim)
         bounds = self._bounds
         if bounds is not None:
             return _clip(p, *bounds)
+        if p.ndim > 1:
+            return _each_point(self.project, p, np.empty_like(p))
         out = np.empty_like(p)
         for f, s in zip(self.factors, self._slices):
             out[s] = f.project(p[s])
@@ -223,18 +260,11 @@ def sample_points(cset, count, rng):
     """Draw `count` feasible points, uniform over the bounding box then projected.
 
     Returns an array of shape `(count, dim)`. Used by the sampled
-    monotonicity, Lipschitz and normal-cone checks. A set that projects
-    by one clip (a `Box`, or a product of boxes and whole spaces) clips
-    the whole draw at once; other sets project row by row.
+    monotonicity, Lipschitz and normal-cone checks. The draw is projected
+    as one stack, so a set that projects by one clip clips it at once.
     """
     lo, hi = cset.bounding_box()
-    pts = rng.uniform(lo, hi, size=(count, cset.dim))
-    bounds = _clip_bounds(cset)
-    if bounds is not None:
-        return _clip(pts, *bounds, out=pts)
-    for i in range(count):
-        pts[i] = cset.project(pts[i])
-    return pts
+    return cset.project(rng.uniform(lo, hi, size=(count, cset.dim)))
 
 
 def normal_cone_residual(cset, p, g, probe_count=100, seed=0):

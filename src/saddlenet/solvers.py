@@ -299,13 +299,37 @@ class RunTrace(object):
             fh.write("\n".join(lines) + "\n")
 
 
+def _g17_cells(values):
+    """``%.17g`` of each value in row-major order; ``nan``, ``inf`` kept."""
+    return ["%.17g" % v for v in np.ravel(values).tolist()]
+
+
 def _csv_cells(values):
     """``%.17g`` of each value; an empty field where it is not finite."""
     values = np.asarray(values, dtype=float)
-    cells = ["%.17g" % v for v in values.tolist()]
+    cells = _g17_cells(values)
     for i in np.flatnonzero(~np.isfinite(values)).tolist():
         cells[i] = ""
     return cells
+
+
+def _write_agent_csv(path, header, iters, blocks, totals):
+    """Write one line per (recorded row, agent), formatted by column.
+
+    A line holds the iteration, the agent id, the agent's entries of
+    each block ``(rows, N, k)`` and the row's value of each of `totals`
+    ``(rows,)``, every float as ``%.17g`` (``nan`` and ``inf`` as such).
+    """
+    n = blocks[0].shape[1]
+    columns = [[it for it in map(str, iters.tolist()) for _ in range(n)],
+               list(map(str, range(n))) * iters.size]
+    for block in blocks:
+        columns += [_g17_cells(block[..., c]) for c in range(block.shape[2])]
+    for total in totals:
+        columns.append([cell for cell in _g17_cells(total) for _ in range(n)])
+    lines = [",".join(header)] + list(map(",".join, zip(*columns)))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def run(problem, config, z0, z_star=None):

@@ -188,6 +188,30 @@ def test_trace_csv_layout(tmp_path):
     assert len(lines) == 1 + 11 * 3
 
 
+def test_trace_csv_bytes_match_the_per_cell_writer(tmp_path):
+    # the reference formats cell by cell, one line per (row, agent);
+    # non-finite values print as nan/inf and signed zeros keep the sign
+    prob = catalog.allocation_quadratics()
+    trace = simulate_allocation(prob, "OGDA", max_iters=40, stop_tol=0.0)
+    trace.y[2, 1], trace.lam[3, 2, 0] = -np.inf, -0.0
+    trace.feasibility_gap[5], trace.objective[6] = np.nan, np.inf
+    want = ["iter,agent_id,y0,a0,lambda0,feasibility_gap,objective_sum"]
+    for r in range(trace.iters.size):
+        yr = trace.y[r].reshape(prob.n, 1)
+        for i in range(prob.n):
+            want.append(",".join(
+                [str(int(trace.iters[r])), str(i)]
+                + ["%.17g" % val for val in yr[i]]
+                + ["%.17g" % val for val in trace.a[r, i]]
+                + ["%.17g" % val for val in trace.lam[r, i]]
+                + ["%.17g" % trace.feasibility_gap[r],
+                   "%.17g" % trace.objective[r]]))
+    path = tmp_path / "a.csv"
+    trace.to_csv(str(path))
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+    assert b",nan," in path.read_bytes() and b",-0," in path.read_bytes()
+
+
 def test_vectorized_oracles_match_rowwise():
     prob = catalog.example2_allocation(seed=0)
     rng = np.random.default_rng(3)

@@ -218,6 +218,28 @@ def test_trace_csv_layout(tmp_path):
     assert first[0] == "0" and first[1] == "0"
 
 
+def test_trace_csv_bytes_match_the_per_cell_writer(tmp_path):
+    # the reference formats cell by cell, one line per (row, agent);
+    # non-finite values print as nan/inf and signed zeros keep the sign
+    prob = catalog.consensus_quadratics(n=5)
+    trace = simulate_consensus(prob, "EG", max_iters=40, stop_tol=0.0)
+    trace.x[2, 1, 0], trace.v[3, 4, 0] = np.inf, -0.0
+    trace.objective[5], trace.consensus_residual[6] = np.nan, -np.inf
+    want = ["iter,agent_id,x0,v0,consensus_residual,objective_sum"]
+    for r in range(trace.iters.size):
+        for i in range(prob.n):
+            want.append(",".join(
+                [str(int(trace.iters[r])), str(i)]
+                + ["%.17g" % val for val in trace.x[r, i]]
+                + ["%.17g" % val for val in trace.v[r, i]]
+                + ["%.17g" % trace.consensus_residual[r],
+                   "%.17g" % trace.objective[r]]))
+    path = tmp_path / "c.csv"
+    trace.to_csv(str(path))
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+    assert b",inf," in path.read_bytes() and b",-0," in path.read_bytes()
+
+
 def test_ergodic_average_tracks_iterates():
     prob = catalog.consensus_quadratics(n=5)
     trace = simulate_consensus(prob, "OGDA", max_iters=50, stop_tol=0.0)

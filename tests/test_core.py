@@ -4,7 +4,7 @@ import pytest
 from saddlenet.core import (SaddleProblem, ValidationError, check_monotone,
                             estimate_kappa, objective, operator_F,
                             spectral_norm, vi_residual)
-from saddlenet.sets import Box, WholeSpace
+from saddlenet.sets import Box, WholeSpace, sample_points
 
 
 def bilinear_problem(B, set_x=None, set_y=None):
@@ -135,8 +135,10 @@ def test_underdeclared_kappa_raises():
         grad_x=lambda x, y: 5.0 * y,
         grad_y=lambda x, y: 5.0 * x,
         lipschitz={"l_xx": 0.0, "l_xy": 0.1, "l_yx": 0.1, "l_yy": 0.0})
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         estimate_kappa(prob, n_pairs=200, seed=6)
+    # the message names the first pair over the bound, as the loop did
+    assert str(info.value) == loop_kappa(prob, 200, 6)
 
 
 def test_vi_residual_zero_at_interior_saddle():
@@ -210,3 +212,84 @@ def test_fused_hooks_take_the_whole_stack():
     operator_F(prob, Z)
     objective(prob, Z)
     assert calls == [(7, 2), (7, 2)]
+
+
+def loop_monotone(problem, n_pairs, seed):
+    """Reference: `check_monotone`'s products taken one pair at a time."""
+    rng = np.random.default_rng(seed)
+    z1 = sample_points(problem.domain, n_pairs, rng)
+    z2 = sample_points(problem.domain, n_pairs, rng)
+    f1, f2 = operator_F(problem, z1), operator_F(problem, z2)
+    min_inner, worst = np.inf, None
+    for a, b, fa, fb in zip(z1, z2, f1, f2):
+        inner = float((fa - fb).dot(a - b))
+        if inner < min_inner:
+            min_inner, worst = inner, (a.copy(), b.copy())
+    return min_inner, worst
+
+
+def loop_kappa(problem, n_pairs, seed, rel_tol=1e-8):
+    """Reference: `estimate_kappa`'s ratios taken one pair at a time."""
+    rng = np.random.default_rng(seed)
+    z1 = sample_points(problem.domain, n_pairs, rng)
+    z2 = sample_points(problem.domain, n_pairs, rng)
+    f1, f2 = operator_F(problem, z1), operator_F(problem, z2)
+    kappa, max_ratio = problem.kappa_m, 0.0
+    for a, b, fa, fb in zip(z1, z2, f1, f2):
+        gap = np.sqrt((a - b).dot(a - b))
+        if gap == 0.0:
+            continue
+        ratio = float(np.sqrt((fa - fb).dot(fa - fb)) / gap)
+        if ratio > kappa * (1.0 + rel_tol):
+            return ("sampled Lipschitz ratio {:.12g} exceeds declared kappa_m"
+                    " {:.12g} at pair z1={}, z2={}".format(ratio, kappa, a, b))
+        max_ratio = max(max_ratio, ratio)
+    return max_ratio
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def stacked_preset(name):
+    from saddlenet import allocation, consensus
+    from saddlenet.harness import PRESETS
+    problem = PRESETS[name]["build"](0)
+    module = {"consensus": consensus,
+              "allocation": allocation}.get(PRESETS[name]["kind"])
+    return problem if module is None else module.as_saddle_problem(problem)
+
+
+def nan_operator_problem():
+    # F is NaN wherever x > 0.5, so about a quarter of the products are NaN
+    return SaddleProblem(
+        dim_x=1, dim_y=1,
+        set_x=Box(-1.0, 1.0, dim=1), set_y=Box(-1.0, 1.0, dim=1),
+        value=lambda x, y: 0.0,
+        grad_x=lambda x, y: np.where(x > 0.5, np.nan, x - 2.0 * y),
+        grad_y=lambda x, y: 2.0 * x + y,
+        lipschitz={"l_xx": 1.0, "l_xy": 2.0, "l_yx": 2.0, "l_yy": 1.0})
+
+
+@pytest.mark.parametrize("name", ["example1", "quadratic-saddle", "consensus5",
+                                  "allocation3", "example2",
+                                  "consensus5-badgrad", "nan-operator"])
+def test_sampled_checks_match_the_per_pair_loop(name):
+    # the batched row dots keep every pair's bits, the first witness pair
+    # and the skipping of NaN products
+    problem = (nan_operator_problem() if name == "nan-operator"
+               else stacked_preset(name))
+    min_inner, worst = loop_monotone(problem, 1000, 3)
+    report = check_monotone(problem, n_pairs=1000, seed=3)
+    assert same_bits(report["min_inner"], min_inner)
+    assert np.array_equal(report["worst_pair"][0], worst[0])
+    assert np.array_equal(report["worst_pair"][1], worst[1])
+    assert same_bits(estimate_kappa(problem, n_pairs=1000, seed=3)
+                     ["max_ratio"], loop_kappa(problem, 1000, 3))
+
+
+def test_check_monotone_without_a_finite_product_has_no_witness():
+    prob = nan_operator_problem()
+    prob.grad_y = lambda x, y: np.full(1, np.nan)
+    report = check_monotone(prob, n_pairs=50, seed=0)
+    assert report == {"min_inner": np.inf, "passed": True, "worst_pair": None}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from saddlenet import catalog
+from saddlenet import allocation, catalog, consensus
 from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
                                   simulate_allocation)
 from saddlenet.consensus import (ConsensusAgentSpec, ConsensusProblem,
@@ -10,6 +10,7 @@ from saddlenet.graphs import random_connected, ring
 from saddlenet.network import (AllocationNetworkSimulator,
                                ConsensusNetworkSimulator, Network)
 from saddlenet.sets import Ball, Box
+from saddlenet.solvers import SolverConfig, run
 
 
 def test_exchange_delivers_neighbor_payloads_in_order():
@@ -202,3 +203,121 @@ def test_messages_travel_along_edges_with_2m_floats(kind, method,
     monkeypatch.setattr(Network, "exchange", checked)
     sim.run(20)
     assert rounds == [graph.n] * (20 if method == "OGDA" else 40)
+
+
+def stacked_trace(prob, method, iters):
+    """The stacked run that `saddlenet verify` replays, every row recorded."""
+    module = consensus if isinstance(prob, ConsensusProblem) else allocation
+    return run(module.as_saddle_problem(prob),
+               SolverConfig(method, max_iters=iters, stop_tol=0.0),
+               module.initial_state(prob))
+
+
+def simulator(prob, method):
+    if isinstance(prob, ConsensusProblem):
+        return ConsensusNetworkSimulator(prob, method=method)
+    return AllocationNetworkSimulator(prob, method=method)
+
+
+def serial_deviation(prob, method, iters):
+    if isinstance(prob, ConsensusProblem):
+        return consensus_deviation(prob, method, iters)
+    return allocation_deviation(prob, method, iters)
+
+
+REPLAY_CASES = {
+    "consensus5": lambda: catalog.consensus_quadratics(n=5),
+    "allocation3": catalog.allocation_quadratics,
+    "example2": lambda: catalog.example2_allocation(seed=0),
+    "mixed_allocation": lambda: mixed_allocation(ring(6), seed=3),
+    "ball_consensus": lambda: quadratic_consensus(ring(5), 2, seed=5),
+}
+
+
+@pytest.mark.parametrize("method", ["OGDA", "EG"])
+@pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+def test_replay_reproduces_the_stacked_trace(case, method):
+    prob = REPLAY_CASES[case]()
+    assert simulator(prob, method).replay(
+        stacked_trace(prob, method, 300)) == 0.0
+
+
+def test_replay_exchanges_stacked_payloads_along_edges(monkeypatch):
+    # one exchange per OGDA check, two per EG check, each payload a
+    # (K, 2m) stack of one agent's rows
+    graph = random_connected(6, 0.3, seed=7)
+    prob = mixed_allocation(graph, 9)
+    exchange = Network.exchange
+    shapes = []
+
+    def checked(net, payloads):
+        inboxes = exchange(net, payloads)
+        for i, box in enumerate(inboxes):
+            assert list(box) == graph.neighbors[i]
+        shapes.append({p.shape for p in payloads})
+        return inboxes
+
+    monkeypatch.setattr(Network, "exchange", checked)
+    for method, rounds in (("OGDA", 1), ("EG", 2)):
+        shapes.clear()
+        assert simulator(prob, method).replay(
+            stacked_trace(prob, method, 25)) == 0.0
+        assert shapes == [{(25, 2 * prob.m)}] * rounds
+
+
+def test_replay_rejects_a_trace_it_cannot_check():
+    prob = catalog.consensus_quadratics(n=5)
+    sim = ConsensusNetworkSimulator(prob, method="OGDA")
+    with pytest.raises(ValueError):
+        sim.replay(stacked_trace(prob, "EG", 10))
+    stacked = consensus.as_saddle_problem(prob)
+    z0 = consensus.initial_state(prob)
+    with pytest.raises(ValueError):
+        sim.replay(run(stacked, SolverConfig("OGDA", step_size=0.5 * sim.alpha,
+                                             max_iters=10, stop_tol=0.0), z0))
+    with pytest.raises(ValueError):
+        sim.replay(run(stacked, SolverConfig("OGDA", max_iters=10,
+                                             stop_tol=0.0, record_every=2),
+                       z0))
+
+
+def test_replay_sees_a_different_start():
+    prob = catalog.consensus_quadratics(n=5)
+    trace = stacked_trace(prob, "OGDA", 10)
+    sim = ConsensusNetworkSimulator(prob, method="OGDA",
+                                    x0=np.full((5, 1), 0.5))
+    assert sim.replay(trace) > 0.0
+
+
+EXCHANGE = Network.exchange
+
+
+def read_a_non_neighbor(net, payloads):
+    # agent 0 also sums the payload of the first vertex it is not joined to
+    inboxes = EXCHANGE(net, payloads)
+    stranger = min(set(range(net.graph.n)) - set(net.graph.neighbors[0])
+                   - {0})
+    inboxes[0][stranger] = payloads[stranger]
+    return inboxes
+
+
+def sum_in_reverse(net, payloads):
+    return [dict(reversed(box.items()))
+            for box in EXCHANGE(net, payloads)]
+
+
+@pytest.mark.parametrize("method", ["OGDA", "EG"])
+@pytest.mark.parametrize("fault", [read_a_non_neighbor, sum_in_reverse])
+def test_faulty_agents_fail_replay_and_serial_run(fault, method,
+                                                  monkeypatch):
+    # on the irregular graph a vertex of degree 3 or more makes the
+    # order of its neighbor sum visible in the last bits
+    graph = random_connected(7, 0.3, seed=4)
+    assert graph.max_degree >= 3
+    problems = [quadratic_consensus(graph, 1, seed=1),
+                mixed_allocation(graph, seed=2)]
+    traces = [stacked_trace(prob, method, 300) for prob in problems]
+    monkeypatch.setattr(Network, "exchange", fault)
+    for prob, trace in zip(problems, traces):
+        assert simulator(prob, method).replay(trace) > 0.0
+        assert serial_deviation(prob, method, 300) > 0.0

@@ -155,6 +155,16 @@ def test_clip_projection_special_values(build, value, expected):
     # equal signs on every zero, which array_equal does not see
     nan = np.isnan(want)
     assert np.array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
+    # a (2, 3, dim) stack mixing every special value across coordinates
+    # projects each row to its one-point bytes, sign bits included
+    mixed = np.resize([value, 0.0, -0.0, INF, -INF, NAN, 0.5], cset.dim)
+    stack = np.array([[np.full(cset.dim, value), mixed, mixed[::-1]],
+                      [mixed[::-1], mixed, np.full(cset.dim, value)]])
+    got = cset.project(stack)
+    assert got.shape == stack.shape
+    want = np.array([[cset.project(row) for row in rows] for rows in stack])
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("build", [
