@@ -34,7 +34,7 @@ trajectories.
 import numpy as np
 
 from . import sets
-from .core import (SaddleProblem, ValidationError, _batched, _norm,
+from .core import (SaddleProblem, ValidationError, _batched, _matvec, _norm,
                    spectral_norm)
 from .graphs import lambda_max
 from .solvers import (SolverConfig, _write_agent_csv, run, step_bound,
@@ -184,19 +184,16 @@ class AllocationProblem(object):
         """Stacked ``W_i' lam_i`` ``(..., Q)`` of multiplier rows ``(..., N, m)``."""
         if self._wdiag is not None:
             return self._wdiag * lam[..., 0]
-        if lam.ndim > 2:
-            return np.stack([self.wt_lam(r) for r in lam])
-        return np.concatenate([a.weight.T @ lam[i]
-                               for i, a in enumerate(self.agents)])
+        return np.concatenate([_matvec(a.weight.T, lam[..., i, :])
+                               for i, a in enumerate(self.agents)], axis=-1)
 
     def wy_minus_d(self, y):
         """Per-agent ``W_i y_i - d_i`` as rows ``(..., N, m)`` of ``(..., Q)``."""
         if self._wdiag is not None:
             return (self._wdiag * y - self._demand_col)[..., None]
-        if y.ndim > 1:
-            return np.stack([self.wy_minus_d(r) for r in y])
-        return np.stack([a.weight @ y[self._yslices[i]] - a.demand
-                         for i, a in enumerate(self.agents)])
+        return np.stack([_matvec(a.weight, y[..., sl]) - a.demand
+                         for sl, a in zip(self._yslices, self.agents)],
+                        axis=-2)
 
     def project_y(self, y):
         """Project the stacked decision vector onto the product set."""

@@ -227,6 +227,13 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
+def _matvec(matrix, v):
+    # per-item batched matmul: every point of a stack ``(..., k)`` gets
+    # the bits that `matrix @ v` gives that point alone (see
+    # `SaddleProblem`)
+    return np.matmul(matrix, v[..., None])[..., 0]
+
+
 def _sampled_pairs(problem, n_pairs, seed):
     """Feasible draws ``z1``, ``z2`` of `n_pairs` rows each, and F at both."""
     rng = np.random.default_rng(seed)

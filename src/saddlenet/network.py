@@ -43,6 +43,7 @@ evidence.
 import numpy as np
 
 from . import sets
+from .core import _matvec
 
 __all__ = ["Network", "ConsensusNetworkSimulator", "AllocationNetworkSimulator"]
 
@@ -205,12 +206,6 @@ class _Simulator(object):
                 ag.step_eg_commit(box, alpha)
                 devs.append(np.abs(ag.w - z[1:, c]))
         return float(np.max([np.max(d, initial=0.0) for d in devs]))
-
-
-def _matvec(matrix, v):
-    # per-item batched matmul: every point of a stack gets the bits that
-    # `matrix @ v` gives that point alone (see `core.SaddleProblem`)
-    return np.matmul(matrix, v[..., None])[..., 0]
 
 
 def _consensus_roles(spec, m):

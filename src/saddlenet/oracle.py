@@ -231,14 +231,10 @@ class KKTReference(object):
         self.saddle_residual = saddle_residual
 
 
-def _argmin_box_bisect(dfun, lo, hi):
-    # 1-D minimizer of a convex function over [lo, hi] by bisection on
-    # its nondecreasing derivative, run to ULP convergence
-    if dfun(lo) >= 0.0:
-        return lo
-    if dfun(hi) <= 0.0:
-        return hi
-    a, b = lo, hi
+def _bisect_derivative(dfun, a, b):
+    # 1-D minimizer of a convex function over [a, b] whose nondecreasing
+    # derivative is negative at a and positive at b, by bisection on the
+    # derivative run to ULP convergence
     for _ in range(200):
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
@@ -250,15 +246,20 @@ def _argmin_box_bisect(dfun, lo, hi):
     return 0.5 * (a + b)
 
 
-def _grid_refine_min(fun, lo, hi, levels=5, points=100):
-    # nested uniform grids; final resolution (hi-lo) / points**levels
-    a, b = float(lo), float(hi)
+def _grid_refine_rows(fun_rows, lo, hi, levels=5, points=100):
+    # nested uniform grids for every column at once; final resolution
+    # (hi-lo) / points**levels per column. `fun_rows` maps a (points + 1,
+    # N) stack of grids to its values. Each column is its own np.linspace:
+    # an array-valued one switches formula for every column once any
+    # column has zero width.
+    a, b = lo, hi
+    cols = np.arange(lo.size)
     for _ in range(levels):
-        grid = np.linspace(a, b, points + 1)
-        vals = np.array([fun(t) for t in grid])
-        k = int(np.argmin(vals))
-        a = grid[max(k - 1, 0)]
-        b = grid[min(k + 1, points)]
+        grid = np.stack([np.linspace(ai, bi, points + 1)
+                         for ai, bi in zip(a, b)], axis=1)
+        k = np.argmin(fun_rows(grid), axis=0)
+        a = grid[np.maximum(k - 1, 0), cols]
+        b = grid[np.minimum(k + 1, points), cols]
     return 0.5 * (a + b)
 
 
@@ -284,8 +285,26 @@ def solve_allocation_kkt(problem, tol=1e-8):
     nondecreasing); the outer bisection exploits that the aggregate
     supply is nonincreasing in the multiplier. Both loops run to ULP
     convergence, so on instances with exact-float optima the reference
-    is exact. Raises `CertificationError` when no bracket contains the
-    balance point (infeasible instance) or a certificate fails.
+    is exact.
+
+    Each agent's derivative at its two box ends does not depend on the
+    multiplier, so the per-agent gradient oracles are evaluated there
+    once per problem. For each multiplier an agent whose inner
+    derivative ``grad h_i + mu W_i`` is nonnegative at its lower end
+    (else nonpositive at its upper end) sits at that end; only the
+    remaining interior agents bisect, calling their per-agent gradient
+    oracle at each midpoint.
+
+    The stationarity certificate compares every agent's decision with a
+    nested grid search of its inner problem, run for all agents at once:
+    each level evaluates one ``(101, N)`` stack of grid points through
+    `AllocationProblem.objective_rows` (the vectorized objective when
+    the problem has one), and the decisions with the grid minimizers
+    take one more such call.
+
+    Raises `CertificationError` when no bracket contains the balance
+    point (infeasible instance), when an agent's stationarity gap or
+    the reference objective is not finite, or when a certificate fails.
     """
     if problem.m != 1:
         raise CertificationError("dual bisection requires scalar coupling")
@@ -297,22 +316,29 @@ def solve_allocation_kkt(problem, tol=1e-8):
     d_total = float(problem.demand.sum())
     los = np.array([a.cset.lower[0] for a in problem.agents])
     his = np.array([a.cset.upper[0] for a in problem.agents])
+    grads = [sp.gradient for sp in problem.agents]
+
+    def slope(i, t):
+        # agent i's derivative at the scalar t, from its per-agent oracle
+        return float(grads[i](np.array([t]))[0])
+
+    g_lo = np.array([slope(i, t) for i, t in enumerate(los)])
+    g_hi = np.array([slope(i, t) for i, t in enumerate(his)])
 
     def y_of_mu(mu):
-        ys = np.empty(n)
-        for i, sp in enumerate(problem.agents):
-            ys[i] = _argmin_box_bisect(
-                lambda t: float(sp.gradient(np.array([t]))[0]) + mu * w[i],
-                los[i], his[i])
+        muw = mu * w
+        at_lo = g_lo + muw >= 0.0
+        ys = np.where(at_lo, los, his)
+        for i in np.flatnonzero(~(at_lo | (g_hi + muw <= 0.0))):
+            ys[i] = _bisect_derivative(
+                lambda t, i=i, c=muw[i]: slope(i, t) + c, los[i], his[i])
         return ys
 
     def gap(mu):
         return float(np.sum(w * y_of_mu(mu)) - d_total)
 
-    sup_grad = max(
-        max(abs(float(sp.gradient(np.array([los[i]]))[0])),
-            abs(float(sp.gradient(np.array([his[i]]))[0])))
-        for i, sp in enumerate(problem.agents))
+    sup_grad = max(max(abs(lo), abs(hi))
+                   for lo, hi in zip(g_lo.tolist(), g_hi.tolist()))
     nonzero = np.abs(w[w != 0.0])
     m_bracket = 10.0 * (1.0 + sup_grad / nonzero.min()) if nonzero.size else 10.0
     for _ in range(6):
@@ -342,17 +368,28 @@ def solve_allocation_kkt(problem, tol=1e-8):
     # grid-refinement stationarity certificate: each agent's decision
     # must be at least as good as a brute-force search of its inner
     # problem
-    gap_stat = 0.0
-    for i, sp in enumerate(problem.agents):
-        inner = lambda t, sp=sp, i=i: (float(sp.objective(np.array([t])))
-                                       + mu * w[i] * t)
-        t_grid = _grid_refine_min(inner, los[i], his[i])
-        gap_stat = max(gap_stat, inner(float(y[i])) - inner(t_grid))
+    muw = mu * w
+
+    def inner_rows(t):
+        return problem.objective_rows(t) + muw * t
+
+    t_grid = _grid_refine_rows(inner_rows, los, his)
+    at_y, at_grid = inner_rows(np.stack([y, t_grid]))
+    gaps = at_y - at_grid
+    if not np.all(np.isfinite(gaps)):
+        raise CertificationError(
+            "stationarity certificate failed: agents %s have no finite gap"
+            % np.flatnonzero(~np.isfinite(gaps)).tolist())
+    # folded per agent in order: max keeps 0.0 against a -0.0 gap
+    gap_stat = max(0.0, *gaps)
     if gap_stat > 1e-12:
         raise CertificationError(
             "stationarity certificate failed: gap %.3e > 1e-12" % gap_stat)
 
     objective = float(np.sum(problem.objective_rows(y)))
+    if not np.isfinite(objective):
+        raise CertificationError(
+            "reference objective %r is not finite" % objective)
     lam = np.full((n, 1), mu)
     e = np.stack([sp.weight @ y[problem._yslices[i]] - sp.demand
                   for i, sp in enumerate(problem.agents)])

@@ -258,3 +258,65 @@ def test_vector_gradient_dropping_the_batch_axis_raises():
     assert prob.gradient_vec(y).shape == (3,)
     with pytest.raises(ValidationError, match="vector_gradient"):
         prob.gradient_vec(np.stack([y, y]))
+
+
+def wt_lam_per_row(prob, lam):
+    """Reference `AllocationProblem.wt_lam`: one stacked row at a time."""
+    if lam.ndim > 2:
+        return np.stack([wt_lam_per_row(prob, r) for r in lam])
+    return np.concatenate([a.weight.T @ lam[i]
+                           for i, a in enumerate(prob.agents)])
+
+
+def wy_minus_d_per_row(prob, y):
+    """Reference `AllocationProblem.wy_minus_d`: one stacked row at a time."""
+    if y.ndim > 1:
+        return np.stack([wy_minus_d_per_row(prob, r) for r in y])
+    return np.stack([a.weight @ y[prob._yslices[i]] - a.demand
+                     for i, a in enumerate(prob.agents)])
+
+
+def matrix_coupled(seed):
+    """m = 2 with decision sizes 1, 2, 3 in turn; some W_i entries are
+    signed zeros, so sums of zero products show their sign."""
+    rng = np.random.default_rng(seed)
+    agents = []
+    for i in range(6):
+        q = 1 + i % 3
+        weight = rng.uniform(-1.0, 1.0, size=(2, q))
+        weight[0, 0] = -0.0 if i % 2 else 0.0
+        agents.append(AllocationAgentSpec(
+            lambda y: 0.0, lambda y: np.zeros(y.shape), Box(-1.0, 1.0, dim=q),
+            weight, rng.uniform(-0.5, 0.5, size=2), 0.0))
+    return AllocationProblem(ring(6), agents)
+
+
+def with_special_values(rng, shape):
+    values = rng.normal(size=shape)
+    flat = values.reshape(-1)
+    picks = rng.choice(flat.size, size=flat.size // 2, replace=False)
+    flat[picks] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan],
+                             size=picks.size)
+    return values
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_matrix_coupling_on_stacks_matches_the_per_row_loop(seed):
+    prob = matrix_coupled(seed)
+    assert prob.m == 2 and sorted(set(prob.q)) == [1, 2, 3]
+    assert prob._wdiag is None
+    rng = np.random.default_rng(seed)
+    points = [(with_special_values(rng, lead + (prob.n, prob.m)),
+               with_special_values(rng, lead + (prob.dim_y,)))
+              for lead in [(), (7,), (3, 4)]]
+    # all-zero stacks: each product sums signed zeros only
+    points += [(np.full((5, prob.n, prob.m), zero),
+                np.full((5, prob.dim_y), zero)) for zero in (0.0, -0.0)]
+    # inf times zero makes NaNs on purpose
+    with np.errstate(invalid="ignore"):
+        for lam, y in points:
+            for got, want in [(prob.wt_lam(lam), wt_lam_per_row(prob, lam)),
+                              (prob.wy_minus_d(y),
+                               wy_minus_d_per_row(prob, y))]:
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()

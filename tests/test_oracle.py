@@ -151,7 +151,7 @@ def test_allocation_kkt_quadratics():
     assert np.allclose(ref.lam, ref.mu, atol=1e-12)
 
 
-def test_allocation_kkt_bang_bang():
+def bang_bang_problem():
     # linear objectives with distinct slopes and a demand every agent can
     # only meet by saturating a face: cheap slopes rise, costly ones drop
     coeffs = [1.0, -1.0, 3.0]
@@ -162,8 +162,11 @@ def test_allocation_kkt_bang_bang():
         weight=np.array([[1.0]]),
         demand=np.array([-1.0 / 3.0]),
         lipschitz=0.0) for c in coeffs]
-    prob = AllocationProblem(ring(3), agents)
-    ref = solve_allocation_kkt(prob)
+    return AllocationProblem(ring(3), agents)
+
+
+def test_allocation_kkt_bang_bang():
+    ref = solve_allocation_kkt(bang_bang_problem())
     assert ref.feasibility <= 1e-8
     y = ref.y.ravel()
     assert np.allclose(y, [-1.0, 1.0, -1.0], atol=1e-6)
@@ -278,3 +281,215 @@ def test_finite_diff_check_rejects_a_one_point_value():
     pts = np.ones((2, 3))
     with pytest.raises(ValueError, match="one value per row"):
         finite_diff_check(lambda P: float(np.sum(P)), lambda p: p, pts)
+
+
+def per_agent_bisect(dfun, lo, hi):
+    """Reference inner solve of one agent; tests both box ends per call."""
+    if dfun(lo) >= 0.0:
+        return lo
+    if dfun(hi) <= 0.0:
+        return hi
+    a, b = lo, hi
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        if dfun(mid) > 0.0:
+            b = mid
+        else:
+            a = mid
+    return 0.5 * (a + b)
+
+
+def per_agent_grid(fun, lo, hi, levels=5, points=100):
+    """Reference grid of one agent: one scalar call per grid point."""
+    a, b = float(lo), float(hi)
+    for _ in range(levels):
+        grid = np.linspace(a, b, points + 1)
+        vals = np.array([fun(t) for t in grid])
+        k = int(np.argmin(vals))
+        a = grid[max(k - 1, 0)]
+        b = grid[min(k + 1, points)]
+    return 0.5 * (a + b)
+
+
+def kkt_per_agent_loop(problem, tol=1e-8):
+    """`solve_allocation_kkt` as a nested per-agent loop of scalar calls."""
+    if problem.m != 1:
+        raise CertificationError("dual bisection requires scalar coupling")
+    n = problem.n
+    w = np.array([a.weight[0, 0] for a in problem.agents])
+    d_total = float(problem.demand.sum())
+    los = np.array([a.cset.lower[0] for a in problem.agents])
+    his = np.array([a.cset.upper[0] for a in problem.agents])
+
+    def y_of_mu(mu):
+        ys = np.empty(n)
+        for i, sp in enumerate(problem.agents):
+            ys[i] = per_agent_bisect(
+                lambda t: float(sp.gradient(np.array([t]))[0]) + mu * w[i],
+                los[i], his[i])
+        return ys
+
+    def gap(mu):
+        return float(np.sum(w * y_of_mu(mu)) - d_total)
+
+    sup_grad = max(
+        max(abs(float(sp.gradient(np.array([los[i]]))[0])),
+            abs(float(sp.gradient(np.array([his[i]]))[0])))
+        for i, sp in enumerate(problem.agents))
+    nonzero = np.abs(w[w != 0.0])
+    m_bracket = 10.0 * (1.0 + sup_grad / nonzero.min()) if nonzero.size else 10.0
+    for _ in range(6):
+        if gap(-m_bracket) >= 0.0 >= gap(m_bracket):
+            break
+        m_bracket *= 10.0
+    else:
+        raise CertificationError("no bracket")
+    a, b = -m_bracket, m_bracket
+    for _ in range(200):
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            break
+        if gap(mid) > 0.0:
+            a = mid
+        else:
+            b = mid
+    mu = 0.5 * (a + b)
+    y = y_of_mu(mu)
+    feas = abs(float(np.sum(w * y) - d_total))
+    if feas > 1e-10:
+        raise CertificationError("imbalance")
+    gap_stat = 0.0
+    for i, sp in enumerate(problem.agents):
+        inner = lambda t, sp=sp, i=i: (float(sp.objective(np.array([t])))
+                                       + mu * w[i] * t)
+        t_grid = per_agent_grid(inner, los[i], his[i])
+        gap_stat = max(gap_stat, inner(float(y[i])) - inner(t_grid))
+    if gap_stat > 1e-12:
+        raise CertificationError("stationarity")
+    objective = float(np.sum(problem.objective_rows(y)))
+    lam = np.full((n, 1), mu)
+    e = np.stack([sp.weight @ y[problem._yslices[i]] - sp.demand
+                  for i, sp in enumerate(problem.agents)])
+    a_rows = np.linalg.pinv(problem.graph.laplacian()) @ e
+    resid = oracle._allocation_saddle_residual(problem, y, a_rows, lam)
+    if resid > tol:
+        raise CertificationError("saddle")
+    return oracle.KKTReference(y, mu, a_rows, lam, objective, feas,
+                               gap_stat, resid)
+
+
+KKT_FIELDS = ("y", "mu", "a", "lam", "objective", "feasibility",
+              "stationarity_gap", "saddle_residual")
+
+
+def assert_same_reference(ref, expected):
+    for field in KKT_FIELDS:
+        got, want = getattr(ref, field), getattr(expected, field)
+        assert np.shape(got) == np.shape(want), field
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), field
+
+
+def interior_quadratics():
+    """No vector oracles; four agents end interior, agent 2 sits in a
+    zero-width box, and the certificate's gap is positive."""
+    targets = [0.4, -0.3, 0.0, 0.55, 1.5]
+    weights = [1.0, 0.7, 1.3, -0.8, 2.0]
+    boxes = [(-1.0, 0.7), (-0.9, 1.3), (0.3, 0.3), (-1.0, 1.0), (-1.1, 0.9)]
+    agents = [AllocationAgentSpec(
+        objective=lambda y, t=t: float(0.5 * (y[0] - t) ** 2),
+        gradient=lambda y, t=t: y - t,
+        cset=Box(lo, hi, dim=1), weight=[[wi]], demand=[0.1], lipschitz=1.0)
+        for t, wi, (lo, hi) in zip(targets, weights, boxes)]
+    return AllocationProblem(ring(5), agents)
+
+
+@pytest.mark.parametrize("name", ["allocation3", "bang-bang",
+                                  "interior-quadratics"])
+def test_kkt_matches_the_per_agent_loop(name):
+    prob = {"allocation3": catalog.allocation_quadratics,
+            "bang-bang": bang_bang_problem,
+            "interior-quadratics": interior_quadratics}[name]()
+    ref = solve_allocation_kkt(prob)
+    assert_same_reference(ref, kkt_per_agent_loop(prob))
+    if name == "interior-quadratics":
+        assert prob.vector_objective is None
+        y = ref.y.ravel()
+        los = np.array([a.cset.lower[0] for a in prob.agents])
+        his = np.array([a.cset.upper[0] for a in prob.agents])
+        assert np.sum((los < y) & (y < his)) >= 3
+        assert np.any(los == his) and ref.stationarity_gap > 0.0
+        # the grid minimizers themselves, which the fields show only
+        # through a positive gap: each column keeps its own linspace
+        w = np.array([a.weight[0, 0] for a in prob.agents])
+        muw = ref.mu * w
+        stacked = oracle._grid_refine_rows(
+            lambda t: prob.objective_rows(t) + muw * t, los, his)
+        loop = [per_agent_grid(
+            lambda t, sp=sp, i=i: (float(sp.objective(np.array([t])))
+                                   + ref.mu * w[i] * t), los[i], his[i])
+            for i, sp in enumerate(prob.agents)]
+        assert stacked.tobytes() == np.array(loop).tobytes()
+
+
+def test_example2_kkt_matches_the_per_agent_loop(monkeypatch):
+    built = [catalog.example2_allocation(seed=s) for s in range(20)]
+    monkeypatch.setattr(catalog, "solve_allocation_kkt", kkt_per_agent_loop)
+    for seed, prob in enumerate(built):
+        loop = catalog.example2_allocation(seed=seed)
+        assert prob.meta["redraws"] == loop.meta["redraws"], seed
+        assert_same_reference(prob.meta["kkt"], loop.meta["kkt"])
+
+
+def test_example2_kkt_evaluates_objectives_by_stack(monkeypatch):
+    calls = []
+    objective_rows = AllocationProblem.objective_rows
+
+    def counted(self, y):
+        calls.append(self.n)
+        return objective_rows(self, y)
+
+    def per_agent(y):
+        raise AssertionError("per-agent objective called")
+
+    monkeypatch.setattr(AllocationProblem, "objective_rows", counted)
+    prob = catalog.example2_allocation(seed=0)
+    small = catalog.allocation_quadratics()
+    for sp in prob.agents + small.agents:
+        sp.objective = per_agent
+    calls.clear()
+    solve_allocation_kkt(prob)
+    assert calls and set(calls) == {20}
+    count = len(calls)
+    calls.clear()
+    solve_allocation_kkt(small)
+    assert len(calls) == count and set(calls) == {3}
+
+
+def test_kkt_rejects_a_nan_objective():
+    # the objective is NaN above 0.9, where agent 0's optimum lies; the
+    # grid search also lands on the NaN side for every agent
+    def nan_above(c):
+        return lambda y: float(0.5 * (y[0] - c) ** 2) if y[0] < 0.9 else np.nan
+
+    agents = [AllocationAgentSpec(
+        objective=nan_above(c), gradient=lambda y, c=c: y - c,
+        cset=Box(-1.0, 1.0, dim=1), weight=[[1.0]], demand=[c],
+        lipschitz=1.0) for c in (0.95, 0.5, 0.0)]
+    with pytest.raises(CertificationError, match="no finite gap"):
+        solve_allocation_kkt(AllocationProblem(ring(3), agents))
+
+
+def test_kkt_rejects_a_nan_reference_objective(monkeypatch):
+    prob = catalog.allocation_quadratics()
+    objective_rows = AllocationProblem.objective_rows
+
+    def nan_at_the_decisions(self, y):
+        values = objective_rows(self, y)
+        return values if y.ndim > 1 else np.full_like(values, np.nan)
+
+    monkeypatch.setattr(AllocationProblem, "objective_rows",
+                        nan_at_the_decisions)
+    with pytest.raises(CertificationError, match="objective nan is not finite"):
+        solve_allocation_kkt(prob)
