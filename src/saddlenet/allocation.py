@@ -20,22 +20,26 @@ again decomposes into neighbor sums.
 over ``z = [y, a, lam]`` of length ``Q + 2 N m``: the decisions ``y``
 (``Q = sum q_i``, agent by agent), then the auxiliary variables ``a``
 and the multipliers ``lam``, each ``N x m`` in agent-major order. Its
-operator is Psi in the same layout, from a single
-`NetworkGraph.lap_apply` over the columns ``[lam, a + lam]``, the
-payloads the agents of `network` exchange. Psi and L2 take one point
-or a stack of points, whose leading axes ride along as further
-Laplacian columns. `simulate_allocation` runs
-the generic `solvers.run` on it and reads the per-agent trace off the
-recorded rows. As in `consensus`, the per-agent route in `network` uses
-the same expressions and neighbor ordering, so both produce the same
-trajectories.
+operator is Psi in the same layout. It copies ``z`` into a buffer
+``[z, a + lam]`` and takes both Laplacian products from a single
+`NetworkGraph.lap_pass` over the columns ``[lam, a + lam]``, the
+payloads the agents of `network` exchange, through a gather plan of
+absolute indices into that buffer. The problem builds the plan on its
+first evaluation, and one negation writes the pass's two blocks into
+the ``a`` and ``lam`` blocks of the result. One point ``(dim,)`` and a
+stack ``(..., dim)`` take the same calls, the stack's points as
+leading axes. L2 takes stacks too, through `lap_rows`.
+`simulate_allocation` runs the generic `solvers.run` on it and reads
+the per-agent trace off the recorded rows. As in `consensus`, the
+per-agent route in `network` uses the same expressions and neighbor
+ordering, so both produce the same trajectories.
 """
 
 import numpy as np
 
 from . import sets
-from .core import (SaddleProblem, ValidationError, _batched, _matvec, _norm,
-                   spectral_norm)
+from .core import (SaddleProblem, ValidationError, _batched, _matvec,
+                   _row_dots, spectral_norm)
 from .graphs import lambda_max
 from .solvers import (SolverConfig, _write_agent_csv, run, step_bound,
                       step_eg, step_ogda)
@@ -230,31 +234,50 @@ def lagrangian_L2(problem, y, a, lam):
     return float(value) if value.ndim == 0 else value
 
 
-def _psi(problem, y, a, lam):
-    """Psi at ``(y, a, lam)``, written once into an array laid out like ``z``.
+def _psi_operator(problem):
+    """Psi on flat iterates ``z = [y, a, lam]``, one point or a stack.
 
-    Blocks: ``grad h + W'lam``, ``-L lam`` and ``-(W y - d - L(a + lam))``.
-    Both Laplacian products come from one `lap_apply` over the stacked
-    columns ``[lam, a + lam]``; a stack of points, ``y`` of shape
-    ``(..., Q)`` and rows ``(..., N, m)``, adds its points as columns.
+    Returns ``psi(z)``, which writes ``grad h + W'lam``, ``-L lam`` and
+    ``-(W y - d - L(a + lam))`` into an array laid out like ``z``. Both
+    Laplacian products come from one `NetworkGraph.lap_pass` over the
+    columns ``[lam, a + lam]`` of the buffer ``[z, a + lam]``; its gather
+    plan is built on the first call. A stack ``(..., dim)`` takes the
+    same calls as one point, with its points as leading axes.
     """
     n, m = problem.n, problem.m
     sy, sa, sl = problem._zslices
-    rows = y.shape[:-1] + (n, m)
-    lap = problem.graph.lap_rows(np.concatenate([lam, a + lam], axis=-1))
-    psi = np.empty(y.shape[:-1] + (sl.stop,))
-    np.add(problem.gradient_vec(y), problem.wt_lam(lam), out=psi[..., sy])
-    np.negative(lap[..., :m], out=psi[..., sa].reshape(rows))
-    glam = psi[..., sl].reshape(rows)
-    np.subtract(problem.wy_minus_d(y), lap[..., m:], out=glam)
-    np.negative(glam, out=glam)
+    dim, nm = sl.stop, n * m
+    plan = None
+
+    def psi(z):
+        nonlocal plan
+        if plan is None:
+            plan = problem.graph.gather_plan((sl.start, dim), m)
+        lead = z.shape[:-1]
+        rows = lead + (n, m)
+        y, lam = z[..., sy], z[..., sl]
+        ext = np.empty(lead + (dim + nm,))
+        ext[..., :dim] = z
+        np.add(z[..., sa], lam, out=ext[..., dim:])
+        out = np.empty(z.shape)
+        np.add(problem.gradient_vec(y), problem.wt_lam(lam.reshape(rows)),
+               out=out[..., sy])
+        # [L lam, L(a + lam)]; W y - d - L(a + lam) in place, then one
+        # negation writes the a and lam blocks
+        lap = problem.graph.lap_pass(ext, plan)
+        glam = lap[..., nm:].reshape(rows)
+        np.subtract(problem.wy_minus_d(y), glam, out=glam)
+        np.negative(lap, out=out[..., sa.start:])
+        return out
+
     return psi
 
 
 def operator_psi(problem, y, a, lam):
     """Saddle operator Psi at ``(y, a, lam)`` as one stacked vector."""
-    return _psi(problem, np.asarray(y, dtype=float).ravel(),
-                problem.rows(a), problem.rows(lam))
+    z = np.concatenate([np.asarray(y, dtype=float).ravel(),
+                        problem.rows(a).ravel(), problem.rows(lam).ravel()])
+    return _psi_operator(problem)(z)
 
 
 def feasibility_gap(problem, y):
@@ -263,8 +286,13 @@ def feasibility_gap(problem, y):
 
 
 def _gap_rows(problem, ys):
-    """`feasibility_gap` of each row of the decisions ``ys`` ``(rows, Q)``."""
-    return np.array([_norm(e) for e in problem.wy_minus_d(ys).sum(axis=-2)])
+    """`feasibility_gap` of each row of the decisions ``ys`` ``(rows, Q)``.
+
+    One batched matmul takes every row's dot, the one `core._norm`
+    takes.
+    """
+    e = problem.wy_minus_d(ys).sum(axis=-2)
+    return np.sqrt(_row_dots(e, e))
 
 
 def as_saddle_problem(problem):
@@ -299,9 +327,6 @@ def as_saddle_problem(problem):
         e = problem.wy_minus_d(y) - problem.graph.lap_apply(a + lam)
         return e.ravel()
 
-    def operator(z):
-        return _psi(problem, *problem.split(z))
-
     def objective(z):
         return lagrangian_L2(problem, *problem.split(z))
 
@@ -312,7 +337,8 @@ def as_saddle_problem(problem):
         value, grad_x, grad_y,
         lipschitz={"l_xx": problem.l_h, "l_xy": cross,
                    "l_yx": cross, "l_yy": lam_norm},
-        kappa=problem.kappa_s, operator=operator, objective=objective,
+        kappa=problem.kappa_s, operator=_psi_operator(problem),
+        objective=objective,
         name=problem.name + "-stacked")
 
 

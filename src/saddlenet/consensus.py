@@ -11,21 +11,25 @@ is convex-concave over ``Omega x R^{Nm}``, and its saddle operator
 so the generic projected methods become per-agent update rules.
 
 `as_saddle_problem` casts the instance as one stacked saddle problem
-over ``z = [x, v]`` (each block ``N x m``, agent-major), whose operator
-is Phi from a single `NetworkGraph.lap_apply` over the columns
-``[x + v, x]``, the payloads the agents of `network` exchange. Phi and
-L1 take one point or a stack of points: the stack's leading axes ride
-along as further Laplacian columns, so one pass serves every point.
-`simulate_consensus` runs the generic `solvers.run` on it and reads the
-per-agent trace off the recorded rows. Every neighbor sum goes through
-`lap_apply` and the per-agent route in `network` uses the same
-expressions, so the two routes agree to the last bit.
+over ``z = [x, v]`` (each block ``N x m``, agent-major). Its operator
+is Phi: it copies ``z`` into a buffer ``[z, x + v]`` and takes both
+Laplacian products from a single `NetworkGraph.lap_pass` over the
+columns ``[x + v, x]``, the payloads the agents of `network` exchange,
+through a gather plan of absolute indices into that buffer. The problem
+builds the plan on its first evaluation; the pass comes out laid out
+like ``z`` and becomes the result. Phi takes one point ``(dim,)`` or a
+stack ``(..., dim)`` through the same calls, and L1 takes stacks
+through `lap_rows`, so one pass serves every point. `simulate_consensus` runs
+the generic `solvers.run` on it and reads the per-agent trace off the
+recorded rows. Every neighbor sum goes through `lap_pass` and the
+per-agent route in `network` uses the same expressions, so the two
+routes agree to the last bit.
 """
 
 import numpy as np
 
 from . import sets
-from .core import SaddleProblem, ValidationError, _batched, _norm
+from .core import SaddleProblem, ValidationError, _batched, _row_dots
 from .graphs import lambda_max
 from .solvers import (SolverConfig, _write_agent_csv, run, step_bound,
                       step_eg, step_ogda)
@@ -168,25 +172,44 @@ def lagrangian_L1(problem, x, v):
     return float(value) if value.ndim == 0 else value
 
 
-def _phi(problem, x, v):
-    """Phi at rows ``(x, v)``, written once into an array laid out like ``z``.
+def _phi_operator(problem):
+    """Phi on flat iterates ``z = [x, v]``, one point or a stack.
 
-    Blocks: ``grad f + L(x + v)`` and ``-L x``. Both Laplacian products
-    come from one `lap_apply` over the stacked columns ``[x + v, x]``;
-    a stack of points ``(..., N, m)`` adds its points as columns.
+    Returns ``phi(z)``, which writes ``grad f + L(x + v)`` and ``-L x``
+    into an array laid out like ``z``. Both Laplacian products come from
+    one `NetworkGraph.lap_pass` over the columns ``[x + v, x]`` of the
+    buffer ``[z, x + v]``; its gather plan is built on the first call. A
+    stack ``(..., dim)`` takes the same calls as one point, with its
+    points as leading axes.
     """
     n, m = problem.n, problem.m
-    lead = x.shape[:-2]
-    lap = problem.graph.lap_rows(np.concatenate([x + v, x], axis=-1))
-    phi = np.empty(lead + (2, n, m))
-    np.add(problem.gradient_rows(x), lap[..., :m], out=phi[..., 0, :, :])
-    np.negative(lap[..., m:], out=phi[..., 1, :, :])
-    return phi.reshape(lead + (2 * n * m,))
+    nm = n * m
+    plan = None
+
+    def phi(z):
+        nonlocal plan
+        if plan is None:
+            plan = problem.graph.gather_plan((2 * nm, 0), m)
+        lead = z.shape[:-1]
+        rows = lead + (n, m)
+        ext = np.empty(lead + (3 * nm,))
+        ext[..., :2 * nm] = z
+        x = z[..., :nm]
+        np.add(x, z[..., nm:], out=ext[..., 2 * nm:])
+        # [L(x + v), L x], laid out like z
+        out = problem.graph.lap_pass(ext, plan)
+        gx = out[..., :nm].reshape(rows)
+        np.add(problem.gradient_rows(x.reshape(rows)), gx, out=gx)
+        np.negative(out[..., nm:], out=out[..., nm:])
+        return out
+
+    return phi
 
 
 def operator_phi(problem, x, v):
     """Saddle operator Phi at ``(x, v)`` as one stacked ``2Nm`` vector."""
-    return _phi(problem, problem.rows(x), problem.rows(v))
+    z = np.concatenate([problem.rows(x).ravel(), problem.rows(v).ravel()])
+    return _phi_operator(problem)(z)
 
 
 def consensus_residual(problem, x):
@@ -199,11 +222,13 @@ def _residual_rows(problem, xs):
 
     One Laplacian pass takes every block's decisions as columns; each
     norm is that of the block raveled into contiguous memory, as
-    `np.linalg.norm` takes it (a strided dot sums in another order).
+    `np.linalg.norm` takes it (a strided dot sums in another order), and
+    one batched matmul takes every block's dot.
     """
     rows, n, m = xs.shape
     lap = np.ascontiguousarray(problem.graph.lap_rows(xs))
-    return np.array([_norm(block) for block in lap.reshape(rows, n * m)])
+    flat = lap.reshape(rows, n * m)
+    return np.sqrt(_row_dots(flat, flat))
 
 
 def as_saddle_problem(problem):
@@ -234,9 +259,6 @@ def as_saddle_problem(problem):
         shape = z.shape[:-1] + (n, m)
         return z[..., :nm].reshape(shape), z[..., nm:].reshape(shape)
 
-    def operator(z):
-        return _phi(problem, *blocks(z))
-
     def objective(z):
         return lagrangian_L1(problem, *blocks(z))
 
@@ -247,7 +269,8 @@ def as_saddle_problem(problem):
         value, grad_x, grad_y,
         lipschitz={"l_xx": problem.l_f + lam, "l_xy": lam,
                    "l_yx": lam, "l_yy": 0.0},
-        kappa=problem.kappa_c, operator=operator, objective=objective,
+        kappa=problem.kappa_c, operator=_phi_operator(problem),
+        objective=objective,
         name=problem.name + "-stacked")
 
 

@@ -2,16 +2,24 @@
 
 The distributed algorithms never materialize the Kronecker product
 ``L (x) I_m``; every Laplacian product is assembled from per-agent
-neighbor sums. `NetworkGraph.lap_apply` performs that assembly with a
-fixed accumulation order (ascending neighbor index) so that the
-vectorized stacked computation and a literal per-agent message-passing
-loop produce identical floating-point results.
+neighbor sums. `NetworkGraph.lap_pass` is the one place that performs
+that assembly. It sums in a fixed order (ascending neighbor index, onto
+zeros) and leaves the padded ranks of lower-degree vertices at exact
+zeros, so that the vectorized stacked computation and a literal
+per-agent message-passing loop produce identical floating-point
+results. It gathers its operands from a flat buffer, one point or a
+stack, through a plan of absolute indices from
+`NetworkGraph.gather_plan`. `lap_apply` and `lap_rows` pass every
+per-vertex column as one buffer of a plan over the vertices, built on
+their first call. The stacked consensus and allocation operators build
+theirs once per problem, over their flat iterates.
 
 The step sizes of both networked problems rest on `lambda_max`, an upper
 bound by construction: `core.spectral_norm` of the dense Laplacian.
 """
 
 import collections
+import functools
 
 import numpy as np
 
@@ -62,7 +70,7 @@ class NetworkGraph(object):
         # padded neighbor index table by rank: row k holds the k-th sorted
         # neighbor of every vertex, padded with the vertex itself; on an
         # irregular graph `_real` marks the entries that are neighbors, and
-        # `lap_apply` leaves the padded differences at zero (u_i - u_i
+        # `lap_pass` leaves the padded differences at zero (u_i - u_i
         # would be NaN for an infinite u_i)
         self._nbr = np.empty((self.max_degree, n), dtype=int)
         for i in range(n):
@@ -100,6 +108,73 @@ class NetworkGraph(object):
         vals = np.linalg.eigvalsh(self.laplacian())
         return float(vals[1]) if self.n > 1 else 0.0
 
+    def gather_plan(self, starts, width):
+        """Plan of one `lap_pass` over column blocks of a flat buffer.
+
+        Parameters
+        ----------
+        starts : sequence of int
+            Offsets of the blocks in the buffer. Each block holds `width`
+            values per vertex, vertex by vertex (``n * width`` entries).
+        width : int
+            Values per vertex in each block.
+
+        Returns
+        -------
+        (index, real)
+            `index` ``(2, max degree, cols)`` with ``cols = len(starts)
+            * n * width``. Row k of ``index[1]`` holds each column's
+            entry at its vertex's k-th neighbor in ascending order,
+            padded with the vertex itself; every row of ``index[0]``
+            holds the column's own entry, so that both halves of the
+            gather have one shape. `real` ``(max degree, cols)`` marks
+            the ranks that are neighbors; None on a regular graph,
+            where every rank is.
+        """
+        ranks = self._nbr.shape
+        verts = np.stack([np.broadcast_to(np.arange(self.n), ranks),
+                          self._nbr])[..., None, :, None]
+        index = (np.asarray(starts, dtype=int)[:, None, None]
+                 + verts * width + np.arange(width))
+        cols = len(starts) * self.n * width
+        real = None
+        if self._real is not None:
+            real = np.broadcast_to(self._real[:, None, :, None],
+                                   index.shape[1:]).reshape(ranks[0], cols)
+        return index.reshape(2, ranks[0], cols), real
+
+    def lap_pass(self, flat, plan):
+        """The Laplacian pass over the planned columns of a flat buffer.
+
+        Parameters
+        ----------
+        flat : array of shape (..., size)
+            One buffer or a stack of them; leading axes are independent.
+        plan : tuple
+            ``(index, real)`` from `gather_plan`.
+
+        Returns
+        -------
+        array of shape (..., cols)
+            Column c holds ``sum over neighbors j of (u_c - u_(c at j))``,
+            accumulated onto zeros in ascending neighbor order, as a
+            per-vertex loop sums. Padded ranks add exact zeros (``u - u``
+            would be NaN for an infinite ``u``).
+        """
+        index, real = plan
+        # one gather for the own entries and all ranks
+        taken = flat.take(index, axis=-1)
+        own, nbrs = taken[..., 0, :, :], taken[..., 1, :, :]
+        if real is None:
+            diffs = np.subtract(own, nbrs)
+        else:
+            diffs = np.zeros(nbrs.shape)
+            np.subtract(own, nbrs, out=diffs, where=real)
+        # rank by rank onto zeros: the rank axis lies outside the columns,
+        # so the reduction adds whole rows in order, as a loop would (an
+        # innermost reduction sums pairwise from 8 terms up)
+        return np.add.reduce(diffs, axis=-2, initial=0.0)
+
     def lap_apply(self, u):
         """Apply the Laplacian through neighbor sums.
 
@@ -111,24 +186,27 @@ class NetworkGraph(object):
         Returns
         -------
         array of the same shape
-            Row i holds ``sum over neighbors j of (u_i - u_j)``,
-            accumulated onto zeros in ascending neighbor order. Trailing
+            Row i holds ``sum over neighbors j of (u_i - u_j)``, from
+            one `lap_pass` that takes each trailing entry's values at
+            the vertices as one buffer. Trailing
             axes are independent columns, so stacking several vectors as
             columns of one call gives the same values as one call per
             vector.
         """
         u = np.asarray(u, dtype=float)
-        # one gather for all ranks; block k holds u_i - u_(k-th neighbor of i)
-        taken = u.take(self._nbr, axis=0)
-        if self._real is None:
-            diffs = u - taken
-        else:
-            diffs = np.zeros(taken.shape)
-            real = self._real.reshape(self._real.shape + (1,) * (u.ndim - 1))
-            np.subtract(u, taken, out=diffs, where=real)
-        # rank by rank onto zeros: the rank axis is outermost in memory,
-        # so the reduction adds whole blocks in order, as a loop would
-        return np.add.reduce(diffs, axis=0, initial=0.0)
+        if u.shape[:1] != (self.n,):
+            raise ValueError("u has shape {}, expected ({}, ...)"
+                             .format(u.shape, self.n))
+        # vertices last: each trailing entry is one buffer of the pass;
+        # the result is C-ordered like `u`, as sums over it assume
+        rows = u.reshape(self.n, u.size // self.n).T
+        lap = self.lap_pass(rows, self._vertex_plan)
+        return np.ascontiguousarray(lap.T).reshape(u.shape)
+
+    @functools.cached_property
+    def _vertex_plan(self):
+        """`gather_plan` of one value per vertex, for `lap_apply`."""
+        return self.gather_plan((0,), 1)
 
     def lap_rows(self, u):
         """`lap_apply` of per-vertex rows ``(..., n, c)``.

@@ -30,6 +30,8 @@ except ImportError:  # numpy < 2
 __all__ = ["ConvexSet", "WholeSpace", "Box", "Ball", "Product",
            "normal_cone_residual"]
 
+_FLOAT = np.dtype(float)
+
 
 def _as_vector(p, dim, name="p"):
     p = np.asarray(p, dtype=float)
@@ -219,6 +221,7 @@ class Product(ConvexSet):
             raise ValueError("product needs at least one factor")
         self.factors = factors
         self.dim = sum(f.dim for f in factors)
+        self._shape = (self.dim,)
         offsets = np.cumsum([0] + [f.dim for f in factors])
         self._slices = [slice(offsets[i], offsets[i + 1])
                         for i in range(len(factors))]
@@ -233,10 +236,17 @@ class Product(ConvexSet):
                 np.concatenate([hi for _, hi in bounds]))
 
     def project(self, p):
-        p = _as_points(p, self.dim)
         bounds = self._bounds
         if bounds is not None:
-            return _clip(p, *bounds)
+            # a float array ending in the product's axis, as the solvers
+            # pass, is what `_as_points` would return; checking that
+            # inline saves most of the call's overhead on short vectors
+            if (p.__class__ is not np.ndarray or p.dtype is not _FLOAT
+                    or p.shape[-1:] != self._shape):
+                p = _as_points(p, self.dim)
+            lo, hi = bounds
+            return _clip(p, lo, hi)
+        p = _as_points(p, self.dim)
         if p.ndim > 1:
             return _each_point(self.project, p, np.empty_like(p))
         out = np.empty_like(p)

@@ -271,15 +271,16 @@ def test_non_finite_gradient_trips_divergence_guard():
 def test_simulate_never_evaluates_the_lagrangian(method, monkeypatch):
     prob = catalog.consensus_quadratics(5)
     calls = []
-    lap_apply = prob.graph.lap_apply
+    lap_pass = prob.graph.lap_pass
 
-    def counted(u):
-        calls.append(np.shape(u))
-        return lap_apply(u)
+    def counted(flat, plan):
+        calls.append(np.shape(flat))
+        return lap_pass(flat, plan)
 
-    monkeypatch.setattr(prob.graph, "lap_apply", counted)
+    monkeypatch.setattr(prob.graph, "lap_pass", counted)
     trace = simulate_consensus(prob, method, max_iters=1000, stop_tol=1e-8)
-    # one pass per operator evaluation, one for the residual column
+    # one Laplacian pass per operator evaluation, one for the residual
+    # column (`lap_apply` and the operators share `lap_pass`)
     assert len(calls) == trace.gradient_calls + 1
 
 

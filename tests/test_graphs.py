@@ -171,6 +171,18 @@ def test_lap_apply_sums_onto_zeros():
     assert not np.signbit(single.lap_apply(np.array([-0.0]))[0])
 
 
+def test_lap_apply_checks_the_vertex_axis_and_keeps_c_order():
+    graph = ring(5)
+    for shape in ((4,), (6, 2), ()):
+        with pytest.raises(ValueError, match=r"expected \(5, \.\.\.\)"):
+            graph.lap_apply(np.zeros(shape))
+    # sums over the result follow its memory order (np.linalg.norm
+    # ravels in that order), so it comes back C-ordered like `u`
+    for shape in ((5,), (5, 3), (5, 2, 4), (5, 0)):
+        out = graph.lap_apply(np.arange(float(np.prod(shape))).reshape(shape))
+        assert out.shape == shape and out.flags.c_contiguous
+
+
 def test_ring_of_ten_thousand_builds_without_dense_matrices():
     # connectivity is a breadth-first search, so no n x n Laplacian is formed
     start = time.perf_counter()

@@ -231,6 +231,11 @@ REPLAY_CASES = {
     "example2": lambda: catalog.example2_allocation(seed=0),
     "mixed_allocation": lambda: mixed_allocation(ring(6), seed=3),
     "ball_consensus": lambda: quadratic_consensus(ring(5), 2, seed=5),
+    # degrees 11 to 15: more neighbors than a pairwise sum's 8-term block
+    "dense_consensus": lambda: quadratic_consensus(
+        random_connected(16, 0.9, seed=0), 2, seed=6),
+    "dense_allocation": lambda: mixed_allocation(
+        random_connected(16, 0.9, seed=0), seed=7),
 }
 
 

@@ -101,6 +101,28 @@ def test_sample_points_feasible_and_reproducible():
         assert prod.contains(p, tol=1e-9)
 
 
+@pytest.mark.parametrize("shape", [(2,), (1,), (4, 1), (3, 2), ()])
+def test_compiled_product_rejects_a_wrong_trailing_axis(shape):
+    # float arrays skip the conversion but not the check: (1,) and
+    # (4, 1) would broadcast against the bounds in the clip
+    prod = Product(Box(-1.0, 1.0, dim=2), WholeSpace(1))
+    with pytest.raises(ValueError, match=r"expected \(3,\) or \(\.\.\., 3\)"):
+        prod.project(np.zeros(shape))
+
+
+def test_compiled_product_converts_other_inputs():
+    prod = Product(Box(-1.0, 1.0, dim=2), WholeSpace(1))
+    want = prod.project(np.array([2.0, 0.0, 7.0]))
+    for p in ([2.0, 0.0, 7.0], np.array([2, 0, 7]),
+              np.array([2.0, 0.0, 7.0], dtype=np.float32)):
+        got = prod.project(p)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+    single = Product(Box(-1.0, 1.0, dim=1))
+    for p in (3.0, np.float64(3.0), np.array(3.0)):
+        assert single.project(p).tobytes() == np.array([1.0]).tobytes()
+
+
 def test_box_rejects_nan_bounds():
     with pytest.raises(ValueError):
         Box(np.nan, 1.0, dim=2)
