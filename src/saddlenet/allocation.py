@@ -56,9 +56,11 @@ class AllocationAgentSpec(object):
     Parameters
     ----------
     objective : callable
-        ``h_i(y_i) -> float`` on q_i-vectors.
+        ``h_i(y_i) -> float`` on q_i-vectors; must be pure.
     gradient : callable
-        ``grad h_i(y_i) -> q_i-vector``.
+        ``grad h_i(y_i) -> q_i-vector``; must be pure. Both are called
+        once per distinct point of a stack, so their values may be
+        reused for bit-equal inputs.
     cset : ConvexSet
         Local set Omega_i of dimension q_i.
     weight : array_like
@@ -166,10 +168,11 @@ class AllocationProblem(object):
         if self.vector_objective is not None:
             return _batched(self.vector_objective(y), y.shape[:-1] + (self.n,),
                             "vector_objective")
-        if y.ndim > 1:
-            return np.stack([self.objective_rows(r) for r in y])
-        return np.array([a.objective(y[self._yslices[i]])
-                         for i, a in enumerate(self.agents)])
+        out = np.empty(y.shape[:-1] + (self.n,))
+        for i, (a, sl) in enumerate(zip(self.agents, self._yslices)):
+            name = "AllocationAgentSpec.objective of agent {}".format(i)
+            sets._each_point(a.objective, y[..., sl], out[..., i], name)
+        return out
 
     def total_objective(self, y):
         return float(np.add.reduce(self.objective_rows(y), axis=None))
@@ -179,10 +182,11 @@ class AllocationProblem(object):
         if self.vector_gradient is not None:
             return _batched(self.vector_gradient(y), y.shape,
                             "vector_gradient")
-        if y.ndim > 1:
-            return np.stack([self.gradient_vec(r) for r in y])
-        return np.concatenate([np.atleast_1d(a.gradient(y[self._yslices[i]]))
-                               for i, a in enumerate(self.agents)])
+        out = np.empty(y.shape)
+        for i, (a, sl) in enumerate(zip(self.agents, self._yslices)):
+            name = "AllocationAgentSpec.gradient of agent {}".format(i)
+            sets._each_point(a.gradient, y[..., sl], out[..., sl], name)
+        return out
 
     def wt_lam(self, lam):
         """Stacked ``W_i' lam_i`` ``(..., Q)`` of multiplier rows ``(..., N, m)``."""

@@ -46,9 +46,11 @@ class ConsensusAgentSpec(object):
     Parameters
     ----------
     objective : callable
-        ``f_i(x_i) -> float`` on m-vectors.
+        ``f_i(x_i) -> float`` on m-vectors; must be pure.
     gradient : callable
-        ``grad f_i(x_i) -> m-vector``; must be pure.
+        ``grad f_i(x_i) -> m-vector``; must be pure. Both are called
+        once per distinct point of a stack, so their values may be
+        reused for bit-equal inputs.
     cset : ConvexSet
         Local constraint set Omega_i of dimension m.
     lipschitz : float
@@ -122,9 +124,11 @@ class ConsensusProblem(object):
         if self.vector_objective is not None:
             return _batched(self.vector_objective(x), x.shape[:-1],
                             "vector_objective")
-        if x.ndim > 2:
-            return np.stack([self.objective_rows(r) for r in x])
-        return np.array([a.objective(x[i]) for i, a in enumerate(self.agents)])
+        out = np.empty(x.shape[:-1])
+        for i, a in enumerate(self.agents):
+            name = "ConsensusAgentSpec.objective of agent {}".format(i)
+            sets._each_point(a.objective, x[..., i, :], out[..., i], name)
+        return out
 
     def total_objective(self, x):
         return float(np.add.reduce(self.objective_rows(x), axis=None))
@@ -134,9 +138,11 @@ class ConsensusProblem(object):
         if self.vector_gradient is not None:
             return _batched(self.vector_gradient(x), x.shape,
                             "vector_gradient")
-        if x.ndim > 2:
-            return np.stack([self.gradient_rows(r) for r in x])
-        return np.stack([a.gradient(x[i]) for i, a in enumerate(self.agents)])
+        out = np.empty(x.shape)
+        for i, a in enumerate(self.agents):
+            name = "ConsensusAgentSpec.gradient of agent {}".format(i)
+            sets._each_point(a.gradient, x[..., i, :], out[..., i, :], name)
+        return out
 
     def project_rows(self, x):
         """Project each row onto its agent's set."""

@@ -60,7 +60,8 @@ class SaddleProblem(object):
     set_x, set_y : ConvexSet
         Feasible sets X and Y.
     value : callable
-        ``value(x, y) -> float``, the objective f.
+        ``value(x, y) -> float``, the objective f; must be a pure
+        function, so that its value may be reused for bit-equal inputs.
     grad_x, grad_y : callable
         Gradient oracles ``(x, y) -> vector``; must be pure functions.
     lipschitz : dict
@@ -87,7 +88,7 @@ class SaddleProblem(object):
     -----
     `operator_F` and `objective` evaluate a whole stack of points in
     one call of a fused hook; without the hook they evaluate `grad_x`,
-    `grad_y` resp. `value` one row at a time. The sampled checks, the
+    `grad_y` resp. `value` once per distinct row. The sampled checks, the
     finite differences and the descent diagnostic pass stacks.
 
     A stack hook keeps each row's bits when every row runs the kernel
@@ -162,28 +163,22 @@ def _batched(values, shape, oracle):
     return values
 
 
-def _rowwise(point_fn, z):
-    """`point_fn` of each row of a stack ``(..., dim)``, stacked alike."""
-    z = np.asarray(z, dtype=float)
-    out = np.array([point_fn(p) for p in z.reshape(-1, z.shape[-1])],
-                   dtype=float)
-    return out.reshape(z.shape[:-1] + out.shape[1:])
-
-
 def operator_F(problem, z):
     """Evaluate ``F(z) = col(grad_x f, -grad_y f)``.
 
     `z` is one stacked point ``(dim,)`` or an array of them
     ``(..., dim)``; F has the same shape. The problem's fused `operator`
-    takes the whole stack in one call; without it each row is one
-    `operator_F` call on the blockwise gradients.
+    takes the whole stack in one call; without it each distinct row is
+    one `operator_F` call on the blockwise gradients.
     """
     if isinstance(z, IterateZ):
         z = z.vector
     if problem.operator is not None:
         return problem.operator(z)
     if getattr(z, "ndim", 1) > 1:
-        return _rowwise(functools.partial(operator_F, problem), z)
+        z = np.asarray(z, dtype=float)
+        return sets._each_point(functools.partial(operator_F, problem), z,
+                                np.empty(z.shape), "grad_x and grad_y")
     x, y = problem.split(z)
     return np.concatenate([problem.grad_x(x, y), -problem.grad_y(x, y)])
 
@@ -193,14 +188,16 @@ def objective(problem, z):
 
     Mirrors `operator_F`: the fused `objective` hook takes the whole
     stack ``(..., dim)`` in one call and returns an array of shape
-    ``(...)``; without it each row is one call of `value`.
+    ``(...)``; without it each distinct row is one call of `value`.
     """
     if isinstance(z, IterateZ):
         z = z.vector
     if problem.objective is not None:
         return problem.objective(z)
     if getattr(z, "ndim", 1) > 1:
-        return _rowwise(functools.partial(objective, problem), z)
+        z = np.asarray(z, dtype=float)
+        return sets._each_point(functools.partial(objective, problem), z,
+                                np.empty(z.shape[:-1]), "value")
     x, y = problem.split(z)
     return float(problem.value(x, y))
 

@@ -22,7 +22,8 @@ projection onto its set times the free variables.
 The local vector may also be a stack of points ``(..., local_dim)``:
 payloads are then ``(..., 2m)``, sums, update expressions and
 projections act on every row alike, and the per-point gradient oracles
-are called once per row. One agent implementation serves two routes:
+are called once per distinct row. One agent implementation serves two
+routes:
 
 - `run` (the serial run): every agent holds one point and the network
   takes ``iters`` rounds, one exchange per OGDA step and two per EG step.
@@ -220,7 +221,8 @@ def _consensus_roles(spec, m):
         return np.concatenate((x + w[..., m:], x), axis=-1)
 
     def local(w, s, out):
-        g = sets._each_point(grad, w[..., :m], out[..., :m])
+        g = sets._each_point(grad, w[..., :m], out[..., :m],
+                             "ConsensusAgentSpec.gradient")
         np.add(g, s[..., :m], out=g)
         np.negative(s[..., m:], out=out[..., m:])
 
@@ -283,7 +285,8 @@ def _allocation_roles(spec, m):
 
     def local(w, s, out):
         y = w[..., :q]
-        g = sets._each_point(grad, y, out[..., :q])
+        g = sets._each_point(grad, y, out[..., :q],
+                             "AllocationAgentSpec.gradient")
         np.add(g, _matvec(weight_t, w[..., sl]), out=g)
         s_u = s[..., m:]
         np.subtract(_matvec(weight, y) - demand, s_u, out=s_u)

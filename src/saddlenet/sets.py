@@ -11,11 +11,12 @@ Projections take one point ``(dim,)`` or a stack of points
 ``(..., dim)``. Boxes, whole spaces and clip-compiled products project a
 stack in one clip, which broadcasts over the leading axes and gives
 every row the bits of its one-point projection; balls and other
-products project a stack row by row.
+products project each distinct row of a stack once, through
+`_each_point`, the row helper every per-point oracle goes through.
 """
 
 import functools
-import itertools
+import math
 
 import numpy as np
 
@@ -53,14 +54,48 @@ def _as_points(p, dim):
     return p
 
 
-def _each_point(fn, p, out):
+def _fitted(value, slot, name):
+    """`value` reshaped to `slot`, else a `ValidationError` naming `name`."""
+    value = np.asarray(value)
+    if value.shape == slot:
+        return value
+    if value.size != math.prod(slot):
+        from .core import ValidationError  # core imports this module
+        raise ValidationError("{} returned shape {} where {} was expected"
+                              .format(name, value.shape, slot))
+    return value.reshape(slot)
+
+
+def _each_point(fn, p, out, name):
     """Write ``fn(point)`` into `out` for each point of a stack ``(..., dim)``.
 
-    One call per point, for functions that take a single point only;
-    a single point ``(dim,)`` is one call on the whole of `p`.
+    For pure functions that take a single point only: `fn` is called
+    once per distinct point, told apart by bit pattern (+0.0 and -0.0
+    differ, and so do NaNs of different payloads), and one fancy-indexed
+    assignment scatters its values to the rows holding that point. A
+    single point ``(dim,)`` is one call on the whole of `p`. Each value
+    must have the size of its slot ``out.shape[p.ndim - 1:]``, a scalar
+    fills a slot of size 1; otherwise a `ValidationError` names `name`.
     """
-    for i in itertools.product(*map(range, p.shape[:-1])):
-        out[i] = fn(p[i])
+    lead = p.shape[:-1]
+    slot = out.shape[len(lead):]
+    if not lead:
+        out[...] = _fitted(fn(p), slot, name)
+        return out
+    rows = p.reshape(-1, p.shape[-1])
+    # an unsigned integer view compares bits, not float values
+    keys = np.ascontiguousarray(rows).view("u{}".format(rows.itemsize))
+    if keys.shape[1] == 1:
+        _, first, inverse = np.unique(keys[:, 0], return_index=True,
+                                      return_inverse=True)
+    else:
+        _, first, inverse = np.unique(keys, axis=0, return_index=True,
+                                      return_inverse=True)
+    values = np.empty((first.size,) + slot, dtype=out.dtype)
+    for u, i in enumerate(first.tolist()):
+        values[u] = _fitted(fn(rows[i]), slot, name)
+    # the inverse's shape differs across numpy 2.0.x releases
+    out[...] = values[inverse.reshape(-1)].reshape(out.shape)
     return out
 
 
@@ -174,7 +209,8 @@ class Ball(ConvexSet):
     def project(self, p):
         p = _as_points(p, self.dim)
         if p.ndim > 1:
-            return _each_point(self.project, p, np.empty_like(p))
+            return _each_point(self.project, p, np.empty_like(p),
+                               "Ball.project")
         offset = p - self.center
         dist = np.linalg.norm(offset)
         if dist <= self.radius:
@@ -248,7 +284,8 @@ class Product(ConvexSet):
             return _clip(p, lo, hi)
         p = _as_points(p, self.dim)
         if p.ndim > 1:
-            return _each_point(self.project, p, np.empty_like(p))
+            return _each_point(self.project, p, np.empty_like(p),
+                               "Product.project")
         out = np.empty_like(p)
         for f, s in zip(self.factors, self._slices):
             out[s] = f.project(p[s])

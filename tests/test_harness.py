@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import os
@@ -276,3 +277,46 @@ def test_summary_run_entry_keys(tmp_path, preset, extra):
     assert [r["method"] for r in summary["runs"]] == PRESETS[preset]["methods"]
     for entry in summary["runs"]:
         assert set(entry) == RUN_KEYS | extra
+
+
+def test_verify_replay_calls_agent_gradients_once_per_distinct_point(
+        tmp_path, capsys, monkeypatch):
+    # most example2 decisions sit on their box bounds, so the replayed
+    # rows repeat; each (agent, y_i) bit pattern of a replayed stack
+    # must reach the agent's gradient exactly once
+    calls = []
+    roles = network._allocation_roles
+
+    def counted_roles(spec, m):
+        spec, grad = copy.copy(spec), spec.gradient
+        spec.gradient = lambda y: calls.append(1) or grad(y)
+        return roles(spec, m)
+
+    replayed = []
+    replay = network._Simulator.replay
+
+    def recorded(sim, trace):
+        replayed.append((sim.problem, trace))
+        return replay(sim, trace)
+
+    monkeypatch.setattr(network, "_allocation_roles", counted_roles)
+    monkeypatch.setattr(network._Simulator, "replay", recorded)
+    code = main(["verify", "--preset", "example2", "--seed", "3",
+                 "--out", str(tmp_path / "v")])
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    margins = {c["check"]: c["margin"] for c in report["checks"]}
+    assert margins["distributed_stacked_equivalence_OGDA"] == 0.0
+    assert margins["distributed_stacked_equivalence_EG"] == 0.0
+    # OGDA steps from the recorded iterates; EG probes from them and
+    # commits from the recorded mid-points
+    distinct = 0
+    for prob, trace in replayed:
+        stacks = [trace.z[:-1]]
+        if trace.method == "EG":
+            stacks.append(trace.z_half[1:])
+        for rows in stacks:
+            for sl in prob._yslices:
+                distinct += len({r.tobytes() for r in rows[:, sl]})
+    assert [t.method for _, t in replayed] == ["OGDA", "EG"]
+    assert len(calls) == distinct == 10670

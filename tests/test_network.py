@@ -6,6 +6,7 @@ from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
                                   simulate_allocation)
 from saddlenet.consensus import (ConsensusAgentSpec, ConsensusProblem,
                                  simulate_consensus)
+from saddlenet.core import ValidationError
 from saddlenet.graphs import random_connected, ring
 from saddlenet.network import (AllocationNetworkSimulator,
                                ConsensusNetworkSimulator, Network)
@@ -326,3 +327,34 @@ def test_faulty_agents_fail_replay_and_serial_run(fault, method,
     for prob, trace in zip(problems, traces):
         assert simulator(prob, method).replay(trace) > 0.0
         assert serial_deviation(prob, method, 300) > 0.0
+
+
+def scalar_gradient_allocation(q):
+    """`mixed_allocation` on the 3-ring whose agent 1 (q_1 = `q`) returns
+    its gradient as a scalar: the sum of the true gradient's entries."""
+    prob = mixed_allocation(ring(3), seed=0)
+    agents = list(prob.agents)
+    t = np.linspace(-1.0, 1.0, q)
+    agents[1] = AllocationAgentSpec(
+        lambda y: float(0.5 * np.sum((y - t) ** 2)),
+        lambda y: float(np.sum(y - t)), Box(-1.0, 1.0, dim=q),
+        np.ones((2, q)), np.zeros(2), 1.0)
+    return AllocationProblem(prob.graph, agents)
+
+
+@pytest.mark.parametrize("method", ["OGDA", "EG"])
+def test_wrong_sized_agent_gradient_raises_on_both_routes(method):
+    # a scalar fills a q_i = 1 slot on both routes, as before ...
+    prob = scalar_gradient_allocation(1)
+    assert allocation_deviation(prob, method, 50) == 0.0
+    assert simulator(prob, method).replay(
+        stacked_trace(prob, method, 50)) == 0.0
+    # ... but is not broadcast over a q_i = 2 slot on either route
+    prob = scalar_gradient_allocation(2)
+    with pytest.raises(ValidationError, match="AllocationAgentSpec.gradient"):
+        AllocationNetworkSimulator(prob, method=method).run(3)
+    with pytest.raises(ValidationError,
+                       match="AllocationAgentSpec.gradient of agent 1"):
+        simulate_allocation(prob, method, max_iters=3, stop_tol=0.0)
+    with pytest.raises(ValidationError, match=r"shape \(\) where \(2,\)"):
+        prob.gradient_vec(np.zeros((4, prob.dim_y)))

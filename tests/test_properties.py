@@ -14,7 +14,10 @@ in another order than the per-vertex loop. The declared
 constants kappa_c and kappa_s are checked against sampled Lipschitz
 ratios on random graphs and boxes. The fused hooks of `example1` are
 checked against its blockwise oracles, and a hookless copy of it must
-run the same trajectories and trace columns bit for bit.
+run the same trajectories and trace columns bit for bit. The row helper
+`sets._each_point`, which calls a one-point oracle once per distinct
+point of a stack, is checked against the per-row loop on repeated rows,
+signed zeros, NaN payloads and infinities.
 """
 
 import copy
@@ -24,7 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from saddlenet import allocation, catalog, consensus
+from saddlenet import allocation, catalog, consensus, sets
 from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
                                   operator_psi)
 from saddlenet.consensus import ConsensusAgentSpec, ConsensusProblem
@@ -592,3 +595,63 @@ def test_hookless_example1_runs_the_same_trace(method):
             assert got is None and want is None
         else:
             assert got.tobytes() == want.tobytes(), name
+
+
+# +0.0 and -0.0, and NaNs that differ in sign or payload, compare equal
+# as values but are distinct inputs to an oracle
+NAN_PAYLOAD = float(np.array([0x7FF8000000000123], dtype=np.uint64)
+                    .view(float)[0])
+ENTRIES = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                           NAN_PAYLOAD, 1.5, -2.0])
+
+
+@st.composite
+def point_stacks(draw):
+    """Points ``(dim,)`` or stacks ``(..., dim)`` drawn from a small pool,
+    so that rows repeat."""
+    lead = draw(st.sampled_from([(), (1,), (2,), (7,), (16,), (3, 4)]))
+    dim = draw(st.sampled_from([1, 3]))
+    pool = draw(st.lists(st.lists(ENTRIES, min_size=dim, max_size=dim),
+                         min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                          min_size=int(np.prod(lead)),
+                          max_size=int(np.prod(lead))))
+    return np.array([pool[k] for k in picks], dtype=float).reshape(
+        lead + (dim,))
+
+
+def signs_and_reciprocals(y):
+    """Tells +0.0 from -0.0 (copysign, 1/y) and keeps NaN payloads."""
+    return np.concatenate((np.copysign(1.0, y), 1.0 / y, y))
+
+
+def signed_reciprocal(y):
+    return float(np.copysign(1.0, y[0]) / y[-1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_stacks(), st.sampled_from([signs_and_reciprocals,
+                                        signed_reciprocal]))
+@example(np.array([[0.0], [-0.0], [0.0]]), signs_and_reciprocals)
+@example(np.array([[np.nan], [NAN_PAYLOAD], [-np.nan], [np.nan]]),
+         signs_and_reciprocals)
+@example(np.array([[0.0, -0.0, 1.5], [-0.0, 0.0, 1.5]]), signed_reciprocal)
+def test_each_point_equals_the_per_row_loop(p, oracle):
+    seen = []
+
+    def fn(y):
+        seen.append(y.tobytes())
+        return oracle(y)
+
+    lead, dim = p.shape[:-1], p.shape[-1]
+    slot = (3 * dim,) if oracle is signs_and_reciprocals else ()
+    want = np.empty(lead + slot)
+    got = np.empty(lead + slot)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in np.ndindex(lead):
+            want[i] = oracle(p[i])
+        assert sets._each_point(fn, p, got, "oracle") is got
+    assert got.tobytes() == want.tobytes()
+    # one call per distinct bit pattern, whatever the float values say
+    distinct = {row.tobytes() for row in p.reshape(-1, dim)}
+    assert sorted(seen) == sorted(distinct)
