@@ -7,7 +7,7 @@ and resource-allocation problems those dynamics solve over a network.
 """
 
 from .sets import WholeSpace, Box, Ball, Product, normal_cone_residual
-from .core import (SaddleProblem, IterateZ, ValidationError, operator_F,
+from .core import (SaddleProblem, ValidationError, operator_F,
                    objective, vi_residual, check_monotone, estimate_kappa,
                    spectral_norm)
 from .solvers import (SolverConfig, RunTrace, DivergenceError, step_bound,

@@ -41,8 +41,8 @@ from . import sets
 from .core import (SaddleProblem, ValidationError, _batched, _matvec,
                    _row_dots, spectral_norm)
 from .graphs import lambda_max
-from .solvers import (SolverConfig, _write_agent_csv, run, step_bound,
-                      step_eg, step_ogda)
+from .solvers import (SolverConfig, _distributed_step, _write_agent_csv,
+                      run, step_eg, step_ogda)
 
 __all__ = ["AllocationAgentSpec", "AllocationProblem", "lagrangian_L2",
            "operator_psi", "feasibility_gap", "as_saddle_problem",
@@ -431,14 +431,7 @@ def simulate_allocation(problem, method, alpha=None, max_iters=1000,
     Parameters and errors mirror `simulate_consensus`; the step-size
     bounds use ``kappa_s``. Returns an `AllocationTrace`.
     """
-    method = str(method).upper()
-    if method not in ("OGDA", "EG"):
-        raise ValidationError("distributed methods are OGDA and EG")
-    bound = step_bound(method, problem.kappa_s)
-    if alpha is not None and not alpha < bound:
-        raise ValidationError(
-            "step size {:g} violates the {} bound {:g} (kappa_s={:g})"
-            .format(alpha, method, bound, problem.kappa_s))
+    method, alpha = _distributed_step(method, alpha, problem.kappa_s, "kappa_s")
     config = SolverConfig(method, step_size=alpha, max_iters=max_iters,
                           stop_tol=stop_tol, record_every=record_every)
     trace = run(as_saddle_problem(problem), config,

@@ -31,8 +31,8 @@ import numpy as np
 from . import sets
 from .core import SaddleProblem, ValidationError, _batched, _row_dots
 from .graphs import lambda_max
-from .solvers import (SolverConfig, _write_agent_csv, run, step_bound,
-                      step_eg, step_ogda)
+from .solvers import (SolverConfig, _distributed_step, _write_agent_csv,
+                      run, step_eg, step_ogda)
 
 __all__ = ["ConsensusAgentSpec", "ConsensusProblem", "lagrangian_L1",
            "operator_phi", "consensus_residual", "as_saddle_problem",
@@ -366,14 +366,7 @@ def simulate_consensus(problem, method, alpha=None, max_iters=1000,
     DivergenceError
         When an iterate turns non-finite or leaves the guard region.
     """
-    method = str(method).upper()
-    if method not in ("OGDA", "EG"):
-        raise ValidationError("distributed methods are OGDA and EG")
-    bound = step_bound(method, problem.kappa_c)
-    if alpha is not None and not alpha < bound:
-        raise ValidationError(
-            "step size {:g} violates the {} bound {:g} (kappa_c={:g})"
-            .format(alpha, method, bound, problem.kappa_c))
+    method, alpha = _distributed_step(method, alpha, problem.kappa_c, "kappa_c")
     config = SolverConfig(method, step_size=alpha, max_iters=max_iters,
                           stop_tol=stop_tol, record_every=record_every)
     trace = run(as_saddle_problem(problem), config,

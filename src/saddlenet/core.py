@@ -15,39 +15,13 @@ import numpy as np
 
 from . import sets
 
-__all__ = ["SaddleProblem", "IterateZ", "ValidationError", "operator_F",
+__all__ = ["SaddleProblem", "ValidationError", "operator_F",
            "objective", "vi_residual", "check_monotone", "estimate_kappa",
            "spectral_norm"]
 
 
 class ValidationError(ValueError):
     """A declared contract (step size, Lipschitz constant, config) is violated."""
-
-
-class IterateZ(object):
-    """Stacked primal-dual point ``z = col(x, y)``.
-
-    Thin container used at API boundaries; the solvers themselves work
-    on flat arrays for speed.
-    """
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x, y):
-        self.x = np.asarray(x, dtype=float)
-        self.y = np.asarray(y, dtype=float)
-
-    @property
-    def vector(self):
-        return np.concatenate([self.x, self.y])
-
-    @classmethod
-    def from_vector(cls, problem, z):
-        x, y = problem.split(z)
-        return cls(x, y)
-
-    def __repr__(self):
-        return "IterateZ(x={}, y={})".format(self.x, self.y)
 
 
 class SaddleProblem(object):
@@ -171,8 +145,6 @@ def operator_F(problem, z):
     takes the whole stack in one call; without it each distinct row is
     one `operator_F` call on the blockwise gradients.
     """
-    if isinstance(z, IterateZ):
-        z = z.vector
     if problem.operator is not None:
         return problem.operator(z)
     if getattr(z, "ndim", 1) > 1:
@@ -190,8 +162,6 @@ def objective(problem, z):
     stack ``(..., dim)`` in one call and returns an array of shape
     ``(...)``; without it each distinct row is one call of `value`.
     """
-    if isinstance(z, IterateZ):
-        z = z.vector
     if problem.objective is not None:
         return problem.objective(z)
     if getattr(z, "ndim", 1) > 1:
@@ -209,8 +179,6 @@ def vi_residual(problem, z, f_z=None):
     inequality. `f_z` may pass a precomputed ``F(z)`` so callers that
     already hold the operator value spend no extra oracle calls.
     """
-    if isinstance(z, IterateZ):
-        z = z.vector
     z = np.asarray(z, dtype=float)
     if f_z is None:
         f_z = operator_F(problem, z)

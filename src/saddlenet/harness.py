@@ -251,29 +251,36 @@ _AGENTS = {"consensus": network.ConsensusNetworkSimulator,
 
 
 def _reference(problem, config):
-    """Certified reference for the configured instance, as a dict."""
+    """Certified reference for the configured instance.
+
+    Returns ``(payload, z_star)``: the dict written as the reference
+    JSON and the reference as one stacked point, both None when the
+    instance has no reference.
+    """
     kind = config["kind"]
     if kind == "saddle":
         z_star = problem.meta.get("z_star")
         if z_star is None:
-            return None
-        return {"z_star": z_star, "f_star": problem.meta.get("f_star"),
-                "vi_residual": vi_residual(problem, z_star)}
+            return None, None
+        return ({"z_star": z_star, "f_star": problem.meta.get("f_star"),
+                 "vi_residual": vi_residual(problem, z_star)}, z_star)
     if kind == "consensus":
         if config.get("negative_control"):
-            return None
+            return None, None
         ref = oracle.solve_consensus_reference(problem)
-        return {"x_bar": ref.x_bar, "x": ref.x, "v": ref.v,
-                "objective": ref.objective,
-                "cone_residual": ref.cone_residual,
-                "saddle_residual": ref.saddle_residual, "_obj": ref}
+        return ({"x_bar": ref.x_bar, "x": ref.x, "v": ref.v,
+                 "objective": ref.objective,
+                 "cone_residual": ref.cone_residual,
+                 "saddle_residual": ref.saddle_residual},
+                np.concatenate([ref.x.ravel(), ref.v.ravel()]))
     kkt = problem.meta.get("kkt")
     if kkt is None:
         kkt = oracle.solve_allocation_kkt(problem)
-    return {"y": kkt.y, "mu": kkt.mu, "a": kkt.a, "lam": kkt.lam,
-            "objective": kkt.objective, "feasibility": kkt.feasibility,
-            "stationarity_gap": kkt.stationarity_gap,
-            "saddle_residual": kkt.saddle_residual, "_obj": kkt}
+    return ({"y": kkt.y, "mu": kkt.mu, "a": kkt.a, "lam": kkt.lam,
+             "objective": kkt.objective, "feasibility": kkt.feasibility,
+             "stationarity_gap": kkt.stationarity_gap,
+             "saddle_residual": kkt.saddle_residual},
+            np.concatenate([kkt.y, kkt.a.ravel(), kkt.lam.ravel()]))
 
 
 def _resolve_alpha(problem, config, method):
@@ -347,11 +354,10 @@ def cmd_solve(config):
     outdir = config["out"]
     os.makedirs(outdir, exist_ok=True)
     summary = {"preset": config["preset"], "seed": config["seed"], "runs": []}
-    reference = _reference(problem, config)
+    reference, _ = _reference(problem, config)
     if reference is not None:
-        ref_payload = {k: v for k, v in reference.items() if k != "_obj"}
         _write_json(os.path.join(
-            outdir, "{}-reference.json".format(config["preset"])), ref_payload)
+            outdir, "{}-reference.json".format(config["preset"])), reference)
     _solve(problem, config, outdir, summary)
     _write_json(os.path.join(outdir, "config.json"),
                 {k: v for k, v in config.items()
@@ -367,18 +373,6 @@ def cmd_solve(config):
 def _sample_domain_points(problem, count, seed):
     rng = np.random.default_rng(seed)
     return sets.sample_points(problem.domain, count, rng)
-
-
-def _reference_z(problem, config, reference):
-    kind = config["kind"]
-    if kind == "saddle":
-        return problem.meta.get("z_star")
-    if reference is None or "_obj" not in reference:
-        return None
-    ref = reference["_obj"]
-    if kind == "consensus":
-        return np.concatenate([ref.x.ravel(), ref.v.ravel()])
-    return np.concatenate([ref.y, ref.a.ravel(), ref.lam.ravel()])
 
 
 def cmd_verify(config):
@@ -417,14 +411,13 @@ def cmd_verify(config):
     add("gradient_finite_diff", fd["passed"], fd["max_rel_error"],
         "max relative error over 100 points (tolerance 1e-5)")
 
-    reference = None
+    z_star = None
     reference_error = None
     if not config.get("negative_control"):
         try:
-            reference = _reference(problem, config)
+            _, z_star = _reference(problem, config)
         except oracle.CertificationError as exc:
             reference_error = str(exc)
-    z_star = _reference_z(problem, config, reference)
 
     # one stacked run per method serves the equivalence and the
     # certificate checks

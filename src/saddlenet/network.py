@@ -1,10 +1,10 @@
 """Bulk-synchronous message-passing simulation of the distributed runs.
 
 This module re-implements the consensus and allocation dynamics the way
-they would run on an actual network: each agent is one `_Agent` holding
-only its own variables, and all cross-agent information flows through
+they would run on an actual network: each agent holds only its own
+variables, and all cross-agent information flows through
 `Network.exchange`, which delivers payloads strictly along graph edges.
-No agent ever reads another agent's fields or any stacked array.
+No agent ever reads another agent's variables or any stacked array.
 
 An agent keeps its variables in one local vector, its own slice of the
 stacked iterate: ``[x_i, v_i]`` for consensus and ``[y_i, a_i, lam_i]``
@@ -19,17 +19,21 @@ operator turns ``s`` into the agent's block of Phi (resp. Psi), and the
 agent moves its whole vector with the stacked step's expression and one
 projection onto its set times the free variables.
 
-The local vector may also be a stack of points ``(..., local_dim)``:
-payloads are then ``(..., 2m)``, sums, update expressions and
-projections act on every row alike, and the per-point gradient oracles
-are called once per distinct row. One agent implementation serves two
-routes:
+A round is written once, as two steps every agent takes: its operator
+value from one exchange, then its projected step (OGDA's when given the
+previous operator values). A local vector may be one point or a stack
+of points ``(K, local_dim)``: payloads are then ``(K, 2m)``, sums,
+update expressions and projections act on every row alike, and the
+per-point gradient oracles are called once per distinct row. Two
+drivers run these rounds:
 
 - `run` (the serial run): every agent holds one point and the network
-  takes ``iters`` rounds, one exchange per OGDA step and two per EG step.
+  takes ``iters`` rounds, one exchange per OGDA step and two per EG
+  step. Every call starts from the simulator's start.
 - `replay` (the replay): every agent holds its slices of all the
   iterates a stacked `solvers.run` recorded, and takes one step from
-  each of them in one exchange (two for EG).
+  each of them in one round (two exchanges for EG), the shifted
+  operator values serving as OGDA's previous ones.
 
 Since an agent's step depends only on its own slice and its neighbors'
 payloads, the serial run reproduces a stacked trace bitwise iff it
@@ -43,8 +47,9 @@ evidence.
 
 import numpy as np
 
-from . import sets
+from . import allocation, consensus, sets
 from .core import _matvec
+from .solvers import _distributed_step
 
 __all__ = ["Network", "ConsensusNetworkSimulator", "AllocationNetworkSimulator"]
 
@@ -67,101 +72,72 @@ class Network(object):
                 for i in range(self.graph.n)]
 
 
-class _Agent(object):
-    """One agent: a local vector ``w``, its payload and its local operator.
-
-    ``w`` is one point or a stack of points ``(..., local_dim)``.
-    ``payload(w)`` returns the array the agent publishes at point ``w``.
-    ``local(w, s, out)`` writes the agent's operator value at ``w`` into
-    ``out``, given the neighbor sum ``s``, which it may overwrite.
-    ``cset`` is the agent's own set times its free variables.
-    """
-
-    def __init__(self, w0, payload, local, cset):
-        self.w = self.point = np.array(w0, dtype=float)
-        self._payload = payload
-        self._local = local
-        self._cset = cset
-        self._own = None
-        self._g_prev = None
-
-    def publish(self):
-        # every step rebinds `point`, so a published payload never
-        # changes after the neighbors received it
-        self._own = self._payload(self.point)
-        return self._own
-
-    def _operator(self, inbox):
-        own = self._own
-        s = np.zeros(own.shape)
-        for p in inbox.values():
-            s += own - p
-        g = np.empty(self.point.shape)
-        self._local(self.point, s, g)
-        return g
-
-    def _ogda(self, g, g_prev, alpha):
-        return self._cset.project(self.w - 2.0 * alpha * g + alpha * g_prev)
-
-    def step_ogda(self, inbox, alpha):
-        g = self._operator(inbox)
-        gp = g if self._g_prev is None else self._g_prev
-        self.w = self.point = self._ogda(g, gp, alpha)
-        self._g_prev = g
-
-    def step_eg_probe(self, inbox, alpha):
-        self.point = self._cset.project(self.w - alpha * self._operator(inbox))
-
-    def step_eg_commit(self, inbox_half, alpha):
-        self.w = self.point = self._cset.project(
-            self.w - alpha * self._operator(inbox_half))
-
-
 class _Simulator(object):
-    """Per-agent run loop and replay shared by the two simulators.
+    """Per-agent rounds, their serial run and their replay.
 
     A subclass passes the stacked start ``z0``, the columns of each
     agent's local vector in the stacked layout, and each agent's
-    ``(payload, local)`` pair.
+    ``(payload, local)`` pair: ``payload(w)`` is the array the agent
+    publishes at ``w``, and ``local(w, s, out)`` writes its operator
+    value at ``w`` into ``out`` given the neighbor sum ``s``, which it
+    may overwrite. Each agent projects onto its own set times its free
+    variables.
     """
 
-    def __init__(self, problem, method, alpha, kappa, z0, cols, roles):
-        from .solvers import step_bound
-        method = str(method).upper()
-        if method not in ("OGDA", "EG"):
-            raise ValueError("distributed methods are OGDA and EG")
+    def __init__(self, problem, method, alpha, kappa, kappa_name, z0, cols,
+                 roles):
         self.problem = problem
-        self.method = method
-        self.alpha = 0.9 * step_bound(method, kappa) if alpha is None else alpha
+        self.method, self.alpha = _distributed_step(method, alpha, kappa,
+                                                    kappa_name)
         self.network = Network(problem.graph)
         self._z0 = z0
         self._cols = cols
-        self._roles = [
-            (payload, local, sets.Product(
-                [spec.cset, sets.WholeSpace(c.size - spec.cset.dim)]))
-            for c, spec, (payload, local) in zip(cols, problem.agents, roles)]
-        self.agents = self._agents([z0[c] for c in cols])
+        self._payloads, self._locals = zip(*roles)
+        self._csets = [
+            sets.Product([spec.cset, sets.WholeSpace(c.size - spec.cset.dim)])
+            for c, spec in zip(cols, problem.agents)]
 
-    def _agents(self, starts):
-        return [_Agent(w0, *role) for w0, role in zip(starts, self._roles)]
+    def _operators(self, points):
+        """Each agent's operator value at its point(s), from one exchange."""
+        payloads = [payload(w) for payload, w in zip(self._payloads, points)]
+        inboxes = self.network.exchange(payloads)
+        values = []
+        for local, w, own, inbox in zip(self._locals, points, payloads,
+                                        inboxes):
+            s = np.zeros(own.shape)
+            for p in inbox.values():
+                s += own - p
+            g = np.empty(w.shape)
+            local(w, s, g)
+            values.append(g)
+        return values
+
+    def _descend(self, points, g, prev=None):
+        """Each agent's projected step from its point(s) along `g`.
+
+        With `prev`, the previous operator values, the step is OGDA's.
+        """
+        a = self.alpha
+        if prev is None:
+            return [cset.project(w - a * gi)
+                    for cset, w, gi in zip(self._csets, points, g)]
+        return [cset.project(w - 2.0 * a * gi + a * gp)
+                for cset, w, gi, gp in zip(self._csets, points, g, prev)]
 
     def _history(self, iters):
-        """Stacked iterates of `iters` further rounds, row 0 the current one."""
-        agents, alpha = self.agents, self.alpha
+        """Stacked iterates of `iters` rounds from the start, row 0 the start."""
+        w = [self._z0[c] for c in self._cols]
         hist = np.empty((iters + 1, self._z0.size))
-        np.concatenate([ag.w for ag in agents], out=hist[0])
+        np.concatenate(w, out=hist[0])
+        prev = None
         for k in range(1, iters + 1):
-            inbox = self.network.exchange([ag.publish() for ag in agents])
+            g = self._operators(w)
             if self.method == "OGDA":
-                for ag, box in zip(agents, inbox):
-                    ag.step_ogda(box, alpha)
+                # z_{-1} = z_0 on the first step
+                w, prev = self._descend(w, g, g if prev is None else prev), g
             else:
-                for ag, box in zip(agents, inbox):
-                    ag.step_eg_probe(box, alpha)
-                inbox = self.network.exchange([ag.publish() for ag in agents])
-                for ag, box in zip(agents, inbox):
-                    ag.step_eg_commit(box, alpha)
-            np.concatenate([ag.w for ag in agents], out=hist[k])
+                w = self._descend(w, self._operators(self._descend(w, g)))
+            np.concatenate(w, out=hist[k])
         # from the agents' concatenated vectors to the stacked layout
         stacked = np.empty_like(hist)
         stacked[:, np.concatenate(self._cols)] = hist
@@ -173,12 +149,12 @@ class _Simulator(object):
         `trace` is a `solvers.RunTrace` of the stacked problem with this
         simulator's method and step that recorded every iteration. Every
         agent takes its slices of the recorded iterates as one stack and
-        steps from all of them at once, through one exchange (EG: two).
-        Returns the largest absolute difference between those steps and
-        the next recorded iterates (for EG, also between the probes and
-        the recorded mid-points) and between the trace's first row and
-        this simulator's start. It is 0.0 exactly when every replayed
-        step lands on the recorded values, which by induction from the
+        steps from all of them in one round. Returns the largest
+        absolute difference between those steps and the next recorded
+        iterates (for EG, also between the probes and the recorded
+        mid-points) and between the trace's first row and this
+        simulator's start. It is 0.0 exactly when every replayed step
+        lands on the recorded values, which by induction from the
         shared start means that `run` reproduces the trace (a difference
         does not see the sign of a zero); it is NaN when a value is NaN.
         """
@@ -188,24 +164,19 @@ class _Simulator(object):
                 .format(trace.method, trace.alpha, self.method, self.alpha))
         if not np.array_equal(trace.iters, np.arange(trace.iters.size)):
             raise ValueError("replay needs every iteration recorded")
-        z, alpha, cols = trace.z, self.alpha, self._cols
-        agents = self._agents([z[:-1, c] for c in cols])
+        z, cols = trace.z, self._cols
+        w = [z[:-1, c] for c in cols]
+        g = self._operators(w)
         devs = [np.abs(z[0] - self._z0)]
-        inbox = self.network.exchange([ag.publish() for ag in agents])
         if self.method == "OGDA":
-            for ag, box, c in zip(agents, inbox, cols):
-                g = ag._operator(box)
-                # the previous point's operator; z_{-1} = z_0 on row 0
-                step = ag._ogda(g, np.concatenate((g[:1], g[:-1])), alpha)
-                devs.append(np.abs(step - z[1:, c]))
+            # the previous point's operator; z_{-1} = z_0 on row 0
+            steps = self._descend(
+                w, g, [np.concatenate((gi[:1], gi[:-1])) for gi in g])
         else:
-            for ag, box, c in zip(agents, inbox, cols):
-                ag.step_eg_probe(box, alpha)
-                devs.append(np.abs(ag.point - trace.z_half[1:, c]))
-            inbox = self.network.exchange([ag.publish() for ag in agents])
-            for ag, box, c in zip(agents, inbox, cols):
-                ag.step_eg_commit(box, alpha)
-                devs.append(np.abs(ag.w - z[1:, c]))
+            half = self._descend(w, g)
+            devs += [np.abs(h - trace.z_half[1:, c]) for h, c in zip(half, cols)]
+            steps = self._descend(w, self._operators(half))
+        devs += [np.abs(step - z[1:, c]) for step, c in zip(steps, cols)]
         return float(np.max([np.max(d, initial=0.0) for d in devs]))
 
 
@@ -239,25 +210,25 @@ class ConsensusNetworkSimulator(_Simulator):
         ``OGDA`` (one exchange per iteration) or ``EG`` (two: current
         points, then probe points).
     alpha : float, optional
-        Defaults to ``0.9`` times the method's bound at ``kappa_c``, the
-        default of the stacked route.
+        Must be positive and below the method's bound at ``kappa_c``.
+        Defaults to the stacked route's default: ``0.9`` times that
+        bound, or 1.0 when ``kappa_c`` is zero.
     x0, v0 : array_like, optional
         Initial stacked values; same defaults as the stacked route.
     """
 
     def __init__(self, problem, method="OGDA", alpha=None, x0=None, v0=None):
-        from .consensus import initial_state
         n, m = problem.n, problem.m
         # z = [x, v], each agent-major: agent i holds [x_i, v_i]
         cols = np.arange(2 * n * m).reshape(2, n, m)
-        super().__init__(problem, method, alpha, problem.kappa_c,
-                         initial_state(problem, x0, v0),
+        super().__init__(problem, method, alpha, problem.kappa_c, "kappa_c",
+                         consensus.initial_state(problem, x0, v0),
                          [cols[:, i].ravel() for i in range(n)],
                          [_consensus_roles(spec, m)
                           for spec in problem.agents])
 
     def run(self, iters):
-        """Advance `iters` steps; returns stacked histories.
+        """Take `iters` steps from the start; returns stacked histories.
 
         Returns ``(x_hist, v_hist)`` of shape ``(iters + 1, N, m)``
         with row 0 holding the initial point.
@@ -305,18 +276,18 @@ class AllocationNetworkSimulator(_Simulator):
 
     def __init__(self, problem, method="OGDA", alpha=None, y0=None,
                  a0=None, lam0=None):
-        from .allocation import initial_state
-        z0 = initial_state(problem, y0, a0, lam0)
+        z0 = allocation.initial_state(problem, y0, a0, lam0)
         # z = [y, a, lam]: agent i holds [y_i, a_i, lam_i]
         y, a, lam = problem.split(np.arange(z0.size))
-        super().__init__(problem, method, alpha, problem.kappa_s, z0,
+        super().__init__(problem, method, alpha, problem.kappa_s, "kappa_s",
+                         z0,
                          [np.concatenate((problem.y_block(y, i), a[i], lam[i]))
                           for i in range(problem.n)],
                          [_allocation_roles(spec, problem.m)
                           for spec in problem.agents])
 
     def run(self, iters):
-        """Advance `iters` steps; returns stacked histories.
+        """Take `iters` steps from the start; returns stacked histories.
 
         Returns ``(y_hist, a_hist, lam_hist)`` with ``iters + 1`` rows,
         row 0 holding the initial point: ``y_hist`` of shape

@@ -22,7 +22,7 @@ import functools
 
 import numpy as np
 
-from .core import IterateZ, ValidationError, _norm, objective, operator_F
+from .core import ValidationError, _norm, objective, operator_F
 
 __all__ = ["METHODS", "SolverConfig", "RunTrace", "DivergenceError",
            "step_bound", "step_gda", "step_ogda", "step_eg", "run",
@@ -118,6 +118,25 @@ class SolverConfig(object):
                 "set force_step to override".format(
                     self.step_size, self.method, bound, kappa_m))
         return self.step_size
+
+
+def _distributed_step(method, alpha, kappa, kappa_name):
+    """Method and step of a distributed run at declared constant `kappa`.
+
+    Distributed runs are OGDA or EG. A given `alpha` must be positive
+    and below the method's bound at `kappa` (named `kappa_name` in the
+    error); omitted, it is `SolverConfig`'s default. Returns the
+    upper-cased method and the step as a float.
+    """
+    method = str(method).upper()
+    if method not in ("OGDA", "EG"):
+        raise ValidationError("distributed methods are OGDA and EG")
+    bound = step_bound(method, kappa)
+    if alpha is not None and not alpha < bound:
+        raise ValidationError(
+            "step size {:g} violates the {} bound {:g} ({}={:g})"
+            .format(alpha, method, bound, kappa_name, kappa))
+    return method, SolverConfig(method, step_size=alpha).resolved_step(kappa)
 
 
 def step_gda(problem, z, alpha, f_z=None):
@@ -261,11 +280,6 @@ class RunTrace(object):
             gap[1:] = np.abs(self._objective(self.ergodic[1:]) - self.f_star)
         return gap
 
-    def iterate(self, row):
-        """Return the recorded iterate of a row as an `IterateZ`."""
-        z = self.z[row]
-        return IterateZ(z[:self.dim_x], z[self.dim_x:])
-
     def rate_certificate(self):
         """Theorem rate bound ``||z0 - z*||^2 / (2 alpha T)`` per recorded row.
 
@@ -347,8 +361,6 @@ def run(problem, config, z0, z_star=None):
     DivergenceError
         When an iterate turns non-finite or leaves the guard region.
     """
-    if isinstance(z0, IterateZ):
-        z0 = z0.vector
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (problem.dim,):
         raise ValidationError("z0 has shape {}, expected ({},)"

@@ -7,11 +7,11 @@ from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
 from saddlenet.consensus import (ConsensusAgentSpec, ConsensusProblem,
                                  simulate_consensus)
 from saddlenet.core import ValidationError
-from saddlenet.graphs import random_connected, ring
+from saddlenet.graphs import NetworkGraph, random_connected, ring
 from saddlenet.network import (AllocationNetworkSimulator,
                                ConsensusNetworkSimulator, Network)
 from saddlenet.sets import Ball, Box
-from saddlenet.solvers import SolverConfig, run
+from saddlenet.solvers import SolverConfig, run, step_bound
 
 
 def test_exchange_delivers_neighbor_payloads_in_order():
@@ -87,6 +87,42 @@ def test_network_default_step_matches_stacked_default():
     sim = ConsensusNetworkSimulator(prob, method="OGDA")
     trace = simulate_consensus(prob, "OGDA", max_iters=1, stop_tol=0.0)
     assert sim.alpha == pytest.approx(trace.alpha, rel=0.0)
+
+
+@pytest.mark.parametrize("method", ["OGDA", "EG"])
+def test_simulators_reject_an_inadmissible_step(method):
+    cases = [(ConsensusNetworkSimulator, catalog.consensus_quadratics(n=5),
+              "kappa_c"),
+             (AllocationNetworkSimulator, catalog.allocation_quadratics(),
+              "kappa_s")]
+    for cls, prob, name in cases:
+        above = 1.1 * step_bound(method, getattr(prob, name))
+        for alpha, match in ((np.nan, name), (-0.1, "positive"),
+                             (above, name)):
+            with pytest.raises(ValidationError, match=match):
+                cls(prob, method=method, alpha=alpha)
+
+
+@pytest.mark.parametrize("method", ["OGDA", "EG"])
+def test_one_agent_default_step_matches_stacked_default(method):
+    # a linear objective on one vertex: kappa_c = 0 and no step bound
+    prob = ConsensusProblem(NetworkGraph(1, []), 1, [ConsensusAgentSpec(
+        lambda x: float(x[0]), lambda x: np.ones(1), Box(-1.0, 1.0, dim=1),
+        0.0)])
+    assert prob.kappa_c == 0.0
+    sim = ConsensusNetworkSimulator(prob, method=method)
+    trace = simulate_consensus(prob, method, max_iters=5, stop_tol=0.0)
+    assert sim.alpha == trace.alpha == 1.0
+    x_hist, v_hist = sim.run(5)
+    assert np.array_equal(x_hist, trace.x) and np.array_equal(v_hist, trace.v)
+
+
+def test_every_run_starts_from_the_start():
+    sim = ConsensusNetworkSimulator(catalog.consensus_quadratics(n=5),
+                                    method="OGDA")
+    first = sim.run(10)
+    second = sim.run(10)
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
 
 def test_network_converges_to_consensus():
@@ -170,29 +206,33 @@ def test_consensus_network_matches_stacked_two_dims(method):
 def test_messages_travel_along_edges_with_2m_floats(kind, method,
                                                     monkeypatch):
     graph = random_connected(6, 0.3, seed=7)
-    if kind == "consensus":
-        sim = ConsensusNetworkSimulator(quadratic_consensus(graph, 2, 8),
-                                        method=method)
-    else:
-        sim = AllocationNetworkSimulator(mixed_allocation(graph, 9),
-                                         method=method)
-    m = sim.problem.m
+    prob = (quadratic_consensus(graph, 2, 8) if kind == "consensus"
+            else mixed_allocation(graph, 9))
+    sim = simulator(prob, method)
+    m = prob.m
+    # the points published in each round, read off the bitwise-equal
+    # stacked run: iterate k for OGDA; iterate k, then mid-point k + 1
+    # for EG
+    trace = stacked_trace(prob, method, 20)
+    points = (trace.z[:-1] if method == "OGDA" else
+              np.stack((trace.z[:-1], trace.z_half[1:]), axis=1)
+              .reshape(40, -1))
     exchange = Network.exchange
     rounds = []
 
     def checked(net, payloads):
-        for j, (agent, payload) in enumerate(zip(sim.agents, payloads)):
+        z = points[len(rounds)]
+        if kind == "consensus":
+            x, v = (block.reshape(graph.n, m) for block in np.hsplit(z, 2))
+            expect = np.concatenate([x + v, x], axis=1)
+        else:
+            _, a, lam = prob.split(z)
+            expect = np.concatenate([lam, a + lam], axis=1)
+        for j, payload in enumerate(payloads):
             assert isinstance(payload, np.ndarray)
             assert payload.dtype == np.float64 and payload.shape == (2 * m,)
             # computed from (x_j, v_j) resp. (a_j, lam_j) alone
-            w = agent.point
-            if kind == "consensus":
-                x, v = w[:m], w[m:]
-                expect = np.concatenate([x + v, x])
-            else:
-                a, lam = w[-2 * m:-m], w[-m:]
-                expect = np.concatenate([lam, a + lam])
-            assert np.array_equal(payload, expect), j
+            assert np.array_equal(payload, expect[j]), j
         inboxes = exchange(net, payloads)
         for i, box in enumerate(inboxes):
             assert list(box) == graph.neighbors[i]
