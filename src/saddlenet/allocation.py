@@ -29,10 +29,11 @@ first evaluation, and one negation writes the pass's two blocks into
 the ``a`` and ``lam`` blocks of the result. One point ``(dim,)`` and a
 stack ``(..., dim)`` take the same calls, the stack's points as
 leading axes. L2 takes stacks too, through `lap_rows`.
-`simulate_allocation` runs the generic `solvers.run` on it and reads
-the per-agent trace off the recorded rows. As in `consensus`, the
-per-agent route in `network` uses the same expressions and neighbor
-ordering, so both produce the same trajectories.
+As in `consensus`, `simulate_allocation` is one call into the shared
+body in `solvers`, which runs the generic `solvers.run` on it and reads
+the per-agent trace off the recorded rows, and the per-agent route in
+`network` uses the same expressions and neighbor ordering, so both
+produce the same trajectories.
 """
 
 import numpy as np
@@ -40,9 +41,9 @@ import numpy as np
 from . import sets
 from .core import (SaddleProblem, ValidationError, _batched, _matvec,
                    _row_dots, spectral_norm)
-from .graphs import lambda_max
-from .solvers import (SolverConfig, _distributed_step, _write_agent_csv,
-                      run, step_eg, step_ogda)
+from .network import AllocationNetworkSimulator
+from .solvers import (_NetworkProblem, _NetworkTrace, _Route, _simulate,
+                      _write_agent_csv, step_eg, step_ogda)
 
 __all__ = ["AllocationAgentSpec", "AllocationProblem", "lagrangian_L2",
            "operator_psi", "feasibility_gap", "as_saddle_problem",
@@ -84,7 +85,7 @@ class AllocationAgentSpec(object):
             raise ValidationError("agent lipschitz constant must be nonnegative")
 
 
-class AllocationProblem(object):
+class AllocationProblem(_NetworkProblem):
     """Resource allocation instance over an undirected connected graph.
 
     Parameters
@@ -107,27 +108,20 @@ class AllocationProblem(object):
         ``max_i l_i + sigma_max(W) + 2 lambda_max(L) + 1``.
     """
 
+    _kappa_name = "kappa_s"
+
     def __init__(self, graph, agents, vector_objective=None,
                  vector_gradient=None, name=None):
-        if len(agents) != graph.n:
-            raise ValidationError("need one agent spec per vertex")
-        m = agents[0].demand.size
+        m = agents[0].demand.size if agents else 0
+        super().__init__(graph, m, agents, vector_objective, vector_gradient,
+                         name or "allocation")
         if any(a.demand.size != m for a in agents):
             raise ValidationError("all agents must share the constraint dimension")
-        self.graph = graph
-        self.n = graph.n
-        self.m = int(m)
-        self.agents = list(agents)
         self.q = [a.cset.dim for a in agents]
         self.dim_y = int(sum(self.q))
         offsets = np.cumsum([0] + self.q)
         self._yslices = [slice(int(offsets[i]), int(offsets[i + 1]))
                          for i in range(self.n)]
-        self.vector_objective = vector_objective
-        self.vector_gradient = vector_gradient
-        self.name = name or "allocation"
-        self.meta = {}
-        self.lambda_max = lambda_max(graph)
         self.l_h = max(a.lipschitz for a in agents)
         # block-diagonal W, so the largest singular value is the max over agents
         self.sigma_w = max(spectral_norm(a.weight) for a in agents)
@@ -140,7 +134,6 @@ class AllocationProblem(object):
             self._demand_col = self.demand[:, 0].copy()
         else:
             self._wdiag = None
-        self.decision_set = sets.Product([a.cset for a in agents])
         nm = self.n * self.m
         self._zslices = (slice(0, self.dim_y),
                          slice(self.dim_y, self.dim_y + nm),
@@ -159,10 +152,6 @@ class AllocationProblem(object):
         rows = z.shape[:-1] + (self.n, self.m)
         return z[..., sy], z[..., sa].reshape(rows), z[..., sl].reshape(rows)
 
-    def rows(self, flat):
-        """Reshape a stacked ``Nm`` vector into per-agent rows."""
-        return np.asarray(flat, dtype=float).reshape(self.n, self.m)
-
     def objective_rows(self, y):
         """Per-agent objective values ``(..., N)`` of decisions ``(..., Q)``."""
         if self.vector_objective is not None:
@@ -173,9 +162,6 @@ class AllocationProblem(object):
             name = "AllocationAgentSpec.objective of agent {}".format(i)
             sets._each_point(a.objective, y[..., sl], out[..., i], name)
         return out
-
-    def total_objective(self, y):
-        return float(np.add.reduce(self.objective_rows(y), axis=None))
 
     def gradient_vec(self, y):
         """Stacked objective gradient, shaped like `y` ``(..., Q)``."""
@@ -207,8 +193,9 @@ class AllocationProblem(object):
         """Project the stacked decision vector onto the product set."""
         return self.decision_set.project(y)
 
-    def __repr__(self):
-        return "AllocationProblem({}, n={}, m={})".format(self.name, self.n, self.m)
+    def _route(self):
+        return _Route(as_saddle_problem, initial_state, simulate_allocation,
+                      AllocationNetworkSimulator, AllocationTrace)
 
 
 def lagrangian_L2(problem, y, a, lam):
@@ -279,9 +266,7 @@ def _psi_operator(problem):
 
 def operator_psi(problem, y, a, lam):
     """Saddle operator Psi at ``(y, a, lam)`` as one stacked vector."""
-    z = np.concatenate([np.asarray(y, dtype=float).ravel(),
-                        problem.rows(a).ravel(), problem.rows(lam).ravel()])
-    return _psi_operator(problem)(z)
+    return _psi_operator(problem)(initial_state(problem, y, a, lam))
 
 
 def feasibility_gap(problem, y):
@@ -373,7 +358,7 @@ def step_allocation_eg(problem, z, alpha):
     return step_eg(as_saddle_problem(problem), z, alpha)
 
 
-class AllocationTrace(object):
+class AllocationTrace(_NetworkTrace):
     """Recorded trajectory of a distributed allocation run.
 
     Reads the per-agent view off a `RunTrace` of the stacked problem.
@@ -384,22 +369,10 @@ class AllocationTrace(object):
     """
 
     def __init__(self, problem, trace):
-        n, m = problem.n, problem.m
-        sy, sa, sl = problem._zslices
-        self.problem = problem
-        self.method = trace.method
-        self.alpha = trace.alpha
-        self.gradient_calls = trace.gradient_calls
-        self.stopped_at = trace.stopped_at
-        self.iters = trace.iters
-        self.vi_residual = trace.vi_residual
-        for name, block in (("", trace.z), ("erg_", trace.ergodic)):
-            setattr(self, name + "y", block[:, sy])
-            setattr(self, name + "a", block[:, sa].reshape(-1, n, m))
-            setattr(self, name + "lam", block[:, sl].reshape(-1, n, m))
+        self.y, self.a, self.lam = problem.split(trace.z)
+        self.erg_y, self.erg_a, self.erg_lam = problem.split(trace.ergodic)
+        super().__init__(problem, trace, self.y)
         self.feasibility_gap = _gap_rows(problem, self.y)
-        self.objective = np.add.reduce(problem.objective_rows(self.y),
-                                       axis=-1)
 
     def to_csv(self, path):
         """Write the per-agent trace: one row per (iteration, agent).
@@ -411,16 +384,11 @@ class AllocationTrace(object):
         if len(q) != 1:
             raise ValidationError("per-agent trace needs equal decision"
                                   " dimensions across agents")
-        q = q.pop()
-        m = self.problem.m
-        header = (["iter", "agent_id"]
-                  + ["y{}".format(c) for c in range(q)]
-                  + ["a{}".format(c) for c in range(m)]
-                  + ["lambda{}".format(c) for c in range(m)]
-                  + ["feasibility_gap", "objective_sum"])
-        y = self.y.reshape(self.iters.size, self.problem.n, q)
-        _write_agent_csv(path, header, self.iters, (y, self.a, self.lam),
-                         (self.feasibility_gap, self.objective))
+        y = self.y.reshape(self.iters.size, self.problem.n, q.pop())
+        _write_agent_csv(path, self.iters,
+                         (("y", y), ("a", self.a), ("lambda", self.lam)),
+                         (("feasibility_gap", self.feasibility_gap),
+                          ("objective_sum", self.objective)))
 
 
 def simulate_allocation(problem, method, alpha=None, max_iters=1000,
@@ -431,9 +399,6 @@ def simulate_allocation(problem, method, alpha=None, max_iters=1000,
     Parameters and errors mirror `simulate_consensus`; the step-size
     bounds use ``kappa_s``. Returns an `AllocationTrace`.
     """
-    method, alpha = _distributed_step(method, alpha, problem.kappa_s, "kappa_s")
-    config = SolverConfig(method, step_size=alpha, max_iters=max_iters,
-                          stop_tol=stop_tol, record_every=record_every)
-    trace = run(as_saddle_problem(problem), config,
-                initial_state(problem, y0, a0, lam0))
-    return AllocationTrace(problem, trace)
+    return _simulate(problem, method, alpha, (y0, a0, lam0),
+                     max_iters=max_iters, record_every=record_every,
+                     stop_tol=stop_tol)

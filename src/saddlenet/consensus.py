@@ -19,9 +19,11 @@ through a gather plan of absolute indices into that buffer. The problem
 builds the plan on its first evaluation; the pass comes out laid out
 like ``z`` and becomes the result. Phi takes one point ``(dim,)`` or a
 stack ``(..., dim)`` through the same calls, and L1 takes stacks
-through `lap_rows`, so one pass serves every point. `simulate_consensus` runs
-the generic `solvers.run` on it and reads the per-agent trace off the
-recorded rows. Every neighbor sum goes through `lap_pass` and the
+through `lap_rows`, so one pass serves every point. `simulate_consensus` is
+one call into the body it shares with `allocation` in `solvers`, which
+runs the generic `solvers.run` on it and reads the per-agent trace off
+the recorded rows; the problem and trace classes extend shared bases
+there too. Every neighbor sum goes through `lap_pass` and the
 per-agent route in `network` uses the same expressions, so the two
 routes agree to the last bit.
 """
@@ -30,9 +32,9 @@ import numpy as np
 
 from . import sets
 from .core import SaddleProblem, ValidationError, _batched, _row_dots
-from .graphs import lambda_max
-from .solvers import (SolverConfig, _distributed_step, _write_agent_csv,
-                      run, step_eg, step_ogda)
+from .network import ConsensusNetworkSimulator
+from .solvers import (_NetworkProblem, _NetworkTrace, _Route, _simulate,
+                      _write_agent_csv, step_eg, step_ogda)
 
 __all__ = ["ConsensusAgentSpec", "ConsensusProblem", "lagrangian_L1",
            "operator_phi", "consensus_residual", "as_saddle_problem",
@@ -66,7 +68,7 @@ class ConsensusAgentSpec(object):
         self.lipschitz = float(lipschitz)
 
 
-class ConsensusProblem(object):
+class ConsensusProblem(_NetworkProblem):
     """Consensus problem instance over an undirected connected graph.
 
     Parameters
@@ -91,30 +93,16 @@ class ConsensusProblem(object):
         ``max_i l_i + 2 lambda_max(L)``.
     """
 
+    _kappa_name = "kappa_c"
+
     def __init__(self, graph, m, agents, vector_objective=None,
                  vector_gradient=None, name=None):
-        if len(agents) != graph.n:
-            raise ValidationError("need one agent spec per vertex")
+        super().__init__(graph, m, agents, vector_objective, vector_gradient,
+                         name or "consensus")
         if any(a.cset.dim != m for a in agents):
             raise ValidationError("agent sets must have dimension m")
-        self.graph = graph
-        self.n = graph.n
-        self.m = int(m)
-        self.agents = list(agents)
-        self.vector_objective = vector_objective
-        self.vector_gradient = vector_gradient
-        self.name = name or "consensus"
-        self.meta = {}
-        self.lambda_max = lambda_max(graph)
         self.l_f = max(a.lipschitz for a in agents)
         self.kappa_c = self.l_f + 2.0 * self.lambda_max
-        # product of the agent sets over the flattened rows; boxes make
-        # it one clip
-        self.decision_set = sets.Product([a.cset for a in agents])
-
-    def rows(self, flat):
-        """Reshape a stacked ``Nm`` vector into per-agent rows."""
-        return np.asarray(flat, dtype=float).reshape(self.n, self.m)
 
     def objective_rows(self, x):
         """Per-agent objective values ``f_i(x_i)`` as an ``(..., N)`` array.
@@ -129,9 +117,6 @@ class ConsensusProblem(object):
             name = "ConsensusAgentSpec.objective of agent {}".format(i)
             sets._each_point(a.objective, x[..., i, :], out[..., i], name)
         return out
-
-    def total_objective(self, x):
-        return float(np.add.reduce(self.objective_rows(x), axis=None))
 
     def gradient_rows(self, x):
         """Stacked gradients ``grad f_i(x_i)``, shaped like `x` ``(..., N, m)``."""
@@ -148,8 +133,15 @@ class ConsensusProblem(object):
         """Project each row onto its agent's set."""
         return self.decision_set.project(np.ravel(x)).reshape(self.n, self.m)
 
-    def __repr__(self):
-        return "ConsensusProblem({}, n={}, m={})".format(self.name, self.n, self.m)
+    def _split(self, z):
+        """Rows ``(x, v)`` ``(..., N, m)`` of stacked iterates ``(..., 2Nm)``."""
+        nm = self.n * self.m
+        rows = z.shape[:-1] + (self.n, self.m)
+        return z[..., :nm].reshape(rows), z[..., nm:].reshape(rows)
+
+    def _route(self):
+        return _Route(as_saddle_problem, initial_state, simulate_consensus,
+                      ConsensusNetworkSimulator, ConsensusTrace)
 
 
 def _point_rows(problem, u):
@@ -214,8 +206,7 @@ def _phi_operator(problem):
 
 def operator_phi(problem, x, v):
     """Saddle operator Phi at ``(x, v)`` as one stacked ``2Nm`` vector."""
-    z = np.concatenate([problem.rows(x).ravel(), problem.rows(v).ravel()])
-    return _phi_operator(problem)(z)
+    return _phi_operator(problem)(initial_state(problem, x, v))
 
 
 def consensus_residual(problem, x):
@@ -246,8 +237,7 @@ def as_saddle_problem(problem):
     bounds are stated against (tighter than twice the max block
     constant). The operator is the fused Phi.
     """
-    n, m = problem.n, problem.m
-    nm = n * m
+    nm = problem.n * problem.m
     lam = problem.lambda_max
 
     def value(x, v):
@@ -261,12 +251,8 @@ def as_saddle_problem(problem):
     def grad_y(x, v):
         return problem.graph.lap_apply(problem.rows(x)).ravel()
 
-    def blocks(z):
-        shape = z.shape[:-1] + (n, m)
-        return z[..., :nm].reshape(shape), z[..., nm:].reshape(shape)
-
     def objective(z):
-        return lagrangian_L1(problem, *blocks(z))
+        return lagrangian_L1(problem, *problem._split(z))
 
     return SaddleProblem(
         nm, nm,
@@ -301,7 +287,7 @@ def step_consensus_eg(problem, z, alpha):
     return step_eg(as_saddle_problem(problem), z, alpha)
 
 
-class ConsensusTrace(object):
+class ConsensusTrace(_NetworkTrace):
     """Recorded trajectory of a distributed consensus run.
 
     Reads the per-agent view off a `RunTrace` of the stacked problem.
@@ -313,32 +299,16 @@ class ConsensusTrace(object):
     """
 
     def __init__(self, problem, trace):
-        n, m = problem.n, problem.m
-        rows = trace.iters.size
-        self.problem = problem
-        self.method = trace.method
-        self.alpha = trace.alpha
-        self.gradient_calls = trace.gradient_calls
-        self.stopped_at = trace.stopped_at
-        self.iters = trace.iters
-        self.vi_residual = trace.vi_residual
-        self.x, self.v = (block.reshape(rows, n, m)
-                          for block in np.hsplit(trace.z, 2))
-        self.erg_x, self.erg_v = (block.reshape(rows, n, m)
-                                  for block in np.hsplit(trace.ergodic, 2))
+        self.x, self.v = problem._split(trace.z)
+        self.erg_x, self.erg_v = problem._split(trace.ergodic)
+        super().__init__(problem, trace, self.x)
         self.consensus_residual = _residual_rows(problem, self.x)
-        self.objective = np.add.reduce(problem.objective_rows(self.x),
-                                       axis=-1)
 
     def to_csv(self, path):
         """Write the per-agent trace: one row per (iteration, agent)."""
-        m = self.problem.m
-        header = (["iter", "agent_id"]
-                  + ["x{}".format(c) for c in range(m)]
-                  + ["v{}".format(c) for c in range(m)]
-                  + ["consensus_residual", "objective_sum"])
-        _write_agent_csv(path, header, self.iters, (self.x, self.v),
-                         (self.consensus_residual, self.objective))
+        _write_agent_csv(path, self.iters, (("x", self.x), ("v", self.v)),
+                         (("consensus_residual", self.consensus_residual),
+                          ("objective_sum", self.objective)))
 
 
 def simulate_consensus(problem, method, alpha=None, max_iters=1000,
@@ -366,9 +336,5 @@ def simulate_consensus(problem, method, alpha=None, max_iters=1000,
     DivergenceError
         When an iterate turns non-finite or leaves the guard region.
     """
-    method, alpha = _distributed_step(method, alpha, problem.kappa_c, "kappa_c")
-    config = SolverConfig(method, step_size=alpha, max_iters=max_iters,
-                          stop_tol=stop_tol, record_every=record_every)
-    trace = run(as_saddle_problem(problem), config,
-                initial_state(problem, x0, v0))
-    return ConsensusTrace(problem, trace)
+    return _simulate(problem, method, alpha, (x0, v0), max_iters=max_iters,
+                     record_every=record_every, stop_tol=stop_tol)

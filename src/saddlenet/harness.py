@@ -30,11 +30,11 @@ import time
 
 import numpy as np
 
-from . import allocation, catalog, consensus, network, oracle, sets
+from . import catalog, oracle, sets
 from .core import (ValidationError, check_monotone, estimate_kappa,
                    objective, operator_F, vi_residual)
-from .solvers import (DivergenceError, METHODS, SolverConfig, delta_diagnostic,
-                      eg_contraction_check, run)
+from .solvers import (DivergenceError, METHODS, SolverConfig, _budget,
+                      delta_diagnostic, eg_contraction_check, run)
 
 __all__ = ["PRESETS", "load_config", "resolve_config", "cmd_solve",
            "cmd_verify", "cmd_list_presets", "main"]
@@ -133,13 +133,7 @@ def load_config(path):
 
 def _integer(key, value, minimum):
     """`value` as an int of at least `minimum`; bools and floats are rejected."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError("config key '{}': expected an integer, got {!r}"
-                          .format(key, value))
-    if value < minimum:
-        raise ConfigError("config key '{}': must be at least {}, got {}"
-                          .format(key, minimum, value))
-    return int(value)
+    return _budget("config key '{}'".format(key), value, minimum, ConfigError)
 
 
 def _finite(key, value):
@@ -241,46 +235,40 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-# per network kind: the module with its stacked problem and start, and its run
-_NETWORK = {"consensus": consensus, "allocation": allocation}
-_SIMULATE = {"consensus": consensus.simulate_consensus,
-             "allocation": allocation.simulate_allocation}
-# the per-agent simulators whose replay checks the stacked runs
-_AGENTS = {"consensus": network.ConsensusNetworkSimulator,
-           "allocation": network.AllocationNetworkSimulator}
+def _setup(problem, config):
+    """The configured instance as one saddle problem, and its reference.
 
-
-def _reference(problem, config):
-    """Certified reference for the configured instance.
-
-    Returns ``(payload, z_star)``: the dict written as the reference
-    JSON and the reference as one stacked point, both None when the
-    instance has no reference.
+    Returns ``(stacked, z0, reference, z_star)``: the problem and start
+    of the stacked runs, the reference JSON's dict and the reference as
+    one stacked point (both None without one). A reference that fails
+    its certificate leaves z_star None and its error in place of the dict.
     """
     kind = config["kind"]
     if kind == "saddle":
-        z_star = problem.meta.get("z_star")
-        if z_star is None:
-            return None, None
-        return ({"z_star": z_star, "f_star": problem.meta.get("f_star"),
+        z0, z_star = problem.meta.get("z0"), problem.meta.get("z_star")
+        if z0 is None:
+            z0 = problem.domain.project(np.zeros(problem.domain.dim))
+        if z_star is None or config.get("negative_control"):
+            return problem, z0, None, None
+        return (problem, z0,
+                {"z_star": z_star, "f_star": problem.meta.get("f_star"),
                  "vi_residual": vi_residual(problem, z_star)}, z_star)
-    if kind == "consensus":
-        if config.get("negative_control"):
-            return None, None
-        ref = oracle.solve_consensus_reference(problem)
-        return ({"x_bar": ref.x_bar, "x": ref.x, "v": ref.v,
-                 "objective": ref.objective,
-                 "cone_residual": ref.cone_residual,
-                 "saddle_residual": ref.saddle_residual},
-                np.concatenate([ref.x.ravel(), ref.v.ravel()]))
-    kkt = problem.meta.get("kkt")
-    if kkt is None:
-        kkt = oracle.solve_allocation_kkt(problem)
-    return ({"y": kkt.y, "mu": kkt.mu, "a": kkt.a, "lam": kkt.lam,
-             "objective": kkt.objective, "feasibility": kkt.feasibility,
-             "stationarity_gap": kkt.stationarity_gap,
-             "saddle_residual": kkt.saddle_residual},
-            np.concatenate([kkt.y, kkt.a.ravel(), kkt.lam.ravel()]))
+    route = problem._route()
+    stacked, z0 = route.stacked(problem), route.start(problem)
+    if config.get("negative_control"):
+        return stacked, z0, None, None
+    try:
+        if kind == "consensus":
+            ref = oracle.solve_consensus_reference(problem)
+            blocks = (ref.x, ref.v)
+        else:
+            ref = problem.meta.get("kkt")
+            if ref is None:
+                ref = oracle.solve_allocation_kkt(problem)
+            blocks = (ref.y, ref.a, ref.lam)
+    except oracle.CertificationError as exc:
+        return stacked, z0, exc, None
+    return stacked, z0, vars(ref), route.start(problem, *blocks)
 
 
 def _resolve_alpha(problem, config, method):
@@ -295,22 +283,18 @@ def _resolve_alpha(problem, config, method):
     return alpha
 
 
-def _solve(problem, config, outdir, summary):
+def _solve(problem, config, outdir, summary, z0, z_star):
     """Run each configured method; write its trace and a summary entry."""
     kind = config["kind"]
     if kind == "saddle":
-        z0 = problem.meta.get("z0")
-        if z0 is None:
-            z0 = problem.domain.project(np.zeros(problem.domain.dim))
-
         def simulate(method, alpha, **budget):
             trace = run(problem, SolverConfig(method, step_size=alpha, **budget),
-                        z0, z_star=problem.meta.get("z_star"))
+                        z0, z_star=z_star)
             # computed on first read: keep them in the timed run
             trace.f_value, trace.dist_to_ref, trace.ergodic_gap
             return trace
     else:
-        simulate = functools.partial(_SIMULATE[kind], problem)
+        simulate = functools.partial(problem._route().simulate, problem)
     for method in config["methods"]:
         alpha = _resolve_alpha(problem, config, method)
         t0 = time.perf_counter()
@@ -354,11 +338,13 @@ def cmd_solve(config):
     outdir = config["out"]
     os.makedirs(outdir, exist_ok=True)
     summary = {"preset": config["preset"], "seed": config["seed"], "runs": []}
-    reference, _ = _reference(problem, config)
+    _, z0, reference, z_star = _setup(problem, config)
+    if isinstance(reference, oracle.CertificationError):
+        raise reference
     if reference is not None:
         _write_json(os.path.join(
             outdir, "{}-reference.json".format(config["preset"])), reference)
-    _solve(problem, config, outdir, summary)
+    _solve(problem, config, outdir, summary, z0, z_star)
     _write_json(os.path.join(outdir, "config.json"),
                 {k: v for k, v in config.items()
                  if k in _CONFIG_KEYS or k in ("kind",)})
@@ -379,8 +365,7 @@ def cmd_verify(config):
     """Run the invariant suite on the configured instance."""
     problem = PRESETS[config["preset"]]["build"](config["seed"])
     kind = config["kind"]
-    stacked = (_NETWORK[kind].as_saddle_problem(problem) if kind in _NETWORK
-               else problem)
+    stacked, z0, reference, z_star = _setup(problem, config)
     checks = []
 
     def add(name, passed, margin, detail):
@@ -411,34 +396,22 @@ def cmd_verify(config):
     add("gradient_finite_diff", fd["passed"], fd["max_rel_error"],
         "max relative error over 100 points (tolerance 1e-5)")
 
-    z_star = None
-    reference_error = None
-    if not config.get("negative_control"):
-        try:
-            _, z_star = _reference(problem, config)
-        except oracle.CertificationError as exc:
-            reference_error = str(exc)
-
     # one stacked run per method serves the equivalence and the
     # certificate checks
-    iters = 1000
     traces = {}
-    if kind in _NETWORK or z_star is not None:
-        z0 = (_NETWORK[kind].initial_state(problem) if kind in _NETWORK
-              else problem.meta.get("z0"))
+    if kind != "saddle" or z_star is not None:
         for method in ("OGDA", "EG"):
-            cfg = SolverConfig(method=method, max_iters=iters, stop_tol=0.0)
-            traces[method] = run(stacked, cfg, z0, z_star=z_star)
+            cfg = SolverConfig(method=method, max_iters=1000, stop_tol=0.0)
+            traces[method] = trace = run(stacked, cfg, z0, z_star=z_star)
+            if kind != "saddle":
+                sim = problem._route().simulator(problem, method=method)
+                dev = sim.replay(trace)
+                add("distributed_stacked_equivalence_{}".format(method),
+                    dev == 0.0, dev,
+                    "max trajectory deviation, 1000 iterations (== 0 passes)")
 
-    if kind in _NETWORK:
-        for method, trace in traces.items():
-            dev = _AGENTS[kind](problem, method=method).replay(trace)
-            add("distributed_stacked_equivalence_{}".format(method),
-                dev == 0.0, dev,
-                "max trajectory deviation, 1000 iterations (== 0 passes)")
-
-    if reference_error is not None:
-        add("reference_certification", False, None, reference_error)
+    if isinstance(reference, oracle.CertificationError):
+        add("reference_certification", False, None, str(reference))
 
     if z_star is not None:
         for method, trace in traces.items():

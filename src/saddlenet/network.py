@@ -42,14 +42,16 @@ gives row k + 1 (and, for EG, the recorded mid-point); induction over k
 proves it. The sums and update expressions are the stacked ones,
 elementwise, so both hold to the last bit. `saddlenet verify` replays;
 the tests compare the serial run with the stacked one as independent
-evidence.
+evidence. Both simulators share one constructor, which reads the
+declared constant and its name off the problem; each passes only its
+start, the columns of its agents' local vectors and their roles.
 """
 
 import numpy as np
 
-from . import allocation, consensus, sets
+from . import sets
 from .core import _matvec
-from .solvers import _distributed_step
+from .solvers import _budget, _distributed_step
 
 __all__ = ["Network", "ConsensusNetworkSimulator", "AllocationNetworkSimulator"]
 
@@ -76,23 +78,22 @@ class _Simulator(object):
     """Per-agent rounds, their serial run and their replay.
 
     A subclass passes the stacked start ``z0``, the columns of each
-    agent's local vector in the stacked layout, and each agent's
-    ``(payload, local)`` pair: ``payload(w)`` is the array the agent
-    publishes at ``w``, and ``local(w, s, out)`` writes its operator
-    value at ``w`` into ``out`` given the neighbor sum ``s``, which it
-    may overwrite. Each agent projects onto its own set times its free
-    variables.
+    agent's local vector in the stacked layout, and `roles`, which
+    gives an agent's ``(payload, local)`` pair from its spec and ``m``:
+    ``payload(w)`` is the array the agent publishes at ``w``, and
+    ``local(w, s, out)`` writes its operator value at ``w`` into
+    ``out`` given the neighbor sum ``s``, which it may overwrite. Each
+    agent projects onto its own set times its free variables.
     """
 
-    def __init__(self, problem, method, alpha, kappa, kappa_name, z0, cols,
-                 roles):
+    def __init__(self, problem, method, alpha, z0, cols, roles):
         self.problem = problem
-        self.method, self.alpha = _distributed_step(method, alpha, kappa,
-                                                    kappa_name)
+        self.method, self.alpha = _distributed_step(problem, method, alpha)
         self.network = Network(problem.graph)
         self._z0 = z0
         self._cols = cols
-        self._payloads, self._locals = zip(*roles)
+        self._payloads, self._locals = zip(*(roles(spec, problem.m)
+                                             for spec in problem.agents))
         self._csets = [
             sets.Product([spec.cset, sets.WholeSpace(c.size - spec.cset.dim)])
             for c, spec in zip(cols, problem.agents)]
@@ -126,6 +127,7 @@ class _Simulator(object):
 
     def _history(self, iters):
         """Stacked iterates of `iters` rounds from the start, row 0 the start."""
+        iters = _budget("iters", iters, 0)
         w = [self._z0[c] for c in self._cols]
         hist = np.empty((iters + 1, self._z0.size))
         np.concatenate(w, out=hist[0])
@@ -221,11 +223,10 @@ class ConsensusNetworkSimulator(_Simulator):
         n, m = problem.n, problem.m
         # z = [x, v], each agent-major: agent i holds [x_i, v_i]
         cols = np.arange(2 * n * m).reshape(2, n, m)
-        super().__init__(problem, method, alpha, problem.kappa_c, "kappa_c",
-                         consensus.initial_state(problem, x0, v0),
+        super().__init__(problem, method, alpha,
+                         problem._route().start(problem, x0, v0),
                          [cols[:, i].ravel() for i in range(n)],
-                         [_consensus_roles(spec, m)
-                          for spec in problem.agents])
+                         _consensus_roles)
 
     def run(self, iters):
         """Take `iters` steps from the start; returns stacked histories.
@@ -233,9 +234,7 @@ class ConsensusNetworkSimulator(_Simulator):
         Returns ``(x_hist, v_hist)`` of shape ``(iters + 1, N, m)``
         with row 0 holding the initial point.
         """
-        shape = (iters + 1, self.problem.n, self.problem.m)
-        x, v = np.hsplit(self._history(iters), 2)
-        return x.reshape(shape), v.reshape(shape)
+        return self.problem._split(self._history(iters))
 
 
 def _allocation_roles(spec, m):
@@ -276,15 +275,13 @@ class AllocationNetworkSimulator(_Simulator):
 
     def __init__(self, problem, method="OGDA", alpha=None, y0=None,
                  a0=None, lam0=None):
-        z0 = allocation.initial_state(problem, y0, a0, lam0)
+        z0 = problem._route().start(problem, y0, a0, lam0)
         # z = [y, a, lam]: agent i holds [y_i, a_i, lam_i]
         y, a, lam = problem.split(np.arange(z0.size))
-        super().__init__(problem, method, alpha, problem.kappa_s, "kappa_s",
-                         z0,
+        super().__init__(problem, method, alpha, z0,
                          [np.concatenate((problem.y_block(y, i), a[i], lam[i]))
                           for i in range(problem.n)],
-                         [_allocation_roles(spec, problem.m)
-                          for spec in problem.agents])
+                         _allocation_roles)
 
     def run(self, iters):
         """Take `iters` steps from the start; returns stacked histories.

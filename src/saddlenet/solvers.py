@@ -15,14 +15,20 @@ projections for GDA and OGDA, three for EG), computing both into work
 buffers it allocates once. Per recorded row it stores the iterate, the
 ergodic average, the residual and the step length. The columns derived
 from those rows (`RunTrace.f_value`, `dist_to_ref`, `ergodic_gap`) are
-evaluated only when read, each in one pass over the stored rows.
+evaluated only when read, each in one pass over the stored rows. The
+networked kinds, consensus and allocation, also share their plumbing
+around this loop here (see `_NetworkProblem`).
 """
 
+import collections
 import functools
+import numbers
 
 import numpy as np
 
+from . import sets
 from .core import ValidationError, _norm, objective, operator_F
+from .graphs import lambda_max
 
 __all__ = ["METHODS", "SolverConfig", "RunTrace", "DivergenceError",
            "step_bound", "step_gda", "step_ogda", "step_eg", "run",
@@ -62,6 +68,15 @@ def step_bound(method, kappa_m):
     raise ValidationError("unknown method {!r}".format(method))
 
 
+def _budget(name, value, minimum, error=ValidationError):
+    """A count as an int; a bool, a non-integer or one below `minimum` raises `error`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise error("{} must be an integer of at least {}, got {!r}"
+                    .format(name, minimum, value))
+    return int(value)
+
+
 class SolverConfig(object):
     """Run parameters for one solver invocation.
 
@@ -91,17 +106,14 @@ class SolverConfig(object):
                                   .format("/".join(METHODS), method))
         if step_size is not None and not step_size > 0:
             raise ValidationError("step size must be positive")
-        if max_iters < 0:
-            raise ValidationError("max_iters must be nonnegative")
-        if stop_tol < 0:
-            raise ValidationError("stop_tol must be nonnegative")
-        if record_every < 1:
-            raise ValidationError("record_every must be at least 1")
         self.method = method
         self.step_size = None if step_size is None else float(step_size)
-        self.max_iters = int(max_iters)
+        self.max_iters = _budget("max_iters", max_iters, 0)
+        # NaN would never stop a run
+        if not stop_tol >= 0:
+            raise ValidationError("stop_tol must be nonnegative")
         self.stop_tol = float(stop_tol)
-        self.record_every = int(record_every)
+        self.record_every = _budget("record_every", record_every, 1)
         self.force_step = bool(force_step)
 
     def resolved_step(self, kappa_m):
@@ -120,17 +132,19 @@ class SolverConfig(object):
         return self.step_size
 
 
-def _distributed_step(method, alpha, kappa, kappa_name):
-    """Method and step of a distributed run at declared constant `kappa`.
+def _distributed_step(problem, method, alpha):
+    """Method and step of a distributed run on a networked `problem`.
 
     Distributed runs are OGDA or EG. A given `alpha` must be positive
-    and below the method's bound at `kappa` (named `kappa_name` in the
-    error); omitted, it is `SolverConfig`'s default. Returns the
-    upper-cased method and the step as a float.
+    and below the method's bound at the problem's declared constant
+    (named in the error); omitted, it is `SolverConfig`'s default.
+    Returns the upper-cased method and the step as a float.
     """
     method = str(method).upper()
     if method not in ("OGDA", "EG"):
         raise ValidationError("distributed methods are OGDA and EG")
+    kappa_name = problem._kappa_name
+    kappa = getattr(problem, kappa_name)
     bound = step_bound(method, kappa)
     if alpha is not None and not alpha < bound:
         raise ValidationError(
@@ -327,19 +341,24 @@ def _csv_cells(values):
     return cells
 
 
-def _write_agent_csv(path, header, iters, blocks, totals):
+def _write_agent_csv(path, iters, blocks, totals):
     """Write one line per (recorded row, agent), formatted by column.
 
     A line holds the iteration, the agent id, the agent's entries of
     each block ``(rows, N, k)`` and the row's value of each of `totals`
     ``(rows,)``, every float as ``%.17g`` (``nan`` and ``inf`` as such).
+    Blocks come as ``(prefix, block)``, headed ``prefix0``, ``prefix1``
+    and so on, and totals as ``(name, values)``.
     """
-    n = blocks[0].shape[1]
+    n = blocks[0][1].shape[1]
+    header = ["iter", "agent_id"]
     columns = [[it for it in map(str, iters.tolist()) for _ in range(n)],
                list(map(str, range(n))) * iters.size]
-    for block in blocks:
+    for prefix, block in blocks:
+        header += ["{}{}".format(prefix, c) for c in range(block.shape[2])]
         columns += [_g17_cells(block[..., c]) for c in range(block.shape[2])]
-    for total in totals:
+    for name, total in totals:
+        header.append(name)
         columns.append([cell for cell in _g17_cells(total) for _ in range(n)])
     lines = [",".join(header)] + list(map(",".join, zip(*columns)))
     with open(path, "w") as fh:
@@ -540,3 +559,77 @@ def eg_contraction_check(trace, z_star=None, alpha=None, kappa_m=None, tol=1e-10
             "max_violation": float(np.max(violation)),
             "first_violation": None if bad.size == 0 else int(trace.iters[1 + bad[0]]),
             "rho": rho}
+
+
+# What the two networked kinds, consensus and allocation, share. A kind's
+# `_Route` holds its `as_saddle_problem`, `initial_state`, `simulate_*`,
+# per-agent simulator class and trace class.
+_Route = collections.namedtuple("_Route",
+                                "stacked start simulate simulator trace")
+
+
+class _NetworkProblem(object):
+    """The part of `ConsensusProblem` and `AllocationProblem` they share.
+
+    A subclass names its declared operator constant in `_kappa_name`,
+    defines `objective_rows` and returns its `_Route` from `_route`.
+    """
+
+    def __init__(self, graph, m, agents, vector_objective, vector_gradient,
+                 name):
+        if len(agents) != graph.n:
+            raise ValidationError("need one agent spec per vertex")
+        self.graph = graph
+        self.n = graph.n
+        self.m = int(m)
+        self.agents = list(agents)
+        self.vector_objective = vector_objective
+        self.vector_gradient = vector_gradient
+        self.name = name
+        self.meta = {}
+        self.lambda_max = lambda_max(graph)
+        # product of the agent sets over the stacked decisions; boxes make
+        # it one clip
+        self.decision_set = sets.Product([a.cset for a in agents])
+
+    def rows(self, flat):
+        """Reshape a stacked ``Nm`` vector into per-agent rows."""
+        return np.asarray(flat, dtype=float).reshape(self.n, self.m)
+
+    def total_objective(self, decisions):
+        return float(np.add.reduce(self.objective_rows(decisions), axis=None))
+
+    def __repr__(self):
+        return "{}({}, n={}, m={})".format(type(self).__name__, self.name,
+                                           self.n, self.m)
+
+
+class _NetworkTrace(object):
+    """The fields of both kinds' traces, read off a stacked `RunTrace`.
+
+    ``objective`` sums the agent objectives at each row of `decisions`;
+    a subclass adds its blocks, its residual or gap column and its CSV.
+    """
+
+    def __init__(self, problem, trace, decisions):
+        self.problem = problem
+        self.method = trace.method
+        self.alpha = trace.alpha
+        self.gradient_calls = trace.gradient_calls
+        self.stopped_at = trace.stopped_at
+        self.iters = trace.iters
+        self.vi_residual = trace.vi_residual
+        self.objective = np.add.reduce(problem.objective_rows(decisions),
+                                       axis=-1)
+
+
+def _simulate(problem, method, alpha, start, **budget):
+    """Run a networked problem's dynamics as `run` on its stacked problem.
+
+    `start` holds the blocks of its `initial_state`; returns its trace.
+    """
+    route = problem._route()
+    method, alpha = _distributed_step(problem, method, alpha)
+    config = SolverConfig(method, step_size=alpha, **budget)
+    trace = run(route.stacked(problem), config, route.start(problem, *start))
+    return route.trace(problem, trace)

@@ -337,9 +337,9 @@ def test_criterion_9_fixed_point_and_determinism(criterion, tmp_path):
     for fname in sorted(os.listdir(out1)):
         if not fname.endswith(".csv"):
             continue
-        b1 = open(os.path.join(out1, fname), "rb").read()
-        b2 = open(os.path.join(out2, fname), "rb").read()
-        identical = identical and b1 == b2
+        with open(os.path.join(out1, fname), "rb") as f1, \
+                open(os.path.join(out2, fname), "rb") as f2:
+            identical = identical and f1.read() == f2.read()
     ok = worst_drift <= 1e-12 and identical
     detail = ("max drift over 100 steps {:.3e} at {} (<= 1e-12),"
               " bitwise identical reruns: {}").format(
@@ -355,5 +355,6 @@ def test_criterion_artifacts_round_trip(tmp_path):
     code = cli_main(["solve", "--preset", "quadratic-saddle",
                      "--iters", "50", "--out", out])
     assert code == 0
-    summary = json.load(open(os.path.join(out, "summary.json")))
+    with open(os.path.join(out, "summary.json")) as fh:
+        summary = json.load(fh)
     assert summary["preset"] == "quadratic-saddle"

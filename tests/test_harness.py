@@ -6,13 +6,28 @@ import os
 import numpy as np
 import pytest
 
-from saddlenet import network
+from saddlenet import allocation, consensus, network
 from saddlenet.harness import (PRESETS, ConfigError, cmd_solve, load_config,
                                main, resolve_config)
 
 
 def solve_args(preset, out, extra=()):
     return ["solve", "--preset", preset, "--out", out] + list(extra)
+
+
+def read_bytes(*parts):
+    with open(os.path.join(*parts), "rb") as fh:
+        return fh.read()
+
+
+def read_json(*parts):
+    with open(os.path.join(*parts)) as fh:
+        return json.load(fh)
+
+
+def csv_header(path):
+    with open(path) as fh:
+        return fh.readline().strip()
 
 
 def test_load_config_reports_json_position(tmp_path):
@@ -68,7 +83,7 @@ def test_solve_writes_artifacts(tmp_path, capsys):
     assert "summary.json" in names
     assert "quadratic-saddle-OGDA.csv" in names
     assert "quadratic-saddle-reference.json" in names
-    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    summary = read_json(out, "summary.json")
     runs = summary["runs"]
     assert len(runs) == 1
     entry = runs[0]
@@ -85,7 +100,7 @@ def test_solve_csv_has_expected_columns(tmp_path):
     main(solve_args("quadratic-saddle", out,
                     ["--iters", "20", "--method", "OGDA"]))
     path = os.path.join(out, "quadratic-saddle-OGDA.csv")
-    header = open(path).readline().strip().split(",")
+    header = csv_header(path).split(",")
     assert header[:3] == ["iter", "f_value", "vi_residual"]
     assert "ergodic_gap" in header
     assert "delta_k" in header
@@ -98,7 +113,7 @@ def test_solve_network_preset_csv(tmp_path):
                             "--stop-tol", "0"]))
     assert code == 0
     path = os.path.join(out, "consensus5-EG.csv")
-    header = open(path).readline().strip()
+    header = csv_header(path)
     assert header == "iter,agent_id,x0,v0,consensus_residual,objective_sum"
 
 
@@ -109,8 +124,8 @@ def test_solve_is_bitwise_deterministic(tmp_path):
     assert main(solve_args("example1", out1, extra)) == 0
     assert main(solve_args("example1", out2, extra)) == 0
     for name in ("example1-OGDA.csv", "example1-EG.csv"):
-        b1 = open(os.path.join(out1, name), "rb").read()
-        b2 = open(os.path.join(out2, name), "rb").read()
+        b1 = read_bytes(out1, name)
+        b2 = read_bytes(out2, name)
         assert b1 == b2
 
 
@@ -120,8 +135,8 @@ def test_solve_seed_changes_trace(tmp_path):
     extra = ["--iters", "50", "--method", "OGDA"]
     main(solve_args("example1", out1, extra))
     main(solve_args("example1", out2, extra + ["--seed", "1"]))
-    b1 = open(os.path.join(out1, "example1-OGDA.csv"), "rb").read()
-    b2 = open(os.path.join(out2, "example1-OGDA.csv"), "rb").read()
+    b1 = read_bytes(out1, "example1-OGDA.csv")
+    b2 = read_bytes(out2, "example1-OGDA.csv")
     assert b1 != b2
 
 
@@ -134,8 +149,8 @@ def test_config_file_equivalent_to_flags(tmp_path):
     flag_out = str(tmp_path / "d")
     main(solve_args("quadratic-saddle", flag_out, ["--iters", "40",
                                                    "--method", "OGDA"]))
-    b1 = open(os.path.join(cfg["out"], "quadratic-saddle-OGDA.csv"), "rb").read()
-    b2 = open(os.path.join(flag_out, "quadratic-saddle-OGDA.csv"), "rb").read()
+    b1 = read_bytes(cfg["out"], "quadratic-saddle-OGDA.csv")
+    b2 = read_bytes(flag_out, "quadratic-saddle-OGDA.csv")
     assert b1 == b2
 
 
@@ -272,11 +287,49 @@ RUN_KEYS = {"method", "alpha", "iterations", "stopped_at", "gradient_calls",
 def test_summary_run_entry_keys(tmp_path, preset, extra):
     out = str(tmp_path / "run")
     assert main(solve_args(preset, out, ["--iters", "20"])) == 0
-    summary = json.loads(open(os.path.join(out, "summary.json")).read())
+    summary = read_json(out, "summary.json")
     assert set(summary) == {"preset", "seed", "runs"}
     assert [r["method"] for r in summary["runs"]] == PRESETS[preset]["methods"]
     for entry in summary["runs"]:
         assert set(entry) == RUN_KEYS | extra
+
+
+REFERENCE_KEYS = {
+    "quadratic-saddle": {"z_star", "f_star", "vi_residual"},
+    "consensus5": {"x_bar", "x", "v", "objective", "cone_residual",
+                   "saddle_residual"},
+    "allocation3": {"y", "mu", "a", "lam", "objective", "feasibility",
+                    "stationarity_gap", "saddle_residual"},
+}
+
+
+@pytest.mark.parametrize("preset", sorted(REFERENCE_KEYS))
+def test_reference_json_keys(tmp_path, preset):
+    out = str(tmp_path / "run")
+    assert main(solve_args(preset, out, ["--iters", "5"])) == 0
+    reference = read_json(out, "{}-reference.json".format(preset))
+    assert set(reference) == REFERENCE_KEYS[preset]
+
+
+@pytest.mark.parametrize("preset, module, name", [
+    ("consensus5", consensus, "simulate_consensus"),
+    ("allocation3", allocation, "simulate_allocation"),
+])
+def test_solve_calls_the_simulate_function_it_finds_at_call_time(
+        tmp_path, monkeypatch, preset, module, name):
+    # a tracer or a test replaces the module attribute; solve must run
+    # the replacement, not a function object captured at import
+    original = getattr(module, name)
+    calls = []
+
+    def replaced(*args, **kwargs):
+        calls.append(kwargs["max_iters"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, replaced)
+    out = str(tmp_path / "run")
+    assert main(solve_args(preset, out, ["--iters", "7"])) == 0
+    assert calls == [7] * len(PRESETS[preset]["methods"])
 
 
 def test_verify_replay_calls_agent_gradients_once_per_distinct_point(

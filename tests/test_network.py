@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from saddlenet import allocation, catalog, consensus
+from saddlenet import catalog, consensus
 from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
                                   simulate_allocation)
 from saddlenet.consensus import (ConsensusAgentSpec, ConsensusProblem,
@@ -123,6 +123,31 @@ def test_every_run_starts_from_the_start():
     first = sim.run(10)
     second = sim.run(10)
     assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("iters", [True, 2.5, 3.0, -1, None])
+def test_every_route_rejects_a_bad_iteration_budget(iters):
+    cases = [(catalog.consensus_quadratics(n=5), ConsensusNetworkSimulator,
+              simulate_consensus),
+             (catalog.allocation_quadratics(), AllocationNetworkSimulator,
+              simulate_allocation)]
+    for prob, cls, simulate in cases:
+        for method in ("OGDA", "EG"):
+            with pytest.raises(ValidationError, match="iters"):
+                cls(prob, method=method).run(iters)
+            with pytest.raises(ValidationError, match="max_iters"):
+                simulate(prob, method, max_iters=iters)
+        with pytest.raises(ValidationError, match="record_every"):
+            simulate(prob, "OGDA", max_iters=5, record_every=iters)
+
+
+def test_simulators_accept_numpy_integer_budgets():
+    prob = catalog.consensus_quadratics(n=5)
+    x_hist, _ = ConsensusNetworkSimulator(prob).run(np.int64(3))
+    assert x_hist.shape == (4, 5, 1)
+    y_hist, _, _ = AllocationNetworkSimulator(
+        catalog.allocation_quadratics()).run(np.int64(0))
+    assert y_hist.shape == (1, 3)
 
 
 def test_network_converges_to_consensus():
@@ -248,22 +273,20 @@ def test_messages_travel_along_edges_with_2m_floats(kind, method,
 
 def stacked_trace(prob, method, iters):
     """The stacked run that `saddlenet verify` replays, every row recorded."""
-    module = consensus if isinstance(prob, ConsensusProblem) else allocation
-    return run(module.as_saddle_problem(prob),
+    route = prob._route()
+    return run(route.stacked(prob),
                SolverConfig(method, max_iters=iters, stop_tol=0.0),
-               module.initial_state(prob))
+               route.start(prob))
 
 
 def simulator(prob, method):
-    if isinstance(prob, ConsensusProblem):
-        return ConsensusNetworkSimulator(prob, method=method)
-    return AllocationNetworkSimulator(prob, method=method)
+    return prob._route().simulator(prob, method=method)
 
 
 def serial_deviation(prob, method, iters):
-    if isinstance(prob, ConsensusProblem):
-        return consensus_deviation(prob, method, iters)
-    return allocation_deviation(prob, method, iters)
+    """Largest deviation of the serial per-agent run from the stacked run."""
+    serial = simulator(prob, method)._history(iters)
+    return np.max(np.abs(serial - stacked_trace(prob, method, iters).z))
 
 
 REPLAY_CASES = {

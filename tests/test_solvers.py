@@ -123,6 +123,27 @@ def test_step_size_bound_enforced():
     assert trace.iters[-1] == 5
 
 
+BAD_COUNTS = [True, 2.5, 3.0, "3", None]
+
+
+@pytest.mark.parametrize("key, minimum", [("max_iters", 0),
+                                          ("record_every", 1)])
+def test_solver_config_rejects_a_bad_budget(key, minimum):
+    for value in BAD_COUNTS + [minimum - 1]:
+        with pytest.raises(ValidationError, match=key):
+            SolverConfig("OGDA", **{key: value})
+    # numpy integers are counts too
+    count = getattr(SolverConfig("OGDA", **{key: np.int64(7)}), key)
+    assert count == 7 and type(count) is int
+
+
+def test_solver_config_rejects_a_nan_stop_tol():
+    # early stopping compares the residual with stop_tol; NaN never stops
+    with pytest.raises(ValidationError, match="stop_tol"):
+        SolverConfig("OGDA", stop_tol=float("nan"))
+    assert SolverConfig("OGDA", stop_tol=0.0).stop_tol == 0.0
+
+
 def test_force_step_overrides_bound():
     prob = xy_problem(Box(-2.0, 2.0, dim=1), Box(-2.0, 2.0, dim=1))
     cfg = SolverConfig("OGDA", step_size=0.3, max_iters=5, stop_tol=0.0,
