@@ -102,7 +102,7 @@ def paper_step_size(problem, method, base=0.01):
     return alpha, halvings
 
 
-def example2_allocation(seed=0, max_redraws=100):
+def example2_allocation(seed=0):
     """Resource allocation experiment: 20 agents on a ring.
 
     Objectives ``h_i(y) = a_i y + b_i log(1 + exp(c_i y))`` with
@@ -111,7 +111,8 @@ def example2_allocation(seed=0, max_redraws=100):
     is ``b c^2 / 4``, the maximum of the second derivative. A draw can
     put the total demand outside what the boxes can supply; in that
     case only ``d`` is redrawn (continuing the same stream) until the
-    reference oracle certifies feasibility. The certified reference is
+    reference oracle certifies feasibility, at most 100 times (the
+    oracle's error is raised after that). The certified reference is
     stored in ``meta['kkt']``.
     """
     rng = np.random.default_rng(seed)
@@ -151,7 +152,7 @@ def example2_allocation(seed=0, max_redraws=100):
             break
         except CertificationError:
             redraws += 1
-            if redraws > max_redraws:
+            if redraws > 100:
                 raise
             d = rng.uniform(-2.0, 2.0, n)
     problem.meta.update(seed=seed, a=a, b=b, c=c, w=w, d=d,

@@ -172,17 +172,15 @@ def objective(problem, z):
     return float(problem.value(x, y))
 
 
-def vi_residual(problem, z, f_z=None):
+def vi_residual(problem, z):
     """Natural-map residual ``|| z - P(z - F(z)) ||`` with unit step.
 
     Zero exactly at solutions of the saddle-point variational
-    inequality. `f_z` may pass a precomputed ``F(z)`` so callers that
-    already hold the operator value spend no extra oracle calls.
+    inequality.
     """
     z = np.asarray(z, dtype=float)
-    if f_z is None:
-        f_z = operator_F(problem, z)
-    return float(np.linalg.norm(z - problem.domain.project(z - f_z)))
+    return float(np.linalg.norm(
+        z - problem.domain.project(z - operator_F(problem, z))))
 
 
 def _norm(v):

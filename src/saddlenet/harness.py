@@ -10,13 +10,15 @@ verify
     Run the invariant suite (monotonicity, Lipschitz bound, gradient
     finite differences, distributed/stacked equivalence, rate
     certificates, optimistic-step descent, extra-gradient contraction)
-    and emit a machine-readable report.
+    on fixed runs, OGDA and EG for 1000 iterations each at the default
+    step, and emit a machine-readable report.
 list-presets
     Show the shipped experiment presets.
 
 Configs are JSON objects; every key can also be set from the command
-line. Exit codes: 0 success, 1 validation error, 2 divergence,
-3 invariant or certification failure.
+line. `verify` reads only the preset, seed and output directory and
+rejects the run options `solve` takes. Exit codes: 0 success,
+1 validation error, 2 divergence, 3 invariant or certification failure.
 """
 
 import argparse
@@ -114,8 +116,10 @@ PRESETS = {
     },
 }
 
-_CONFIG_KEYS = ("preset", "seed", "methods", "alpha", "iters",
-                "record_every", "stop_tol", "out")
+# keys that shape a `solve` run; `verify` runs a fixed protocol and
+# rejects them
+_RUN_KEYS = ("methods", "alpha", "iters", "record_every", "stop_tol")
+_CONFIG_KEYS = ("preset", "seed", "out") + _RUN_KEYS
 
 
 def load_config(path):
@@ -362,7 +366,12 @@ def _sample_domain_points(problem, count, seed):
 
 
 def cmd_verify(config):
-    """Run the invariant suite on the configured instance."""
+    """Run the invariant suite on the configured instance.
+
+    Reads the preset and seed, and writes into the output directory
+    when one is set; the runs are fixed (OGDA and EG, 1000 iterations
+    each at the default step).
+    """
     problem = PRESETS[config["preset"]]["build"](config["seed"])
     kind = config["kind"]
     stacked, z0, reference, z_star = _setup(problem, config)
@@ -455,19 +464,28 @@ def _add_common(parser):
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--preset", help="preset name (see list-presets)")
     parser.add_argument("--seed", type=int)
+    parser.add_argument("--out", help="output directory")
+
+
+def _add_run_options(parser):
     parser.add_argument("--alpha", type=float)
     parser.add_argument("--iters", type=int)
     parser.add_argument("--record-every", type=int, dest="record_every")
     parser.add_argument("--stop-tol", type=float, dest="stop_tol")
     parser.add_argument("--method", action="append", dest="methods",
                         help="repeatable; subset of GDA, OGDA, EG")
-    parser.add_argument("--out", help="output directory")
 
 
 def _gather_config(args):
     cfg = {}
     if args.config:
         cfg.update(load_config(args.config))
+    if args.command == "verify":
+        for key in _RUN_KEYS:
+            if key in cfg:
+                raise ConfigError(
+                    "config key '{}': verify runs OGDA and EG for 1000"
+                    " iterations at the default step; use solve".format(key))
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -490,7 +508,9 @@ def main(argv=None):
         description="projected saddle-point solvers and distributed"
                     " optimization experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_common(sub.add_parser("solve", help="run an experiment"))
+    solve = sub.add_parser("solve", help="run an experiment")
+    _add_common(solve)
+    _add_run_options(solve)
     _add_common(sub.add_parser("verify", help="run the invariant suite"))
     sub.add_parser("list-presets", help="show shipped presets")
     args = parser.parse_args(argv)

@@ -220,12 +220,12 @@ class ConsensusNetworkSimulator(_Simulator):
     """
 
     def __init__(self, problem, method="OGDA", alpha=None, x0=None, v0=None):
-        n, m = problem.n, problem.m
-        # z = [x, v], each agent-major: agent i holds [x_i, v_i]
-        cols = np.arange(2 * n * m).reshape(2, n, m)
-        super().__init__(problem, method, alpha,
-                         problem._route().start(problem, x0, v0),
-                         [cols[:, i].ravel() for i in range(n)],
+        z0 = problem._route().start(problem, x0, v0)
+        # z = [x, v]: agent i holds [x_i, v_i]
+        x, v = problem._split(np.arange(z0.size))
+        super().__init__(problem, method, alpha, z0,
+                         [np.concatenate((x[i], v[i]))
+                          for i in range(problem.n)],
                          _consensus_roles)
 
     def run(self, iters):

@@ -263,14 +263,13 @@ def _grid_refine_rows(fun_rows, lo, hi, levels=5, points=100):
     return 0.5 * (a + b)
 
 
-def _allocation_saddle_residual(problem, y, a, lam):
+def _allocation_saddle_residual(problem, y, e, a, lam):
+    # `e` holds the imbalance rows ``W_i y_i - d_i`` of `y`
     lap = problem.graph.laplacian()
     grad = problem.gradient_vec(y)
     gy = grad + np.concatenate([sp.weight.T @ lam[i]
                                 for i, sp in enumerate(problem.agents)])
     ga = -(lap @ lam)
-    e = np.stack([sp.weight @ y[problem._yslices[i]] - sp.demand
-                  for i, sp in enumerate(problem.agents)])
     glam = -(e - lap @ (a + lam))
     ry = y - problem.project_y(y - gy)
     return float(np.sqrt(np.sum(ry ** 2) + np.sum(ga ** 2) + np.sum(glam ** 2)))
@@ -394,7 +393,7 @@ def solve_allocation_kkt(problem, tol=1e-8):
     e = np.stack([sp.weight @ y[problem._yslices[i]] - sp.demand
                   for i, sp in enumerate(problem.agents)])
     a_rows = np.linalg.pinv(problem.graph.laplacian()) @ e
-    resid = _allocation_saddle_residual(problem, y, a_rows, lam)
+    resid = _allocation_saddle_residual(problem, y, e, a_rows, lam)
     if resid > tol:
         raise CertificationError(
             "allocation saddle failed certification: residual %.3e > %.1e"
@@ -402,13 +401,13 @@ def solve_allocation_kkt(problem, tol=1e-8):
     return KKTReference(y, mu, a_rows, lam, objective, feas, gap_stat, resid)
 
 
-def allocation_grid_objective(problem, grid_step=1e-4):
+def allocation_grid_objective(problem):
     """Brute-force allocation optimum for two-agent scalar instances.
 
-    Sweeps the first agent's box on a uniform grid, solves the coupling
-    constraint for the second agent in closed form, and returns the
-    best feasible objective with its decisions. A method-independent
-    cross-check of `solve_allocation_kkt`.
+    Sweeps the first agent's box on a uniform grid of step 1e-4, solves
+    the coupling constraint for the second agent in closed form, and
+    returns the best feasible objective with its decisions. A
+    method-independent cross-check of `solve_allocation_kkt`.
     """
     if problem.n != 2 or problem.m != 1 or problem.dim_y != 2:
         raise ValueError("grid search covers two scalar agents only")
@@ -419,7 +418,7 @@ def allocation_grid_objective(problem, grid_step=1e-4):
     d_total = float(problem.demand.sum())
     lo0 = problem.agents[0].cset.lower[0]
     hi0 = problem.agents[0].cset.upper[0]
-    grid = np.arange(lo0, hi0 + grid_step, grid_step)
+    grid = np.arange(lo0, hi0 + 1e-4, 1e-4)
     y1 = (d_total - w0 * grid) / w1
     ok = ((y1 >= problem.agents[1].cset.lower[0])
           & (y1 <= problem.agents[1].cset.upper[0]))

@@ -314,7 +314,7 @@ def sample_points(cset, count, rng):
     return cset.project(rng.uniform(lo, hi, size=(count, cset.dim)))
 
 
-def normal_cone_residual(cset, p, g, probe_count=100, seed=0):
+def normal_cone_residual(cset, p, g):
     """Estimate ``min over q in the set of g.(q - p)``.
 
     A value above ``-tol`` certifies the variational inequality
@@ -322,8 +322,8 @@ def normal_cone_residual(cset, p, g, probe_count=100, seed=0):
     which with ``g = F(z*)`` is the first-order optimality condition at
     `z*`. The minimum is taken over `p` itself, the projections of far
     coordinate rays from `p` (these land on faces of boxes and balls, so
-    the reported value is exact for those sets), and `probe_count`
-    random probes projected into the set.
+    the reported value is exact for those sets), and 100 random probes
+    projected into the set, drawn from a generator seeded with 0.
 
     Parameters
     ----------
@@ -332,10 +332,6 @@ def normal_cone_residual(cset, p, g, probe_count=100, seed=0):
         Feasible base point; raises ValueError when `p` is not in the set.
     g : array-like
         Direction tested against feasible displacements from `p`.
-    probe_count : int
-        Number of random probes.
-    seed : int
-        Seed for the probe draw.
 
     Returns
     -------
@@ -347,7 +343,6 @@ def normal_cone_residual(cset, p, g, probe_count=100, seed=0):
     g = _as_vector(g, cset.dim, name="g")
     if not cset.contains(p, tol=1e-9):
         raise ValueError("base point is not in the set")
-    rng = np.random.default_rng(seed)
     candidates = [cset.project(p)]
     reach = 1e6 * (1.0 + np.linalg.norm(p))
     for i in range(cset.dim):
@@ -355,6 +350,6 @@ def normal_cone_residual(cset, p, g, probe_count=100, seed=0):
         ray[i] = reach
         candidates.append(cset.project(p + ray))
         candidates.append(cset.project(p - ray))
-    candidates.append(sample_points(cset, probe_count, rng))
+    candidates.append(sample_points(cset, 100, np.random.default_rng(0)))
     q = np.vstack([np.atleast_2d(c) for c in candidates])
     return float(np.min((q - p) @ g))

@@ -153,36 +153,29 @@ def _distributed_step(problem, method, alpha):
     return method, SolverConfig(method, step_size=alpha).resolved_step(kappa)
 
 
-def step_gda(problem, z, alpha, f_z=None):
+def step_gda(problem, z, alpha):
     """One projected gradient descent-ascent step ``P(z - alpha F(z))``."""
-    if f_z is None:
-        f_z = operator_F(problem, z)
-    return problem.domain.project(z - alpha * f_z)
+    return problem.domain.project(z - alpha * operator_F(problem, z))
 
 
-def step_ogda(problem, z, z_prev, alpha, f_z=None, f_z_prev=None):
+def step_ogda(problem, z, z_prev, alpha):
     """One optimistic step ``P(z - 2 alpha F(z) + alpha F(z_prev))``.
 
     The first step passes ``z_prev = z`` (the prescribed start
     ``z_{-1} = z_0``), which collapses the correction and reduces to a
     GDA step.
     """
-    if f_z is None:
-        f_z = operator_F(problem, z)
-    if f_z_prev is None:
-        f_z_prev = operator_F(problem, z_prev)
-    return problem.domain.project(z - 2.0 * alpha * f_z + alpha * f_z_prev)
+    return problem.domain.project(z - 2.0 * alpha * operator_F(problem, z)
+                                  + alpha * operator_F(problem, z_prev))
 
 
-def step_eg(problem, z, alpha, f_z=None):
+def step_eg(problem, z, alpha):
     """One extra-gradient step; returns ``(z_half, z_next)``.
 
     The mid-point is a GDA probe from `z`; the actual step leaves from
     `z` using the operator value at the mid-point.
     """
-    if f_z is None:
-        f_z = operator_F(problem, z)
-    z_half = problem.domain.project(z - alpha * f_z)
+    z_half = problem.domain.project(z - alpha * operator_F(problem, z))
     f_half = operator_F(problem, z_half)
     z_next = problem.domain.project(z - alpha * f_half)
     return z_half, z_next
@@ -203,25 +196,23 @@ class RunTrace(object):
     - ``f_value``: objective at each recorded iterate, computed from
       ``z`` on first read (one `core.objective` call on the stack of
       rows), so runs whose callers never read it skip the objective.
-    - ``ergodic_x``, ``ergodic_y``: running averages over iterates 1..T
-      (OGDA/GDA) or mid-points 0..T-1 (EG); NaN on row 0.
+    - ``ergodic``: running averages over iterates 1..T (OGDA/GDA) or
+      mid-points 0..T-1 (EG), shape ``(rows, dim)``; NaN on row 0.
     - ``dist_to_ref``, ``ergodic_gap``: distance to the reference point
       and ``|f(ergodic) - f(reference)|`` (NaN without a reference, and
       on row 0 of the gap), computed on first read like ``f_value``.
     - ``delta_k``: filled in by `delta_diagnostic`.
     """
 
-    def __init__(self, method, alpha, record_every, stop_tol, kappa_m,
-                 z0, z_star, f_star, dim_x, objective):
+    def __init__(self, method, alpha, record_every, kappa_m, z0, z_star,
+                 f_star, objective):
         self.method = method
         self.alpha = alpha
         self.record_every = record_every
-        self.stop_tol = stop_tol
         self.kappa_m = kappa_m
         self.z0 = z0.copy()
         self.z_star = None if z_star is None else np.asarray(z_star, dtype=float)
         self.f_star = f_star
-        self.dim_x = dim_x
         self.gradient_calls = 0
         self.stopped_at = None
         self.delta_k = None
@@ -269,8 +260,6 @@ class RunTrace(object):
     def _finalize(self):
         if self._rows < self.iters.size:
             self._resize(self._rows)
-        self.ergodic_x = self.ergodic[:, :self.dim_x]
-        self.ergodic_y = self.ergodic[:, self.dim_x:]
 
     @functools.cached_property
     def f_value(self):
@@ -395,8 +384,8 @@ def run(problem, config, z0, z_star=None):
         f_star = f(z_star)
 
     max_iters, every = config.max_iters, config.record_every
-    trace = RunTrace(method, alpha, every, config.stop_tol, problem.kappa_m,
-                     z0, z_star, f_star, problem.dim_x, f)
+    trace = RunTrace(method, alpha, every, problem.kappa_m, z0, z_star,
+                     f_star, f)
 
     # work buffers for the step argument, OGDA's correction term and the
     # natural-map residual; the domain is a `sets.Product`, whose
@@ -476,10 +465,11 @@ def run(problem, config, z0, z_star=None):
     return trace
 
 
-def delta_diagnostic(problem, trace, z_star=None, alpha=None, kappa_m=None):
+def delta_diagnostic(problem, trace):
     """Evaluate the OGDA descent quantity Delta_k along a trace.
 
-    With a saddle point z* and step alpha below ``1/(2 kappa_m)``,
+    The reference point z*, step alpha and constant kappa_m are the
+    trace's. With z* a saddle point and alpha below ``1/(2 kappa_m)``,
 
     ``Delta_k = ||z_k - z*||^2 / (2 alpha) + (kappa_m / 2) ||z_k - z_{k-1}||^2
     - (z_k - z*) . (F(z_k) - F(z_{k-1}))``
@@ -499,12 +489,9 @@ def delta_diagnostic(problem, trace, z_star=None, alpha=None, kappa_m=None):
         raise ValueError("delta diagnostic is defined along OGDA traces")
     if trace.record_every != 1:
         raise ValueError("delta diagnostic needs consecutively recorded iterates")
-    if z_star is None:
-        z_star = trace.z_star
+    z_star, alpha, kappa_m = trace.z_star, trace.alpha, trace.kappa_m
     if z_star is None:
         raise ValueError("delta diagnostic needs a reference saddle point")
-    alpha = trace.alpha if alpha is None else alpha
-    kappa_m = trace.kappa_m if kappa_m is None else kappa_m
 
     Z = trace.z
     Zprev = np.vstack([Z[:1], Z[:-1]])  # z_{-1} = z_0
@@ -518,34 +505,32 @@ def delta_diagnostic(problem, trace, z_star=None, alpha=None, kappa_m=None):
     return delta
 
 
-def eg_contraction_check(trace, z_star=None, alpha=None, kappa_m=None, tol=1e-10):
-    """Check the per-step EG contraction toward a saddle point.
+def eg_contraction_check(trace):
+    """Check the per-step EG contraction toward the trace's reference point.
 
     Verifies, for every consecutive recorded pair,
 
     ``||z_{k+1} - z*||^2 <= ||z_k - z*||^2
     - 2 alpha rho ||z_{k+1} - z_{k+1/2}||^2``
 
-    with ``rho = (1 - alpha^2 kappa_m^2) / (2 alpha)``, up to `tol`
+    with the trace's step alpha and constant kappa_m and
+    ``rho = (1 - alpha^2 kappa_m^2) / (2 alpha)``, up to 1e-10
     absolute slack.
 
     Returns
     -------
     dict
         ``holds``, ``max_violation`` (most positive left-minus-right,
-        at most `tol` when passing), ``first_violation`` (iteration
+        at most 1e-10 when passing), ``first_violation`` (iteration
         number or None) and ``rho``.
     """
     if trace.method != "EG":
         raise ValueError("contraction check is defined along EG traces")
     if trace.record_every != 1:
         raise ValueError("contraction check needs consecutively recorded iterates")
-    if z_star is None:
-        z_star = trace.z_star
+    z_star, alpha, kappa_m = trace.z_star, trace.alpha, trace.kappa_m
     if z_star is None:
         raise ValueError("contraction check needs a reference saddle point")
-    alpha = trace.alpha if alpha is None else alpha
-    kappa_m = trace.kappa_m if kappa_m is None else kappa_m
     rho = (1.0 - alpha ** 2 * kappa_m ** 2) / (2.0 * alpha)
 
     d2 = np.sum((trace.z - z_star) ** 2, axis=1)
@@ -554,7 +539,7 @@ def eg_contraction_check(trace, z_star=None, alpha=None, kappa_m=None, tol=1e-10
     if violation.size == 0:
         return {"holds": True, "max_violation": 0.0,
                 "first_violation": None, "rho": rho}
-    bad = np.nonzero(violation > tol)[0]
+    bad = np.nonzero(violation > 1e-10)[0]
     return {"holds": bad.size == 0,
             "max_violation": float(np.max(violation)),
             "first_violation": None if bad.size == 0 else int(trace.iters[1 + bad[0]]),

@@ -223,6 +223,46 @@ def test_verify_report_lists_margins(tmp_path, capsys):
         assert "margin" in check or "measured" in check
 
 
+@pytest.mark.parametrize("flag", [
+    ["--iters", "5"], ["--method", "GDA"], ["--alpha", "0.01"],
+    ["--record-every", "2"], ["--stop-tol", "0.1"],
+])
+def test_verify_rejects_run_flags(tmp_path, capsys, flag):
+    # verify runs a fixed protocol; an option it would ignore is an error
+    out = str(tmp_path / "v")
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--preset", "quadratic-saddle", "--out", out] + flag)
+    assert err.value.code == 1
+    assert flag[0] in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("methods", ["OGDA"]), ("alpha", 0.01), ("iters", 5),
+    ("record_every", 2), ("stop_tol", 0.1),
+])
+def test_verify_config_rejects_run_keys(tmp_path, capsys, key, value):
+    cfg = {"preset": "quadratic-saddle", "out": str(tmp_path / "v"),
+           key: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(path)]) == 1
+    assert "config key '{}'".format(key) in capsys.readouterr().err
+    assert not os.path.exists(cfg["out"])
+
+
+def test_verify_config_file_equivalent_to_flags(tmp_path):
+    cfg = {"preset": "quadratic-saddle", "seed": 3, "out": str(tmp_path / "c")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(path)]) == 0
+    flag_out = str(tmp_path / "d")
+    assert main(["verify", "--preset", "quadratic-saddle", "--seed", "3",
+                 "--out", flag_out]) == 0
+    assert (read_bytes(cfg["out"], "verify.json")
+            == read_bytes(flag_out, "verify.json"))
+
+
 def test_solve_rejects_bad_alpha(tmp_path, capsys):
     code = main(solve_args("example1", str(tmp_path / "r"),
                            ["--alpha", "0.5", "--method", "OGDA"]))

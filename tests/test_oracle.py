@@ -219,7 +219,7 @@ def test_grid_objective_cross_check():
             weight=np.array([[1.0]]),
             demand=np.array([0.0]),
             lipschitz=1.0) for c in (1.0, 3.0)])
-    grid_obj, grid_y = allocation_grid_objective(two, grid_step=1e-4)
+    grid_obj, grid_y = allocation_grid_objective(two)
     kkt = solve_allocation_kkt(two)
     assert kkt.objective == pytest.approx(grid_obj, abs=1e-3)
     assert np.allclose(grid_y, kkt.y.ravel(), atol=1e-2)
@@ -373,7 +373,7 @@ def kkt_per_agent_loop(problem, tol=1e-8):
     e = np.stack([sp.weight @ y[problem._yslices[i]] - sp.demand
                   for i, sp in enumerate(problem.agents)])
     a_rows = np.linalg.pinv(problem.graph.laplacian()) @ e
-    resid = oracle._allocation_saddle_residual(problem, y, a_rows, lam)
+    resid = oracle._allocation_saddle_residual(problem, y, e, a_rows, lam)
     if resid > tol:
         raise CertificationError("saddle")
     return oracle.KKTReference(y, mu, a_rows, lam, objective, feas,

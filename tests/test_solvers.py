@@ -265,9 +265,9 @@ def test_delta_diagnostic_rejects_wrong_method_and_gaps():
     with pytest.raises(ValueError):
         delta_diagnostic(prob, trace)
     cfg = SolverConfig("OGDA", max_iters=10, stop_tol=0.0, record_every=5)
-    sparse = run(prob, cfg, prob.meta["z0"])
+    sparse = run(prob, cfg, prob.meta["z0"], z_star=prob.meta["z_star"])
     with pytest.raises(ValueError):
-        delta_diagnostic(prob, sparse, z_star=prob.meta["z_star"])
+        delta_diagnostic(prob, sparse)
 
 
 def test_eg_contraction_on_example1():
