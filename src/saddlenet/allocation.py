@@ -17,9 +17,12 @@ enforces. The saddle operator
 again decomposes into neighbor sums.
 
 `as_saddle_problem` casts the instance as one stacked saddle problem
-over ``z = [y, a, lam]`` of length ``Q + 2 N m``: the decisions ``y``
-(``Q = sum q_i``, agent by agent), then the auxiliary variables ``a``
-and the multipliers ``lam``, each ``N x m`` in agent-major order. Its
+over ``z = [y, a, lam]`` of length ``Q + 2 N m``, in the layout the
+problem base in `solvers` owns: the decisions ``y`` (``Q = sum q_i``,
+agent by agent), then two dual blocks, the auxiliary variables ``a``
+and the multipliers ``lam``, each ``N x m`` in agent-major order. The
+base also gives the blocks of ``z`` (`split`), the start (`start`) and
+the agents' oracles on stacks (`objective_rows`, `gradient_rows`). The
 operator is Psi in the same layout. It copies ``z`` into a buffer
 ``[z, a + lam]`` and takes both Laplacian products from a single
 `NetworkGraph.lap_pass` over the columns ``[lam, a + lam]``, the
@@ -39,15 +42,15 @@ produce the same trajectories.
 import numpy as np
 
 from . import sets
-from .core import (SaddleProblem, ValidationError, _batched, _matvec,
-                   _row_dots, spectral_norm)
+from .core import (SaddleProblem, ValidationError, _matvec, _row_dots,
+                   spectral_norm)
 from .network import AllocationNetworkSimulator
 from .solvers import (_NetworkProblem, _NetworkTrace, _Route, _simulate,
                       _write_agent_csv, step_eg, step_ogda)
 
 __all__ = ["AllocationAgentSpec", "AllocationProblem", "lagrangian_L2",
            "operator_psi", "feasibility_gap", "as_saddle_problem",
-           "initial_state", "step_allocation_ogda", "step_allocation_eg",
+           "step_allocation_ogda", "step_allocation_eg",
            "simulate_allocation", "AllocationTrace"]
 
 
@@ -109,19 +112,17 @@ class AllocationProblem(_NetworkProblem):
     """
 
     _kappa_name = "kappa_s"
+    _blocks = ("y", "a", "lam")
 
     def __init__(self, graph, agents, vector_objective=None,
                  vector_gradient=None, name=None):
         m = agents[0].demand.size if agents else 0
-        super().__init__(graph, m, agents, vector_objective, vector_gradient,
-                         name or "allocation")
-        if any(a.demand.size != m for a in agents):
-            raise ValidationError("all agents must share the constraint dimension")
         self.q = [a.cset.dim for a in agents]
         self.dim_y = int(sum(self.q))
-        offsets = np.cumsum([0] + self.q)
-        self._yslices = [slice(int(offsets[i]), int(offsets[i + 1]))
-                         for i in range(self.n)]
+        super().__init__(graph, m, agents, vector_objective, vector_gradient,
+                         name or "allocation", (self.dim_y,))
+        if any(a.demand.size != m for a in agents):
+            raise ValidationError("all agents must share the constraint dimension")
         self.l_h = max(a.lipschitz for a in agents)
         # block-diagonal W, so the largest singular value is the max over agents
         self.sigma_w = max(spectral_norm(a.weight) for a in agents)
@@ -134,45 +135,6 @@ class AllocationProblem(_NetworkProblem):
             self._demand_col = self.demand[:, 0].copy()
         else:
             self._wdiag = None
-        nm = self.n * self.m
-        self._zslices = (slice(0, self.dim_y),
-                         slice(self.dim_y, self.dim_y + nm),
-                         slice(self.dim_y + nm, self.dim_y + 2 * nm))
-
-    def y_block(self, y, i):
-        return y[self._yslices[i]]
-
-    def split(self, z):
-        """Views ``(y, a, lam)`` of a stacked iterate ``z = [y, a, lam]``.
-
-        On a stack of iterates ``(..., dim)`` the views keep the leading
-        axes: ``(..., Q)`` and rows ``(..., N, m)``.
-        """
-        sy, sa, sl = self._zslices
-        rows = z.shape[:-1] + (self.n, self.m)
-        return z[..., sy], z[..., sa].reshape(rows), z[..., sl].reshape(rows)
-
-    def objective_rows(self, y):
-        """Per-agent objective values ``(..., N)`` of decisions ``(..., Q)``."""
-        if self.vector_objective is not None:
-            return _batched(self.vector_objective(y), y.shape[:-1] + (self.n,),
-                            "vector_objective")
-        out = np.empty(y.shape[:-1] + (self.n,))
-        for i, (a, sl) in enumerate(zip(self.agents, self._yslices)):
-            name = "AllocationAgentSpec.objective of agent {}".format(i)
-            sets._each_point(a.objective, y[..., sl], out[..., i], name)
-        return out
-
-    def gradient_vec(self, y):
-        """Stacked objective gradient, shaped like `y` ``(..., Q)``."""
-        if self.vector_gradient is not None:
-            return _batched(self.vector_gradient(y), y.shape,
-                            "vector_gradient")
-        out = np.empty(y.shape)
-        for i, (a, sl) in enumerate(zip(self.agents, self._yslices)):
-            name = "AllocationAgentSpec.gradient of agent {}".format(i)
-            sets._each_point(a.gradient, y[..., sl], out[..., sl], name)
-        return out
 
     def wt_lam(self, lam):
         """Stacked ``W_i' lam_i`` ``(..., Q)`` of multiplier rows ``(..., N, m)``."""
@@ -186,15 +148,11 @@ class AllocationProblem(_NetworkProblem):
         if self._wdiag is not None:
             return (self._wdiag * y - self._demand_col)[..., None]
         return np.stack([_matvec(a.weight, y[..., sl]) - a.demand
-                         for sl, a in zip(self._yslices, self.agents)],
+                         for sl, a in zip(self._agent_slices, self.agents)],
                         axis=-2)
 
-    def project_y(self, y):
-        """Project the stacked decision vector onto the product set."""
-        return self.decision_set.project(y)
-
     def _route(self):
-        return _Route(as_saddle_problem, initial_state, simulate_allocation,
+        return _Route(as_saddle_problem, simulate_allocation,
                       AllocationNetworkSimulator, AllocationTrace)
 
 
@@ -251,7 +209,7 @@ def _psi_operator(problem):
         ext[..., :dim] = z
         np.add(z[..., sa], lam, out=ext[..., dim:])
         out = np.empty(z.shape)
-        np.add(problem.gradient_vec(y), problem.wt_lam(lam.reshape(rows)),
+        np.add(problem.gradient_rows(y), problem.wt_lam(lam.reshape(rows)),
                out=out[..., sy])
         # [L lam, L(a + lam)]; W y - d - L(a + lam) in place, then one
         # negation writes the a and lam blocks
@@ -266,7 +224,7 @@ def _psi_operator(problem):
 
 def operator_psi(problem, y, a, lam):
     """Saddle operator Psi at ``(y, a, lam)`` as one stacked vector."""
-    return _psi_operator(problem)(initial_state(problem, y, a, lam))
+    return _psi_operator(problem)(problem.start(y, a, lam))
 
 
 def feasibility_gap(problem, y):
@@ -306,7 +264,7 @@ def as_saddle_problem(problem):
     def grad_x(x, lam):
         y, a = split_x(x)
         lam = problem.rows(lam)
-        gy = problem.gradient_vec(y) + problem.wt_lam(lam)
+        gy = problem.gradient_rows(y) + problem.wt_lam(lam)
         ga = -problem.graph.lap_apply(lam)
         return np.concatenate([gy, ga.ravel()])
 
@@ -329,23 +287,6 @@ def as_saddle_problem(problem):
         kappa=problem.kappa_s, operator=_psi_operator(problem),
         objective=objective,
         name=problem.name + "-stacked")
-
-
-def initial_state(problem, y0=None, a0=None, lam0=None):
-    """Stacked start ``z0 = [y0, a0, lam0]``.
-
-    Decisions default to the projection of zero, the other blocks to zero.
-    """
-    if y0 is None:
-        y0 = problem.project_y(np.zeros(problem.dim_y))
-    else:
-        y0 = np.asarray(y0, dtype=float).ravel()
-        if y0.size != problem.dim_y:
-            raise ValidationError("y0 has {} entries, expected {}"
-                                  .format(y0.size, problem.dim_y))
-    a0 = np.zeros(problem.n * problem.m) if a0 is None else problem.rows(a0)
-    lam0 = np.zeros(problem.n * problem.m) if lam0 is None else problem.rows(lam0)
-    return np.concatenate([y0, a0.ravel(), lam0.ravel()])
 
 
 def step_allocation_ogda(problem, z, z_prev, alpha):

@@ -11,34 +11,39 @@ is convex-concave over ``Omega x R^{Nm}``, and its saddle operator
 so the generic projected methods become per-agent update rules.
 
 `as_saddle_problem` casts the instance as one stacked saddle problem
-over ``z = [x, v]`` (each block ``N x m``, agent-major). Its operator
-is Phi: it copies ``z`` into a buffer ``[z, x + v]`` and takes both
-Laplacian products from a single `NetworkGraph.lap_pass` over the
-columns ``[x + v, x]``, the payloads the agents of `network` exchange,
-through a gather plan of absolute indices into that buffer. The problem
-builds the plan on its first evaluation; the pass comes out laid out
-like ``z`` and becomes the result. Phi takes one point ``(dim,)`` or a
-stack ``(..., dim)`` through the same calls, and L1 takes stacks
-through `lap_rows`, so one pass serves every point. `simulate_consensus` is
-one call into the body it shares with `allocation` in `solvers`, which
-runs the generic `solvers.run` on it and reads the per-agent trace off
-the recorded rows; the problem and trace classes extend shared bases
-there too. Every neighbor sum goes through `lap_pass` and the
-per-agent route in `network` uses the same expressions, so the two
-routes agree to the last bit.
+over ``z = [x, v]``, in the layout the problem base in `solvers` owns:
+the decisions ``x`` shaped ``(N, m)``, then one dual block ``v`` of the
+same shape, both agent-major. The base also gives the blocks of ``z``
+(`split`), the start (`start`) and the agents' oracles on stacks
+(`objective_rows`, `gradient_rows`).
+
+The operator is Phi: it copies ``z`` into a buffer ``[z, x + v]`` and
+takes both Laplacian products from a single `NetworkGraph.lap_pass`
+over the columns ``[x + v, x]``, the payloads the agents of `network`
+exchange, through a gather plan of absolute indices into that buffer.
+The problem builds the plan on its first evaluation; the pass comes
+out laid out like ``z`` and becomes the result. Phi takes one point
+``(dim,)`` or a stack ``(..., dim)`` through the same calls, and L1
+takes stacks through `lap_rows`, so one pass serves every point.
+`simulate_consensus` is one call into the body it shares with
+`allocation` in `solvers`, which runs the generic `solvers.run` on it
+and reads the per-agent trace off the recorded rows; the trace class
+extends a shared base there too. Every neighbor sum goes through
+`lap_pass` and the per-agent route in `network` uses the same
+expressions, so the two routes agree to the last bit.
 """
 
 import numpy as np
 
 from . import sets
-from .core import SaddleProblem, ValidationError, _batched, _row_dots
+from .core import SaddleProblem, ValidationError, _row_dots
 from .network import ConsensusNetworkSimulator
 from .solvers import (_NetworkProblem, _NetworkTrace, _Route, _simulate,
                       _write_agent_csv, step_eg, step_ogda)
 
 __all__ = ["ConsensusAgentSpec", "ConsensusProblem", "lagrangian_L1",
            "operator_phi", "consensus_residual", "as_saddle_problem",
-           "initial_state", "step_consensus_ogda", "step_consensus_eg",
+           "step_consensus_ogda", "step_consensus_eg",
            "simulate_consensus", "ConsensusTrace"]
 
 
@@ -94,53 +99,19 @@ class ConsensusProblem(_NetworkProblem):
     """
 
     _kappa_name = "kappa_c"
+    _blocks = ("x", "v")
 
     def __init__(self, graph, m, agents, vector_objective=None,
                  vector_gradient=None, name=None):
         super().__init__(graph, m, agents, vector_objective, vector_gradient,
-                         name or "consensus")
+                         name or "consensus", (graph.n, int(m)))
         if any(a.cset.dim != m for a in agents):
             raise ValidationError("agent sets must have dimension m")
         self.l_f = max(a.lipschitz for a in agents)
         self.kappa_c = self.l_f + 2.0 * self.lambda_max
 
-    def objective_rows(self, x):
-        """Per-agent objective values ``f_i(x_i)`` as an ``(..., N)`` array.
-
-        `x` holds rows ``(N, m)`` or a stack of them ``(..., N, m)``.
-        """
-        if self.vector_objective is not None:
-            return _batched(self.vector_objective(x), x.shape[:-1],
-                            "vector_objective")
-        out = np.empty(x.shape[:-1])
-        for i, a in enumerate(self.agents):
-            name = "ConsensusAgentSpec.objective of agent {}".format(i)
-            sets._each_point(a.objective, x[..., i, :], out[..., i], name)
-        return out
-
-    def gradient_rows(self, x):
-        """Stacked gradients ``grad f_i(x_i)``, shaped like `x` ``(..., N, m)``."""
-        if self.vector_gradient is not None:
-            return _batched(self.vector_gradient(x), x.shape,
-                            "vector_gradient")
-        out = np.empty(x.shape)
-        for i, a in enumerate(self.agents):
-            name = "ConsensusAgentSpec.gradient of agent {}".format(i)
-            sets._each_point(a.gradient, x[..., i, :], out[..., i, :], name)
-        return out
-
-    def project_rows(self, x):
-        """Project each row onto its agent's set."""
-        return self.decision_set.project(np.ravel(x)).reshape(self.n, self.m)
-
-    def _split(self, z):
-        """Rows ``(x, v)`` ``(..., N, m)`` of stacked iterates ``(..., 2Nm)``."""
-        nm = self.n * self.m
-        rows = z.shape[:-1] + (self.n, self.m)
-        return z[..., :nm].reshape(rows), z[..., nm:].reshape(rows)
-
     def _route(self):
-        return _Route(as_saddle_problem, initial_state, simulate_consensus,
+        return _Route(as_saddle_problem, simulate_consensus,
                       ConsensusNetworkSimulator, ConsensusTrace)
 
 
@@ -206,7 +177,7 @@ def _phi_operator(problem):
 
 def operator_phi(problem, x, v):
     """Saddle operator Phi at ``(x, v)`` as one stacked ``2Nm`` vector."""
-    return _phi_operator(problem)(initial_state(problem, x, v))
+    return _phi_operator(problem)(problem.start(x, v))
 
 
 def consensus_residual(problem, x):
@@ -252,7 +223,7 @@ def as_saddle_problem(problem):
         return problem.graph.lap_apply(problem.rows(x)).ravel()
 
     def objective(z):
-        return lagrangian_L1(problem, *problem._split(z))
+        return lagrangian_L1(problem, *problem.split(z))
 
     return SaddleProblem(
         nm, nm,
@@ -264,17 +235,6 @@ def as_saddle_problem(problem):
         kappa=problem.kappa_c, operator=_phi_operator(problem),
         objective=objective,
         name=problem.name + "-stacked")
-
-
-def initial_state(problem, x0=None, v0=None):
-    """Stacked start ``z0 = [x0, v0]``.
-
-    Decisions default to the projection of zero, multipliers to zero.
-    """
-    if x0 is None:
-        x0 = problem.project_rows(np.zeros((problem.n, problem.m)))
-    v0 = np.zeros(problem.n * problem.m) if v0 is None else problem.rows(v0)
-    return np.concatenate([problem.rows(x0).ravel(), v0.ravel()])
 
 
 def step_consensus_ogda(problem, z, z_prev, alpha):
@@ -299,8 +259,8 @@ class ConsensusTrace(_NetworkTrace):
     """
 
     def __init__(self, problem, trace):
-        self.x, self.v = problem._split(trace.z)
-        self.erg_x, self.erg_v = problem._split(trace.ergodic)
+        self.x, self.v = problem.split(trace.z)
+        self.erg_x, self.erg_v = problem.split(trace.ergodic)
         super().__init__(problem, trace, self.x)
         self.consensus_residual = _residual_rows(problem, self.x)
 

@@ -184,6 +184,9 @@ def resolve_config(cfg):
         if cfg.get(key) is not None:
             out[key] = cfg[key]
     if cfg.get("methods") is not None:
+        if not isinstance(cfg["methods"], (list, tuple)):
+            raise ConfigError("config key 'methods': must be a list of"
+                              " method names, got {!r}".format(cfg["methods"]))
         out["methods"] = list(cfg["methods"])
     out["out"] = cfg.get("out") or os.path.join("runs", name)
 
@@ -257,8 +260,7 @@ def _setup(problem, config):
         return (problem, z0,
                 {"z_star": z_star, "f_star": problem.meta.get("f_star"),
                  "vi_residual": vi_residual(problem, z_star)}, z_star)
-    route = problem._route()
-    stacked, z0 = route.stacked(problem), route.start(problem)
+    stacked, z0 = problem._route().stacked(problem), problem.start()
     if config.get("negative_control"):
         return stacked, z0, None, None
     try:
@@ -272,14 +274,15 @@ def _setup(problem, config):
             blocks = (ref.y, ref.a, ref.lam)
     except oracle.CertificationError as exc:
         return stacked, z0, exc, None
-    return stacked, z0, vars(ref), route.start(problem, *blocks)
+    return stacked, z0, vars(ref), problem.start(*blocks)
 
 
-def _resolve_alpha(problem, config, method):
+def _resolve_alpha(stacked, config, method):
+    """The configured step; ``"paper"`` is halved below `stacked`'s bound."""
     alpha = config["alpha"]
     if alpha == "paper":
         value, halvings = catalog.paper_step_size(
-            problem, method, problem.meta.get("alpha_paper", 0.01))
+            stacked, method, stacked.meta.get("alpha_paper", 0.01))
         if halvings:
             print("note: step size for {} halved {}x to {:g} to satisfy"
                   " its bound".format(method, halvings, value))
@@ -287,7 +290,7 @@ def _resolve_alpha(problem, config, method):
     return alpha
 
 
-def _solve(problem, config, outdir, summary, z0, z_star):
+def _solve(problem, stacked, config, outdir, summary, z0, z_star):
     """Run each configured method; write its trace and a summary entry."""
     kind = config["kind"]
     if kind == "saddle":
@@ -300,7 +303,7 @@ def _solve(problem, config, outdir, summary, z0, z_star):
     else:
         simulate = functools.partial(problem._route().simulate, problem)
     for method in config["methods"]:
-        alpha = _resolve_alpha(problem, config, method)
+        alpha = _resolve_alpha(stacked, config, method)
         t0 = time.perf_counter()
         trace = simulate(method, alpha=alpha,
                          max_iters=_iters_for(config, method),
@@ -342,13 +345,13 @@ def cmd_solve(config):
     outdir = config["out"]
     os.makedirs(outdir, exist_ok=True)
     summary = {"preset": config["preset"], "seed": config["seed"], "runs": []}
-    _, z0, reference, z_star = _setup(problem, config)
+    stacked, z0, reference, z_star = _setup(problem, config)
     if isinstance(reference, oracle.CertificationError):
         raise reference
     if reference is not None:
         _write_json(os.path.join(
             outdir, "{}-reference.json".format(config["preset"])), reference)
-    _solve(problem, config, outdir, summary, z0, z_star)
+    _solve(problem, stacked, config, outdir, summary, z0, z_star)
     _write_json(os.path.join(outdir, "config.json"),
                 {k: v for k, v in config.items()
                  if k in _CONFIG_KEYS or k in ("kind",)})

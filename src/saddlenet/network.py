@@ -6,11 +6,13 @@ variables, and all cross-agent information flows through
 `Network.exchange`, which delivers payloads strictly along graph edges.
 No agent ever reads another agent's variables or any stacked array.
 
-An agent keeps its variables in one local vector, its own slice of the
-stacked iterate: ``[x_i, v_i]`` for consensus and ``[y_i, a_i, lam_i]``
-for allocation. Each round it publishes one payload of ``2m`` floats,
-computed from the variables it shares alone: ``[x_i + v_i, x_i]`` from
-``(x_i, v_i)``, and ``[lam_i, a_i + lam_i]`` from ``(a_i, lam_i)``.
+An agent keeps its variables in one local vector, its columns of the
+stacked iterate as the problem's layout gives them: its decisions, then
+its row of each dual block, ``[x_i, v_i]`` for consensus and
+``[y_i, a_i, lam_i]`` for allocation. Each round it publishes one
+payload of ``2m`` floats, computed from the variables it shares alone:
+``[x_i + v_i, x_i]`` from ``(x_i, v_i)``, and ``[lam_i, a_i + lam_i]``
+from ``(a_i, lam_i)``.
 Decisions ``y_i`` and gradients never leave an agent. With its own
 payload ``p_i``, agent i forms one neighbor sum ``s = sum_j (p_i - p_j)``
 onto zeros in ascending neighbor order, which is row i of the stacked
@@ -43,8 +45,8 @@ proves it. The sums and update expressions are the stacked ones,
 elementwise, so both hold to the last bit. `saddlenet verify` replays;
 the tests compare the serial run with the stacked one as independent
 evidence. Both simulators share one constructor, which reads the
-declared constant and its name off the problem; each passes only its
-start, the columns of its agents' local vectors and their roles.
+declared constant and its name and the agents' columns off the problem,
+and one `run`; each passes only its start and its agents' roles.
 """
 
 import numpy as np
@@ -77,21 +79,22 @@ class Network(object):
 class _Simulator(object):
     """Per-agent rounds, their serial run and their replay.
 
-    A subclass passes the stacked start ``z0``, the columns of each
-    agent's local vector in the stacked layout, and `roles`, which
-    gives an agent's ``(payload, local)`` pair from its spec and ``m``:
+    Each agent's local vector is its columns of the stacked layout,
+    which the problem gives. A subclass passes the stacked start
+    ``z0`` and `roles`, which gives an agent's ``(payload, local)``
+    pair from its spec and ``m``:
     ``payload(w)`` is the array the agent publishes at ``w``, and
     ``local(w, s, out)`` writes its operator value at ``w`` into
     ``out`` given the neighbor sum ``s``, which it may overwrite. Each
     agent projects onto its own set times its free variables.
     """
 
-    def __init__(self, problem, method, alpha, z0, cols, roles):
+    def __init__(self, problem, method, alpha, z0, roles):
         self.problem = problem
         self.method, self.alpha = _distributed_step(problem, method, alpha)
         self.network = Network(problem.graph)
         self._z0 = z0
-        self._cols = cols
+        self._cols = cols = problem._agent_columns()
         self._payloads, self._locals = zip(*(roles(spec, problem.m)
                                              for spec in problem.agents))
         self._csets = [
@@ -144,6 +147,17 @@ class _Simulator(object):
         stacked = np.empty_like(hist)
         stacked[:, np.concatenate(self._cols)] = hist
         return stacked
+
+    def run(self, iters):
+        """Take `iters` steps from the start; returns stacked histories.
+
+        Returns the blocks of `problem.split` with ``iters + 1`` rows,
+        row 0 holding the initial point: ``(x_hist, v_hist)``, each
+        ``(iters + 1, N, m)``, for consensus; ``(y_hist, a_hist,
+        lam_hist)``, ``y_hist`` of shape ``(iters + 1, Q)``, for
+        allocation.
+        """
+        return self.problem.split(self._history(iters))
 
     def replay(self, trace):
         """Largest deviation of the per-agent steps from a stacked trace.
@@ -220,21 +234,9 @@ class ConsensusNetworkSimulator(_Simulator):
     """
 
     def __init__(self, problem, method="OGDA", alpha=None, x0=None, v0=None):
-        z0 = problem._route().start(problem, x0, v0)
-        # z = [x, v]: agent i holds [x_i, v_i]
-        x, v = problem._split(np.arange(z0.size))
-        super().__init__(problem, method, alpha, z0,
-                         [np.concatenate((x[i], v[i]))
-                          for i in range(problem.n)],
+        # agent i holds [x_i, v_i]
+        super().__init__(problem, method, alpha, problem.start(x0, v0),
                          _consensus_roles)
-
-    def run(self, iters):
-        """Take `iters` steps from the start; returns stacked histories.
-
-        Returns ``(x_hist, v_hist)`` of shape ``(iters + 1, N, m)``
-        with row 0 holding the initial point.
-        """
-        return self.problem._split(self._history(iters))
 
 
 def _allocation_roles(spec, m):
@@ -275,19 +277,6 @@ class AllocationNetworkSimulator(_Simulator):
 
     def __init__(self, problem, method="OGDA", alpha=None, y0=None,
                  a0=None, lam0=None):
-        z0 = problem._route().start(problem, y0, a0, lam0)
-        # z = [y, a, lam]: agent i holds [y_i, a_i, lam_i]
-        y, a, lam = problem.split(np.arange(z0.size))
-        super().__init__(problem, method, alpha, z0,
-                         [np.concatenate((problem.y_block(y, i), a[i], lam[i]))
-                          for i in range(problem.n)],
+        # agent i holds [y_i, a_i, lam_i]
+        super().__init__(problem, method, alpha, problem.start(y0, a0, lam0),
                          _allocation_roles)
-
-    def run(self, iters):
-        """Take `iters` steps from the start; returns stacked histories.
-
-        Returns ``(y_hist, a_hist, lam_hist)`` with ``iters + 1`` rows,
-        row 0 holding the initial point: ``y_hist`` of shape
-        ``(iters + 1, Q)``, the others ``(iters + 1, N, m)``.
-        """
-        return self.problem.split(self._history(iters))

@@ -24,24 +24,29 @@ __all__ = ["CertificationError", "golden_section_min", "finite_diff_check",
 # +h rows and half -h rows, so memory stays O(dim) per call at any dim
 FD_CHUNK_ROWS = 256
 
+# bound on the certificate residuals of the consensus and allocation
+# references
+REFERENCE_TOL = 1e-8
+
 
 class CertificationError(RuntimeError):
     """A reference solution failed its independent certificate."""
 
 
-def golden_section_min(fun, lo, hi, tol=1e-12):
+def golden_section_min(fun, lo, hi):
     """Minimize a unimodal scalar function on [lo, hi] by golden section.
 
-    Value-based only, so the location accuracy is limited to roughly
-    sqrt(machine epsilon) times the interval; callers needing more
-    polish the result with a gradient method.
+    Shrinks the bracket to ``1e-12 (1 + |a| + |b|)``. Value-based only,
+    so the location accuracy is limited to roughly sqrt(machine
+    epsilon) times the interval; callers needing more polish the
+    result with a gradient method.
     """
     inv = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
     c = b - inv * (b - a)
     d = a + inv * (b - a)
     fc, fd = fun(c), fun(d)
-    while b - a > tol * (1.0 + abs(a) + abs(b)):
+    while b - a > 1e-12 * (1.0 + abs(a) + abs(b)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - inv * (b - a)
@@ -152,11 +157,11 @@ def _consensus_saddle_residual(problem, x, v):
     lap = problem.graph.laplacian()
     gx = problem.gradient_rows(x) + lap @ (x + v)
     gv = -(lap @ x)
-    rx = x - problem.project_rows(x - gx)
+    rx = x - problem.decision_set.project((x - gx).ravel()).reshape(x.shape)
     return float(np.sqrt(np.sum(rx ** 2) + np.sum(gv ** 2)))
 
 
-def solve_consensus_reference(problem, tol=1e-8):
+def solve_consensus_reference(problem):
     """Solve the agreement problem and certify the resulting saddle.
 
     The common decision minimizes the summed objectives over the
@@ -164,7 +169,8 @@ def solve_consensus_reference(problem, tol=1e-8):
     decisions (polished by projected gradient), projected gradient with
     a small step otherwise. The dual is recovered through the
     Laplacian pseudoinverse and the pair certified by the dense-matrix
-    natural-map residual.
+    natural-map residual; both certificates must be at most
+    `REFERENCE_TOL`.
     """
     if any(not isinstance(a.cset, sets.Box) for a in problem.agents):
         raise CertificationError("consensus reference needs box sets")
@@ -195,17 +201,17 @@ def solve_consensus_reference(problem, tol=1e-8):
                 break
             prev_move = move
     cone = sets.normal_cone_residual(box, s, _grad_sum(problem, s))
-    if cone > tol:
+    if cone > REFERENCE_TOL:
         raise CertificationError(
             "consensus optimum failed certification: normal-cone residual"
-            " %.3e > %.1e" % (cone, tol))
+            " %.3e > %.1e" % (cone, REFERENCE_TOL))
     x = np.tile(s, (problem.n, 1))
     v = -np.linalg.pinv(problem.graph.laplacian()) @ problem.gradient_rows(x)
     resid = _consensus_saddle_residual(problem, x, v)
-    if resid > tol:
+    if resid > REFERENCE_TOL:
         raise CertificationError(
             "consensus saddle failed certification: residual %.3e > %.1e"
-            % (resid, tol))
+            % (resid, REFERENCE_TOL))
     return ConsensusReference(s, x, v, _value_sum(problem, s), cone, resid)
 
 
@@ -266,16 +272,16 @@ def _grid_refine_rows(fun_rows, lo, hi, levels=5, points=100):
 def _allocation_saddle_residual(problem, y, e, a, lam):
     # `e` holds the imbalance rows ``W_i y_i - d_i`` of `y`
     lap = problem.graph.laplacian()
-    grad = problem.gradient_vec(y)
+    grad = problem.gradient_rows(y)
     gy = grad + np.concatenate([sp.weight.T @ lam[i]
                                 for i, sp in enumerate(problem.agents)])
     ga = -(lap @ lam)
     glam = -(e - lap @ (a + lam))
-    ry = y - problem.project_y(y - gy)
+    ry = y - problem.decision_set.project(y - gy)
     return float(np.sqrt(np.sum(ry ** 2) + np.sum(ga ** 2) + np.sum(glam ** 2)))
 
 
-def solve_allocation_kkt(problem, tol=1e-8):
+def solve_allocation_kkt(problem):
     """Reference allocation optimum by bisection on the coupling dual.
 
     Requires scalar coupling (m = 1) and box sets. For each multiplier
@@ -301,6 +307,7 @@ def solve_allocation_kkt(problem, tol=1e-8):
     the problem has one), and the decisions with the grid minimizers
     take one more such call.
 
+    The dense-operator saddle residual must be at most `REFERENCE_TOL`.
     Raises `CertificationError` when no bracket contains the balance
     point (infeasible instance), when an agent's stationarity gap or
     the reference objective is not finite, or when a certificate fails.
@@ -390,14 +397,14 @@ def solve_allocation_kkt(problem, tol=1e-8):
         raise CertificationError(
             "reference objective %r is not finite" % objective)
     lam = np.full((n, 1), mu)
-    e = np.stack([sp.weight @ y[problem._yslices[i]] - sp.demand
+    e = np.stack([sp.weight @ y[problem._agent_slices[i]] - sp.demand
                   for i, sp in enumerate(problem.agents)])
     a_rows = np.linalg.pinv(problem.graph.laplacian()) @ e
     resid = _allocation_saddle_residual(problem, y, e, a_rows, lam)
-    if resid > tol:
+    if resid > REFERENCE_TOL:
         raise CertificationError(
             "allocation saddle failed certification: residual %.3e > %.1e"
-            % (resid, tol))
+            % (resid, REFERENCE_TOL))
     return KKTReference(y, mu, a_rows, lam, objective, feas, gap_stat, resid)
 
 

@@ -22,12 +22,13 @@ around this loop here (see `_NetworkProblem`).
 
 import collections
 import functools
+import itertools
 import numbers
 
 import numpy as np
 
 from . import sets
-from .core import ValidationError, _norm, objective, operator_F
+from .core import ValidationError, _batched, _norm, objective, operator_F
 from .graphs import lambda_max
 
 __all__ = ["METHODS", "SolverConfig", "RunTrace", "DivergenceError",
@@ -93,13 +94,10 @@ class SolverConfig(object):
         disables early stopping (runs all `max_iters` iterations).
     record_every : int
         Trace granularity; the final iterate is always recorded.
-    force_step : bool
-        Skip the step-size bound check. The theorems no longer apply;
-        meant for negative controls.
     """
 
     def __init__(self, method, step_size=None, max_iters=1000, stop_tol=1e-10,
-                 record_every=1, force_step=False):
+                 record_every=1):
         method = str(method).upper()
         if method not in METHODS:
             raise ValidationError("method must be one of {}, got {!r}"
@@ -114,7 +112,6 @@ class SolverConfig(object):
             raise ValidationError("stop_tol must be nonnegative")
         self.stop_tol = float(stop_tol)
         self.record_every = _budget("record_every", record_every, 1)
-        self.force_step = bool(force_step)
 
     def resolved_step(self, kappa_m):
         """Return the validated step size for a problem with constant `kappa_m`."""
@@ -124,11 +121,10 @@ class SolverConfig(object):
                 ogda_bound = step_bound("OGDA", kappa_m)
                 return 1.0 if not np.isfinite(ogda_bound) else 0.9 * ogda_bound
             return 0.9 * bound
-        if self.step_size >= bound and not self.force_step:
+        if self.step_size >= bound:
             raise ValidationError(
-                "step size {:g} violates the {} bound {:g} (kappa_m={:g}); "
-                "set force_step to override".format(
-                    self.step_size, self.method, bound, kappa_m))
+                "step size {:g} violates the {} bound {:g} (kappa_m={:g})"
+                .format(self.step_size, self.method, bound, kappa_m))
         return self.step_size
 
 
@@ -547,21 +543,26 @@ def eg_contraction_check(trace):
 
 
 # What the two networked kinds, consensus and allocation, share. A kind's
-# `_Route` holds its `as_saddle_problem`, `initial_state`, `simulate_*`,
-# per-agent simulator class and trace class.
-_Route = collections.namedtuple("_Route",
-                                "stacked start simulate simulator trace")
+# `_Route` holds its `as_saddle_problem`, `simulate_*`, per-agent
+# simulator class and trace class.
+_Route = collections.namedtuple("_Route", "stacked simulate simulator trace")
 
 
 class _NetworkProblem(object):
     """The part of `ConsensusProblem` and `AllocationProblem` they share.
 
-    A subclass names its declared operator constant in `_kappa_name`,
-    defines `objective_rows` and returns its `_Route` from `_route`.
+    Both lay a stacked iterate out as ``[decisions, duals...]``. The
+    decisions come first, agent by agent, each agent's as many entries
+    as its set has dimensions; as an array they take `decision_shape`
+    (``(N, m)`` for consensus, ``(Q,)`` for allocation). One ``N x m``
+    block per vertex (agent-major) follows for each dual name in
+    `_blocks` after the first. A subclass names its blocks in
+    `_blocks` and its declared operator constant in `_kappa_name`, and
+    returns its `_Route` from `_route`.
     """
 
     def __init__(self, graph, m, agents, vector_objective, vector_gradient,
-                 name):
+                 name, decision_shape):
         if len(agents) != graph.n:
             raise ValidationError("need one agent spec per vertex")
         self.graph = graph
@@ -576,13 +577,110 @@ class _NetworkProblem(object):
         # product of the agent sets over the stacked decisions; boxes make
         # it one clip
         self.decision_set = sets.Product([a.cset for a in agents])
+        self.decision_shape = tuple(decision_shape)
+        ends = list(itertools.accumulate([a.cset.dim for a in agents],
+                                         initial=0))
+        # each agent's entries of the decision block, flattened; the
+        # block starts the stacked iterate, so these are its columns too
+        self._agent_slices = [slice(a, b) for a, b in zip(ends, ends[1:])]
+        duals = len(self._blocks) - 1
+        bounds = list(itertools.accumulate(
+            [ends[-1]] + [self.n * self.m] * duals, initial=0))
+        self._zslices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        self.dim = bounds[-1]
+        self._shapes = [self.decision_shape] + [(self.n, self.m)] * duals
 
     def rows(self, flat):
         """Reshape a stacked ``Nm`` vector into per-agent rows."""
         return np.asarray(flat, dtype=float).reshape(self.n, self.m)
 
+    def split(self, z):
+        """Views of the blocks of a stacked iterate ``z`` ``(..., dim)``.
+
+        The decisions come shaped ``(..., *decision_shape)`` and each
+        dual block as rows ``(..., N, m)``, keeping the leading axes.
+        """
+        lead = z.shape[:-1]
+        return tuple(z[..., sl].reshape(lead + shape)
+                     for sl, shape in zip(self._zslices, self._shapes))
+
+    def start(self, decisions=None, *duals):
+        """Stacked start ``[decisions, duals...]`` from its blocks.
+
+        Decisions default to the projection of zero, dual blocks to zero.
+        A block given in any shape must hold as many entries as its part
+        of the layout; otherwise a `ValidationError` names the block.
+        """
+        if len(duals) >= len(self._blocks):
+            raise ValidationError("a start has the blocks {}".format(
+                ", ".join(name + "0" for name in self._blocks)))
+        z = np.zeros(self.dim)
+        if decisions is None:
+            decisions = self.decision_set.project(
+                np.zeros(self._zslices[0].stop))
+        for name, sl, block in zip(self._blocks, self._zslices,
+                                   (decisions,) + duals):
+            if block is not None:
+                block = np.asarray(block, dtype=float)
+                if block.size != sl.stop - sl.start:
+                    raise ValidationError("{}0 has {} entries, expected {}"
+                                          .format(name, block.size,
+                                                  sl.stop - sl.start))
+                z[sl] = block.ravel()
+        return z
+
+    def _lead(self, decisions):
+        """Batch axes of decisions ``(..., *decision_shape)``."""
+        return decisions.shape[:decisions.ndim - len(self.decision_shape)]
+
+    def _each_agent(self, oracle, decisions, slots):
+        """Write agent i's `oracle` at its decisions into ``slots[i]``.
+
+        `oracle` is ``"objective"`` or ``"gradient"``; each agent's is
+        called once per distinct point of a stack, and a wrong-sized
+        value names ``<spec class>.<oracle> of agent i``.
+        """
+        flat = decisions.reshape(self._lead(decisions) + (-1,))
+        for i, (spec, sl, slot) in enumerate(zip(self.agents,
+                                                 self._agent_slices, slots)):
+            sets._each_point(getattr(spec, oracle), flat[..., sl], slot,
+                             "{}.{} of agent {}".format(type(spec).__name__,
+                                                        oracle, i))
+
+    def objective_rows(self, decisions):
+        """Per-agent objective values ``(..., N)`` of `decisions`."""
+        shape = self._lead(decisions) + (self.n,)
+        if self.vector_objective is not None:
+            return _batched(self.vector_objective(decisions), shape,
+                            "vector_objective")
+        out = np.empty(shape)
+        self._each_agent("objective", decisions,
+                         [out[..., i] for i in range(self.n)])
+        return out
+
+    def gradient_rows(self, decisions):
+        """Stacked objective gradients, shaped like `decisions`."""
+        if self.vector_gradient is not None:
+            return _batched(self.vector_gradient(decisions), decisions.shape,
+                            "vector_gradient")
+        out = np.empty(decisions.shape)
+        flat = out.reshape(self._lead(decisions) + (-1,))
+        self._each_agent("gradient", decisions,
+                         [flat[..., sl] for sl in self._agent_slices])
+        return out
+
     def total_objective(self, decisions):
         return float(np.add.reduce(self.objective_rows(decisions), axis=None))
+
+    def _agent_columns(self):
+        """Each agent's columns of a stacked iterate.
+
+        Agent i holds its decisions, then row i of each dual block.
+        """
+        z = np.arange(self.dim)
+        duals = self.split(z)[1:]
+        return [np.concatenate([z[sl]] + [block[i] for block in duals])
+                for i, sl in enumerate(self._agent_slices)]
 
     def __repr__(self):
         return "{}({}, n={}, m={})".format(type(self).__name__, self.name,
@@ -611,10 +709,11 @@ class _NetworkTrace(object):
 def _simulate(problem, method, alpha, start, **budget):
     """Run a networked problem's dynamics as `run` on its stacked problem.
 
-    `start` holds the blocks of its `initial_state`; returns its trace.
+    `start` holds the blocks `problem.start` takes; returns the kind's
+    trace.
     """
     route = problem._route()
     method, alpha = _distributed_step(problem, method, alpha)
     config = SolverConfig(method, step_size=alpha, **budget)
-    trace = run(route.stacked(problem), config, route.start(problem, *start))
+    trace = run(route.stacked(problem), config, problem.start(*start))
     return route.trace(problem, trace)

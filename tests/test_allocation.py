@@ -4,7 +4,7 @@ import pytest
 from saddlenet import allocation, catalog
 from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
                                   as_saddle_problem, feasibility_gap,
-                                  initial_state, lagrangian_L2, operator_psi,
+                                  lagrangian_L2, operator_psi,
                                   simulate_allocation, step_allocation_eg,
                                   step_allocation_ogda)
 from saddlenet.core import SaddleProblem, ValidationError, operator_F
@@ -95,7 +95,7 @@ def test_steps_preserve_certified_kkt_point():
         trace = run(as_saddle_problem(prob),
                     SolverConfig(method, step_size=alpha, max_iters=1,
                                  stop_tol=0.0),
-                    initial_state(prob, ref.y, ref.a, ref.lam))
+                    prob.start(ref.y, ref.a, ref.lam))
         y, a, lam = prob.split(trace.z[-1])
         assert np.max(np.abs(y - ref.y)) <= 1e-12
         assert np.max(np.abs(a - ref.a)) <= 1e-12
@@ -117,7 +117,7 @@ def test_stacked_matches_generic_solver():
                                     stop_tol=0.0)
         generic = run(oracles, SolverConfig(method, step_size=alpha,
                                             max_iters=200, stop_tol=0.0),
-                      initial_state(prob))
+                      prob.start())
         rows = trace.y.shape[0]
         stacked = np.concatenate([trace.y.reshape(rows, -1),
                                   trace.a.reshape(rows, -1),
@@ -129,7 +129,7 @@ def test_stacked_matches_generic_solver():
 def test_step_functions_match_run():
     prob = catalog.allocation_quadratics()
     alpha = 0.4 / prob.kappa_s
-    z0 = initial_state(prob, y0=np.full(3, 50.0))
+    z0 = prob.start(np.full(3, 50.0))
     for method in ("OGDA", "EG"):
         trace = run(as_saddle_problem(prob),
                     SolverConfig(method, step_size=alpha, max_iters=2,
@@ -219,7 +219,7 @@ def test_vectorized_oracles_match_rowwise():
         y = rng.uniform(-1.0, 1.0, size=prob.n)
         rowwise = np.concatenate([a.gradient(y[i:i + 1])
                                   for i, a in enumerate(prob.agents)])
-        assert np.allclose(prob.gradient_vec(y), rowwise, atol=1e-12)
+        assert np.allclose(prob.gradient_rows(y), rowwise, atol=1e-12)
         row_obj = sum(a.objective(y[i:i + 1]) for i, a in enumerate(prob.agents))
         assert prob.total_objective(y) == pytest.approx(row_obj, rel=1e-12)
 
@@ -255,9 +255,9 @@ def test_vector_gradient_dropping_the_batch_axis_raises():
         vector_objective=lambda y: 0.5 * (y - targets) ** 2,
         vector_gradient=lambda y: np.ravel(y - targets))
     y = np.array([0.5, -0.5, 1.0])
-    assert prob.gradient_vec(y).shape == (3,)
+    assert prob.gradient_rows(y).shape == (3,)
     with pytest.raises(ValidationError, match="vector_gradient"):
-        prob.gradient_vec(np.stack([y, y]))
+        prob.gradient_rows(np.stack([y, y]))
 
 
 def wt_lam_per_row(prob, lam):
@@ -272,7 +272,7 @@ def wy_minus_d_per_row(prob, y):
     """Reference `AllocationProblem.wy_minus_d`: one stacked row at a time."""
     if y.ndim > 1:
         return np.stack([wy_minus_d_per_row(prob, r) for r in y])
-    return np.stack([a.weight @ y[prob._yslices[i]] - a.demand
+    return np.stack([a.weight @ y[prob._agent_slices[i]] - a.demand
                      for i, a in enumerate(prob.agents)])
 
 

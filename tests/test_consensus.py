@@ -4,7 +4,7 @@ import pytest
 from saddlenet import catalog
 from saddlenet.consensus import (ConsensusAgentSpec, ConsensusProblem,
                                  as_saddle_problem, consensus_residual,
-                                 initial_state, lagrangian_L1, operator_phi,
+                                 lagrangian_L1, operator_phi,
                                  simulate_consensus, step_consensus_eg,
                                  step_consensus_ogda)
 from saddlenet.core import (SaddleProblem, ValidationError, objective,
@@ -92,7 +92,7 @@ def one_step(prob, method, alpha, x, v):
     trace = run(as_saddle_problem(prob),
                 SolverConfig(method, step_size=alpha, max_iters=1,
                              stop_tol=0.0),
-                initial_state(prob, x, v))
+                prob.start(x, v))
     x1, v1 = np.split(trace.z[-1], 2)
     return prob.rows(x1), prob.rows(v1)
 
@@ -141,7 +141,7 @@ def test_stacked_matches_generic_solver():
                                    stop_tol=0.0)
         generic = run(oracles, SolverConfig(method, step_size=alpha,
                                             max_iters=200, stop_tol=0.0),
-                      initial_state(prob))
+                      prob.start())
         stacked = np.concatenate(
             [trace.x.reshape(trace.x.shape[0], -1),
              trace.v.reshape(trace.v.shape[0], -1)], axis=1)
@@ -152,7 +152,7 @@ def test_stacked_matches_generic_solver():
 def test_step_functions_match_run():
     prob = catalog.consensus_quadratics(n=5)
     alpha = 0.4 / prob.kappa_c
-    z0 = initial_state(prob, np.full((5, 1), 50.0))
+    z0 = prob.start(np.full((5, 1), 50.0))
     for method in ("OGDA", "EG"):
         trace = run(as_saddle_problem(prob),
                     SolverConfig(method, step_size=alpha, max_iters=2,

@@ -57,6 +57,9 @@ def test_resolve_config_validates_methods():
         resolve_config({"preset": "example1", "methods": []})
     with pytest.raises(ConfigError):
         resolve_config({"preset": "example1", "methods": ["NEWTON"]})
+    # a string is not split into one-letter methods
+    with pytest.raises(ConfigError, match="must be a list"):
+        resolve_config({"preset": "example1", "methods": "OGDA"})
     cfg = resolve_config({"preset": "example1", "methods": ["ogda", "eg"]})
     assert cfg["methods"] == ["OGDA", "EG"]
 
@@ -152,6 +155,20 @@ def test_config_file_equivalent_to_flags(tmp_path):
     b1 = read_bytes(cfg["out"], "quadratic-saddle-OGDA.csv")
     b2 = read_bytes(flag_out, "quadratic-saddle-OGDA.csv")
     assert b1 == b2
+
+
+@pytest.mark.parametrize("preset", ["consensus5", "allocation3"])
+def test_paper_step_on_a_network_preset(tmp_path, preset):
+    # the paper's 0.01 is checked against the stacked problem's declared
+    # constant (kappa_c resp. kappa_s) and is below both methods' bounds
+    cfg = {"preset": preset, "alpha": "paper", "iters": 50,
+           "out": str(tmp_path / "run")}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(path)]) == 0
+    runs = read_json(cfg["out"], "summary.json")["runs"]
+    assert [r["method"] for r in runs] == ["OGDA", "EG"]
+    assert [r["alpha"] for r in runs] == [0.01, 0.01]
 
 
 def test_list_presets_names_everything(capsys):
@@ -302,10 +319,11 @@ def test_preset_table_is_complete():
     ({"seed": True}, "seed"),
     ({"seed": -1}, "seed"),
     ({"record_every": True}, "record_every"),
+    ({"methods": "OGDA"}, "methods"),
 ])
 def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, bad, key):
-    cfg = dict(preset="quadratic-saddle", methods=["OGDA"],
-               out=str(tmp_path / "run"), **bad)
+    cfg = {"preset": "quadratic-saddle", "methods": ["OGDA"],
+           "out": str(tmp_path / "run"), **bad}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["solve", "--config", str(path)]) == 1
@@ -409,7 +427,7 @@ def test_verify_replay_calls_agent_gradients_once_per_distinct_point(
         if trace.method == "EG":
             stacks.append(trace.z_half[1:])
         for rows in stacks:
-            for sl in prob._yslices:
+            for sl in prob._agent_slices:
                 distinct += len({r.tobytes() for r in rows[:, sl]})
     assert [t.method for _, t in replayed] == ["OGDA", "EG"]
     assert len(calls) == distinct == 10670

@@ -82,6 +82,28 @@ def test_network_history_row_zero_is_initial_state():
     assert x_hist.shape == (6, 5, 1)
 
 
+@pytest.mark.parametrize("build, simulate, simulator, block, size", [
+    (catalog.consensus_quadratics, simulate_consensus,
+     ConsensusNetworkSimulator, "x0", 5),
+    (catalog.consensus_quadratics, simulate_consensus,
+     ConsensusNetworkSimulator, "v0", 5),
+    (catalog.allocation_quadratics, simulate_allocation,
+     AllocationNetworkSimulator, "y0", 3),
+    (catalog.allocation_quadratics, simulate_allocation,
+     AllocationNetworkSimulator, "a0", 3),
+    (catalog.allocation_quadratics, simulate_allocation,
+     AllocationNetworkSimulator, "lam0", 3),
+])
+def test_every_route_names_a_wrong_sized_start_block(build, simulate,
+                                                     simulator, block, size):
+    prob = build()
+    message = "{} has 4 entries, expected {}".format(block, size)
+    with pytest.raises(ValidationError, match=message):
+        simulate(prob, "OGDA", max_iters=1, **{block: np.zeros(4)})
+    with pytest.raises(ValidationError, match=message):
+        simulator(prob, **{block: np.zeros(4)})
+
+
 def test_network_default_step_matches_stacked_default():
     prob = catalog.consensus_quadratics(n=5)
     sim = ConsensusNetworkSimulator(prob, method="OGDA")
@@ -276,7 +298,7 @@ def stacked_trace(prob, method, iters):
     route = prob._route()
     return run(route.stacked(prob),
                SolverConfig(method, max_iters=iters, stop_tol=0.0),
-               route.start(prob))
+               prob.start())
 
 
 def simulator(prob, method):
@@ -340,7 +362,7 @@ def test_replay_rejects_a_trace_it_cannot_check():
     with pytest.raises(ValueError):
         sim.replay(stacked_trace(prob, "EG", 10))
     stacked = consensus.as_saddle_problem(prob)
-    z0 = consensus.initial_state(prob)
+    z0 = prob.start()
     with pytest.raises(ValueError):
         sim.replay(run(stacked, SolverConfig("OGDA", step_size=0.5 * sim.alpha,
                                              max_iters=10, stop_tol=0.0), z0))
@@ -420,4 +442,4 @@ def test_wrong_sized_agent_gradient_raises_on_both_routes(method):
                        match="AllocationAgentSpec.gradient of agent 1"):
         simulate_allocation(prob, method, max_iters=3, stop_tol=0.0)
     with pytest.raises(ValidationError, match=r"shape \(\) where \(2,\)"):
-        prob.gradient_vec(np.zeros((4, prob.dim_y)))
+        prob.gradient_rows(np.zeros((4, prob.dim_y)))

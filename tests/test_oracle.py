@@ -370,7 +370,7 @@ def kkt_per_agent_loop(problem, tol=1e-8):
         raise CertificationError("stationarity")
     objective = float(np.sum(problem.objective_rows(y)))
     lam = np.full((n, 1), mu)
-    e = np.stack([sp.weight @ y[problem._yslices[i]] - sp.demand
+    e = np.stack([sp.weight @ y[problem._agent_slices[i]] - sp.demand
                   for i, sp in enumerate(problem.agents)])
     a_rows = np.linalg.pinv(problem.graph.laplacian()) @ e
     resid = oracle._allocation_saddle_residual(problem, y, e, a_rows, lam)

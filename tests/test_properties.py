@@ -145,7 +145,7 @@ def psi_blockwise(prob, y, a, lam):
     def lap(u):
         return lap_literal(prob.graph, u)
 
-    gy = prob.gradient_vec(y) + prob.wt_lam(lam)
+    gy = prob.gradient_rows(y) + prob.wt_lam(lam)
     ga = -lap(lam)
     glam = -(prob.wy_minus_d(y) - lap(a + lam))
     return np.concatenate([gy, ga.ravel(), glam.ravel()])
@@ -190,7 +190,7 @@ def psi_before_plan(prob, z):
     rows = y.shape[:-1] + (n, m)
     lap = prob.graph.lap_rows(np.concatenate([lam, a + lam], axis=-1))
     psi = np.empty(y.shape[:-1] + (sl.stop,))
-    np.add(prob.gradient_vec(y), prob.wt_lam(lam), out=psi[..., sy])
+    np.add(prob.gradient_rows(y), prob.wt_lam(lam), out=psi[..., sy])
     np.negative(lap[..., :m], out=psi[..., sa].reshape(rows))
     glam = psi[..., sl].reshape(rows)
     np.subtract(prob.wy_minus_d(y), lap[..., m:], out=glam)

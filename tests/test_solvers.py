@@ -144,14 +144,6 @@ def test_solver_config_rejects_a_nan_stop_tol():
     assert SolverConfig("OGDA", stop_tol=0.0).stop_tol == 0.0
 
 
-def test_force_step_overrides_bound():
-    prob = xy_problem(Box(-2.0, 2.0, dim=1), Box(-2.0, 2.0, dim=1))
-    cfg = SolverConfig("OGDA", step_size=0.3, max_iters=5, stop_tol=0.0,
-                       force_step=True)
-    trace = run(prob, cfg, np.array([1.0, 1.0]))
-    assert trace.alpha == pytest.approx(0.3)
-
-
 def test_default_step_is_ninety_percent_of_bound():
     prob = xy_problem(Box(-2.0, 2.0, dim=1), Box(-2.0, 2.0, dim=1))
     t_ogda = run(prob, SolverConfig("OGDA", max_iters=1, stop_tol=0.0),
@@ -178,8 +170,7 @@ def test_divergence_guard_raises():
 
 def test_stop_tol_zero_disables_early_stopping():
     prob = zero_problem()
-    cfg = SolverConfig("OGDA", step_size=0.1, max_iters=50, stop_tol=0.0,
-                       force_step=True)
+    cfg = SolverConfig("OGDA", step_size=0.1, max_iters=50, stop_tol=0.0)
     trace = run(prob, cfg, np.array([0.0, 0.0]))
     assert trace.stopped_at is None
     assert trace.iters[-1] == 50
@@ -236,8 +227,7 @@ def test_eta_and_rho_formulas():
 
 def test_delta_diagnostic_zero_at_fixed_reference():
     prob = zero_problem()
-    cfg = SolverConfig("OGDA", step_size=0.1, max_iters=5, stop_tol=0.0,
-                       force_step=True)
+    cfg = SolverConfig("OGDA", step_size=0.1, max_iters=5, stop_tol=0.0)
     z_star = np.array([0.5, -0.5])
     trace = run(prob, cfg, z_star.copy(), z_star=z_star)
     delta = delta_diagnostic(prob, trace)
@@ -283,8 +273,7 @@ def test_eg_contraction_on_example1():
 
 def test_eg_contraction_trivial_at_reference():
     prob = zero_problem()
-    cfg = SolverConfig("EG", step_size=0.1, max_iters=5, stop_tol=0.0,
-                       force_step=True)
+    cfg = SolverConfig("EG", step_size=0.1, max_iters=5, stop_tol=0.0)
     z_star = np.array([0.25, 0.25])
     trace = run(prob, cfg, z_star.copy(), z_star=z_star)
     report = eg_contraction_check(trace)
@@ -428,7 +417,7 @@ def test_run_evaluates_the_objective_once_for_the_reference(monkeypatch):
 
     monkeypatch.setattr(allocation, "lagrangian_L2", counted)
     cfg = SolverConfig("OGDA", max_iters=300, stop_tol=0.0)
-    trace = run(stacked, cfg, allocation.initial_state(prob), z_star=z_star)
+    trace = run(stacked, cfg, prob.start(), z_star=z_star)
     assert len(calls) == 1
     gap = trace.ergodic_gap
     assert len(calls) == 2 and calls[1][0] == trace.iters.size - 1
