@@ -20,6 +20,9 @@ __all__ = ["example1_bilinear", "example2_allocation", "paper_step_size",
            "bilinear_scalar", "quadratic_saddle", "consensus_quadratics",
            "consensus_quadratics_badgrad", "allocation_quadratics"]
 
+# the experiments' nominal step size, before `paper_step_size` halves it
+PAPER_STEP = 0.01
+
 
 def example1_bilinear(seed=0):
     """Bilinear box experiment: f(x, y) = x'By over [-5,5]^10 x [-2,2]^10.
@@ -55,7 +58,7 @@ def example1_bilinear(seed=0):
         name="bilinear-box-{}".format(seed))
     problem.meta.update(seed=seed, matrix=b, matrix_norm=b_norm,
                         z_star=np.zeros(20), f_star=0.0,
-                        z0=10.0 * np.ones(20), alpha_paper=0.01)
+                        z0=10.0 * np.ones(20))
     return problem
 
 
@@ -86,15 +89,15 @@ def _bilinear_hooks(b):
     return operator, objective
 
 
-def paper_step_size(problem, method, base=0.01):
+def paper_step_size(problem, method):
     """Validate the experiment's nominal step size against the theory.
 
-    Halves `base` until it satisfies the method's bound for the drawn
-    instance (the nominal value may violate it, since the instance norm
-    is random). Returns ``(alpha, halvings)``.
+    Halves `PAPER_STEP` until it satisfies the method's bound for the
+    drawn instance (the nominal value may violate it, since the instance
+    norm is random). Returns ``(alpha, halvings)``.
     """
     bound = step_bound(method, problem.kappa_m)
-    alpha = float(base)
+    alpha = PAPER_STEP
     halvings = 0
     while not alpha < bound:
         alpha *= 0.5

@@ -20,6 +20,13 @@ __all__ = ["SaddleProblem", "ValidationError", "operator_F",
            "spectral_norm"]
 
 
+# slack of the sampled checks: `check_monotone` accepts inner products
+# down to -MONOTONE_TOL, `estimate_kappa` ratios up to kappa_m times
+# (1 + KAPPA_REL_TOL)
+MONOTONE_TOL = 1e-10
+KAPPA_REL_TOL = 1e-8
+
+
 class ValidationError(ValueError):
     """A declared contract (step size, Lipschitz constant, config) is violated."""
 
@@ -112,10 +119,6 @@ class SaddleProblem(object):
             raise ValidationError("iterate has shape {}, expected ({},)"
                                   .format(z.shape, self.dim))
         return z[:self.dim_x], z[self.dim_x:]
-
-    def join(self, x, y):
-        return np.concatenate([np.asarray(x, dtype=float),
-                               np.asarray(y, dtype=float)])
 
     def __repr__(self):
         return "SaddleProblem({}, dim_x={}, dim_y={})".format(
@@ -210,7 +213,7 @@ def _row_dots(u, v):
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
-def check_monotone(problem, n_pairs=1000, seed=0, tol=1e-10):
+def check_monotone(problem, n_pairs=1000, seed=0):
     """Sampled monotonicity check of F over the feasible set.
 
     Draws `n_pairs` feasible pairs ``(z1, z2)`` and evaluates
@@ -221,7 +224,7 @@ def check_monotone(problem, n_pairs=1000, seed=0, tol=1e-10):
     -------
     dict
         ``min_inner`` (worst sampled product), ``passed`` (all products
-        at least ``-tol``) and ``worst_pair``.
+        at least ``-MONOTONE_TOL``) and ``worst_pair``.
     """
     z1, z2, f1, f2 = _sampled_pairs(problem, n_pairs, seed)
     inner = _row_dots(f1 - f2, z1 - z2)
@@ -232,17 +235,17 @@ def check_monotone(problem, n_pairs=1000, seed=0, tol=1e-10):
         return {"min_inner": np.inf, "passed": True, "worst_pair": None}
     i = below[np.argmin(inner[below])]
     min_inner = float(inner[i])
-    return {"min_inner": min_inner, "passed": min_inner >= -tol,
+    return {"min_inner": min_inner, "passed": min_inner >= -MONOTONE_TOL,
             "worst_pair": (z1[i].copy(), z2[i].copy())}
 
 
-def estimate_kappa(problem, n_pairs=1000, seed=0, rel_tol=1e-8):
+def estimate_kappa(problem, n_pairs=1000, seed=0):
     """Sampled Lipschitz ratio of F, validated against the declared bound.
 
     Returns the maximum of ``||F(z1) - F(z2)|| / ||z1 - z2||`` over
     sampled feasible pairs and raises `ValidationError` naming the
-    witnessing pair when the ratio exceeds ``kappa_m`` beyond relative
-    round-off slack.
+    witnessing pair when the ratio exceeds ``kappa_m`` by more than the
+    relative round-off slack `KAPPA_REL_TOL`.
     """
     z1, z2, f1, f2 = _sampled_pairs(problem, n_pairs, seed)
     dz, df = z1 - z2, f1 - f2
@@ -250,7 +253,7 @@ def estimate_kappa(problem, n_pairs=1000, seed=0, rel_tol=1e-8):
     moved = gap != 0.0
     ratio = np.sqrt(_row_dots(df[moved], df[moved])) / gap[moved]
     kappa = problem.kappa_m
-    over = np.flatnonzero(ratio > kappa * (1.0 + rel_tol))
+    over = np.flatnonzero(ratio > kappa * (1.0 + KAPPA_REL_TOL))
     if over.size:
         i = np.flatnonzero(moved)[over[0]]
         raise ValidationError(

@@ -281,8 +281,7 @@ def _resolve_alpha(stacked, config, method):
     """The configured step; ``"paper"`` is halved below `stacked`'s bound."""
     alpha = config["alpha"]
     if alpha == "paper":
-        value, halvings = catalog.paper_step_size(
-            stacked, method, stacked.meta.get("alpha_paper", 0.01))
+        value, halvings = catalog.paper_step_size(stacked, method)
         if halvings:
             print("note: step size for {} halved {}x to {:g} to satisfy"
                   " its bound".format(method, halvings, value))

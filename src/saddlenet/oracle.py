@@ -28,6 +28,9 @@ FD_CHUNK_ROWS = 256
 # references
 REFERENCE_TOL = 1e-8
 
+# bound on the relative gradient error `finite_diff_check` accepts
+FD_TOL = 1e-5
+
 
 class CertificationError(RuntimeError):
     """A reference solution failed its independent certificate."""
@@ -58,7 +61,7 @@ def golden_section_min(fun, lo, hi):
     return 0.5 * (a + b)
 
 
-def finite_diff_check(value, gradient, points, tol=1e-5):
+def finite_diff_check(value, gradient, points):
     """Compare a gradient oracle against central differences.
 
     Parameters
@@ -75,12 +78,12 @@ def finite_diff_check(value, gradient, points, tol=1e-5):
         Claimed gradient of the scalar function at one 1-D point.
     points : array_like
         Points to test, one per row.
-    tol : float
-        Bound on the relative error ``|fd - g| / (1 + |g|)``.
 
     Returns
     -------
-    dict with ``max_rel_error``, ``passed`` and ``worst_point``.
+    dict with ``max_rel_error``, ``passed`` (the relative error
+    ``|fd - g| / (1 + |g|)`` is at most `FD_TOL` at every point) and
+    ``worst_point``.
 
     Raises
     ------
@@ -112,7 +115,7 @@ def finite_diff_check(value, gradient, points, tol=1e-5):
         if err > worst:
             worst = err
             worst_point = p.copy()
-    return {"max_rel_error": float(worst), "passed": bool(worst <= tol),
+    return {"max_rel_error": float(worst), "passed": bool(worst <= FD_TOL),
             "worst_point": worst_point}
 
 
@@ -124,6 +127,12 @@ def _intersection_box(problem):
     if np.any(lo > hi):
         raise CertificationError("agent boxes have empty intersection")
     return lo, hi
+
+
+def _bounded_box(cset):
+    # the references search inside the agent boxes: every end must be finite
+    return (isinstance(cset, sets.Box) and np.isfinite(cset.lower).all()
+            and np.isfinite(cset.upper).all())
 
 
 def _grad_sum(problem, s):
@@ -164,16 +173,17 @@ def _consensus_saddle_residual(problem, x, v):
 def solve_consensus_reference(problem):
     """Solve the agreement problem and certify the resulting saddle.
 
-    The common decision minimizes the summed objectives over the
-    intersection of the agent boxes: golden section for scalar
-    decisions (polished by projected gradient), projected gradient with
-    a small step otherwise. The dual is recovered through the
-    Laplacian pseudoinverse and the pair certified by the dense-matrix
-    natural-map residual; both certificates must be at most
-    `REFERENCE_TOL`.
+    Every agent set must be a box with finite bounds. The common
+    decision minimizes the summed objectives over the intersection of
+    the agent boxes: golden section for scalar decisions (polished by
+    projected gradient), projected gradient with a small step otherwise.
+    Its exact normal-cone residual must be at least `-REFERENCE_TOL`
+    (NaN fails). The dual is recovered through the Laplacian
+    pseudoinverse and the pair certified by the dense-matrix natural-map
+    residual, which must be at most `REFERENCE_TOL`.
     """
-    if any(not isinstance(a.cset, sets.Box) for a in problem.agents):
-        raise CertificationError("consensus reference needs box sets")
+    if not all(_bounded_box(a.cset) for a in problem.agents):
+        raise CertificationError("consensus reference needs bounded box sets")
     lo, hi = _intersection_box(problem)
     box = sets.Box(lo, hi)
     lip = sum(a.lipschitz for a in problem.agents)
@@ -201,10 +211,10 @@ def solve_consensus_reference(problem):
                 break
             prev_move = move
     cone = sets.normal_cone_residual(box, s, _grad_sum(problem, s))
-    if cone > REFERENCE_TOL:
+    if not cone >= -REFERENCE_TOL:
         raise CertificationError(
             "consensus optimum failed certification: normal-cone residual"
-            " %.3e > %.1e" % (cone, REFERENCE_TOL))
+            " %.3e < -%.1e" % (cone, REFERENCE_TOL))
     x = np.tile(s, (problem.n, 1))
     v = -np.linalg.pinv(problem.graph.laplacian()) @ problem.gradient_rows(x)
     resid = _consensus_saddle_residual(problem, x, v)
@@ -284,13 +294,13 @@ def _allocation_saddle_residual(problem, y, e, a, lam):
 def solve_allocation_kkt(problem):
     """Reference allocation optimum by bisection on the coupling dual.
 
-    Requires scalar coupling (m = 1) and box sets. For each multiplier
-    value, every agent's inner problem ``h_i(y) + mu W_i y`` over its
-    box is solved by derivative bisection (convex, so the derivative is
-    nondecreasing); the outer bisection exploits that the aggregate
-    supply is nonincreasing in the multiplier. Both loops run to ULP
-    convergence, so on instances with exact-float optima the reference
-    is exact.
+    Requires scalar coupling (m = 1) and scalar box sets with finite
+    bounds. For each multiplier value, every agent's inner problem
+    ``h_i(y) + mu W_i y`` over its box is solved by derivative bisection
+    (convex, so the derivative is nondecreasing); the outer bisection
+    exploits that the aggregate supply is nonincreasing in the
+    multiplier. Both loops run to ULP convergence, so on instances with
+    exact-float optima the reference is exact.
 
     Each agent's derivative at its two box ends does not depend on the
     multiplier, so the per-agent gradient oracles are evaluated there
@@ -314,9 +324,10 @@ def solve_allocation_kkt(problem):
     """
     if problem.m != 1:
         raise CertificationError("dual bisection requires scalar coupling")
-    if any(a.cset.dim != 1 or not isinstance(a.cset, sets.Box)
-           for a in problem.agents):
-        raise CertificationError("dual bisection requires scalar box sets")
+    if not all(a.cset.dim == 1 and _bounded_box(a.cset)
+               for a in problem.agents):
+        raise CertificationError(
+            "dual bisection requires scalar bounded box sets")
     n = problem.n
     w = np.array([a.weight[0, 0] for a in problem.agents])
     d_total = float(problem.demand.sum())

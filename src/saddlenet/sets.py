@@ -1,18 +1,21 @@
 """Closed convex sets with exact Euclidean projection.
 
 The solvers only ever touch constraint sets through two operations:
-projection and membership. The descriptors here cover whole spaces,
-boxes, Euclidean balls, and Cartesian products of these, all with
-closed-form projections. Products project blockwise, which is exactly
-what the stacked primal-dual iterates need; a product of boxes and
-whole spaces projects with one clip over its concatenated bounds.
+projection and membership. The descriptors here cover boxes, Euclidean
+balls, and Cartesian products of these, all with closed-form
+projections. A box is its ``[lower, upper]`` bounds, which may be
+infinite; the whole space is the box with every bound infinite, and
+its projection, bounding box and normal-cone residual all follow from
+those bounds. Products project blockwise, which is exactly what the
+stacked primal-dual iterates need; a product of boxes projects with
+one clip over its concatenated bounds.
 
 Projections take one point ``(dim,)`` or a stack of points
-``(..., dim)``. Boxes, whole spaces and clip-compiled products project a
-stack in one clip, which broadcasts over the leading axes and gives
-every row the bits of its one-point projection; balls and other
-products project each distinct row of a stack once, through
-`_each_point`, the row helper every per-point oracle goes through.
+``(..., dim)``. Boxes and clip-compiled products project a stack in
+one clip, which broadcasts over the leading axes and gives every row
+the bits of its one-point projection; balls and other products project
+each distinct row of a stack once, through `_each_point`, the row
+helper every per-point oracle goes through.
 """
 
 import functools
@@ -128,30 +131,15 @@ class ConvexSet(object):
         return bool(np.max(np.abs(p - self.project(p)), initial=0.0) <= tol)
 
     def bounding_box(self):
-        """Return `(lo, hi)` arrays enclosing the set.
+        """Return finite `(lo, hi)` arrays enclosing the set.
 
-        Unbounded directions fall back to half-width 10 around the
-        origin; sampling-based checks draw their probes from this box.
+        An unbounded direction falls back to 10 from the origin, or to
+        10 past its other bound when that bound is finite and lies
+        beyond 10 from the origin; sampling-based checks draw their
+        probes from this box, so the probes of such a direction cover
+        only part of the set.
         """
         raise NotImplementedError
-
-
-class WholeSpace(ConvexSet):
-    """The unconstrained set, projection is the identity."""
-
-    def __init__(self, dim):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        self.dim = int(dim)
-
-    def project(self, p):
-        return _as_points(p, self.dim)
-
-    def bounding_box(self):
-        return -10.0 * np.ones(self.dim), 10.0 * np.ones(self.dim)
-
-    def __repr__(self):
-        return "WholeSpace({})".format(self.dim)
 
 
 class Box(ConvexSet):
@@ -160,7 +148,8 @@ class Box(ConvexSet):
     Parameters
     ----------
     lower, upper : array-like or scalar
-        Bounds; scalars are broadcast when `dim` is given.
+        Bounds, infinite ones included; scalars are broadcast when `dim`
+        is given.
     dim : int, optional
         Required when both bounds are scalars.
     """
@@ -185,10 +174,27 @@ class Box(ConvexSet):
         return _clip(_as_points(p, self.dim), self.lower, self.upper)
 
     def bounding_box(self):
-        return self.lower.copy(), self.upper.copy()
+        lo, hi = self.lower, self.upper
+        # the fallback of `ConvexSet.bounding_box` for each infinite bound
+        far_lo = np.isfinite(hi) & (hi < -10.0)
+        far_hi = np.isfinite(lo) & (lo > 10.0)
+        return (np.where(np.isinf(lo), np.where(far_lo, hi - 10.0, -10.0), lo),
+                np.where(np.isinf(hi), np.where(far_hi, lo + 10.0, 10.0), hi))
 
     def __repr__(self):
         return "Box(dim={})".format(self.dim)
+
+
+class WholeSpace(Box):
+    """The unconstrained set: the box with every bound infinite."""
+
+    def __init__(self, dim):
+        if dim < 1:
+            raise ValueError("dimension must be positive")
+        super().__init__(-np.inf, np.inf, dim=int(dim))
+
+    def __repr__(self):
+        return "WholeSpace({})".format(self.dim)
 
 
 class Ball(ConvexSet):
@@ -227,15 +233,12 @@ class Ball(ConvexSet):
 def _clip_bounds(cset):
     """``(lower, upper)`` such that clipping projects onto `cset`, or None.
 
-    Whole spaces clip to -inf/+inf, which leaves every value (signed
-    zeros and NaN included) unchanged, so a product of boxes and whole
-    spaces, nested or not, projects with a single clip. Exact types
-    only: a subclass may project differently.
+    Every box clips to its bounds; an infinite bound leaves every value
+    (signed zeros and NaN included) unchanged, so a product of boxes,
+    whole spaces among them, nested or not, projects with a single clip.
     """
-    if type(cset) is Box:
+    if isinstance(cset, Box):
         return cset.lower, cset.upper
-    if type(cset) is WholeSpace:
-        return np.full(cset.dim, -np.inf), np.full(cset.dim, np.inf)
     if isinstance(cset, Product):
         return cset._bounds
     return None
@@ -244,7 +247,8 @@ def _clip_bounds(cset):
 class Product(ConvexSet):
     """Cartesian product of convex sets; projects each factor independently.
 
-    When every factor is a `Box`, a `WholeSpace` or such a product, the
+    When every factor is a `Box` (a `WholeSpace` among them) or such a
+    product, the
     projection is one clip over the concatenated factor bounds, which
     gives the same values as projecting factor by factor. The bounds are
     gathered on the first projection, so building a product stays cheap.
@@ -291,10 +295,6 @@ class Product(ConvexSet):
             out[s] = f.project(p[s])
         return out
 
-    def contains(self, p, tol=1e-12):
-        p = _as_vector(p, self.dim)
-        return all(f.contains(p[s], tol) for f, s in zip(self.factors, self._slices))
-
     def bounding_box(self):
         los, his = zip(*(f.bounding_box() for f in self.factors))
         return np.concatenate(los), np.concatenate(his)
@@ -307,7 +307,7 @@ def sample_points(cset, count, rng):
     """Draw `count` feasible points, uniform over the bounding box then projected.
 
     Returns an array of shape `(count, dim)`. Used by the sampled
-    monotonicity, Lipschitz and normal-cone checks. The draw is projected
+    monotonicity, Lipschitz and finite-difference checks. The draw is projected
     as one stack, so a set that projects by one clip clips it at once.
     """
     lo, hi = cset.bounding_box()
@@ -315,19 +315,20 @@ def sample_points(cset, count, rng):
 
 
 def normal_cone_residual(cset, p, g):
-    """Estimate ``min over q in the set of g.(q - p)``.
+    """Exact ``min over q in the set of g.(q - p)`` for a box-like set.
 
     A value above ``-tol`` certifies the variational inequality
-    ``g.(q - p) >= 0`` for all feasible `q` up to sampling resolution,
-    which with ``g = F(z*)`` is the first-order optimality condition at
-    `z*`. The minimum is taken over `p` itself, the projections of far
-    coordinate rays from `p` (these land on faces of boxes and balls, so
-    the reported value is exact for those sets), and 100 random probes
-    projected into the set, drawn from a generator seeded with 0.
+    ``g.(q - p) >= 0`` for all feasible `q`, which with ``g = F(z*)`` is
+    the first-order optimality condition at `z*`. Over the set's clip
+    bounds the minimum separates by coordinate: it is
+    ``sum_i min(g_i (lo_i - p_i), g_i (hi_i - p_i))``, where a
+    coordinate with ``g_i == 0`` contributes 0 and an infinite end with
+    ``g_i != 0`` makes the value -inf.
 
     Parameters
     ----------
     cset : ConvexSet
+        A box or a product of boxes; raises ValueError for other sets.
     p : array-like
         Feasible base point; raises ValueError when `p` is not in the set.
     g : array-like
@@ -336,20 +337,20 @@ def normal_cone_residual(cset, p, g):
     Returns
     -------
     float
-        Minimum sampled inner product; nonnegative iff the VI holds on
-        the probed points.
+        The minimum inner product; nonnegative iff the VI holds at `p`.
     """
+    bounds = _clip_bounds(cset)
+    if bounds is None:
+        raise ValueError("normal-cone residual needs a box or a product of"
+                         " boxes, got {!r}".format(cset))
     p = _as_vector(p, cset.dim)
     g = _as_vector(g, cset.dim, name="g")
-    if not cset.contains(p, tol=1e-9):
+    if not (np.isfinite(p).all() and cset.contains(p, tol=1e-9)):
         raise ValueError("base point is not in the set")
-    candidates = [cset.project(p)]
-    reach = 1e6 * (1.0 + np.linalg.norm(p))
-    for i in range(cset.dim):
-        ray = np.zeros(cset.dim)
-        ray[i] = reach
-        candidates.append(cset.project(p + ray))
-        candidates.append(cset.project(p - ray))
-    candidates.append(sample_points(cset, 100, np.random.default_rng(0)))
-    q = np.vstack([np.atleast_2d(c) for c in candidates])
-    return float(np.min((q - p) @ g))
+    lo, hi = bounds
+    # the best end of each coordinate: the lower one for g_i > 0, else
+    # the upper one; zero directions are left out, not multiplied by an
+    # infinite gap
+    moved = g != 0.0
+    end = np.where(g > 0.0, lo, hi)
+    return float(np.sum(g[moved] * (end[moved] - p[moved])))

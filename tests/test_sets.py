@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from saddlenet.sets import (Ball, Box, Product, WholeSpace,
                             normal_cone_residual, sample_points)
@@ -86,10 +90,108 @@ def test_normal_cone_minimizer_at_face():
     assert abs(val - (-2.0)) <= 1e-12
 
 
+def test_normal_cone_takes_the_best_end_of_every_coordinate():
+    # the minimizing q is the corner (-1, -1), not a point of an edge
+    b = Box(-1.0, 1.0, dim=2)
+    assert normal_cone_residual(b, np.zeros(2), np.ones(2)) == -2.0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_normal_cone_at_infinite_ends():
+    half = Box(0.0, np.inf, dim=2)
+    p = np.array([0.0, 3.0])
+    # pushing into the set, and no direction at all, along the open end
+    assert normal_cone_residual(half, p, np.array([1.0, 0.0])) == 0.0
+    assert normal_cone_residual(half, p, np.array([-1.0, 0.0])) == -np.inf
+    assert normal_cone_residual(half, p, np.array([0.0, 2.0])) == -6.0
+    assert normal_cone_residual(WholeSpace(3), np.ones(3), np.zeros(3)) == 0.0
+    assert normal_cone_residual(WholeSpace(3), np.ones(3),
+                                np.array([0.0, 1e-300, 0.0])) == -np.inf
+    prod = Product(Box(-1.0, 2.0, dim=1), WholeSpace(1))
+    assert normal_cone_residual(prod, [0.5, 7.0], [-2.0, 0.0]) == -3.0
+    # an infinite base point lies in no set, the whole space included
+    with pytest.raises(ValueError, match="not in the set"):
+        normal_cone_residual(WholeSpace(2), [np.inf, 0.0], [1.0, 0.0])
+
+
+def test_normal_cone_rejects_sets_without_clip_bounds():
+    for cset in (Ball(np.zeros(2), 1.0),
+                 Product(Box(-1.0, 1.0, dim=1), Ball(np.zeros(1), 1.0))):
+        with pytest.raises(ValueError, match="box"):
+            normal_cone_residual(cset, np.zeros(2), np.ones(2))
+
+
+def vertex_minimum(box, p, g):
+    """``min g.(q - p)`` over the corners ``q`` of a finite box."""
+    corners = itertools.product(*zip(box.lower, box.upper))
+    return min(float(g @ (np.array(q) - p)) for q in corners)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_normal_cone_equals_the_vertex_minimum(dim, data):
+    # a linear function attains its minimum over a box at a corner
+    finite = st.floats(-1e3, 1e3)
+    pairs = [sorted(data.draw(st.tuples(finite, finite))) for _ in range(dim)]
+    box = Box([lo for lo, _ in pairs], [hi for _, hi in pairs])
+    p = np.array([data.draw(st.floats(lo, hi)) for lo, hi in pairs])
+    g = np.array(data.draw(st.lists(st.one_of(st.just(0.0), finite),
+                                    min_size=dim, max_size=dim)))
+    got = normal_cone_residual(box, p, g)
+    assert got <= 0.0
+    assert got == pytest.approx(vertex_minimum(box, p, g), rel=1e-12,
+                                abs=1e-9)
+
+
 def test_normal_cone_rejects_infeasible_base():
     b = Box(-1.0, 1.0, dim=1)
     with pytest.raises(ValueError):
         normal_cone_residual(b, np.array([5.0]), np.array([1.0]))
+
+
+def test_whole_space_is_the_unbounded_box():
+    w = WholeSpace(3)
+    assert isinstance(w, Box)
+    assert np.array_equal(w.lower, np.full(3, -np.inf))
+    assert np.array_equal(w.upper, np.full(3, np.inf))
+    with pytest.raises(ValueError, match="dimension"):
+        WholeSpace(0)
+
+
+@pytest.mark.parametrize("lower, upper, want_lo, want_hi", [
+    # fully open boxes, the degenerate ones at one infinity included
+    (-np.inf, np.inf, -10.0, 10.0),
+    (np.inf, np.inf, -10.0, 10.0),
+    (-np.inf, -np.inf, -10.0, 10.0),
+    # half-open: the open end is 10 from the origin, or 10 past the
+    # closed one when that lies further out
+    (0.0, np.inf, 0.0, 10.0),
+    (-3.0, np.inf, -3.0, 10.0),
+    (20.0, np.inf, 20.0, 30.0),
+    (-np.inf, 4.0, -10.0, 4.0),
+    (-np.inf, -30.0, -40.0, -30.0),
+    (-2.0, 5.0, -2.0, 5.0),
+])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_box_bounding_box_is_finite(lower, upper, want_lo, want_hi):
+    lo, hi = Box(lower, upper, dim=2).bounding_box()
+    assert np.array_equal(lo, [want_lo] * 2)
+    assert np.array_equal(hi, [want_hi] * 2)
+    if np.isinf(lower) and np.isinf(upper):
+        w_lo, w_hi = WholeSpace(2).bounding_box()
+        assert np.array_equal(w_lo, lo) and np.array_equal(w_hi, hi)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sample_points_on_a_half_open_box():
+    prod = Product(Box(0.0, np.inf, dim=2), Box([-np.inf], [-30.0]),
+                   WholeSpace(1))
+    pts = sample_points(prod, 200, np.random.default_rng(5))
+    assert pts.shape == (200, 4) and np.isfinite(pts).all()
+    for p in pts:
+        assert prod.contains(p)
+    assert pts[:, :2].min() >= 0.0 and pts[:, :2].max() <= 10.0
+    assert pts[:, 2].min() >= -40.0 and pts[:, 2].max() <= -30.0
 
 
 def test_sample_points_feasible_and_reproducible():
