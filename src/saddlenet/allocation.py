@@ -42,8 +42,8 @@ produce the same trajectories.
 import numpy as np
 
 from . import sets
-from .core import (SaddleProblem, ValidationError, _matvec, _row_dots,
-                   spectral_norm)
+from .core import (SaddleProblem, ValidationError, _finite_constant, _matvec,
+                   _row_dots, spectral_norm)
 from .network import AllocationNetworkSimulator
 from .solvers import (_NetworkProblem, _NetworkTrace, _Route, _simulate,
                       _write_agent_csv, step_eg, step_ogda)
@@ -68,11 +68,11 @@ class AllocationAgentSpec(object):
     cset : ConvexSet
         Local set Omega_i of dimension q_i.
     weight : array_like
-        Coupling matrix ``W_i`` of shape ``(m, q_i)``.
+        Coupling matrix ``W_i`` of shape ``(m, q_i)``, finite.
     demand : array_like
-        Local demand ``d_i`` of shape ``(m,)``.
+        Local demand ``d_i`` of shape ``(m,)``, finite.
     lipschitz : float
-        Lipschitz constant of the gradient.
+        Lipschitz constant of the gradient, finite and nonnegative.
     """
 
     def __init__(self, objective, gradient, cset, weight, demand, lipschitz):
@@ -81,11 +81,11 @@ class AllocationAgentSpec(object):
         self.cset = cset
         self.weight = np.atleast_2d(np.asarray(weight, dtype=float))
         self.demand = np.atleast_1d(np.asarray(demand, dtype=float))
-        self.lipschitz = float(lipschitz)
+        self.lipschitz = _finite_constant("agent lipschitz constant", lipschitz)
         if self.weight.shape != (self.demand.size, cset.dim):
             raise ValidationError("weight must be (m, q_i) with d of size m")
-        if self.lipschitz < 0:
-            raise ValidationError("agent lipschitz constant must be nonnegative")
+        if not (np.isfinite(self.weight).all() and np.isfinite(self.demand).all()):
+            raise ValidationError("agent weight and demand must be finite")
 
 
 class AllocationProblem(_NetworkProblem):
@@ -251,8 +251,6 @@ def as_saddle_problem(problem):
     """
     nm = problem.n * problem.m
     dim_x = problem.dim_y + nm
-    lam_norm = problem.lambda_max
-    cross = float(np.sqrt(problem.sigma_w ** 2 + lam_norm ** 2))
 
     def split_x(x):
         return x[:problem.dim_y], problem.rows(x[problem.dim_y:])
@@ -282,9 +280,7 @@ def as_saddle_problem(problem):
         sets.Product([problem.decision_set, sets.WholeSpace(nm)]),
         sets.WholeSpace(nm),
         value, grad_x, grad_y,
-        lipschitz={"l_xx": problem.l_h, "l_xy": cross,
-                   "l_yx": cross, "l_yy": lam_norm},
-        kappa=problem.kappa_s, operator=_psi_operator(problem),
+        kappa_m=problem.kappa_s, operator=_psi_operator(problem),
         objective=objective,
         name=problem.name + "-stacked")
 

@@ -31,7 +31,8 @@ def example1_bilinear(seed=0):
     entrywise positive the only saddle point is the origin with value
     zero (checked: the operator vanishes there and the residual is 0).
     The cross-block constant is `core.spectral_norm` of B, an upper
-    bound on ||B|| by construction, so kappa_m = 2 ||B||.
+    bound on ||B|| by construction; the problem declares twice its
+    largest block constant, kappa_m = 2 ||B||.
 
     Seed 0 has sigma_max(B) = 28.55 and sigma_min(B) = 0.52. The value
     f = x'By changes sign along OGDA, EG and GDA trajectories alike, so
@@ -53,7 +54,7 @@ def example1_bilinear(seed=0):
         lambda x, y: float(x @ b @ y),
         lambda x, y: b @ y,
         lambda x, y: b.T @ x,
-        lipschitz={"l_xx": 0.0, "l_xy": b_norm, "l_yx": b_norm, "l_yy": 0.0},
+        kappa_m=2.0 * b_norm,
         operator=operator, objective=objective,
         name="bilinear-box-{}".format(seed))
     problem.meta.update(seed=seed, matrix=b, matrix_norm=b_norm,
@@ -170,8 +171,7 @@ def bilinear_scalar():
         lambda x, y: float(x[0] * y[0]),
         lambda x, y: np.array([y[0]]),
         lambda x, y: np.array([x[0]]),
-        lipschitz={"l_xx": 0.0, "l_xy": 1.0, "l_yx": 1.0, "l_yy": 0.0},
-        name="bilinear-scalar")
+        kappa_m=2.0, name="bilinear-scalar")
     problem.meta.update(z_star=np.zeros(2), f_star=0.0,
                         z0=np.array([1.0, 1.0]))
     return problem
@@ -180,16 +180,16 @@ def bilinear_scalar():
 def quadratic_saddle():
     """Strongly convex-concave toy f(x, y) = x^2/2 - y^2/2 on boxes.
 
-    The operator is the identity, so kappa_m = 2 and EG contracts
-    strictly; saddle at the origin with value zero.
+    The operator is the identity; the problem declares twice its unit
+    block constants, kappa_m = 2, and EG contracts strictly. Saddle at
+    the origin with value zero.
     """
     problem = SaddleProblem(
         1, 1, sets.Box(-10.0, 10.0, dim=1), sets.Box(-10.0, 10.0, dim=1),
         lambda x, y: float(0.5 * x[0] ** 2 - 0.5 * y[0] ** 2),
         lambda x, y: np.array([x[0]]),
         lambda x, y: np.array([-y[0]]),
-        lipschitz={"l_xx": 1.0, "l_xy": 0.0, "l_yx": 0.0, "l_yy": 1.0},
-        name="quadratic-saddle")
+        kappa_m=2.0, name="quadratic-saddle")
     problem.meta.update(z_star=np.zeros(2), f_star=0.0,
                         z0=np.array([5.0, -4.0]))
     return problem

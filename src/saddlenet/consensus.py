@@ -36,7 +36,7 @@ expressions, so the two routes agree to the last bit.
 import numpy as np
 
 from . import sets
-from .core import SaddleProblem, ValidationError, _row_dots
+from .core import SaddleProblem, ValidationError, _finite_constant, _row_dots
 from .network import ConsensusNetworkSimulator
 from .solvers import (_NetworkProblem, _NetworkTrace, _Route, _simulate,
                       _write_agent_csv, step_eg, step_ogda)
@@ -61,16 +61,14 @@ class ConsensusAgentSpec(object):
     cset : ConvexSet
         Local constraint set Omega_i of dimension m.
     lipschitz : float
-        Lipschitz constant of the gradient.
+        Lipschitz constant of the gradient, finite and nonnegative.
     """
 
     def __init__(self, objective, gradient, cset, lipschitz):
-        if lipschitz < 0:
-            raise ValidationError("agent lipschitz constant must be nonnegative")
         self.objective = objective
         self.gradient = gradient
         self.cset = cset
-        self.lipschitz = float(lipschitz)
+        self.lipschitz = _finite_constant("agent lipschitz constant", lipschitz)
 
 
 class ConsensusProblem(_NetworkProblem):
@@ -205,11 +203,9 @@ def as_saddle_problem(problem):
     Primal block: stacked decisions over the product of the agent sets.
     Dual block: unconstrained stacked multipliers. The declared operator
     constant is ``kappa_c``, which is what the distributed step-size
-    bounds are stated against (tighter than twice the max block
-    constant). The operator is the fused Phi.
+    bounds are stated against. The operator is the fused Phi.
     """
     nm = problem.n * problem.m
-    lam = problem.lambda_max
 
     def value(x, v):
         return lagrangian_L1(problem, x, v)
@@ -230,9 +226,7 @@ def as_saddle_problem(problem):
         problem.decision_set,
         sets.WholeSpace(nm),
         value, grad_x, grad_y,
-        lipschitz={"l_xx": problem.l_f + lam, "l_xy": lam,
-                   "l_yx": lam, "l_yy": 0.0},
-        kappa=problem.kappa_c, operator=_phi_operator(problem),
+        kappa_m=problem.kappa_c, operator=_phi_operator(problem),
         objective=objective,
         name=problem.name + "-stacked")
 

@@ -2,7 +2,8 @@
 
 A problem packages the objective and gradient oracles of
 ``min over x in X, max over y in Y of f(x, y)`` together with the
-blockwise Lipschitz constants the step-size bounds are built from.
+declared Lipschitz constant of F, which the step-size bounds are built
+from.
 The module also carries the sampled verifiers (monotonicity, Lipschitz,
 natural-map residual) that every shipped instance must pass before the
 solvers are trusted on it.
@@ -31,6 +32,19 @@ class ValidationError(ValueError):
     """A declared contract (step size, Lipschitz constant, config) is violated."""
 
 
+def _finite_constant(name, value):
+    """`value` as a float; a `ValidationError` unless finite and nonnegative.
+
+    A NaN constant would make every step bound NaN and an infinite one
+    a zero step, so both are refused where they are declared.
+    """
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        raise ValidationError("{} must be finite and nonnegative, got {!r}"
+                              .format(name, value))
+    return value
+
+
 class SaddleProblem(object):
     """Saddle-point problem description.
 
@@ -45,13 +59,13 @@ class SaddleProblem(object):
         function, so that its value may be reused for bit-equal inputs.
     grad_x, grad_y : callable
         Gradient oracles ``(x, y) -> vector``; must be pure functions.
-    lipschitz : dict
-        Blockwise constants with keys ``l_xx, l_xy, l_yx, l_yy``. The
-        operator bound defaults to ``kappa_m = 2 max of the blocks``.
-    kappa : float, optional
-        Explicit Lipschitz constant of F overriding the blockwise
-        bound. The stacked network problems declare their own constants
-        (kappa_c, kappa_s), which are tighter than 2 max of the blocks.
+    kappa_m : float
+        Declared Lipschitz constant of F, finite and nonnegative; the
+        step-size bounds and the sampled Lipschitz check read it. With
+        blockwise gradient constants ``l_xx, l_xy, l_yx, l_yy`` known,
+        ``2 max`` of them is one such bound (example1 and the toy
+        problems declare it); the stacked network problems declare
+        their own ``kappa_c`` and ``kappa_s``.
     operator : callable, optional
         Fused operator hook ``operator(z) -> F(z)``, for problems that
         evaluate both blocks of F in one pass. It takes one point
@@ -81,8 +95,7 @@ class SaddleProblem(object):
     """
 
     def __init__(self, dim_x, dim_y, set_x, set_y, value, grad_x, grad_y,
-                 lipschitz, kappa=None, operator=None, objective=None,
-                 name=None):
+                 kappa_m, operator=None, objective=None, name=None):
         if set_x.dim != dim_x or set_y.dim != dim_y:
             raise ValidationError("set dimensions disagree with block dimensions")
         self.dim_x = int(dim_x)
@@ -93,25 +106,12 @@ class SaddleProblem(object):
         self.value = value
         self.grad_x = grad_x
         self.grad_y = grad_y
-        missing = {"l_xx", "l_xy", "l_yx", "l_yy"} - set(lipschitz)
-        if missing:
-            raise ValidationError("lipschitz record misses {}".format(sorted(missing)))
-        if any(lipschitz[k] < 0 for k in ("l_xx", "l_xy", "l_yx", "l_yy")):
-            raise ValidationError("lipschitz constants must be nonnegative")
-        self.lipschitz = dict(lipschitz)
-        self._kappa = None if kappa is None else float(kappa)
+        self.kappa_m = _finite_constant("kappa_m", kappa_m)
         self.operator = operator
         self.objective = objective
         self.name = name or "saddle-problem"
         self.domain = sets.Product(set_x, set_y)
         self.meta = {}
-
-    @property
-    def kappa_m(self):
-        """Declared Lipschitz constant of F."""
-        if self._kappa is not None:
-            return self._kappa
-        return 2.0 * max(self.lipschitz[k] for k in ("l_xx", "l_xy", "l_yx", "l_yy"))
 
     def split(self, z):
         z = np.asarray(z, dtype=float)

@@ -362,11 +362,6 @@ def cmd_solve(config):
     return 0
 
 
-def _sample_domain_points(problem, count, seed):
-    rng = np.random.default_rng(seed)
-    return sets.sample_points(problem.domain, count, rng)
-
-
 def cmd_verify(config):
     """Run the invariant suite on the configured instance.
 
@@ -398,7 +393,8 @@ def cmd_verify(config):
 
     # the gradient checked is F, the operator the solvers run, with its
     # dual block negated back
-    points = _sample_domain_points(stacked, 100, config["seed"])
+    points = sets.sample_points(stacked.domain, 100,
+                                np.random.default_rng(config["seed"]))
     sign = np.where(np.arange(stacked.dim) < stacked.dim_x, 1.0, -1.0)
     fd = oracle.finite_diff_check(
         functools.partial(objective, stacked),

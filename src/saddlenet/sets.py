@@ -102,6 +102,15 @@ def _each_point(fn, p, out, name):
     return out
 
 
+def _new_vector(value, dim):
+    """`value` as a new float array: at least 1-D, or filled to ``(dim,)``."""
+    if dim is None:
+        return np.array(value, dtype=float, ndmin=1)
+    out = np.empty(dim)
+    out[...] = value
+    return out
+
+
 class ConvexSet(object):
     """Base class for closed convex set descriptors.
 
@@ -133,11 +142,12 @@ class ConvexSet(object):
     def bounding_box(self):
         """Return finite `(lo, hi)` arrays enclosing the set.
 
-        An unbounded direction falls back to 10 from the origin, or to
-        10 past its other bound when that bound is finite and lies
-        beyond 10 from the origin; sampling-based checks draw their
-        probes from this box, so the probes of such a direction cover
-        only part of the set.
+        An infinite lower bound becomes ``min(-10, upper - 10)`` when
+        the upper bound is finite, else -10, and an infinite upper bound
+        ``max(10, lower + 10)`` resp. 10: every open direction is at
+        least 10 wide and holds its finite bound. Sampling-based checks
+        draw their probes from this box, so the probes of such a
+        direction cover only part of the set.
         """
         raise NotImplementedError
 
@@ -155,11 +165,9 @@ class Box(ConvexSet):
     """
 
     def __init__(self, lower, upper, dim=None):
-        lower = np.atleast_1d(np.asarray(lower, dtype=float))
-        upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        if dim is not None:
-            lower = np.broadcast_to(lower, (dim,)).copy()
-            upper = np.broadcast_to(upper, (dim,)).copy()
+        # fresh arrays, so that editing the caller's bounds later leaves
+        # the box as it was built
+        lower, upper = _new_vector(lower, dim), _new_vector(upper, dim)
         if lower.shape != upper.shape or lower.ndim != 1:
             raise ValueError("bounds must be vectors of equal length")
         # false for NaN bounds too, which would make every projection NaN
@@ -175,11 +183,12 @@ class Box(ConvexSet):
 
     def bounding_box(self):
         lo, hi = self.lower, self.upper
-        # the fallback of `ConvexSet.bounding_box` for each infinite bound
-        far_lo = np.isfinite(hi) & (hi < -10.0)
-        far_hi = np.isfinite(lo) & (lo > 10.0)
-        return (np.where(np.isinf(lo), np.where(far_lo, hi - 10.0, -10.0), lo),
-                np.where(np.isinf(hi), np.where(far_hi, lo + 10.0, 10.0), hi))
+        # the fallback of `ConvexSet.bounding_box` for each infinite
+        # bound; an infinite bound minus 10 stays infinite, silently
+        open_lo = np.where(np.isfinite(hi), np.minimum(-10.0, hi - 10.0), -10.0)
+        open_hi = np.where(np.isfinite(lo), np.maximum(10.0, lo + 10.0), 10.0)
+        return (np.where(np.isinf(lo), open_lo, lo),
+                np.where(np.isinf(hi), open_hi, hi))
 
     def __repr__(self):
         return "Box(dim={})".format(self.dim)
@@ -201,7 +210,7 @@ class Ball(ConvexSet):
     """Euclidean ball { p : ||p - center|| <= radius }."""
 
     def __init__(self, center, radius):
-        center = np.atleast_1d(np.asarray(center, dtype=float))
+        center = _new_vector(center, None)
         if not np.isfinite(center).all():
             raise ValueError("ball center must be finite")
         if not np.isfinite(radius):

@@ -28,7 +28,8 @@ import numbers
 import numpy as np
 
 from . import sets
-from .core import ValidationError, _batched, _norm, objective, operator_F
+from .core import (ValidationError, _batched, _finite_constant, _norm,
+                   _row_dots, objective, operator_F)
 from .graphs import lambda_max
 
 __all__ = ["METHODS", "SolverConfig", "RunTrace", "DivergenceError",
@@ -56,10 +57,10 @@ def step_bound(method, kappa_m):
     """Largest admissible step size for `method` at operator constant `kappa_m`.
 
     ``1/(2 kappa)`` for OGDA, ``1/kappa`` for EG, unbounded for the GDA
-    baseline (no convergence guarantee exists for it either way).
+    baseline (no convergence guarantee exists for it either way). A
+    `kappa_m` that is not finite and nonnegative raises `ValidationError`.
     """
-    if kappa_m < 0:
-        raise ValidationError("kappa_m must be nonnegative")
+    kappa_m = _finite_constant("kappa_m", kappa_m)
     if method == "OGDA":
         return np.inf if kappa_m == 0 else 1.0 / (2.0 * kappa_m)
     if method == "EG":
@@ -267,9 +268,8 @@ class RunTrace(object):
         """Distance of each recorded iterate to the reference point."""
         if self.z_star is None:
             return np.full(self.iters.size, np.nan)
-        # one dot per row, as `core._norm` takes it, in one batched matmul
         d = self.z - self.z_star
-        return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+        return np.sqrt(_row_dots(d, d))
 
     @functools.cached_property
     def ergodic_gap(self):

@@ -108,8 +108,7 @@ def test_stacked_matches_generic_solver():
     saddle = as_saddle_problem(prob)
     oracles = SaddleProblem(saddle.dim_x, saddle.dim_y, saddle.set_x,
                             saddle.set_y, saddle.value, saddle.grad_x,
-                            saddle.grad_y, saddle.lipschitz,
-                            kappa=saddle.kappa_m)
+                            saddle.grad_y, saddle.kappa_m)
     assert oracles.operator is None
     alpha = 0.9 / (2.0 * prob.kappa_s)
     for method in ("OGDA", "EG"):
@@ -235,6 +234,25 @@ def test_non_finite_gradient_trips_divergence_guard():
     with pytest.raises(DivergenceError) as err:
         simulate_allocation(prob, "EG", max_iters=20, stop_tol=1e-8)
     assert err.value.iteration == 1
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("lipschitz", np.nan, "agent lipschitz constant"),
+    ("lipschitz", np.inf, "agent lipschitz constant"),
+    ("lipschitz", -1.0, "agent lipschitz constant"),
+    # a NaN weight used to fail later, in the SVD of `spectral_norm`
+    ("weight", [[np.nan]], "weight and demand must be finite"),
+    ("weight", [[np.inf]], "weight and demand must be finite"),
+    ("demand", [np.nan], "weight and demand must be finite"),
+    ("demand", [-np.inf], "weight and demand must be finite"),
+])
+def test_agent_data_must_be_finite(field, value, match):
+    spec = dict(objective=lambda y: 0.0, gradient=lambda y: np.zeros(y.shape),
+                cset=Box(-10.0, 10.0, dim=1), weight=[[1.0]], demand=[0.0],
+                lipschitz=0.0)
+    spec[field] = value
+    with pytest.raises(ValidationError, match=match):
+        AllocationAgentSpec(**spec)
 
 
 @pytest.mark.parametrize("method", ["OGDA", "EG"])

@@ -81,7 +81,7 @@ def test_paper_step_size_boundary_case():
         value=lambda x, y: float(x @ B @ y),
         grad_x=lambda x, y: B @ y,
         grad_y=lambda x, y: B.T @ x,
-        lipschitz={"l_xx": 0.0, "l_xy": 25.0, "l_yx": 25.0, "l_yy": 0.0})
+        kappa_m=50.0)
     assert prob.kappa_m == pytest.approx(50.0)
     alpha, halvings = catalog.paper_step_size(prob, "OGDA")
     assert alpha == 0.005 and halvings == 1
@@ -96,7 +96,7 @@ def test_paper_step_size_repeated_halving():
         value=lambda x, y: float(100.0 * x @ y),
         grad_x=lambda x, y: 100.0 * y,
         grad_y=lambda x, y: 100.0 * x,
-        lipschitz={"l_xx": 0.0, "l_xy": 100.0, "l_yx": 100.0, "l_yy": 0.0})
+        kappa_m=200.0)
     alpha, halvings = catalog.paper_step_size(prob, "OGDA")
     assert alpha < 1.0 / 400.0
     assert alpha == 0.01 * 0.5 ** halvings

@@ -132,8 +132,7 @@ def test_stacked_matches_generic_solver():
     saddle = as_saddle_problem(prob)
     oracles = SaddleProblem(saddle.dim_x, saddle.dim_y, saddle.set_x,
                             saddle.set_y, saddle.value, saddle.grad_x,
-                            saddle.grad_y, saddle.lipschitz,
-                            kappa=saddle.kappa_m)
+                            saddle.grad_y, saddle.kappa_m)
     assert oracles.operator is None
     alpha = 0.9 / (2.0 * prob.kappa_c)
     for method in ("OGDA", "EG"):
@@ -265,6 +264,14 @@ def test_non_finite_gradient_trips_divergence_guard():
     with pytest.raises(DivergenceError) as err:
         simulate_consensus(prob, "OGDA", max_iters=20, stop_tol=1e-8)
     assert err.value.iteration == 1
+
+
+@pytest.mark.parametrize("lipschitz", [np.nan, np.inf, -1.0])
+def test_agent_lipschitz_must_be_finite_and_nonnegative(lipschitz):
+    with pytest.raises(ValidationError, match="agent lipschitz constant"):
+        ConsensusAgentSpec(objective=lambda s: 0.0,
+                           gradient=lambda s: np.zeros(s.shape),
+                           cset=Box(-10.0, 10.0, dim=1), lipschitz=lipschitz)
 
 
 @pytest.mark.parametrize("method", ["OGDA", "EG"])

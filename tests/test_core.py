@@ -18,7 +18,7 @@ def bilinear_problem(B, set_x=None, set_y=None):
         value=lambda x, y: float(x @ B @ y),
         grad_x=lambda x, y: B @ y,
         grad_y=lambda x, y: B.T @ x,
-        lipschitz={"l_xx": 0.0, "l_xy": norm, "l_yx": norm, "l_yy": 0.0})
+        kappa_m=2.0 * norm)
 
 
 def quadratic_problem():
@@ -28,13 +28,28 @@ def quadratic_problem():
         value=lambda x, y: float(0.5 * x @ x - 0.5 * y @ y),
         grad_x=lambda x, y: x.copy(),
         grad_y=lambda x, y: -y.copy(),
-        lipschitz={"l_xx": 1.0, "l_xy": 0.0, "l_yx": 0.0, "l_yy": 1.0})
+        kappa_m=2.0)
 
 
 def test_operator_scalar_bilinear():
     prob = bilinear_problem([[1.0]])
     F = operator_F(prob, np.array([2.0, 3.0]))
     assert np.allclose(F, [3.0, -2.0], atol=1e-15)
+
+
+@pytest.mark.parametrize("kappa_m", [np.nan, np.inf, -np.inf, -1.0])
+def test_declared_kappa_must_be_finite_and_nonnegative(kappa_m):
+    with pytest.raises(ValidationError, match="kappa_m must be finite"):
+        SaddleProblem(1, 1, WholeSpace(1), WholeSpace(1),
+                      lambda x, y: 0.0, lambda x, y: np.zeros(1),
+                      lambda x, y: np.zeros(1), kappa_m=kappa_m)
+
+
+def test_declared_kappa_is_a_float_attribute():
+    prob = SaddleProblem(1, 1, WholeSpace(1), WholeSpace(1),
+                         lambda x, y: 0.0, lambda x, y: np.zeros(1),
+                         lambda x, y: np.zeros(1), kappa_m=3)
+    assert type(prob.kappa_m) is float and prob.kappa_m == 3.0
 
 
 def test_operator_zero_at_interior_saddle():
@@ -50,7 +65,7 @@ def test_operator_sign_convention():
         value=lambda x, y: float(x @ x - y @ y),
         grad_x=lambda x, y: 2.0 * x,
         grad_y=lambda x, y: -2.0 * y,
-        lipschitz={"l_xx": 2.0, "l_xy": 0.0, "l_yx": 0.0, "l_yy": 2.0})
+        kappa_m=4.0)
     F = operator_F(prob, np.array([1.0, 1.0]))
     assert np.allclose(F, [2.0, 2.0], atol=1e-15)
 
@@ -82,7 +97,7 @@ def test_check_monotone_negative_control():
         value=lambda x, y: float(-x @ x),
         grad_x=lambda x, y: -2.0 * x,
         grad_y=lambda x, y: np.zeros(1),
-        lipschitz={"l_xx": 2.0, "l_xy": 0.0, "l_yx": 0.0, "l_yy": 0.0})
+        kappa_m=4.0)
     report = check_monotone(prob, n_pairs=200, seed=1)
     assert not report["passed"]
     assert report["min_inner"] < -1e-6
@@ -115,7 +130,7 @@ def test_lipschitz_ratio_zero_operator():
         value=lambda x, y: 0.0,
         grad_x=lambda x, y: np.zeros(1),
         grad_y=lambda x, y: np.zeros(1),
-        lipschitz={"l_xx": 0.0, "l_xy": 0.0, "l_yx": 0.0, "l_yy": 0.0})
+        kappa_m=0.0)
     report = estimate_kappa(prob, n_pairs=100, seed=4)
     assert report["max_ratio"] == 0.0
 
@@ -134,7 +149,7 @@ def test_underdeclared_kappa_raises():
         value=lambda x, y: float(5.0 * x @ y),
         grad_x=lambda x, y: 5.0 * y,
         grad_y=lambda x, y: 5.0 * x,
-        lipschitz={"l_xx": 0.0, "l_xy": 0.1, "l_yx": 0.1, "l_yy": 0.0})
+        kappa_m=0.2)
     with pytest.raises(ValidationError) as info:
         estimate_kappa(prob, n_pairs=200, seed=6)
     # the message names the first pair over the bound, as the loop did
@@ -267,7 +282,7 @@ def nan_operator_problem():
         value=lambda x, y: 0.0,
         grad_x=lambda x, y: np.where(x > 0.5, np.nan, x - 2.0 * y),
         grad_y=lambda x, y: 2.0 * x + y,
-        lipschitz={"l_xx": 1.0, "l_xy": 2.0, "l_yx": 2.0, "l_yy": 1.0})
+        kappa_m=4.0)
 
 
 @pytest.mark.parametrize("name", ["example1", "quadratic-saddle", "consensus5",

@@ -171,6 +171,11 @@ def test_whole_space_is_the_unbounded_box():
     (-np.inf, 4.0, -10.0, 4.0),
     (-np.inf, -30.0, -40.0, -30.0),
     (-2.0, 5.0, -2.0, 5.0),
+    # an open side is at least 10 wide, also when its closed end lies
+    # just inside 10 from the origin
+    (9.99, np.inf, 9.99, 9.99 + 10.0),
+    (-np.inf, -10.0, -20.0, -10.0),
+    (5.0, np.inf, 5.0, 15.0),
 ])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_box_bounding_box_is_finite(lower, upper, want_lo, want_hi):
@@ -180,6 +185,32 @@ def test_box_bounding_box_is_finite(lower, upper, want_lo, want_hi):
     if np.isinf(lower) and np.isinf(upper):
         w_lo, w_hi = WholeSpace(2).bounding_box()
         assert np.array_equal(w_lo, lo) and np.array_equal(w_hi, hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-1e6, 1e6), st.booleans())
+def test_open_side_of_a_bounding_box_is_wide(bound, open_above):
+    box = Box(bound, np.inf, dim=1) if open_above else Box(-np.inf, bound, dim=1)
+    (lo,), (hi,) = box.bounding_box()
+    assert np.isfinite([lo, hi]).all()
+    # 10 wide as far as the rounding of the bound plus 10 allows
+    if open_above:
+        assert lo == bound and hi >= bound + 10.0
+    else:
+        assert hi == bound and lo <= bound - 10.0
+
+
+def test_sets_keep_their_data_when_the_caller_edits_it():
+    lo, hi = np.zeros(2), np.ones(2)
+    for box in (Box(lo, hi), Box(lo, hi, dim=2)):
+        lo[0], hi[0] = 0.5, -5.0
+        assert box.lower.tolist() == [0.0, 0.0]
+        assert box.upper.tolist() == [1.0, 1.0]
+        assert box.project(np.array([0.5, 0.5])).tolist() == [0.5, 0.5]
+        lo[0], hi[0] = 0.0, 1.0
+    ball = Ball(lo, 1.0)
+    lo[0] = 5.0
+    assert ball.center.tolist() == [0.0, 0.0]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -18,7 +18,7 @@ def xy_problem(set_x=None, set_y=None):
         value=lambda x, y: float(x @ y),
         grad_x=lambda x, y: y.copy(),
         grad_y=lambda x, y: x.copy(),
-        lipschitz={"l_xx": 0.0, "l_xy": 1.0, "l_yx": 1.0, "l_yy": 0.0})
+        kappa_m=2.0)
 
 
 def zero_problem():
@@ -28,7 +28,7 @@ def zero_problem():
         value=lambda x, y: 0.0,
         grad_x=lambda x, y: np.zeros(1),
         grad_y=lambda x, y: np.zeros(1),
-        lipschitz={"l_xx": 0.0, "l_xy": 0.0, "l_yx": 0.0, "l_yy": 0.0})
+        kappa_m=0.0)
 
 
 def test_step_bounds():
@@ -37,6 +37,17 @@ def test_step_bounds():
     assert step_bound("GDA", 4.0) == np.inf
     with pytest.raises(ValidationError):
         step_bound("NEWTON", 4.0)
+
+
+@pytest.mark.parametrize("method", ["GDA", "OGDA", "EG"])
+@pytest.mark.parametrize("kappa_m", [np.nan, np.inf, -1.0])
+def test_step_bound_refuses_a_bad_constant(method, kappa_m):
+    # a NaN constant gave a NaN bound and a default step of 1.0, an
+    # infinite one a step of 0.0 that never moves
+    with pytest.raises(ValidationError, match="kappa_m must be finite"):
+        step_bound(method, kappa_m)
+    with pytest.raises(ValidationError, match="kappa_m must be finite"):
+        SolverConfig(method).resolved_step(kappa_m)
 
 
 def test_gda_step_hand_value():
@@ -162,7 +173,7 @@ def test_divergence_guard_raises():
         value=lambda x, y: float(-x @ x),
         grad_x=lambda x, y: -2.0 * x,
         grad_y=lambda x, y: np.zeros(1),
-        lipschitz={"l_xx": 2.0, "l_xy": 0.0, "l_yx": 0.0, "l_yy": 0.0})
+        kappa_m=4.0)
     cfg = SolverConfig("GDA", step_size=2.0, max_iters=100000, stop_tol=0.0)
     with pytest.raises(DivergenceError):
         run(prob, cfg, np.array([1.0, 0.0]))
