@@ -28,9 +28,13 @@ operator is Psi in the same layout. It copies ``z`` into a buffer
 `NetworkGraph.lap_pass` over the columns ``[lam, a + lam]``, the
 payloads the agents of `network` exchange, through a gather plan of
 absolute indices into that buffer. The problem builds the plan on its
-first evaluation, and one negation writes the pass's two blocks into
-the ``a`` and ``lam`` blocks of the result. One point ``(dim,)`` and a
-stack ``(..., dim)`` take the same calls, the stack's points as
+first evaluation. The pass writes its two blocks straight into the
+``a`` and ``lam`` blocks of the result, where one negation finishes
+them. The buffer, the pass's work arrays and the result are a
+workspace fixed when it is built: one point's is built on its first
+evaluation and kept, a stack's per call, and the result is copied into
+the caller's `out` (see `core._fused_operator`). One point ``(dim,)``
+and a stack ``(..., dim)`` take the same calls, the stack's points as
 leading axes. L2 takes stacks too, through `lap_rows`.
 As in `consensus`, `simulate_allocation` is one call into the shared
 body in `solvers`, which runs the generic `solvers.run` on it and reads
@@ -42,8 +46,8 @@ produce the same trajectories.
 import numpy as np
 
 from . import sets
-from .core import (SaddleProblem, ValidationError, _finite_constant, _matvec,
-                   _row_dots, spectral_norm)
+from .core import (SaddleProblem, ValidationError, _finite_constant,
+                   _fused_operator, _matvec, _row_dots, spectral_norm)
 from .network import AllocationNetworkSimulator
 from .solvers import (_NetworkProblem, _NetworkTrace, _Route, _simulate,
                       _write_agent_csv, step_eg, step_ogda)
@@ -186,40 +190,52 @@ def lagrangian_L2(problem, y, a, lam):
 def _psi_operator(problem):
     """Psi on flat iterates ``z = [y, a, lam]``, one point or a stack.
 
-    Returns ``psi(z)``, which writes ``grad h + W'lam``, ``-L lam`` and
-    ``-(W y - d - L(a + lam))`` into an array laid out like ``z``. Both
-    Laplacian products come from one `NetworkGraph.lap_pass` over the
-    columns ``[lam, a + lam]`` of the buffer ``[z, a + lam]``; its gather
-    plan is built on the first call. A stack ``(..., dim)`` takes the
-    same calls as one point, with its points as leading axes.
+    Returns the fused hook ``psi(z, out=None)``, which writes
+    ``grad h + W'lam``, ``-L lam`` and ``-(W y - d - L(a + lam))`` into
+    an array laid out like ``z``. It evaluates through a workspace (see
+    `core._fused_operator`): the buffer ``[z, a + lam]`` with its block
+    views, and F, whose dual blocks take the output of one
+    `NetworkGraph.lap_pass` over the columns ``[lam, a + lam]`` of that
+    buffer. The gather plan is built on the first call. A stack
+    ``(..., dim)`` takes the same calls as one point, with its points as
+    leading axes.
     """
     n, m = problem.n, problem.m
     sy, sa, sl = problem._zslices
     dim, nm = sl.stop, n * m
     plan = None
 
-    def psi(z):
+    def build(lead):
         nonlocal plan
         if plan is None:
             plan = problem.graph.gather_plan((sl.start, dim), m)
-        lead = z.shape[:-1]
         rows = lead + (n, m)
-        y, lam = z[..., sy], z[..., sl]
         ext = np.empty(lead + (dim + nm,))
-        ext[..., :dim] = z
-        np.add(z[..., sa], lam, out=ext[..., dim:])
-        out = np.empty(z.shape)
-        np.add(problem.gradient_rows(y), problem.wt_lam(lam.reshape(rows)),
-               out=out[..., sy])
-        # [L lam, L(a + lam)]; W y - d - L(a + lam) in place, then one
-        # negation writes the a and lam blocks
-        lap = problem.graph.lap_pass(ext, plan)
-        glam = lap[..., nm:].reshape(rows)
-        np.subtract(problem.wy_minus_d(y), glam, out=glam)
-        np.negative(lap, out=out[..., sa.start:])
-        return out
+        zbuf, y, a, pay = (ext[..., :dim], ext[..., sy], ext[..., sa],
+                           ext[..., dim:])
+        lam = ext[..., sl]
+        lam_rows = lam.reshape(rows)
+        out = np.empty(lead + (dim,))
+        gy, duals = out[..., sy], out[..., sa.start:]
+        glam = duals[..., nm:].reshape(rows)
+        # the pass writes [L lam, L(a + lam)] into the a and lam blocks
+        bound = problem.graph.pass_workspace(plan, ext, out=duals)
 
-    return psi
+        def evaluate(z):
+            zbuf[...] = z
+            np.add(a, lam, out=pay)
+            np.add(problem.gradient_rows(y), problem.wt_lam(lam_rows),
+                   out=gy)
+            problem.graph.lap_pass(ext, bound)
+            # W y - d - L(a + lam) in place, then one negation of both
+            # dual blocks
+            np.subtract(problem.wy_minus_d(y), glam, out=glam)
+            np.negative(duals, out=duals)
+            return out
+
+        return evaluate
+
+    return _fused_operator(build)
 
 
 def operator_psi(problem, y, a, lam):

@@ -11,7 +11,7 @@ import numpy as np
 from . import sets
 from .allocation import AllocationAgentSpec, AllocationProblem
 from .consensus import ConsensusAgentSpec, ConsensusProblem
-from .core import SaddleProblem, spectral_norm
+from .core import SaddleProblem, _fused_operator, spectral_norm
 from .graphs import ring
 from .oracle import CertificationError, solve_allocation_kkt
 from .solvers import step_bound
@@ -69,25 +69,35 @@ def _bilinear_hooks(b):
     A stack ``(..., dim)`` goes through per-item batched matmuls, so each
     row runs the kernel the one-point oracles run (gemv, then dot) and
     keeps their bits; a stacked gemm (``X @ b``) or einsum would not.
+    The operator evaluates into a buffer fixed per workspace (see
+    `core._fused_operator`).
     """
     n, bt = b.shape[0], b.T
 
-    def operator(z):
-        # one point, the run loop's case: the gradients' products, unbatched
-        if z.ndim == 1:
-            return np.concatenate([b @ z[n:], -(bt @ z[:n])])
-        out = np.empty(z.shape)
-        out[..., :n] = np.matmul(b, z[..., n:, None])[..., 0]
-        np.negative(np.matmul(bt, z[..., :n, None])[..., 0],
-                    out=out[..., n:])
-        return out
+    def build(lead):
+        out = np.empty(lead + (2 * n,))
+        gx, gy = out[..., :n], out[..., n:]
+
+        def point(z):
+            # the run loop's case: the gradients' products, unbatched
+            np.matmul(b, z[n:], out=gx)
+            np.matmul(bt, z[:n], out=gy)
+            np.negative(gy, out=gy)
+            return out
+
+        def stack(z):
+            gx[...] = np.matmul(b, z[..., n:, None])[..., 0]
+            np.negative(np.matmul(bt, z[..., :n, None])[..., 0], out=gy)
+            return out
+
+        return stack if lead else point
 
     def objective(z):
         values = np.matmul(np.matmul(z[..., None, :n], b),
                            z[..., n:, None])[..., 0, 0]
         return float(values) if z.ndim == 1 else values
 
-    return operator, objective
+    return _fused_operator(build), objective
 
 
 def paper_step_size(problem, method):

@@ -22,9 +22,13 @@ takes both Laplacian products from a single `NetworkGraph.lap_pass`
 over the columns ``[x + v, x]``, the payloads the agents of `network`
 exchange, through a gather plan of absolute indices into that buffer.
 The problem builds the plan on its first evaluation; the pass comes
-out laid out like ``z`` and becomes the result. Phi takes one point
-``(dim,)`` or a stack ``(..., dim)`` through the same calls, and L1
-takes stacks through `lap_rows`, so one pass serves every point.
+out laid out like ``z``, straight into the result. The buffer, the
+pass's work arrays and the result are a workspace fixed when it is
+built: one point's is built on its first evaluation and kept, a
+stack's per call, and the result is copied into the caller's `out`
+(see `core._fused_operator`). Phi takes one point ``(dim,)`` or a
+stack ``(..., dim)`` through the same calls, and L1 takes stacks
+through `lap_rows`, so one pass serves every point.
 `simulate_consensus` is one call into the body it shares with
 `allocation` in `solvers`, which runs the generic `solvers.run` on it
 and reads the per-agent trace off the recorded rows; the trace class
@@ -36,7 +40,8 @@ expressions, so the two routes agree to the last bit.
 import numpy as np
 
 from . import sets
-from .core import SaddleProblem, ValidationError, _finite_constant, _row_dots
+from .core import (SaddleProblem, ValidationError, _finite_constant,
+                   _fused_operator, _row_dots)
 from .network import ConsensusNetworkSimulator
 from .solvers import (_NetworkProblem, _NetworkTrace, _Route, _simulate,
                       _write_agent_csv, step_eg, step_ogda)
@@ -142,35 +147,44 @@ def lagrangian_L1(problem, x, v):
 def _phi_operator(problem):
     """Phi on flat iterates ``z = [x, v]``, one point or a stack.
 
-    Returns ``phi(z)``, which writes ``grad f + L(x + v)`` and ``-L x``
-    into an array laid out like ``z``. Both Laplacian products come from
-    one `NetworkGraph.lap_pass` over the columns ``[x + v, x]`` of the
-    buffer ``[z, x + v]``; its gather plan is built on the first call. A
-    stack ``(..., dim)`` takes the same calls as one point, with its
-    points as leading axes.
+    Returns the fused hook ``phi(z, out=None)``, which writes
+    ``grad f + L(x + v)`` and ``-L x`` into an array laid out like
+    ``z``. It evaluates through a workspace (see
+    `core._fused_operator`): the buffer ``[z, x + v]`` with its block
+    views, and F, which takes the output of one `NetworkGraph.lap_pass`
+    over the columns ``[x + v, x]`` of that buffer, laid out like ``z``.
+    The gather plan is built on the first call. A stack ``(..., dim)``
+    takes the same calls as one point, with its points as leading axes.
     """
     n, m = problem.n, problem.m
     nm = n * m
     plan = None
 
-    def phi(z):
+    def build(lead):
         nonlocal plan
         if plan is None:
             plan = problem.graph.gather_plan((2 * nm, 0), m)
-        lead = z.shape[:-1]
         rows = lead + (n, m)
         ext = np.empty(lead + (3 * nm,))
-        ext[..., :2 * nm] = z
-        x = z[..., :nm]
-        np.add(x, z[..., nm:], out=ext[..., 2 * nm:])
-        # [L(x + v), L x], laid out like z
-        out = problem.graph.lap_pass(ext, plan)
-        gx = out[..., :nm].reshape(rows)
-        np.add(problem.gradient_rows(x.reshape(rows)), gx, out=gx)
-        np.negative(out[..., nm:], out=out[..., nm:])
-        return out
+        zbuf, x, v, pay = (ext[..., :2 * nm], ext[..., :nm],
+                           ext[..., nm:2 * nm], ext[..., 2 * nm:])
+        x_rows = x.reshape(rows)
+        out = np.empty(lead + (2 * nm,))
+        gx, gv = out[..., :nm].reshape(rows), out[..., nm:]
+        bound = problem.graph.pass_workspace(plan, ext, out=out)
 
-    return phi
+        def evaluate(z):
+            zbuf[...] = z
+            np.add(x, v, out=pay)
+            # [L(x + v), L x], laid out like z
+            problem.graph.lap_pass(ext, bound)
+            np.add(problem.gradient_rows(x_rows), gx, out=gx)
+            np.negative(gv, out=gv)
+            return out
+
+        return evaluate
+
+    return _fused_operator(build)
 
 
 def operator_phi(problem, x, v):

@@ -11,6 +11,7 @@ solvers are trusted on it.
 
 import functools
 import math
+import threading
 
 import numpy as np
 
@@ -67,11 +68,19 @@ class SaddleProblem(object):
         problems declare it); the stacked network problems declare
         their own ``kappa_c`` and ``kappa_s``.
     operator : callable, optional
-        Fused operator hook ``operator(z) -> F(z)``, for problems that
-        evaluate both blocks of F in one pass. It takes one point
-        ``(dim,)`` or a stack of points ``(..., dim)`` and returns F of
-        the same shape; every row must equal ``col(grad_x, -grad_y)``
-        at that row to the last bit.
+        Fused operator hook ``operator(z, out=None) -> F(z)``, for
+        problems that evaluate both blocks of F in one pass. It takes
+        one point ``(dim,)`` or a stack of points ``(..., dim)`` and
+        returns F of the same shape; every row must equal
+        ``col(grad_x, -grad_y)`` at that row to the last bit. Given an
+        array `out` of that shape, it writes F there and returns `out`;
+        `out` may be `z` itself. Without `out` it returns an array that
+        no later call writes to. `operator_F` passes `out` only when
+        given one, as `solvers.run` always is. The shipped hooks
+        evaluate through fixed work buffers (see `_fused_operator`): a
+        stack's are built per call, one point's on the first call and
+        kept, one set per thread, so a hook is safe to call from several
+        threads but not reentrant within one.
     objective : callable, optional
         Fused objective hook ``objective(z) -> f``: a float at one point
         ``(dim,)``, an array of shape ``(...)`` on a stack ``(..., dim)``.
@@ -131,6 +140,11 @@ def _batched(values, shape, oracle):
     Vectorized oracles map leading batch axes through; one that reduces
     over a fixed axis returns the wrong shape on a stack of points.
     """
+    # a float array of the right shape, as vectorized oracles return,
+    # passes without `np.asarray`, which costs more than the check
+    if (values.__class__ is np.ndarray and values.dtype is sets._FLOAT
+            and values.shape == shape):
+        return values
     values = np.asarray(values, dtype=float)
     if values.shape != shape:
         raise ValidationError(
@@ -140,22 +154,73 @@ def _batched(values, shape, oracle):
     return values
 
 
-def operator_F(problem, z):
+def operator_F(problem, z, out=None):
     """Evaluate ``F(z) = col(grad_x f, -grad_y f)``.
 
     `z` is one stacked point ``(dim,)`` or an array of them
     ``(..., dim)``; F has the same shape. The problem's fused `operator`
     takes the whole stack in one call; without it each distinct row is
-    one `operator_F` call on the blockwise gradients.
+    one `operator_F` call on the blockwise gradients. Given `out`, an
+    array of F's shape, F is written there and `out` is returned; `out`
+    may be `z` itself. Without it F is a new array.
     """
     if problem.operator is not None:
-        return problem.operator(z)
+        # a hook of `z` alone serves every call without `out`
+        if out is None:
+            return problem.operator(z)
+        return problem.operator(z, out)
     if getattr(z, "ndim", 1) > 1:
         z = np.asarray(z, dtype=float)
         return sets._each_point(functools.partial(operator_F, problem), z,
-                                np.empty(z.shape), "grad_x and grad_y")
+                                np.empty(z.shape) if out is None else out,
+                                "grad_x and grad_y")
     x, y = problem.split(z)
-    return np.concatenate([problem.grad_x(x, y), -problem.grad_y(x, y)])
+    # both blocks are evaluated before `out`, which may be `z`, is written
+    return np.concatenate([problem.grad_x(x, y), -problem.grad_y(x, y)],
+                          out=out)
+
+
+def _fused_operator(build):
+    """A fused operator hook ``operator(z, out=None)`` over fixed buffers.
+
+    ``build(lead)`` returns ``evaluate(z)`` for points of leading axes
+    `lead`, which writes only into buffers of its own and returns the
+    one that holds F. Every buffer and view is fixed when `build` runs.
+    The one-point workspace is built on the first one-point call and
+    kept, one per thread; a stack builds its own on each call, through
+    the same `build`. The hook then copies F into `out`, which may
+    therefore be `z`, or returns a copy of the kept buffer (a stack's
+    own buffer) when `out` is omitted, so no returned array is ever
+    written again.
+    """
+    # made on the first one-point call, so that building a problem
+    # stays as cheap as before; a thread that loses a race to make it
+    # builds its workspace again in the one that stays
+    local = None
+
+    def operator(z, out=None):
+        nonlocal local
+        if z.ndim == 1:
+            try:
+                evaluate = local.point
+            except AttributeError:
+                if local is None:
+                    local = threading.local()
+                evaluate = local.point = build(())
+            value = evaluate(z)
+            if out is None:
+                return value.copy()
+        else:
+            value = build(z.shape[:-1])(z)
+            if out is None:
+                return value
+        if out.shape != value.shape:
+            raise ValidationError("out has shape {}, expected {}"
+                                  .format(out.shape, value.shape))
+        out[...] = value
+        return out
+
+    return operator
 
 
 def objective(problem, z):

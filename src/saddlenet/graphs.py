@@ -11,8 +11,11 @@ results. It gathers its operands from a flat buffer, one point or a
 stack, through a plan of absolute indices from
 `NetworkGraph.gather_plan`. `lap_apply` and `lap_rows` pass every
 per-vertex column as one buffer of a plan over the vertices, built on
-their first call. The stacked consensus and allocation operators build
-theirs once per problem, over their flat iterates.
+their first call, and the pass allocates its work buffers per call. The
+stacked consensus and allocation operators build theirs once per
+problem, over their flat iterates, and bind it to fixed work and output
+buffers (`NetworkGraph.pass_workspace`), so that their passes allocate
+nothing.
 
 The step sizes of both networked problems rest on `lambda_max`, an upper
 bound by construction: `core.spectral_norm` of the dense Laplacian.
@@ -143,6 +146,51 @@ class NetworkGraph(object):
                                    index.shape[1:]).reshape(ranks[0], cols)
         return index.reshape(2, ranks[0], cols), real
 
+    def pass_workspace(self, plan, flat, out=None):
+        """`plan` bound to the work buffers of passes over buffers like `flat`.
+
+        Parameters
+        ----------
+        plan : tuple
+            ``(index, real)`` from `gather_plan`.
+        flat : array of shape (..., size)
+            A buffer of the shape the bound passes will take; its values
+            are not read.
+        out : array of shape (..., cols), optional
+            Where the passes write their result, with `flat`'s leading
+            axes; a new array by default.
+
+        Returns
+        -------
+        tuple
+            ``(index, real, work)``: the plan with the buffers `lap_pass`
+            gathers, differences and sums into, all fixed here, so that
+            a pass through it allocates nothing and returns `out`.
+
+        Raises
+        ------
+        IndexError
+            When the plan reaches past the end of `flat`; checked here
+            once, not on each pass.
+        """
+        index, real = plan
+        if index.size and index.max() >= flat.shape[-1]:
+            raise IndexError("plan reaches past a buffer of {} entries"
+                             .format(flat.shape[-1]))
+        return index, real, self._pass_work(plan, flat.shape[:-1], out)
+
+    @staticmethod
+    def _pass_work(plan, lead, out):
+        """Gather, difference and output buffers of a pass with axes `lead`."""
+        index, real = plan
+        taken = np.empty(lead + index.shape)
+        # padded ranks are never written, so they keep these zeros
+        fill = np.empty if real is None else np.zeros
+        diffs = fill(lead + index.shape[1:])
+        if out is None:
+            out = np.empty(lead + index.shape[-1:])
+        return taken, taken[..., 0, :, :], taken[..., 1, :, :], diffs, out
+
     def lap_pass(self, flat, plan):
         """The Laplacian pass over the planned columns of a flat buffer.
 
@@ -151,7 +199,9 @@ class NetworkGraph(object):
         flat : array of shape (..., size)
             One buffer or a stack of them; leading axes are independent.
         plan : tuple
-            ``(index, real)`` from `gather_plan`.
+            ``(index, real)`` from `gather_plan`, whose work buffers are
+            allocated for this call, or that plan bound by
+            `pass_workspace` to fixed buffers for buffers like `flat`.
 
         Returns
         -------
@@ -159,21 +209,30 @@ class NetworkGraph(object):
             Column c holds ``sum over neighbors j of (u_c - u_(c at j))``,
             accumulated onto zeros in ascending neighbor order, as a
             per-vertex loop sums. Padded ranks add exact zeros (``u - u``
-            would be NaN for an infinite ``u``).
+            would be NaN for an infinite ``u``). Through a bound plan the
+            result is its output buffer, which its next pass overwrites.
         """
-        index, real = plan
-        # one gather for the own entries and all ranks
-        taken = flat.take(index, axis=-1)
-        own, nbrs = taken[..., 0, :, :], taken[..., 1, :, :]
-        if real is None:
-            diffs = np.subtract(own, nbrs)
+        if len(plan) == 2:
+            index, real = plan
+            work = self._pass_work(plan, flat.shape[:-1], None)
+            # the gather checks each index against this buffer
+            mode = "raise"
         else:
-            diffs = np.zeros(nbrs.shape)
+            # checked once when the plan was bound; clipping changes no
+            # index then, and spares the copy a checked gather makes
+            index, real, work = plan
+            mode = "clip"
+        taken, own, nbrs, diffs, out = work
+        # one gather for the own entries and all ranks
+        flat.take(index, axis=-1, out=taken, mode=mode)
+        if real is None:
+            np.subtract(own, nbrs, out=diffs)
+        else:
             np.subtract(own, nbrs, out=diffs, where=real)
         # rank by rank onto zeros: the rank axis lies outside the columns,
         # so the reduction adds whole rows in order, as a loop would (an
         # innermost reduction sums pairwise from 8 terms up)
-        return np.add.reduce(diffs, axis=-2, initial=0.0)
+        return np.add.reduce(diffs, axis=-2, initial=0.0, out=out)
 
     def lap_apply(self, u):
         """Apply the Laplacian through neighbor sums.

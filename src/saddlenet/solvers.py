@@ -11,9 +11,15 @@ cached), two for EG, plus the single initial evaluation at z_0.
 
 Per iteration a run evaluates the operator as counted above and
 projects once per step plus once for the natural-map residual (two
-projections for GDA and OGDA, three for EG), computing both into work
-buffers it allocates once. Per recorded row it stores the iterate, the
-ergodic average, the residual and the step length. The columns derived
+projections for GDA and OGDA, three for EG). It allocates nothing per
+iteration: iterates, operator values and work vectors live in buffers
+the loop allocates once, operators write into them through `out` (see
+`core.operator_F`), and a domain that projects by one clip clips into
+them. The step helpers `step_gda`, `step_ogda` and `step_eg` compute
+the same expressions in fresh arrays; they are the loop's reference,
+and the tests hold `run` to their bits. Per recorded row a run stores
+copies of the iterate and the ergodic average, the residual and the
+step length. The columns derived
 from those rows (`RunTrace.f_value`, `dist_to_ref`, `ergodic_gap`) are
 evaluated only when read, each in one pass over the stored rows. The
 networked kinds, consensus and allocation, also share their plumbing
@@ -361,7 +367,8 @@ def run(problem, config, z0, z_star=None):
     Raises
     ------
     ValidationError
-        On an inadmissible step size for the method.
+        On an inadmissible step size for the method, or a start that is
+        not finite (naming its first such entry).
     DivergenceError
         When an iterate turns non-finite or leaves the guard region.
     """
@@ -369,9 +376,13 @@ def run(problem, config, z0, z_star=None):
     if z0.shape != (problem.dim,):
         raise ValidationError("z0 has shape {}, expected ({},)"
                               .format(z0.shape, problem.dim))
+    bad = np.flatnonzero(~np.isfinite(z0))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError("z0[{}] is {!r}; the start must be finite"
+                              .format(i, float(z0[i])))
     alpha = config.resolved_step(problem.kappa_m)
     method = config.method
-    proj = problem.domain.project
     f = functools.partial(objective, problem)
 
     f_star = None
@@ -380,59 +391,76 @@ def run(problem, config, z0, z_star=None):
         f_star = f(z_star)
 
     max_iters, every = config.max_iters, config.record_every
+    stop_tol = config.stop_tol
     trace = RunTrace(method, alpha, every, problem.kappa_m, z0, z_star,
                      f_star, f)
 
-    # work buffers for the step argument, OGDA's correction term and the
-    # natural-map residual; the domain is a `sets.Product`, whose
-    # projection returns a new array, so iterates never alias them
+    # The loop owns every array it writes: the iterate and its successor,
+    # EG's mid-point, a ring of three operator values (F at the iterate,
+    # OGDA's F at the previous one, and a free slot that takes EG's
+    # mid-point value and then F at the successor), the step argument,
+    # OGDA's correction and the residual's work vector. Operators and
+    # projections write into them, so an iteration allocates nothing;
+    # recorded rows are copies.
     dim = problem.dim
+    z, z_new, z_half = z0.copy(), np.empty(dim), np.empty(dim)
+    f_prev, f_z, f_free = np.empty(dim), np.empty(dim), np.empty(dim)
     arg, corr, diff = np.empty(dim), np.empty(dim), np.empty(dim)
+    bounds = sets._clip_bounds(problem.domain)
+    if bounds is not None:
+        lo, hi = bounds
+
+        def project(p, out):
+            return sets._clip(p, lo, hi, out=out)
+    else:
+        proj = problem.domain.project
+
+        def project(p, out):
+            out[...] = proj(p)
+            return out
     two_alpha = 2.0 * alpha
 
     def residual(z, f_z):
         np.subtract(z, f_z, out=diff)
-        return _norm(np.subtract(z, proj(diff), out=diff))
+        project(diff, diff)
+        return _norm(np.subtract(z, diff, out=diff))
 
-    def descent(z, f, scale):
+    def descent(z, f, scale, out):
         # P(z - scale * F)
         np.multiply(f, scale, out=arg)
-        return proj(np.subtract(z, arg, out=arg))
+        return project(np.subtract(z, arg, out=arg), out)
 
-    z = z0.copy()
-    f_z = operator_F(problem, z)
-    trace.gradient_calls = 1
+    operator_F(problem, z, out=f_z)
+    f_prev[...] = f_z  # OGDA's F(z_{-1}), with z_{-1} = z_0
+    trace.gradient_calls = calls = 1
     resid = residual(z, f_z)
     trace._record(0, z, None, resid, np.nan, None, 0)
 
     erg_sum = np.zeros(dim)
     erg_count = 0
-    f_z_prev = f_z  # OGDA cache, z_{-1} = z_0
+    # a zero tolerance never stops a run
+    stops = stop_tol > 0
 
-    def reached(r):
-        return config.stop_tol > 0 and r <= config.stop_tol
-
-    if reached(resid):
+    if stops and resid <= stop_tol:
         trace.stopped_at = 0
         trace._finalize()
         return trace
 
     for k in range(max_iters):
         it = k + 1
-        z_half = None
         if method == "GDA":
-            z_new = descent(z, f_z, alpha)
+            descent(z, f_z, alpha, z_new)
         elif method == "OGDA":
             # z - 2 alpha F(z) + alpha F(z_prev), in that order
             np.multiply(f_z, two_alpha, out=arg)
             np.subtract(z, arg, out=arg)
-            np.multiply(f_z_prev, alpha, out=corr)
-            z_new = proj(np.add(arg, corr, out=arg))
+            np.multiply(f_prev, alpha, out=corr)
+            project(np.add(arg, corr, out=arg), z_new)
         else:
-            z_half = descent(z, f_z, alpha)
-            f_half = operator_F(problem, z_half)
-            trace.gradient_calls += 1
-            z_new = descent(z, f_half, alpha)
+            descent(z, f_z, alpha, z_half)
+            operator_F(problem, z_half, out=f_free)
+            calls += 1
+            descent(z, f_free, alpha, z_new)
 
         # NaN and inf fail the comparison too
         if not _norm(z_new) <= DIVERGENCE_NORM:
@@ -443,20 +471,22 @@ def run(problem, config, z0, z_star=None):
         erg_sum += z_half if method == "EG" else z_new
         erg_count += 1
 
-        f_z_prev = f_z
-        f_z = operator_F(problem, z_new)
-        trace.gradient_calls += 1
+        operator_F(problem, z_new, out=f_free)
+        calls += 1
+        f_prev, f_z, f_free = f_z, f_free, f_prev
         resid = residual(z_new, f_z)
 
-        done = reached(resid) or it == max_iters
-        if it % every == 0 or done:
+        stop = stops and resid <= stop_tol
+        if stop or it % every == 0 or it == max_iters:
             step = _norm(np.subtract(z_new, z, out=diff))
-            trace._record(it, z_new, z_half, resid, step, erg_sum, erg_count)
-        z = z_new
-        if reached(resid):
+            trace._record(it, z_new, z_half if method == "EG" else None,
+                          resid, step, erg_sum, erg_count)
+        z, z_new = z_new, z
+        if stop:
             trace.stopped_at = it
             break
 
+    trace.gradient_calls = calls
     trace._finalize()
     return trace
 

@@ -338,3 +338,17 @@ def test_matrix_coupling_on_stacks_matches_the_per_row_loop(seed):
                                wy_minus_d_per_row(prob, y))]:
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("max_iters", [0, 5])
+def test_non_finite_start_is_refused_by_name(max_iters):
+    # it returned a NaN trace, or reported divergence at iteration 1
+    prob = catalog.allocation_quadratics()
+    lam0 = np.zeros(3)
+    lam0[1] = np.inf
+    # y has 3 entries and a 3, so lam_1 is entry 7 of the stacked start
+    with pytest.raises(ValidationError, match=r"z0\[7\] is inf"):
+        simulate_allocation(prob, "OGDA", max_iters=max_iters, lam0=lam0)
+    y0 = np.array([0.0, np.nan, 0.0])
+    with pytest.raises(ValidationError, match=r"z0\[1\] is nan"):
+        simulate_allocation(prob, "EG", max_iters=max_iters, y0=y0)

@@ -316,3 +316,18 @@ def test_vector_gradient_of_wrong_shape_raises():
         vector_gradient=lambda x: 2.0 * (x - targets).ravel())
     with pytest.raises(ValidationError, match="vector_gradient"):
         operator_F(as_saddle_problem(prob), np.zeros(2 * 5))
+
+
+@pytest.mark.parametrize("max_iters", [0, 5])
+def test_non_finite_start_is_refused_by_name(max_iters):
+    # it ran Phi on the NaN (a RuntimeWarning in the Laplacian pass) and
+    # returned a NaN trace, or reported divergence at iteration 1
+    prob = catalog.consensus_quadratics(5)
+    x0 = np.zeros(5)
+    x0[2] = np.nan
+    with pytest.raises(ValidationError, match=r"z0\[2\] is nan"):
+        simulate_consensus(prob, "OGDA", max_iters=max_iters, x0=x0)
+    v0 = np.zeros(5)
+    v0[4] = -np.inf
+    with pytest.raises(ValidationError, match=r"z0\[9\] is -inf"):
+        simulate_consensus(prob, "EG", max_iters=max_iters, v0=v0)

@@ -1,6 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
+from saddlenet import allocation, catalog, consensus
 from saddlenet.core import (SaddleProblem, ValidationError, check_monotone,
                             estimate_kappa, objective, operator_F,
                             spectral_norm, vi_residual)
@@ -322,3 +325,87 @@ def test_check_monotone_without_a_finite_product_has_no_witness():
     prob.grad_y = lambda x, y: np.full(1, np.nan)
     report = check_monotone(prob, n_pairs=50, seed=0)
     assert report == {"min_inner": np.inf, "passed": True, "worst_pair": None}
+
+
+# the three fused hooks and one problem without hooks
+OUT_CASES = {
+    "psi": lambda: allocation.as_saddle_problem(catalog.example2_allocation(3)),
+    "phi": lambda: consensus.as_saddle_problem(catalog.consensus_quadratics(5)),
+    "bilinear": lambda: catalog.example1_bilinear(0),
+    "hookless": lambda: bilinear_problem([[1.0, -2.0], [0.5, 3.0]]),
+}
+
+
+def out_case(name, seed=0):
+    """The problem, one point and a stack of points ``(2, 3, dim)``."""
+    prob = OUT_CASES[name]()
+    rng = np.random.default_rng(seed)
+    return (prob, 3.0 * rng.normal(size=prob.dim),
+            3.0 * rng.normal(size=(2, 3, prob.dim)))
+
+
+@pytest.mark.parametrize("name", sorted(OUT_CASES))
+def test_operator_writes_into_out(name):
+    prob, z, Z = out_case(name)
+    for point in (z, Z):
+        fresh = operator_F(prob, point)
+        buf = np.full(point.shape, np.nan)
+        assert operator_F(prob, point, out=buf) is buf
+        assert buf.tobytes() == fresh.tobytes()
+        # out may be the point itself
+        alias = point.copy()
+        assert operator_F(prob, alias, out=alias) is alias
+        assert alias.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(OUT_CASES))
+def test_point_and_stack_calls_leave_each_other_alone(name):
+    prob, z, Z = out_case(name)
+    point, stack = operator_F(prob, z), operator_F(prob, Z)
+    for _ in range(2):
+        assert operator_F(prob, Z).tobytes() == stack.tobytes()
+        assert operator_F(prob, z).tobytes() == point.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(OUT_CASES))
+def test_a_result_without_out_is_never_written_again(name):
+    prob, z, Z = out_case(name)
+    point, stack = operator_F(prob, z), operator_F(prob, Z)
+    kept = point.tobytes(), stack.tobytes()
+    z2, Z2 = 2.0 * z + 1.0, 2.0 * Z + 1.0
+    operator_F(prob, z2)
+    operator_F(prob, Z2)
+    operator_F(prob, z2, out=np.empty(prob.dim))
+    operator_F(prob, Z2, out=np.empty(Z.shape))
+    assert (point.tobytes(), stack.tobytes()) == kept
+
+
+@pytest.mark.parametrize("name", ["psi", "phi", "bilinear"])
+def test_out_of_the_wrong_shape_is_refused(name):
+    prob, z, Z = out_case(name)
+    with pytest.raises(ValidationError, match="out has shape"):
+        operator_F(prob, z, out=np.empty((2, prob.dim)))
+    with pytest.raises(ValidationError, match="out has shape"):
+        operator_F(prob, Z, out=np.empty(prob.dim))
+
+
+def test_fused_point_workspaces_are_per_thread():
+    # two threads evaluating one problem at different points each get
+    # their own one-point workspace, so neither sees the other's values
+    prob, z, _ = out_case("psi")
+    points = [z, 2.0 * z]
+    want = [operator_F(prob, p).tobytes() for p in points]
+    wrong = []
+
+    def evaluate(i):
+        buf = np.empty(prob.dim)
+        for _ in range(300):
+            if operator_F(prob, points[i], out=buf).tobytes() != want[i]:
+                wrong.append(i)
+
+    threads = [threading.Thread(target=evaluate, args=(i,)) for i in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert wrong == []

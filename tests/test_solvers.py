@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from saddlenet import allocation, catalog
+from saddlenet import allocation, catalog, consensus
 from saddlenet.core import SaddleProblem, ValidationError, _norm, operator_F
 from saddlenet.oracle import solve_allocation_kkt
-from saddlenet.sets import Box, WholeSpace
+from saddlenet.sets import Ball, Box, WholeSpace
 from saddlenet.solvers import (DivergenceError, SolverConfig, delta_diagnostic,
                                eg_contraction_check, run, step_bound, step_eg,
                                step_gda, step_ogda)
@@ -106,7 +106,7 @@ def test_run_matches_manual_ogda_recursion():
     z = np.array([1.0, 1.0])
     for k in range(20):
         z, z_prev = step_ogda(prob, z, z_prev, alpha), z
-        assert np.allclose(trace.z[k + 1], z, atol=1e-15)
+        assert trace.z[k + 1].tobytes() == z.tobytes()
 
 
 def test_run_matches_manual_eg_recursion():
@@ -117,8 +117,106 @@ def test_run_matches_manual_eg_recursion():
     z = np.array([1.0, 1.0])
     for k in range(20):
         half, z = step_eg(prob, z, alpha)
-        assert np.allclose(trace.z[k + 1], z, atol=1e-15)
-        assert np.allclose(trace.z_half[k + 1], half, atol=1e-15)
+        assert trace.z[k + 1].tobytes() == z.tobytes()
+        assert trace.z_half[k + 1].tobytes() == half.tobytes()
+
+
+def hand_iterates(problem, method, alpha, z0, iters):
+    """Iterates and EG mid-points of the step helpers iterated by hand.
+
+    The helpers allocate every value afresh; `run` steps in buffers it
+    owns, and must give the same bits.
+    """
+    zs, halves = [z0], [None]
+    z = z_prev = z0
+    for _ in range(iters):
+        half = None
+        if method == "GDA":
+            z_next = step_gda(problem, z, alpha)
+        elif method == "OGDA":
+            z_next = step_ogda(problem, z, z_prev, alpha)
+        else:
+            half, z_next = step_eg(problem, z, alpha)
+        z_prev, z = z, z_next
+        zs.append(z)
+        halves.append(half)
+    return zs, halves
+
+
+def example2_seed3():
+    prob = catalog.example2_allocation(3)
+    return allocation.as_saddle_problem(prob), prob.start()
+
+
+def consensus5():
+    prob = catalog.consensus_quadratics(5)
+    return consensus.as_saddle_problem(prob), prob.start()
+
+
+def example1():
+    prob = catalog.example1_bilinear(0)
+    return prob, prob.meta["z0"]
+
+
+def ball_bilinear():
+    # no hooks, and a domain that does not project by one clip
+    b = np.array([[1.0, 2.0], [-0.5, 1.5]])
+    prob = SaddleProblem(2, 2, Ball(np.zeros(2), 1.0), Box(-1.0, 1.0, dim=2),
+                         lambda x, y: float(x @ b @ y),
+                         lambda x, y: b @ y, lambda x, y: b.T @ x,
+                         kappa_m=2.0 * float(np.linalg.norm(b, 2)))
+    return prob, np.array([3.0, -2.0, 0.5, 4.0])
+
+
+@pytest.mark.parametrize("build, method", [
+    (example2_seed3, "OGDA"), (example2_seed3, "EG"),
+    (consensus5, "OGDA"), (consensus5, "EG"),
+    (example1, "GDA"), (example1, "OGDA"), (example1, "EG"),
+    (ball_bilinear, "OGDA"), (ball_bilinear, "EG")])
+def test_buffered_run_equals_the_step_helpers_bitwise(build, method):
+    # the step helpers are the loop's reference oracle: every recorded
+    # iterate and mid-point of `run` is theirs to the last bit
+    prob, z0 = build()
+    iters = 300
+    trace = run(prob, SolverConfig(method, max_iters=iters, stop_tol=0.0,
+                                   record_every=1), z0)
+    zs, halves = hand_iterates(prob, method, trace.alpha, z0, iters)
+    assert trace.iters.tolist() == list(range(iters + 1))
+    for k in range(iters + 1):
+        assert trace.z[k].tobytes() == zs[k].tobytes(), k
+        if method == "EG" and k > 0:
+            assert trace.z_half[k].tobytes() == halves[k].tobytes(), k
+    expected_calls = (2 if method == "EG" else 1) * iters + 1
+    assert trace.gradient_calls == expected_calls
+
+
+def test_trace_rows_are_copies_of_the_loop_buffers():
+    prob, z0 = example2_seed3()
+    config = SolverConfig("EG", max_iters=50, stop_tol=0.0, record_every=1)
+    first = run(prob, config, z0)
+    z, z_half = first.z.copy(), first.z_half.copy()
+    # writing into a returned row reaches neither the loop nor a rerun
+    first.z[3] = np.nan
+    first.z_half[3] = np.nan
+    again = run(prob, config, z0)
+    assert again.z.tobytes() == z.tobytes()
+    assert again.z_half.tobytes() == z_half.tobytes()
+    # nor do the rows alias each other
+    assert not np.shares_memory(first.z[1], first.z[2])
+
+
+@pytest.mark.parametrize("bad, name", [(np.nan, "nan"), (np.inf, "inf"),
+                                       (-np.inf, "-inf")])
+@pytest.mark.parametrize("max_iters", [0, 5])
+def test_non_finite_start_is_refused_by_name(bad, name, max_iters):
+    # it gave a NaN trace at max_iters=0 and "diverged at iteration 1"
+    # after it
+    prob = xy_problem(Box(-2.0, 2.0, dim=1), Box(-2.0, 2.0, dim=1))
+    z0 = np.array([1.0, bad])
+    with pytest.raises(ValidationError,
+                       match=r"z0\[1\] is {}; the start must be finite"
+                       .format(name)):
+        run(prob, SolverConfig("OGDA", max_iters=max_iters), z0)
 
 
 def test_step_size_bound_enforced():
