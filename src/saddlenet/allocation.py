@@ -27,15 +27,15 @@ operator is Psi in the same layout. It copies ``z`` into a buffer
 ``[z, a + lam]`` and takes both Laplacian products from a single
 `NetworkGraph.lap_pass` over the columns ``[lam, a + lam]``, the
 payloads the agents of `network` exchange, through a gather plan of
-absolute indices into that buffer. The problem builds the plan on its
-first evaluation. The pass writes its two blocks straight into the
-``a`` and ``lam`` blocks of the result, where one negation finishes
-them. The buffer, the pass's work arrays and the result are a
-workspace fixed when it is built: one point's is built on its first
-evaluation and kept, a stack's per call, and the result is copied into
-the caller's `out` (see `core._fused_operator`). One point ``(dim,)``
-and a stack ``(..., dim)`` take the same calls, the stack's points as
-leading axes. L2 takes stacks too, through `lap_rows`.
+absolute indices into that buffer. The operator builds the plan when
+it is made (`as_saddle_problem`). The pass writes its two blocks
+straight into the ``a`` and ``lam`` blocks of the result, where one
+negation finishes them. The buffer, the pass's work arrays and the
+result are a workspace fixed when it is built: one point's is built on
+its first evaluation and kept, a stack's per call, and the result is
+copied into the caller's `out`, or into a new array without one (see
+`core._fused_operator`). One point ``(dim,)`` and a stack ``(...,
+dim)`` take the same calls, the stack's points as leading axes. L2 takes stacks too, through `lap_rows`.
 As in `consensus`, `simulate_allocation` is one call into the shared
 body in `solvers`, which runs the generic `solvers.run` on it and reads
 the per-agent trace off the recorded rows, and the per-agent route in
@@ -163,17 +163,13 @@ class AllocationProblem(_NetworkProblem):
 def lagrangian_L2(problem, y, a, lam):
     """Modified Lagrangian value.
 
-    `y` flat with `a` and `lam` as rows or flat vectors give a float.
-    A stack of points, ``y`` of shape ``(..., Q)`` with rows ``a`` and
-    ``lam`` of shape ``(..., N, m)``, gives one value per point. Both
-    Laplacian products come from one `lap_apply` over the stacked
-    columns ``[a, lam]``.
+    `y`, `a` and `lam` as rows or flat vectors give a float. A stack
+    of points, ``y`` of shape ``(..., Q)`` with rows ``a`` and ``lam``
+    of shape ``(..., N, m)``, gives one value per point. Blocks of any
+    other shape raise `ValidationError`. Both Laplacian products come
+    from one `lap_apply` over the stacked columns ``[a, lam]``.
     """
-    lam = np.asarray(lam, dtype=float)
-    if lam.ndim < 3:
-        y = np.asarray(y, dtype=float).ravel()
-        a = problem.rows(a)
-        lam = problem.rows(lam)
+    y, a, lam = problem._shaped_blocks(y, a, lam)
     m = problem.m
     lap = problem.graph.lap_rows(np.concatenate([a, lam], axis=-1))
     # np.add.reduce is what np.sum calls, minus its Python wrapper; over
@@ -196,19 +192,16 @@ def _psi_operator(problem):
     `core._fused_operator`): the buffer ``[z, a + lam]`` with its block
     views, and F, whose dual blocks take the output of one
     `NetworkGraph.lap_pass` over the columns ``[lam, a + lam]`` of that
-    buffer. The gather plan is built on the first call. A stack
+    buffer. The gather plan is built with the hook. A stack
     ``(..., dim)`` takes the same calls as one point, with its points as
     leading axes.
     """
     n, m = problem.n, problem.m
     sy, sa, sl = problem._zslices
     dim, nm = sl.stop, n * m
-    plan = None
+    plan = problem.graph.gather_plan((sl.start, dim), m)
 
     def build(lead):
-        nonlocal plan
-        if plan is None:
-            plan = problem.graph.gather_plan((sl.start, dim), m)
         rows = lead + (n, m)
         ext = np.empty(lead + (dim + nm,))
         zbuf, y, a, pay = (ext[..., :dim], ext[..., sy], ext[..., sa],

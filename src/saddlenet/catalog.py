@@ -66,31 +66,26 @@ def example1_bilinear(seed=0):
 def _bilinear_hooks(b):
     """Fused operator and objective of ``f(x, y) = x'By`` on points and stacks.
 
-    A stack ``(..., dim)`` goes through per-item batched matmuls, so each
-    row runs the kernel the one-point oracles run (gemv, then dot) and
-    keeps their bits; a stacked gemm (``X @ b``) or einsum would not.
-    The operator evaluates into a buffer fixed per workspace (see
-    `core._fused_operator`).
+    One point and a stack ``(..., dim)`` go through the same per-item
+    batched matmuls, which write each point's gradients into fixed
+    ``(..., n, 1)`` views of the operator's buffer (see
+    `core._fused_operator`). Each point runs the kernel the one-point
+    oracles run (gemv, then dot) and keeps their bits; a stacked gemm
+    (``X @ b``) or einsum would not.
     """
     n, bt = b.shape[0], b.T
 
     def build(lead):
         out = np.empty(lead + (2 * n,))
-        gx, gy = out[..., :n], out[..., n:]
+        gx, gy = out[..., :n, None], out[..., n:, None]
 
-        def point(z):
-            # the run loop's case: the gradients' products, unbatched
-            np.matmul(b, z[n:], out=gx)
-            np.matmul(bt, z[:n], out=gy)
+        def evaluate(z):
+            np.matmul(b, z[..., n:, None], out=gx)
+            np.matmul(bt, z[..., :n, None], out=gy)
             np.negative(gy, out=gy)
             return out
 
-        def stack(z):
-            gx[...] = np.matmul(b, z[..., n:, None])[..., 0]
-            np.negative(np.matmul(bt, z[..., :n, None])[..., 0], out=gy)
-            return out
-
-        return stack if lead else point
+        return evaluate
 
     def objective(z):
         values = np.matmul(np.matmul(z[..., None, :n], b),

@@ -21,12 +21,12 @@ The operator is Phi: it copies ``z`` into a buffer ``[z, x + v]`` and
 takes both Laplacian products from a single `NetworkGraph.lap_pass`
 over the columns ``[x + v, x]``, the payloads the agents of `network`
 exchange, through a gather plan of absolute indices into that buffer.
-The problem builds the plan on its first evaluation; the pass comes
-out laid out like ``z``, straight into the result. The buffer, the
-pass's work arrays and the result are a workspace fixed when it is
-built: one point's is built on its first evaluation and kept, a
-stack's per call, and the result is copied into the caller's `out`
-(see `core._fused_operator`). Phi takes one point ``(dim,)`` or a
+The operator builds the plan when it is made (`as_saddle_problem`);
+the pass comes out laid out like ``z``, straight into the result. The
+buffer, the pass's work arrays and the result are a workspace fixed
+when it is built: one point's is built on its first evaluation and
+kept, a stack's per call, and the result is copied into the caller's
+`out`, or into a new array without one (see `core._fused_operator`). Phi takes one point ``(dim,)`` or a
 stack ``(..., dim)`` through the same calls, and L1 takes stacks
 through `lap_rows`, so one pass serves every point.
 `simulate_consensus` is one call into the body it shares with
@@ -118,20 +118,14 @@ class ConsensusProblem(_NetworkProblem):
                       ConsensusNetworkSimulator, ConsensusTrace)
 
 
-def _point_rows(problem, u):
-    """Rows of a flat ``Nm`` vector; blocks and stacks ``(..., N, m)`` pass."""
-    u = np.asarray(u, dtype=float)
-    return problem.rows(u) if u.ndim == 1 else u
-
-
 def lagrangian_L1(problem, x, v):
     """Augmented Lagrangian value.
 
     `x` and `v` as rows or flat vectors give a float; stacks of rows
     ``(..., N, m)`` give one value per point, from one `lap_apply`.
+    Blocks of any other shape raise `ValidationError`.
     """
-    x = _point_rows(problem, x)
-    v = _point_rows(problem, v)
+    x, v = problem._shaped_blocks(x, v)
     lap_x = problem.graph.lap_rows(x)
     # np.add.reduce is what np.sum calls, minus its Python wrapper; over
     # the trailing axes of each point it sums exactly as over all axes
@@ -153,17 +147,14 @@ def _phi_operator(problem):
     `core._fused_operator`): the buffer ``[z, x + v]`` with its block
     views, and F, which takes the output of one `NetworkGraph.lap_pass`
     over the columns ``[x + v, x]`` of that buffer, laid out like ``z``.
-    The gather plan is built on the first call. A stack ``(..., dim)``
+    The gather plan is built with the hook. A stack ``(..., dim)``
     takes the same calls as one point, with its points as leading axes.
     """
     n, m = problem.n, problem.m
     nm = n * m
-    plan = None
+    plan = problem.graph.gather_plan((2 * nm, 0), m)
 
     def build(lead):
-        nonlocal plan
-        if plan is None:
-            plan = problem.graph.gather_plan((2 * nm, 0), m)
         rows = lead + (n, m)
         ext = np.empty(lead + (3 * nm,))
         zbuf, x, v, pay = (ext[..., :2 * nm], ext[..., :nm],

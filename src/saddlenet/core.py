@@ -74,13 +74,14 @@ class SaddleProblem(object):
         returns F of the same shape; every row must equal
         ``col(grad_x, -grad_y)`` at that row to the last bit. Given an
         array `out` of that shape, it writes F there and returns `out`;
-        `out` may be `z` itself. Without `out` it returns an array that
-        no later call writes to. `operator_F` passes `out` only when
-        given one, as `solvers.run` always is. The shipped hooks
-        evaluate through fixed work buffers (see `_fused_operator`): a
-        stack's are built per call, one point's on the first call and
-        kept, one set per thread, so a hook is safe to call from several
-        threads but not reentrant within one.
+        `out` may be `z` itself. Without `out` it returns a new array,
+        for one point and a stack alike, that no later call writes to.
+        `operator_F` passes `out` only when given one, as `solvers.run`
+        always is. The shipped hooks evaluate through fixed work
+        buffers (see `_fused_operator`): a stack's are built per call,
+        one point's on the first call and kept, one set per thread, and
+        F is then copied into `out`, so a hook is safe to call from
+        several threads but not reentrant within one.
     objective : callable, optional
         Fused objective hook ``objective(z) -> f``: a float at one point
         ``(dim,)``, an array of shape ``(...)`` on a stack ``(..., dim)``.
@@ -189,32 +190,23 @@ def _fused_operator(build):
     The one-point workspace is built on the first one-point call and
     kept, one per thread; a stack builds its own on each call, through
     the same `build`. The hook then copies F into `out`, which may
-    therefore be `z`, or returns a copy of the kept buffer (a stack's
-    own buffer) when `out` is omitted, so no returned array is ever
-    written again.
+    therefore be `z`, or into a new array when `out` is omitted, so no
+    returned array is ever written again.
     """
-    # made on the first one-point call, so that building a problem
-    # stays as cheap as before; a thread that loses a race to make it
-    # builds its workspace again in the one that stays
-    local = None
+    local = threading.local()
 
     def operator(z, out=None):
-        nonlocal local
         if z.ndim == 1:
             try:
                 evaluate = local.point
             except AttributeError:
-                if local is None:
-                    local = threading.local()
                 evaluate = local.point = build(())
             value = evaluate(z)
-            if out is None:
-                return value.copy()
         else:
             value = build(z.shape[:-1])(z)
-            if out is None:
-                return value
-        if out.shape != value.shape:
+        if out is None:
+            out = np.empty(value.shape)
+        elif out.shape != value.shape:
             raise ValidationError("out has shape {}, expected {}"
                                   .format(out.shape, value.shape))
         out[...] = value

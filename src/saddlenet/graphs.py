@@ -9,13 +9,14 @@ zeros, so that the vectorized stacked computation and a literal
 per-agent message-passing loop produce identical floating-point
 results. It gathers its operands from a flat buffer, one point or a
 stack, through a plan of absolute indices from
-`NetworkGraph.gather_plan`. `lap_apply` and `lap_rows` pass every
-per-vertex column as one buffer of a plan over the vertices, built on
-their first call, and the pass allocates its work buffers per call. The
-stacked consensus and allocation operators build theirs once per
-problem, over their flat iterates, and bind it to fixed work and output
-buffers (`NetworkGraph.pass_workspace`), so that their passes allocate
-nothing.
+`NetworkGraph.gather_plan`, bound to work and output buffers by
+`NetworkGraph.pass_workspace`, which checks the plan against the
+buffer. `lap_apply` and `lap_rows` pass every per-vertex column as one
+buffer of a plan over the vertices, built on their first call, and
+give the pass that plan unbound, which binds it to buffers of its own
+for that call. The stacked consensus and allocation operators build
+theirs with the operator, over their flat iterates, and bind it once
+per workspace, so that their passes allocate nothing.
 
 The step sizes of both networked problems rest on `lambda_max`, an upper
 bound by construction: `core.spectral_norm` of the dense Laplacian.
@@ -177,19 +178,14 @@ class NetworkGraph(object):
         if index.size and index.max() >= flat.shape[-1]:
             raise IndexError("plan reaches past a buffer of {} entries"
                              .format(flat.shape[-1]))
-        return index, real, self._pass_work(plan, flat.shape[:-1], out)
-
-    @staticmethod
-    def _pass_work(plan, lead, out):
-        """Gather, difference and output buffers of a pass with axes `lead`."""
-        index, real = plan
+        lead = flat.shape[:-1]
         taken = np.empty(lead + index.shape)
         # padded ranks are never written, so they keep these zeros
         fill = np.empty if real is None else np.zeros
-        diffs = fill(lead + index.shape[1:])
         if out is None:
             out = np.empty(lead + index.shape[-1:])
-        return taken, taken[..., 0, :, :], taken[..., 1, :, :], diffs, out
+        return index, real, (taken, taken[..., 0, :, :], taken[..., 1, :, :],
+                             fill(lead + index.shape[1:]), out)
 
     def lap_pass(self, flat, plan):
         """The Laplacian pass over the planned columns of a flat buffer.
@@ -199,9 +195,9 @@ class NetworkGraph(object):
         flat : array of shape (..., size)
             One buffer or a stack of them; leading axes are independent.
         plan : tuple
-            ``(index, real)`` from `gather_plan`, whose work buffers are
-            allocated for this call, or that plan bound by
-            `pass_workspace` to fixed buffers for buffers like `flat`.
+            ``(index, real)`` from `gather_plan`, which this call binds
+            to buffers of its own through `pass_workspace`, or that plan
+            already bound there to fixed buffers for buffers like `flat`.
 
         Returns
         -------
@@ -209,22 +205,16 @@ class NetworkGraph(object):
             Column c holds ``sum over neighbors j of (u_c - u_(c at j))``,
             accumulated onto zeros in ascending neighbor order, as a
             per-vertex loop sums. Padded ranks add exact zeros (``u - u``
-            would be NaN for an infinite ``u``). Through a bound plan the
-            result is its output buffer, which its next pass overwrites.
+            would be NaN for an infinite ``u``). The result is the bound
+            plan's output buffer, which its next pass overwrites.
         """
         if len(plan) == 2:
-            index, real = plan
-            work = self._pass_work(plan, flat.shape[:-1], None)
-            # the gather checks each index against this buffer
-            mode = "raise"
-        else:
-            # checked once when the plan was bound; clipping changes no
-            # index then, and spares the copy a checked gather makes
-            index, real, work = plan
-            mode = "clip"
-        taken, own, nbrs, diffs, out = work
-        # one gather for the own entries and all ranks
-        flat.take(index, axis=-1, out=taken, mode=mode)
+            plan = self.pass_workspace(plan, flat)
+        index, real, (taken, own, nbrs, diffs, out) = plan
+        # one gather for the own entries and all ranks; binding checked
+        # the plan against the buffer, so clipping changes no index, and
+        # spares the copy a checked gather makes
+        flat.take(index, axis=-1, out=taken, mode="clip")
         if real is None:
             np.subtract(own, nbrs, out=diffs)
         else:

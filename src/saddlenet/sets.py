@@ -13,9 +13,11 @@ one clip over its concatenated bounds.
 Projections take one point ``(dim,)`` or a stack of points
 ``(..., dim)``. Boxes and clip-compiled products project a stack in
 one clip, which broadcasts over the leading axes and gives every row
-the bits of its one-point projection; balls and other products project
-each distinct row of a stack once, through `_each_point`, the row
-helper every per-point oracle goes through.
+the bits of its one-point projection. Balls project each distinct row
+of a stack once, through `_each_point`, the row helper every per-point
+oracle goes through. Other products pass each factor its columns of
+the whole stack, so every row gets the bits of its one-point
+projection there too.
 """
 
 import functools
@@ -257,10 +259,12 @@ class Product(ConvexSet):
     """Cartesian product of convex sets; projects each factor independently.
 
     When every factor is a `Box` (a `WholeSpace` among them) or such a
-    product, the
-    projection is one clip over the concatenated factor bounds, which
-    gives the same values as projecting factor by factor. The bounds are
-    gathered on the first projection, so building a product stays cheap.
+    product, the projection is one clip over the concatenated factor
+    bounds, which gives the same values as projecting factor by factor.
+    The bounds are gathered on the first projection, so building a
+    product stays cheap. Otherwise each factor projects its columns of
+    the point or of the whole stack, so a ball factor projects each
+    distinct row of its columns once.
     """
 
     def __init__(self, *factors):
@@ -270,7 +274,6 @@ class Product(ConvexSet):
             raise ValueError("product needs at least one factor")
         self.factors = factors
         self.dim = sum(f.dim for f in factors)
-        self._shape = (self.dim,)
         offsets = np.cumsum([0] + [f.dim for f in factors])
         self._slices = [slice(offsets[i], offsets[i + 1])
                         for i in range(len(factors))]
@@ -285,23 +288,13 @@ class Product(ConvexSet):
                 np.concatenate([hi for _, hi in bounds]))
 
     def project(self, p):
+        p = _as_points(p, self.dim)
         bounds = self._bounds
         if bounds is not None:
-            # a float array ending in the product's axis, as the solvers
-            # pass, is what `_as_points` would return; checking that
-            # inline saves most of the call's overhead on short vectors
-            if (p.__class__ is not np.ndarray or p.dtype is not _FLOAT
-                    or p.shape[-1:] != self._shape):
-                p = _as_points(p, self.dim)
-            lo, hi = bounds
-            return _clip(p, lo, hi)
-        p = _as_points(p, self.dim)
-        if p.ndim > 1:
-            return _each_point(self.project, p, np.empty_like(p),
-                               "Product.project")
+            return _clip(p, *bounds)
         out = np.empty_like(p)
         for f, s in zip(self.factors, self._slices):
-            out[s] = f.project(p[s])
+            out[..., s] = f.project(p[..., s])
         return out
 
     def bounding_box(self):

@@ -659,6 +659,28 @@ class _NetworkProblem(object):
                 z[sl] = block.ravel()
         return z
 
+    def _shaped_blocks(self, *blocks):
+        """The blocks of one point or of a stack, shaped as `split` gives them.
+
+        One point's block holds its entries flat or in N rows; a stack's
+        puts leading axes before its `split` shape, ``(..., N, m)`` for
+        rows and ``(..., Q)`` for flat decisions. Anything else raises
+        `ValidationError` naming the block.
+        """
+        shaped = []
+        for name, sl, shape, u in zip(self._blocks, self._zslices,
+                                      self._shapes, blocks):
+            u, size = np.asarray(u, dtype=float), sl.stop - sl.start
+            if u.size == size and u.shape[:-1] in ((), (self.n,)):
+                u = u.reshape(shape)
+            elif u.ndim == len(shape) or u.shape[-len(shape):] != shape:
+                raise ValidationError(
+                    "{} has shape {}, expected {} entries, flat or in {} rows,"
+                    " or a stack ending in {}".format(name, u.shape, size,
+                                                      self.n, shape))
+            shaped.append(u)
+        return shaped
+
     def _lead(self, decisions):
         """Batch axes of decisions ``(..., *decision_shape)``."""
         return decisions.shape[:decisions.ndim - len(self.decision_shape)]

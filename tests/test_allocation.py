@@ -352,3 +352,16 @@ def test_non_finite_start_is_refused_by_name(max_iters):
     y0 = np.array([0.0, np.nan, 0.0])
     with pytest.raises(ValidationError, match=r"z0\[1\] is nan"):
         simulate_allocation(prob, "EG", max_iters=max_iters, y0=y0)
+
+
+@pytest.mark.parametrize("y, a, lam, name", [
+    # a bare numpy broadcast error before
+    (np.ones(4), np.zeros(3), np.zeros(3), "y"),
+    (np.ones(3), np.zeros((3, 2)), np.zeros(3), "a"),
+    (np.ones(3), np.zeros(3), np.zeros((2, 3)), "lam"),
+    (np.ones((2, 3, 1)), np.zeros((2, 3, 1)), np.zeros((2, 3, 1)), "y"),
+])
+def test_lagrangian_refuses_blocks_of_another_shape(y, a, lam, name):
+    prob = catalog.allocation_quadratics()
+    with pytest.raises(ValidationError, match="^{} has shape".format(name)):
+        lagrangian_L2(prob, y, a, lam)

@@ -331,3 +331,17 @@ def test_non_finite_start_is_refused_by_name(max_iters):
     v0[4] = -np.inf
     with pytest.raises(ValidationError, match=r"z0\[9\] is -inf"):
         simulate_consensus(prob, "EG", max_iters=max_iters, v0=v0)
+
+
+@pytest.mark.parametrize("x, v, name", [
+    # 15 entries where m = 1: it returned 90.0
+    (np.ones((5, 3)), np.ones((5, 3)), "x"),
+    (np.ones(5), np.ones(4), "v"),
+    (np.ones((2, 5)), np.ones((2, 5, 1)), "x"),
+    (np.ones((5, 1)), np.ones((2, 4, 1)), "v"),
+    (np.ones((5, 1)), np.ones(()), "v"),
+])
+def test_lagrangian_refuses_blocks_of_another_shape(x, v, name):
+    prob = catalog.consensus_quadratics(n=5)
+    with pytest.raises(ValidationError, match="^{} has shape".format(name)):
+        lagrangian_L1(prob, x, v)

@@ -339,3 +339,26 @@ def test_sample_points_equals_rowwise_projection(build):
     for i in range(50):
         want[i] = cset.project(want[i])
     assert got.tobytes() == want.tobytes()
+
+
+def test_nested_product_projects_a_stack_as_its_rows():
+    # a product that is not one clip passes each factor its columns of
+    # the whole stack; every row keeps its one-point projection's bytes,
+    # signed zeros, infinities and NaNs in the box coordinates included
+    prod = Product(Box(-1.0, 1.0, dim=3),
+                   Product(Ball([0.5, -0.5], 0.75), WholeSpace(2)))
+    assert prod._bounds is None
+    rng = np.random.default_rng(5)
+    stack = rng.normal(scale=2.0, size=(2, 3, prod.dim))
+    boxed = [0, 1, 2, 5, 6]
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan]
+    for k, (i, j) in enumerate(itertools.product(range(2), range(3))):
+        stack[i, j, boxed] = np.roll(special, k)
+    # a repeated row, and one inside the ball
+    stack[1, 2] = stack[0, 0]
+    stack[0, 1, 3:5] = [0.5, -0.0]
+    got = prod.project(stack)
+    want = np.array([[prod.project(row) for row in rows] for rows in stack])
+    assert got.shape == stack.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(np.signbit(got), np.signbit(want))
