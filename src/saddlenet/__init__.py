@@ -25,7 +25,6 @@ from .allocation import (AllocationAgentSpec, AllocationProblem,
 from .network import (Network, ConsensusNetworkSimulator,
                       AllocationNetworkSimulator)
 from .oracle import (CertificationError, finite_diff_check,
-                     solve_consensus_reference, solve_allocation_kkt,
-                     allocation_grid_objective)
+                     solve_consensus_reference, solve_allocation_kkt)
 
 __version__ = "0.1.0"

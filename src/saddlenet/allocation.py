@@ -30,12 +30,13 @@ payloads the agents of `network` exchange, through a gather plan of
 absolute indices into that buffer. The operator builds the plan when
 it is made (`as_saddle_problem`). The pass writes its two blocks
 straight into the ``a`` and ``lam`` blocks of the result, where one
-negation finishes them. The buffer, the pass's work arrays and the
-result are a workspace fixed when it is built: one point's is built on
-its first evaluation and kept, a stack's per call, and the result is
-copied into the caller's `out`, or into a new array without one (see
-`core._fused_operator`). One point ``(dim,)`` and a stack ``(...,
-dim)`` take the same calls, the stack's points as leading axes. L2 takes stacks too, through `lap_rows`.
+negation finishes them. The operator is a workspace builder (see
+`core.SaddleProblem`): the buffer, the pass's work arrays and the
+result are fixed when a workspace is built, once per `solvers.run` and
+once per `core.operator_F` call, and each evaluation returns the result
+buffer. One point ``(dim,)`` and a stack ``(..., dim)`` take the same
+calls, the stack's points as leading axes. L2 takes stacks too,
+through `lap_rows`.
 As in `consensus`, `simulate_allocation` is one call into the shared
 body in `solvers`, which runs the generic `solvers.run` on it and reads
 the per-agent trace off the recorded rows, and the per-agent route in
@@ -47,7 +48,7 @@ import numpy as np
 
 from . import sets
 from .core import (SaddleProblem, ValidationError, _finite_constant,
-                   _fused_operator, _matvec, _row_dots, spectral_norm)
+                   _matvec, _row_dots, spectral_norm)
 from .network import AllocationNetworkSimulator
 from .solvers import (_NetworkProblem, _NetworkTrace, _Route, _simulate,
                       _write_agent_csv, step_eg, step_ogda)
@@ -186,15 +187,15 @@ def lagrangian_L2(problem, y, a, lam):
 def _psi_operator(problem):
     """Psi on flat iterates ``z = [y, a, lam]``, one point or a stack.
 
-    Returns the fused hook ``psi(z, out=None)``, which writes
-    ``grad h + W'lam``, ``-L lam`` and ``-(W y - d - L(a + lam))`` into
-    an array laid out like ``z``. It evaluates through a workspace (see
-    `core._fused_operator`): the buffer ``[z, a + lam]`` with its block
-    views, and F, whose dual blocks take the output of one
-    `NetworkGraph.lap_pass` over the columns ``[lam, a + lam]`` of that
-    buffer. The gather plan is built with the hook. A stack
-    ``(..., dim)`` takes the same calls as one point, with its points as
-    leading axes.
+    Returns the fused hook, a workspace builder (see
+    `core.SaddleProblem`): ``build(lead)`` fixes the buffer ``[z, a +
+    lam]`` with its block views, the pass's work arrays and F, whose
+    dual blocks take the output of one `NetworkGraph.lap_pass` over the
+    columns ``[lam, a + lam]`` of that buffer. Its ``evaluate(z)``
+    writes ``grad h + W'lam``, ``-L lam`` and ``-(W y - d - L(a +
+    lam))`` into F, laid out like ``z``, and returns it. The gather plan
+    is built with the hook. A stack ``(..., dim)`` takes the same calls
+    as one point, with its points as leading axes.
     """
     n, m = problem.n, problem.m
     sy, sa, sl = problem._zslices
@@ -228,12 +229,12 @@ def _psi_operator(problem):
 
         return evaluate
 
-    return _fused_operator(build)
+    return build
 
 
 def operator_psi(problem, y, a, lam):
     """Saddle operator Psi at ``(y, a, lam)`` as one stacked vector."""
-    return _psi_operator(problem)(problem.start(y, a, lam))
+    return _psi_operator(problem)(())(problem.start(y, a, lam))
 
 
 def feasibility_gap(problem, y):

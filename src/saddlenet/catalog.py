@@ -11,13 +11,13 @@ import numpy as np
 from . import sets
 from .allocation import AllocationAgentSpec, AllocationProblem
 from .consensus import ConsensusAgentSpec, ConsensusProblem
-from .core import SaddleProblem, _fused_operator, spectral_norm
+from .core import SaddleProblem, spectral_norm
 from .graphs import ring
 from .oracle import CertificationError, solve_allocation_kkt
 from .solvers import step_bound
 
 __all__ = ["example1_bilinear", "example2_allocation", "paper_step_size",
-           "bilinear_scalar", "quadratic_saddle", "consensus_quadratics",
+           "quadratic_saddle", "consensus_quadratics",
            "consensus_quadratics_badgrad", "allocation_quadratics"]
 
 # the experiments' nominal step size, before `paper_step_size` halves it
@@ -66,12 +66,12 @@ def example1_bilinear(seed=0):
 def _bilinear_hooks(b):
     """Fused operator and objective of ``f(x, y) = x'By`` on points and stacks.
 
-    One point and a stack ``(..., dim)`` go through the same per-item
+    The operator is a workspace builder (see `core.SaddleProblem`). One
+    point and a stack ``(..., dim)`` go through the same per-item
     batched matmuls, which write each point's gradients into fixed
-    ``(..., n, 1)`` views of the operator's buffer (see
-    `core._fused_operator`). Each point runs the kernel the one-point
-    oracles run (gemv, then dot) and keeps their bits; a stacked gemm
-    (``X @ b``) or einsum would not.
+    ``(..., n, 1)`` views of the workspace's F buffer. Each point runs
+    the kernel the one-point oracles run (gemv, then dot) and keeps
+    their bits; a stacked gemm (``X @ b``) or einsum would not.
     """
     n, bt = b.shape[0], b.T
 
@@ -92,7 +92,7 @@ def _bilinear_hooks(b):
                            z[..., n:, None])[..., 0, 0]
         return float(values) if z.ndim == 1 else values
 
-    return _fused_operator(build), objective
+    return build, objective
 
 
 def paper_step_size(problem, method):
@@ -166,19 +166,6 @@ def example2_allocation(seed=0):
             d = rng.uniform(-2.0, 2.0, n)
     problem.meta.update(seed=seed, a=a, b=b, c=c, w=w, d=d,
                         redraws=redraws, kkt=reference)
-    return problem
-
-
-def bilinear_scalar():
-    """Unconstrained scalar bilinear toy f(x, y) = xy; saddle at the origin."""
-    problem = SaddleProblem(
-        1, 1, sets.WholeSpace(1), sets.WholeSpace(1),
-        lambda x, y: float(x[0] * y[0]),
-        lambda x, y: np.array([y[0]]),
-        lambda x, y: np.array([x[0]]),
-        kappa_m=2.0, name="bilinear-scalar")
-    problem.meta.update(z_star=np.zeros(2), f_star=0.0,
-                        z0=np.array([1.0, 1.0]))
     return problem
 
 

@@ -23,12 +23,12 @@ over the columns ``[x + v, x]``, the payloads the agents of `network`
 exchange, through a gather plan of absolute indices into that buffer.
 The operator builds the plan when it is made (`as_saddle_problem`);
 the pass comes out laid out like ``z``, straight into the result. The
-buffer, the pass's work arrays and the result are a workspace fixed
-when it is built: one point's is built on its first evaluation and
-kept, a stack's per call, and the result is copied into the caller's
-`out`, or into a new array without one (see `core._fused_operator`). Phi takes one point ``(dim,)`` or a
-stack ``(..., dim)`` through the same calls, and L1 takes stacks
-through `lap_rows`, so one pass serves every point.
+operator is a workspace builder (see `core.SaddleProblem`): the buffer,
+the pass's work arrays and the result are fixed when a workspace is
+built, once per `solvers.run` and once per `core.operator_F` call, and
+each evaluation returns the result buffer. Phi takes one point
+``(dim,)`` or a stack ``(..., dim)`` through the same calls, and L1
+takes stacks through `lap_rows`, so one pass serves every point.
 `simulate_consensus` is one call into the body it shares with
 `allocation` in `solvers`, which runs the generic `solvers.run` on it
 and reads the per-agent trace off the recorded rows; the trace class
@@ -40,8 +40,7 @@ expressions, so the two routes agree to the last bit.
 import numpy as np
 
 from . import sets
-from .core import (SaddleProblem, ValidationError, _finite_constant,
-                   _fused_operator, _row_dots)
+from .core import SaddleProblem, ValidationError, _finite_constant, _row_dots
 from .network import ConsensusNetworkSimulator
 from .solvers import (_NetworkProblem, _NetworkTrace, _Route, _simulate,
                       _write_agent_csv, step_eg, step_ogda)
@@ -141,14 +140,14 @@ def lagrangian_L1(problem, x, v):
 def _phi_operator(problem):
     """Phi on flat iterates ``z = [x, v]``, one point or a stack.
 
-    Returns the fused hook ``phi(z, out=None)``, which writes
-    ``grad f + L(x + v)`` and ``-L x`` into an array laid out like
-    ``z``. It evaluates through a workspace (see
-    `core._fused_operator`): the buffer ``[z, x + v]`` with its block
-    views, and F, which takes the output of one `NetworkGraph.lap_pass`
-    over the columns ``[x + v, x]`` of that buffer, laid out like ``z``.
-    The gather plan is built with the hook. A stack ``(..., dim)``
-    takes the same calls as one point, with its points as leading axes.
+    Returns the fused hook, a workspace builder (see
+    `core.SaddleProblem`): ``build(lead)`` fixes the buffer ``[z, x +
+    v]`` with its block views, the pass's work arrays and F, which takes
+    the output of one `NetworkGraph.lap_pass` over the columns ``[x +
+    v, x]`` of that buffer, laid out like ``z``. Its ``evaluate(z)``
+    writes ``grad f + L(x + v)`` and ``-L x`` into F and returns it. The
+    gather plan is built with the hook. A stack ``(..., dim)`` takes the
+    same calls as one point, with its points as leading axes.
     """
     n, m = problem.n, problem.m
     nm = n * m
@@ -175,12 +174,12 @@ def _phi_operator(problem):
 
         return evaluate
 
-    return _fused_operator(build)
+    return build
 
 
 def operator_phi(problem, x, v):
     """Saddle operator Phi at ``(x, v)`` as one stacked ``2Nm`` vector."""
-    return _phi_operator(problem)(problem.start(x, v))
+    return _phi_operator(problem)(())(problem.start(x, v))
 
 
 def consensus_residual(problem, x):

@@ -11,7 +11,6 @@ solvers are trusted on it.
 
 import functools
 import math
-import threading
 
 import numpy as np
 
@@ -68,20 +67,15 @@ class SaddleProblem(object):
         problems declare it); the stacked network problems declare
         their own ``kappa_c`` and ``kappa_s``.
     operator : callable, optional
-        Fused operator hook ``operator(z, out=None) -> F(z)``, for
-        problems that evaluate both blocks of F in one pass. It takes
-        one point ``(dim,)`` or a stack of points ``(..., dim)`` and
-        returns F of the same shape; every row must equal
-        ``col(grad_x, -grad_y)`` at that row to the last bit. Given an
-        array `out` of that shape, it writes F there and returns `out`;
-        `out` may be `z` itself. Without `out` it returns a new array,
-        for one point and a stack alike, that no later call writes to.
-        `operator_F` passes `out` only when given one, as `solvers.run`
-        always is. The shipped hooks evaluate through fixed work
-        buffers (see `_fused_operator`): a stack's are built per call,
-        one point's on the first call and kept, one set per thread, and
-        F is then copied into `out`, so a hook is safe to call from
-        several threads but not reentrant within one.
+        Fused operator hook, a workspace builder for problems that
+        evaluate both blocks of F in one pass: ``operator(lead)``
+        returns ``evaluate(z)`` for points ``z`` of shape ``lead +
+        (dim,)``, one point for ``lead = ()``. ``evaluate`` writes only
+        into buffers it owns and returns the one that holds F, which its
+        next call overwrites; every row must equal ``col(grad_x,
+        -grad_y)`` at that row to the last bit. Whoever evaluates F owns
+        the workspace: `solvers.run` builds one per run, `operator_F`
+        one per call, so one problem serves several threads at once.
     objective : callable, optional
         Fused objective hook ``objective(z) -> f``: a float at one point
         ``(dim,)``, an array of shape ``(...)`` on a stack ``(..., dim)``.
@@ -155,64 +149,48 @@ def _batched(values, shape, oracle):
     return values
 
 
-def operator_F(problem, z, out=None):
+def _points(problem, z):
+    """`z` as a float array of points ``(..., dim)``, else a `ValidationError`."""
+    z = np.asarray(z, dtype=float)
+    if z.shape[-1:] != (problem.dim,):
+        raise ValidationError("points have shape {}, expected (..., {})"
+                              .format(z.shape, problem.dim))
+    return z
+
+
+def _blockwise_F(problem, z):
+    """F at one point from the blockwise gradients."""
+    x, y = problem.split(z)
+    return np.concatenate([problem.grad_x(x, y), -problem.grad_y(x, y)])
+
+
+def _bound_operator(problem, lead):
+    """``evaluate(z)`` of F for points of leading axes `lead`.
+
+    With a fused hook this is the workspace the hook builds; without
+    one it calls the blockwise gradients once per distinct row.
+    """
+    if problem.operator is not None:
+        return problem.operator(lead)
+    point = functools.partial(_blockwise_F, problem)
+    if not lead:
+        return point
+    return lambda z: sets._each_point(point, z, np.empty(z.shape),
+                                      "grad_x and grad_y")
+
+
+def operator_F(problem, z):
     """Evaluate ``F(z) = col(grad_x f, -grad_y f)``.
 
     `z` is one stacked point ``(dim,)`` or an array of them
-    ``(..., dim)``; F has the same shape. The problem's fused `operator`
-    takes the whole stack in one call; without it each distinct row is
-    one `operator_F` call on the blockwise gradients. Given `out`, an
-    array of F's shape, F is written there and `out` is returned; `out`
-    may be `z` itself. Without it F is a new array.
+    ``(..., dim)``; F is a new array of the same shape. The problem's
+    fused `operator` builds a workspace for this call and takes the
+    whole stack in one evaluation; without it each distinct row is one
+    call of the blockwise gradients. A last axis other than ``dim``
+    raises `ValidationError`.
     """
-    if problem.operator is not None:
-        # a hook of `z` alone serves every call without `out`
-        if out is None:
-            return problem.operator(z)
-        return problem.operator(z, out)
-    if getattr(z, "ndim", 1) > 1:
-        z = np.asarray(z, dtype=float)
-        return sets._each_point(functools.partial(operator_F, problem), z,
-                                np.empty(z.shape) if out is None else out,
-                                "grad_x and grad_y")
-    x, y = problem.split(z)
-    # both blocks are evaluated before `out`, which may be `z`, is written
-    return np.concatenate([problem.grad_x(x, y), -problem.grad_y(x, y)],
-                          out=out)
-
-
-def _fused_operator(build):
-    """A fused operator hook ``operator(z, out=None)`` over fixed buffers.
-
-    ``build(lead)`` returns ``evaluate(z)`` for points of leading axes
-    `lead`, which writes only into buffers of its own and returns the
-    one that holds F. Every buffer and view is fixed when `build` runs.
-    The one-point workspace is built on the first one-point call and
-    kept, one per thread; a stack builds its own on each call, through
-    the same `build`. The hook then copies F into `out`, which may
-    therefore be `z`, or into a new array when `out` is omitted, so no
-    returned array is ever written again.
-    """
-    local = threading.local()
-
-    def operator(z, out=None):
-        if z.ndim == 1:
-            try:
-                evaluate = local.point
-            except AttributeError:
-                evaluate = local.point = build(())
-            value = evaluate(z)
-        else:
-            value = build(z.shape[:-1])(z)
-        if out is None:
-            out = np.empty(value.shape)
-        elif out.shape != value.shape:
-            raise ValidationError("out has shape {}, expected {}"
-                                  .format(out.shape, value.shape))
-        out[...] = value
-        return out
-
-    return operator
+    z = _points(problem, z)
+    return _bound_operator(problem, z.shape[:-1])(z)
 
 
 def objective(problem, z):
@@ -220,14 +198,19 @@ def objective(problem, z):
 
     Mirrors `operator_F`: the fused `objective` hook takes the whole
     stack ``(..., dim)`` in one call and returns an array of shape
-    ``(...)``; without it each distinct row is one call of `value`.
+    ``(...)``; without it each distinct row is one call of `value`. A
+    last axis other than ``dim`` raises `ValidationError`.
     """
+    z = _points(problem, z)
     if problem.objective is not None:
         return problem.objective(z)
-    if getattr(z, "ndim", 1) > 1:
-        z = np.asarray(z, dtype=float)
-        return sets._each_point(functools.partial(objective, problem), z,
+    if z.ndim > 1:
+        return sets._each_point(functools.partial(_point_value, problem), z,
                                 np.empty(z.shape[:-1]), "value")
+    return _point_value(problem, z)
+
+
+def _point_value(problem, z):
     x, y = problem.split(z)
     return float(problem.value(x, y))
 

@@ -9,14 +9,13 @@ zeros, so that the vectorized stacked computation and a literal
 per-agent message-passing loop produce identical floating-point
 results. It gathers its operands from a flat buffer, one point or a
 stack, through a plan of absolute indices from
-`NetworkGraph.gather_plan`, bound to work and output buffers by
-`NetworkGraph.pass_workspace`, which checks the plan against the
-buffer. `lap_apply` and `lap_rows` pass every per-vertex column as one
-buffer of a plan over the vertices, built on their first call, and
-give the pass that plan unbound, which binds it to buffers of its own
-for that call. The stacked consensus and allocation operators build
-theirs with the operator, over their flat iterates, and bind it once
-per workspace, so that their passes allocate nothing.
+`NetworkGraph.gather_plan`. A pass takes the plan only as
+`NetworkGraph.pass_workspace` binds it to work and output buffers,
+after checking it against the buffer. `lap_apply` and `lap_rows` pass
+every per-vertex column as one buffer of a plan over the vertices,
+built on their first call and bound on each. The stacked consensus and allocation operators
+build theirs with the operator, over their flat iterates, and bind it
+once per workspace, so that their passes allocate nothing.
 
 The step sizes of both networked problems rest on `lambda_max`, an upper
 bound by construction: `core.spectral_norm` of the dense Laplacian.
@@ -166,7 +165,9 @@ class NetworkGraph(object):
         tuple
             ``(index, real, work)``: the plan with the buffers `lap_pass`
             gathers, differences and sums into, all fixed here, so that
-            a pass through it allocates nothing and returns `out`.
+            a pass through it allocates nothing and returns `out`. This
+            is the only form `lap_pass` takes; the fused operators bind
+            once per workspace, `lap_apply` once per call.
 
         Raises
         ------
@@ -195,9 +196,8 @@ class NetworkGraph(object):
         flat : array of shape (..., size)
             One buffer or a stack of them; leading axes are independent.
         plan : tuple
-            ``(index, real)`` from `gather_plan`, which this call binds
-            to buffers of its own through `pass_workspace`, or that plan
-            already bound there to fixed buffers for buffers like `flat`.
+            A `gather_plan` bound by `pass_workspace` to fixed buffers
+            for buffers like `flat`.
 
         Returns
         -------
@@ -208,8 +208,6 @@ class NetworkGraph(object):
             would be NaN for an infinite ``u``). The result is the bound
             plan's output buffer, which its next pass overwrites.
         """
-        if len(plan) == 2:
-            plan = self.pass_workspace(plan, flat)
         index, real, (taken, own, nbrs, diffs, out) = plan
         # one gather for the own entries and all ranks; binding checked
         # the plan against the buffer, so clipping changes no index, and
@@ -237,7 +235,8 @@ class NetworkGraph(object):
         array of the same shape
             Row i holds ``sum over neighbors j of (u_i - u_j)``, from
             one `lap_pass` that takes each trailing entry's values at
-            the vertices as one buffer. Trailing
+            the vertices as one buffer, through the vertex plan bound
+            for this call. Trailing
             axes are independent columns, so stacking several vectors as
             columns of one call gives the same values as one call per
             vector.
@@ -249,7 +248,8 @@ class NetworkGraph(object):
         # vertices last: each trailing entry is one buffer of the pass;
         # the result is C-ordered like `u`, as sums over it assume
         rows = u.reshape(self.n, u.size // self.n).T
-        lap = self.lap_pass(rows, self._vertex_plan)
+        lap = self.lap_pass(rows, self.pass_workspace(self._vertex_plan,
+                                                      rows))
         return np.ascontiguousarray(lap.T).reshape(u.shape)
 
     @functools.cached_property

@@ -55,7 +55,6 @@ PRESETS = {
         "record_every": 1,
         "stop_tol": 0.0,
         "alpha": "paper",
-        "seed": 0,
         "description": "bilinear f(x,y)=x'By on boxes, B ~ U[0,5]^(10x10)",
     },
     "quadratic-saddle": {
@@ -66,7 +65,6 @@ PRESETS = {
         "record_every": 1,
         "stop_tol": 0.0,
         "alpha": None,
-        "seed": 0,
         "description": "scalar f(x,y)=x^2/2-y^2/2 on boxes; identity operator",
     },
     "consensus5": {
@@ -77,7 +75,6 @@ PRESETS = {
         "record_every": 1,
         "stop_tol": 1e-8,
         "alpha": None,
-        "seed": 0,
         "description": "5-agent ring, quadratic trackers, agreement at 3",
     },
     "allocation3": {
@@ -88,7 +85,6 @@ PRESETS = {
         "record_every": 1,
         "stop_tol": 1e-9,
         "alpha": None,
-        "seed": 0,
         "description": "3-agent ring, quadratic suppliers, optimum (-1,0,1)",
     },
     "example2": {
@@ -99,7 +95,6 @@ PRESETS = {
         "record_every": 100,
         "stop_tol": 1e-8,
         "alpha": None,
-        "seed": 0,
         "description": "20-agent ring, logistic objectives, coupled supply",
     },
     "consensus5-badgrad": {
@@ -110,7 +105,6 @@ PRESETS = {
         "record_every": 1,
         "stop_tol": 0.0,
         "alpha": None,
-        "seed": 0,
         "negative_control": True,
         "description": "negative control: agent 0 reports a wrong gradient",
     },
@@ -190,7 +184,7 @@ def resolve_config(cfg):
         out["methods"] = list(cfg["methods"])
     out["out"] = cfg.get("out") or os.path.join("runs", name)
 
-    out["seed"] = _integer("seed", out["seed"], 0)
+    out["seed"] = _integer("seed", out.get("seed", 0), 0)
     if not out["methods"]:
         raise ConfigError("config key 'methods': at least one method required")
     bad = [m for m in out["methods"] if str(m).upper() not in METHODS]

@@ -17,7 +17,7 @@ from . import sets
 
 __all__ = ["CertificationError", "golden_section_min", "finite_diff_check",
            "ConsensusReference", "solve_consensus_reference",
-           "KKTReference", "solve_allocation_kkt", "allocation_grid_objective"]
+           "KKTReference", "solve_allocation_kkt"]
 
 
 # largest stack `finite_diff_check` hands to `value` in one call: half
@@ -418,33 +418,3 @@ def solve_allocation_kkt(problem):
             % (resid, REFERENCE_TOL))
     return KKTReference(y, mu, a_rows, lam, objective, feas, gap_stat, resid)
 
-
-def allocation_grid_objective(problem):
-    """Brute-force allocation optimum for two-agent scalar instances.
-
-    Sweeps the first agent's box on a uniform grid of step 1e-4, solves
-    the coupling constraint for the second agent in closed form, and
-    returns the best feasible objective with its decisions. A
-    method-independent cross-check of `solve_allocation_kkt`.
-    """
-    if problem.n != 2 or problem.m != 1 or problem.dim_y != 2:
-        raise ValueError("grid search covers two scalar agents only")
-    w0 = problem.agents[0].weight[0, 0]
-    w1 = problem.agents[1].weight[0, 0]
-    if w1 == 0.0:
-        raise ValueError("second agent needs nonzero coupling weight")
-    d_total = float(problem.demand.sum())
-    lo0 = problem.agents[0].cset.lower[0]
-    hi0 = problem.agents[0].cset.upper[0]
-    grid = np.arange(lo0, hi0 + 1e-4, 1e-4)
-    y1 = (d_total - w0 * grid) / w1
-    ok = ((y1 >= problem.agents[1].cset.lower[0])
-          & (y1 <= problem.agents[1].cset.upper[0]))
-    if not np.any(ok):
-        raise ValueError("no feasible grid point")
-    grid, y1 = grid[ok], y1[ok]
-    vals = np.array([float(problem.agents[0].objective(np.array([g]))
-                           + problem.agents[1].objective(np.array([t])))
-                     for g, t in zip(grid, y1)])
-    k = int(np.argmin(vals))
-    return float(vals[k]), np.array([grid[k], y1[k]])

@@ -13,8 +13,9 @@ Per iteration a run evaluates the operator as counted above and
 projects once per step plus once for the natural-map residual (two
 projections for GDA and OGDA, three for EG). It allocates nothing per
 iteration: iterates, operator values and work vectors live in buffers
-the loop allocates once, operators write into them through `out` (see
-`core.operator_F`), and a domain that projects by one clip clips into
+the loop allocates once, the operator evaluates through one workspace
+built for the run (see `core.SaddleProblem`), whose value is copied into
+the loop's buffers, and a domain that projects by one clip clips into
 them. The step helpers `step_gda`, `step_ogda` and `step_eg` compute
 the same expressions in fresh arrays; they are the loop's reference,
 and the tests hold `run` to their bits. Per recorded row a run stores
@@ -34,8 +35,8 @@ import numbers
 import numpy as np
 
 from . import sets
-from .core import (ValidationError, _batched, _finite_constant, _norm,
-                   _row_dots, objective, operator_F)
+from .core import (ValidationError, _batched, _bound_operator,
+                   _finite_constant, _norm, _row_dots, objective, operator_F)
 from .graphs import lambda_max
 
 __all__ = ["METHODS", "SolverConfig", "RunTrace", "DivergenceError",
@@ -399,9 +400,11 @@ def run(problem, config, z0, z_star=None):
     # EG's mid-point, a ring of three operator values (F at the iterate,
     # OGDA's F at the previous one, and a free slot that takes EG's
     # mid-point value and then F at the successor), the step argument,
-    # OGDA's correction and the residual's work vector. Operators and
-    # projections write into them, so an iteration allocates nothing;
-    # recorded rows are copies.
+    # OGDA's correction and the residual's work vector, and the operator
+    # workspace, built once for the run. F is copied out of the workspace
+    # into the ring and projections write into the buffers, so an
+    # iteration allocates nothing; recorded rows are copies.
+    evaluate = _bound_operator(problem, ())
     dim = problem.dim
     z, z_new, z_half = z0.copy(), np.empty(dim), np.empty(dim)
     f_prev, f_z, f_free = np.empty(dim), np.empty(dim), np.empty(dim)
@@ -430,7 +433,7 @@ def run(problem, config, z0, z_star=None):
         np.multiply(f, scale, out=arg)
         return project(np.subtract(z, arg, out=arg), out)
 
-    operator_F(problem, z, out=f_z)
+    f_z[...] = evaluate(z)
     f_prev[...] = f_z  # OGDA's F(z_{-1}), with z_{-1} = z_0
     trace.gradient_calls = calls = 1
     resid = residual(z, f_z)
@@ -458,7 +461,7 @@ def run(problem, config, z0, z_star=None):
             project(np.add(arg, corr, out=arg), z_new)
         else:
             descent(z, f_z, alpha, z_half)
-            operator_F(problem, z_half, out=f_free)
+            f_free[...] = evaluate(z_half)
             calls += 1
             descent(z, f_free, alpha, z_new)
 
@@ -471,7 +474,7 @@ def run(problem, config, z0, z_star=None):
         erg_sum += z_half if method == "EG" else z_new
         erg_count += 1
 
-        operator_F(problem, z_new, out=f_free)
+        f_free[...] = evaluate(z_new)
         calls += 1
         f_prev, f_z, f_free = f_z, f_free, f_prev
         resid = residual(z_new, f_z)

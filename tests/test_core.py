@@ -1,3 +1,4 @@
+import sys
 import threading
 
 import numpy as np
@@ -8,6 +9,7 @@ from saddlenet.core import (SaddleProblem, ValidationError, check_monotone,
                             estimate_kappa, objective, operator_F,
                             spectral_norm, vi_residual)
 from saddlenet.sets import Box, WholeSpace, sample_points
+from saddlenet.solvers import METHODS, SolverConfig, run
 
 
 def bilinear_problem(B, set_x=None, set_y=None):
@@ -223,12 +225,17 @@ def test_stacks_without_fused_hooks_go_row_by_row():
 def test_fused_hooks_take_the_whole_stack():
     prob = quadratic_problem()
     calls = []
-    prob.operator = lambda z: calls.append(z.shape) or np.array(z) * [1.0, 1.0]
+
+    def build(lead):
+        calls.append(("build", lead))
+        return lambda z: calls.append(z.shape) or z * [1.0, 1.0]
+
+    prob.operator = build
     prob.objective = lambda z: calls.append(z.shape) or np.zeros(z.shape[:-1])
     Z = np.ones((7, 2))
     operator_F(prob, Z)
     objective(prob, Z)
-    assert calls == [(7, 2), (7, 2)]
+    assert calls == [("build", (7,)), (7, 2), (7, 2)]
 
 
 def loop_monotone(problem, n_pairs, seed):
@@ -328,84 +335,127 @@ def test_check_monotone_without_a_finite_product_has_no_witness():
 
 
 # the three fused hooks and one problem without hooks
-OUT_CASES = {
+HOOK_CASES = {
     "psi": lambda: allocation.as_saddle_problem(catalog.example2_allocation(3)),
     "phi": lambda: consensus.as_saddle_problem(catalog.consensus_quadratics(5)),
     "bilinear": lambda: catalog.example1_bilinear(0),
     "hookless": lambda: bilinear_problem([[1.0, -2.0], [0.5, 3.0]]),
 }
+FUSED = ["psi", "phi", "bilinear"]
 
 
-def out_case(name, seed=0):
+def hook_case(name, seed=0):
     """The problem, one point and a stack of points ``(2, 3, dim)``."""
-    prob = OUT_CASES[name]()
+    prob = HOOK_CASES[name]()
     rng = np.random.default_rng(seed)
     return (prob, 3.0 * rng.normal(size=prob.dim),
             3.0 * rng.normal(size=(2, 3, prob.dim)))
 
 
-@pytest.mark.parametrize("name", sorted(OUT_CASES))
-def test_operator_writes_into_out(name):
-    prob, z, Z = out_case(name)
-    for point in (z, Z):
-        fresh = operator_F(prob, point)
-        buf = np.full(point.shape, np.nan)
-        assert operator_F(prob, point, out=buf) is buf
-        assert buf.tobytes() == fresh.tobytes()
-        # out may be the point itself
-        alias = point.copy()
-        assert operator_F(prob, alias, out=alias) is alias
-        assert alias.tobytes() == fresh.tobytes()
+def counting_builder(prob):
+    """Wrap `prob`'s workspace builder; count builds and evaluations."""
+    build, counts = prob.operator, {"builds": [], "evaluations": 0}
+
+    def counted(lead):
+        counts["builds"].append(lead)
+        evaluate = build(lead)
+
+        def counted_evaluate(z):
+            counts["evaluations"] += 1
+            return evaluate(z)
+
+        return counted_evaluate
+
+    prob.operator = counted
+    return counts
 
 
-@pytest.mark.parametrize("name", sorted(OUT_CASES))
+@pytest.mark.parametrize("name", sorted(HOOK_CASES))
+def test_points_are_checked_before_any_oracle(name):
+    # a list is taken as the array it holds; a last axis other than dim
+    # is refused, naming the shape, on the hooked and the hookless path
+    prob, z, Z = hook_case(name)
+    assert operator_F(prob, z.tolist()).tobytes() == operator_F(prob, z).tobytes()
+    assert operator_F(prob, Z.tolist()).tobytes() == operator_F(prob, Z).tobytes()
+    assert objective(prob, z.tolist()) == objective(prob, z)
+    assert (objective(prob, Z.tolist()).tobytes()
+            == objective(prob, Z).tobytes())
+    for shape in [(prob.dim + 1,), (2, prob.dim + 1)]:
+        for evaluate in (operator_F, objective):
+            with pytest.raises(ValidationError, match=r"shape \({}".format(
+                    shape[0])):
+                evaluate(prob, np.zeros(shape))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("name", FUSED)
+def test_run_builds_one_workspace_and_evaluates_once_per_call(name, method):
+    prob, z, _ = hook_case(name)
+    counts = counting_builder(prob)
+    cfg = SolverConfig(method, max_iters=40, stop_tol=0.0)
+    trace = run(prob, cfg, z)
+    assert counts["builds"] == [()]
+    assert counts["evaluations"] == trace.gradient_calls
+
+
+@pytest.mark.parametrize("name", FUSED)
+def test_operator_F_builds_one_workspace_per_call(name):
+    prob, z, Z = hook_case(name)
+    counts = counting_builder(prob)
+    for _ in range(2):
+        operator_F(prob, Z)
+        operator_F(prob, z)
+    assert counts["builds"] == [(2, 3), ()] * 2
+    assert counts["evaluations"] == 4
+
+
+@pytest.mark.parametrize("name", sorted(HOOK_CASES))
 def test_point_and_stack_calls_leave_each_other_alone(name):
-    prob, z, Z = out_case(name)
+    prob, z, Z = hook_case(name)
     point, stack = operator_F(prob, z), operator_F(prob, Z)
     for _ in range(2):
         assert operator_F(prob, Z).tobytes() == stack.tobytes()
         assert operator_F(prob, z).tobytes() == point.tobytes()
 
 
-@pytest.mark.parametrize("name", sorted(OUT_CASES))
+@pytest.mark.parametrize("name", sorted(HOOK_CASES))
 def test_a_result_without_out_is_never_written_again(name):
-    prob, z, Z = out_case(name)
+    prob, z, Z = hook_case(name)
     point, stack = operator_F(prob, z), operator_F(prob, Z)
     kept = point.tobytes(), stack.tobytes()
-    z2, Z2 = 2.0 * z + 1.0, 2.0 * Z + 1.0
-    operator_F(prob, z2)
-    operator_F(prob, Z2)
-    operator_F(prob, z2, out=np.empty(prob.dim))
-    operator_F(prob, Z2, out=np.empty(Z.shape))
+    operator_F(prob, 2.0 * z + 1.0)
+    operator_F(prob, 2.0 * Z + 1.0)
     assert (point.tobytes(), stack.tobytes()) == kept
 
 
-@pytest.mark.parametrize("name", ["psi", "phi", "bilinear"])
-def test_out_of_the_wrong_shape_is_refused(name):
-    prob, z, Z = out_case(name)
-    with pytest.raises(ValidationError, match="out has shape"):
-        operator_F(prob, z, out=np.empty((2, prob.dim)))
-    with pytest.raises(ValidationError, match="out has shape"):
-        operator_F(prob, Z, out=np.empty(prob.dim))
-
-
 def test_fused_point_workspaces_are_per_thread():
-    # two threads evaluating one problem at different points each get
-    # their own one-point workspace, so neither sees the other's values
-    prob, z, _ = out_case("psi")
-    points = [z, 2.0 * z]
-    want = [operator_F(prob, p).tobytes() for p in points]
-    wrong = []
+    # three threads run and evaluate one problem at once, from different
+    # points, and each gets the bytes it gets alone; a thread switch
+    # every microsecond interleaves their evaluations, so a workspace
+    # shared between them would mix their values
+    prob, z, _ = hook_case("psi")
+    cfg = SolverConfig("EG", max_iters=150, stop_tol=0.0)
+    points = [z, 2.0 * z, -z]
+
+    def work(p):
+        return run(prob, cfg, p).z.tobytes(), operator_F(prob, p).tobytes()
+
+    want = [work(p) for p in points]
+    got = [None] * len(points)
 
     def evaluate(i):
-        buf = np.empty(prob.dim)
-        for _ in range(300):
-            if operator_F(prob, points[i], out=buf).tobytes() != want[i]:
-                wrong.append(i)
+        got[i] = [work(points[i]) for _ in range(3)]
 
-    threads = [threading.Thread(target=evaluate, args=(i,)) for i in (0, 1)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert wrong == []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=evaluate, args=(i,))
+                   for i in range(len(points))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 3 for w in want]

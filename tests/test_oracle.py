@@ -11,9 +11,9 @@ from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
                                   feasibility_gap, operator_psi)
 from saddlenet.consensus import ConsensusAgentSpec, ConsensusProblem
 from saddlenet.graphs import NetworkGraph, random_connected, ring
-from saddlenet.oracle import (CertificationError, allocation_grid_objective,
-                              finite_diff_check, golden_section_min,
-                              solve_allocation_kkt, solve_consensus_reference)
+from saddlenet.oracle import (CertificationError, finite_diff_check,
+                              golden_section_min, solve_allocation_kkt,
+                              solve_consensus_reference)
 from saddlenet.sets import Box, WholeSpace
 
 
@@ -242,6 +242,37 @@ def test_example2_reference_certified():
     assert ref.feasibility <= 1e-10
     assert ref.saddle_residual <= 1e-8
     assert np.all(np.abs(ref.y) <= 1.0 + 1e-12)
+
+
+def allocation_grid_objective(problem):
+    """Brute-force allocation optimum for two-agent scalar instances.
+
+    Sweeps the first agent's box on a uniform grid of step 1e-4, solves
+    the coupling constraint for the second agent in closed form, and
+    returns the best feasible objective with its decisions. A
+    method-independent cross-check of `solve_allocation_kkt`.
+    """
+    if problem.n != 2 or problem.m != 1 or problem.dim_y != 2:
+        raise ValueError("grid search covers two scalar agents only")
+    w0 = problem.agents[0].weight[0, 0]
+    w1 = problem.agents[1].weight[0, 0]
+    if w1 == 0.0:
+        raise ValueError("second agent needs nonzero coupling weight")
+    d_total = float(problem.demand.sum())
+    lo0 = problem.agents[0].cset.lower[0]
+    hi0 = problem.agents[0].cset.upper[0]
+    grid = np.arange(lo0, hi0 + 1e-4, 1e-4)
+    y1 = (d_total - w0 * grid) / w1
+    ok = ((y1 >= problem.agents[1].cset.lower[0])
+          & (y1 <= problem.agents[1].cset.upper[0]))
+    if not np.any(ok):
+        raise ValueError("no feasible grid point")
+    grid, y1 = grid[ok], y1[ok]
+    vals = np.array([float(problem.agents[0].objective(np.array([g]))
+                           + problem.agents[1].objective(np.array([t])))
+                     for g, t in zip(grid, y1)])
+    k = int(np.argmin(vals))
+    return float(vals[k]), np.array([grid[k], y1[k]])
 
 
 def test_grid_objective_cross_check():

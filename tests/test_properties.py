@@ -556,7 +556,7 @@ def test_example1_hooks_equal_the_blockwise_oracles(seed, lead, data):
                            min_size=10 * rows, max_size=10 * rows))
     Z = np.concatenate([np.reshape(x, (rows, 10)), np.reshape(y, (rows, 10))],
                        axis=1)
-    F = prob.operator(Z.reshape(lead + (20,)))
+    F = prob.operator(lead)(Z.reshape(lead + (20,)))
     f = prob.objective(Z.reshape(lead + (20,)))
     assert F.shape == lead + (20,)
     if lead == ():
