@@ -31,10 +31,13 @@ absolute indices into that buffer. The operator builds the plan when
 it is made (`as_saddle_problem`). The pass writes its two blocks
 straight into the ``a`` and ``lam`` blocks of the result, where one
 negation finishes them. The operator is a workspace builder (see
-`core.SaddleProblem`): the buffer, the pass's work arrays and the
-result are fixed when a workspace is built, once per `solvers.run` and
-once per `core.operator_F` call, and each evaluation returns the result
-buffer. One point ``(dim,)`` and a stack ``(..., dim)`` take the same
+`core.SaddleProblem`): the buffer, the pass's work arrays, the rows of
+``W y - d`` and the result are fixed when a workspace is built, once per
+`solvers.run` and once per `core.operator_F` call, and each evaluation
+returns the result buffer. The coupling products ``W' lam`` and ``W y -
+d`` take an output (`AllocationProblem.wt_lam`, `wy_minus_d`), so an
+evaluation writes them into the workspace with the bits of the fresh
+products. One point ``(dim,)`` and a stack ``(..., dim)`` take the same
 calls, the stack's points as leading axes. L2 takes stacks too,
 through `lap_rows`.
 As in `consensus`, `simulate_allocation` is one call into the shared
@@ -141,20 +144,32 @@ class AllocationProblem(_NetworkProblem):
         else:
             self._wdiag = None
 
-    def wt_lam(self, lam):
-        """Stacked ``W_i' lam_i`` ``(..., Q)`` of multiplier rows ``(..., N, m)``."""
-        if self._wdiag is not None:
-            return self._wdiag * lam[..., 0]
-        return np.concatenate([_matvec(a.weight.T, lam[..., i, :])
-                               for i, a in enumerate(self.agents)], axis=-1)
+    def wt_lam(self, lam, out=None):
+        """Stacked ``W_i' lam_i`` ``(..., Q)`` of multiplier rows ``(..., N, m)``.
 
-    def wy_minus_d(self, y):
-        """Per-agent ``W_i y_i - d_i`` as rows ``(..., N, m)`` of ``(..., Q)``."""
+        With `out` ``(..., Q)`` the products are written into it and it
+        is returned, with the bits of a fresh result.
+        """
         if self._wdiag is not None:
-            return (self._wdiag * y - self._demand_col)[..., None]
+            return np.multiply(self._wdiag, lam[..., 0], out)
+        return np.concatenate([_matvec(a.weight.T, lam[..., i, :])
+                               for i, a in enumerate(self.agents)], axis=-1,
+                              out=out)
+
+    def wy_minus_d(self, y, out=None):
+        """Per-agent ``W_i y_i - d_i`` as rows ``(..., N, m)`` of ``(..., Q)``.
+
+        With `out` ``(..., N, m)`` the rows are written into it and it is
+        returned, with the bits of a fresh result.
+        """
+        if self._wdiag is not None:
+            col = np.multiply(self._wdiag, y,
+                              None if out is None else out[..., 0])
+            np.subtract(col, self._demand_col, col)
+            return col[..., None] if out is None else out
         return np.stack([_matvec(a.weight, y[..., sl]) - a.demand
                          for sl, a in zip(self._agent_slices, self.agents)],
-                        axis=-2)
+                        axis=-2, out=out)
 
     def _route(self):
         return _Route(as_saddle_problem, simulate_allocation,
@@ -189,11 +204,13 @@ def _psi_operator(problem):
 
     Returns the fused hook, a workspace builder (see
     `core.SaddleProblem`): ``build(lead)`` fixes the buffer ``[z, a +
-    lam]`` with its block views, the pass's work arrays and F, whose
-    dual blocks take the output of one `NetworkGraph.lap_pass` over the
-    columns ``[lam, a + lam]`` of that buffer. Its ``evaluate(z)``
-    writes ``grad h + W'lam``, ``-L lam`` and ``-(W y - d - L(a +
-    lam))`` into F, laid out like ``z``, and returns it. The gather plan
+    lam]`` with its block views, the pass's work arrays, rows for ``W y
+    - d`` and F, whose dual blocks take the output of one
+    `NetworkGraph.lap_pass` over the columns ``[lam, a + lam]`` of that
+    buffer. Its ``evaluate(z)`` writes ``grad h + W'lam``, ``-L lam``
+    and ``-(W y - d - L(a + lam))`` into F, laid out like ``z``, and
+    returns it; ``W'lam`` is written straight into F's ``y`` block and
+    ``W y - d`` into its rows. The gather plan
     is built with the hook. A stack ``(..., dim)`` takes the same calls
     as one point, with its points as leading axes.
     """
@@ -212,19 +229,24 @@ def _psi_operator(problem):
         out = np.empty(lead + (dim,))
         gy, duals = out[..., sy], out[..., sa.start:]
         glam = duals[..., nm:].reshape(rows)
+        wy_d = np.empty(rows)
         # the pass writes [L lam, L(a + lam)] into the a and lam blocks
         bound = problem.graph.pass_workspace(plan, ext, out=duals)
+        lap_pass, gradient_rows = problem.graph.lap_pass, problem.gradient_rows
+        wt_lam, wy_minus_d = problem.wt_lam, problem.wy_minus_d
+        add, subtract, negative = np.add, np.subtract, np.negative
 
         def evaluate(z):
             zbuf[...] = z
-            np.add(a, lam, out=pay)
-            np.add(problem.gradient_rows(y), problem.wt_lam(lam_rows),
-                   out=gy)
-            problem.graph.lap_pass(ext, bound)
+            add(a, lam, pay)
+            # grad h + W'lam, with W'lam written into its block first
+            wt_lam(lam_rows, gy)
+            add(gradient_rows(y), gy, gy)
+            lap_pass(ext, bound)
             # W y - d - L(a + lam) in place, then one negation of both
             # dual blocks
-            np.subtract(problem.wy_minus_d(y), glam, out=glam)
-            np.negative(duals, out=duals)
+            subtract(wy_minus_d(y, wy_d), glam, glam)
+            negative(duals, duals)
             return out
 
         return evaluate
@@ -245,8 +267,8 @@ def feasibility_gap(problem, y):
 def _gap_rows(problem, ys):
     """`feasibility_gap` of each row of the decisions ``ys`` ``(rows, Q)``.
 
-    One batched matmul takes every row's dot, the one `core._norm`
-    takes.
+    One batched matmul takes every row's dot, the one ``e.dot(e)`` of
+    that row alone takes.
     """
     e = problem.wy_minus_d(ys).sum(axis=-2)
     return np.sqrt(_row_dots(e, e))

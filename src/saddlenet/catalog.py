@@ -80,9 +80,9 @@ def _bilinear_hooks(b):
         gx, gy = out[..., :n, None], out[..., n:, None]
 
         def evaluate(z):
-            np.matmul(b, z[..., n:, None], out=gx)
-            np.matmul(bt, z[..., :n, None], out=gy)
-            np.negative(gy, out=gy)
+            np.matmul(b, z[..., n:, None], gx)
+            np.matmul(bt, z[..., :n, None], gy)
+            np.negative(gy, gy)
             return out
 
         return evaluate
@@ -132,9 +132,12 @@ def example2_allocation(seed=0):
     w = rng.uniform(-1.0, 1.0, n)
     d = rng.uniform(-2.0, 2.0, n)
     # factors of the vectorized gradient, formed once: the same values
-    # `b * c` and `-c` that the per-agent gradients compute on each call
+    # `b * c` and `-c` that the per-agent gradients compute on each call,
+    # and its 1.0 as a 0-d array, which a ufunc takes faster than a Python
+    # float, with the same bits
     bc = b * c
     neg_c = -c
+    one = np.array(1.0)
 
     def build(demands):
         agents = []
@@ -150,7 +153,7 @@ def example2_allocation(seed=0):
         return AllocationProblem(
             ring(n), agents,
             vector_objective=lambda y: a * y + b * np.log1p(np.exp(c * y)),
-            vector_gradient=lambda y: a + bc / (1.0 + np.exp(neg_c * y)),
+            vector_gradient=lambda y: a + bc / (one + np.exp(neg_c * y)),
             name="allocation-logistic-{}".format(seed))
 
     redraws = 0
@@ -205,10 +208,12 @@ def consensus_quadratics(n=5):
     """
     targets = np.arange(1.0, n + 1.0)
     col = targets.reshape(n, 1)
+    # 0-d, as in `example2_allocation`'s gradient
+    two = np.array(2.0)
     problem = ConsensusProblem(
         ring(n), 1, _quadratic_consensus_agents(targets),
         vector_objective=lambda x: np.sum((x - col) ** 2, axis=-1),
-        vector_gradient=lambda x: 2.0 * (x - col),
+        vector_gradient=lambda x: two * (x - col),
         name="consensus-quadratics-{}".format(n))
     problem.meta.update(targets=targets, x_bar_star=float(targets.mean()))
     return problem

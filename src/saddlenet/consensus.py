@@ -162,14 +162,16 @@ def _phi_operator(problem):
         out = np.empty(lead + (2 * nm,))
         gx, gv = out[..., :nm].reshape(rows), out[..., nm:]
         bound = problem.graph.pass_workspace(plan, ext, out=out)
+        lap_pass, gradient_rows = problem.graph.lap_pass, problem.gradient_rows
+        add, negative = np.add, np.negative
 
         def evaluate(z):
             zbuf[...] = z
-            np.add(x, v, out=pay)
+            add(x, v, pay)
             # [L(x + v), L x], laid out like z
-            problem.graph.lap_pass(ext, bound)
-            np.add(problem.gradient_rows(x_rows), gx, out=gx)
-            np.negative(gv, out=gv)
+            lap_pass(ext, bound)
+            add(gradient_rows(x_rows), gx, gx)
+            negative(gv, gv)
             return out
 
         return evaluate

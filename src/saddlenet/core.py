@@ -226,13 +226,6 @@ def vi_residual(problem, z):
         z - problem.domain.project(z - operator_F(problem, z))))
 
 
-def _norm(v):
-    # np.linalg.norm of a 1-D float vector is the square root of v.dot(v);
-    # calling those two directly gives the same bits without its Python
-    # dispatch, which costs more than the dot on the solvers' vectors
-    return math.sqrt(v.dot(v))
-
-
 def _matvec(matrix, v):
     # per-item batched matmul: every point of a stack ``(..., k)`` gets
     # the bits that `matrix @ v` gives that point alone (see

@@ -16,27 +16,33 @@ iteration: iterates, operator values and work vectors live in buffers
 the loop allocates once, the operator evaluates through one workspace
 built for the run (see `core.SaddleProblem`), whose value is copied into
 the loop's buffers, and a domain that projects by one clip clips into
-them. The step helpers `step_gda`, `step_ogda` and `step_eg` compute
-the same expressions in fresh arrays; they are the loop's reference,
-and the tests hold `run` to their bits. Per recorded row a run stores
-copies of the iterate and the ergodic average, the residual and the
-step length. The columns derived
-from those rows (`RunTrace.f_value`, `dist_to_ref`, `ergodic_gap`) are
-evaluated only when read, each in one pass over the stored rows. The
-networked kinds, consensus and allocation, also share their plumbing
+them. The loop is bound by the dispatch of its numpy calls, not by
+their flops, so its body makes the fewest calls that keep the bits: the
+steps, the residual and the norms are written out in it rather than in
+helpers, every ufunc takes its output positionally, and the steps scale
+by alpha and 2 alpha held as 0-d arrays, which a ufunc takes faster than
+a Python float and which give the same bits. The step helpers
+`step_gda`, `step_ogda` and `step_eg` compute the same expressions in
+fresh arrays; they are the loop's reference, and the tests hold `run`
+to their bits. Per recorded row a run stores copies of the iterate and
+the ergodic average, the residual and the step length. The columns
+derived from those rows (`RunTrace.f_value`, `dist_to_ref`,
+`ergodic_gap`) are evaluated only when read, each in one pass over the
+stored rows. The networked kinds, consensus and allocation, also share their plumbing
 around this loop here (see `_NetworkProblem`).
 """
 
 import collections
 import functools
 import itertools
+import math
 import numbers
 
 import numpy as np
 
 from . import sets
 from .core import (ValidationError, _batched, _bound_operator,
-                   _finite_constant, _norm, _row_dots, objective, operator_F)
+                   _finite_constant, _row_dots, objective, operator_F)
 from .graphs import lambda_max
 
 __all__ = ["METHODS", "SolverConfig", "RunTrace", "DivergenceError",
@@ -357,6 +363,24 @@ def _write_agent_csv(path, iters, blocks, totals):
         fh.write("\n".join(lines) + "\n")
 
 
+def _finite_point(name, role, z, dim):
+    """`z` as a float vector ``(dim,)``, else a `ValidationError` naming it.
+
+    A point of another shape is refused by its shape, a non-finite one
+    by its first non-finite entry, as the `role` it plays in the run.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.shape != (dim,):
+        raise ValidationError("{} has shape {}, expected ({},)"
+                              .format(name, z.shape, dim))
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError("{}[{}] is {!r}; the {} must be finite"
+                              .format(name, i, float(z[i]), role))
+    return z
+
+
 def run(problem, config, z0, z_star=None):
     """Run a configured method from `z0` and return the `RunTrace`.
 
@@ -368,28 +392,19 @@ def run(problem, config, z0, z_star=None):
     Raises
     ------
     ValidationError
-        On an inadmissible step size for the method, or a start that is
-        not finite (naming its first such entry).
+        On an inadmissible step size for the method, or a start or
+        reference point that is not a finite vector of the problem's
+        dimension (naming its first non-finite entry).
     DivergenceError
         When an iterate turns non-finite or leaves the guard region.
     """
-    z0 = np.asarray(z0, dtype=float)
-    if z0.shape != (problem.dim,):
-        raise ValidationError("z0 has shape {}, expected ({},)"
-                              .format(z0.shape, problem.dim))
-    bad = np.flatnonzero(~np.isfinite(z0))
-    if bad.size:
-        i = int(bad[0])
-        raise ValidationError("z0[{}] is {!r}; the start must be finite"
-                              .format(i, float(z0[i])))
+    z0 = _finite_point("z0", "start", z0, problem.dim)
+    if z_star is not None:
+        z_star = _finite_point("z_star", "reference", z_star, problem.dim)
     alpha = config.resolved_step(problem.kappa_m)
     method = config.method
     f = functools.partial(objective, problem)
-
-    f_star = None
-    if z_star is not None:
-        z_star = np.asarray(z_star, dtype=float)
-        f_star = f(z_star)
+    f_star = None if z_star is None else f(z_star)
 
     max_iters, every = config.max_iters, config.record_every
     stop_tol = config.stop_tol
@@ -400,96 +415,99 @@ def run(problem, config, z0, z_star=None):
     # EG's mid-point, a ring of three operator values (F at the iterate,
     # OGDA's F at the previous one, and a free slot that takes EG's
     # mid-point value and then F at the successor), the step argument,
-    # OGDA's correction and the residual's work vector, and the operator
-    # workspace, built once for the run. F is copied out of the workspace
-    # into the ring and projections write into the buffers, so an
-    # iteration allocates nothing; recorded rows are copies.
+    # OGDA's correction, the residual's work vector and the ergodic sum,
+    # and the operator workspace, built once for the run. F is copied out
+    # of the workspace into the ring and projections write into the
+    # buffers, so an iteration allocates nothing; recorded rows are
+    # copies. The loop calls ufuncs directly, with positional outputs and
+    # 0-d step arrays (see the module docstring); `project` is the one
+    # call that depends on the domain: one clip, or the domain's
+    # projection copied in.
     evaluate = _bound_operator(problem, ())
     dim = problem.dim
     z, z_new, z_half = z0.copy(), np.empty(dim), np.empty(dim)
     f_prev, f_z, f_free = np.empty(dim), np.empty(dim), np.empty(dim)
     arg, corr, diff = np.empty(dim), np.empty(dim), np.empty(dim)
+    erg_sum = np.zeros(dim)
+    subtract, multiply, add, sqrt = np.subtract, np.multiply, np.add, math.sqrt
     bounds = sets._clip_bounds(problem.domain)
     if bounds is not None:
         lo, hi = bounds
+        clip = sets._clip
 
         def project(p, out):
-            return sets._clip(p, lo, hi, out=out)
+            clip(p, lo, hi, out)
     else:
         proj = problem.domain.project
 
         def project(p, out):
             out[...] = proj(p)
-            return out
-    two_alpha = 2.0 * alpha
-
-    def residual(z, f_z):
-        np.subtract(z, f_z, out=diff)
-        project(diff, diff)
-        return _norm(np.subtract(z, diff, out=diff))
-
-    def descent(z, f, scale, out):
-        # P(z - scale * F)
-        np.multiply(f, scale, out=arg)
-        return project(np.subtract(z, arg, out=arg), out)
+    step, two_step = np.array(alpha), np.array(2.0 * alpha)
+    ogda, eg = method == "OGDA", method == "EG"
 
     f_z[...] = evaluate(z)
     f_prev[...] = f_z  # OGDA's F(z_{-1}), with z_{-1} = z_0
-    trace.gradient_calls = calls = 1
-    resid = residual(z, f_z)
+    # natural-map residual ||z - P(z - F(z))||; every norm here is the
+    # square root of v.dot(v), the bits np.linalg.norm gives a 1-D float
+    # vector without its Python dispatch
+    subtract(z, f_z, diff)
+    project(diff, diff)
+    subtract(z, diff, diff)
+    resid = sqrt(diff.dot(diff))
     trace._record(0, z, None, resid, np.nan, None, 0)
 
-    erg_sum = np.zeros(dim)
-    erg_count = 0
     # a zero tolerance never stops a run
     stops = stop_tol > 0
-
+    it = 0
     if stops and resid <= stop_tol:
         trace.stopped_at = 0
         trace._finalize()
         return trace
 
-    for k in range(max_iters):
-        it = k + 1
-        if method == "GDA":
-            descent(z, f_z, alpha, z_new)
-        elif method == "OGDA":
+    for it in range(1, max_iters + 1):
+        if ogda:
             # z - 2 alpha F(z) + alpha F(z_prev), in that order
-            np.multiply(f_z, two_alpha, out=arg)
-            np.subtract(z, arg, out=arg)
-            np.multiply(f_prev, alpha, out=corr)
-            project(np.add(arg, corr, out=arg), z_new)
+            multiply(f_z, two_step, arg)
+            subtract(z, arg, arg)
+            multiply(f_prev, step, corr)
+            add(arg, corr, arg)
         else:
-            descent(z, f_z, alpha, z_half)
-            f_free[...] = evaluate(z_half)
-            calls += 1
-            descent(z, f_free, alpha, z_new)
+            # z - alpha F(z); EG projects it to the mid-point and steps
+            # from z again with F there
+            multiply(f_z, step, arg)
+            subtract(z, arg, arg)
+            if eg:
+                project(arg, z_half)
+                f_free[...] = evaluate(z_half)
+                multiply(f_free, step, arg)
+                subtract(z, arg, arg)
+        project(arg, z_new)
 
         # NaN and inf fail the comparison too
-        if not _norm(z_new) <= DIVERGENCE_NORM:
+        if not sqrt(z_new.dot(z_new)) <= DIVERGENCE_NORM:
             raise DivergenceError(
                 "{} iterate diverged at iteration {}".format(method, it),
                 iteration=it)
-
-        erg_sum += z_half if method == "EG" else z_new
-        erg_count += 1
+        add(erg_sum, z_half if eg else z_new, erg_sum)
 
         f_free[...] = evaluate(z_new)
-        calls += 1
         f_prev, f_z, f_free = f_z, f_free, f_prev
-        resid = residual(z_new, f_z)
+        subtract(z_new, f_z, diff)
+        project(diff, diff)
+        subtract(z_new, diff, diff)
+        resid = sqrt(diff.dot(diff))
 
         stop = stops and resid <= stop_tol
         if stop or it % every == 0 or it == max_iters:
-            step = _norm(np.subtract(z_new, z, out=diff))
-            trace._record(it, z_new, z_half if method == "EG" else None,
-                          resid, step, erg_sum, erg_count)
+            subtract(z_new, z, diff)
+            trace._record(it, z_new, z_half if eg else None, resid,
+                          sqrt(diff.dot(diff)), erg_sum, it)
         z, z_new = z_new, z
         if stop:
             trace.stopped_at = it
             break
 
-    trace.gradient_calls = calls
+    trace.gradient_calls = 1 + (2 if eg else 1) * it
     trace._finalize()
     return trace
 

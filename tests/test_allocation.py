@@ -340,6 +340,26 @@ def test_matrix_coupling_on_stacks_matches_the_per_row_loop(seed):
                 assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("build, scalar", [
+    (lambda: catalog.example2_allocation(3), True),
+    (lambda: matrix_coupled(1), False)], ids=["scalar", "general"])
+@pytest.mark.parametrize("lead", [(), (2, 3)])
+def test_coupling_products_write_into_out_with_fresh_bits(build, scalar, lead):
+    prob = build()
+    assert (prob._wdiag is not None) == scalar
+    rng = np.random.default_rng(len(lead))
+    lam = rng.normal(size=lead + (prob.n, prob.m))
+    y = rng.normal(size=lead + (prob.dim_y,))
+    for product, point, shape in [
+            (prob.wt_lam, lam, lead + (prob.dim_y,)),
+            (prob.wy_minus_d, y, lead + (prob.n, prob.m))]:
+        fresh = product(point)
+        assert fresh.shape == shape
+        out = np.full(shape, np.nan)
+        assert product(point, out) is out
+        assert out.tobytes() == fresh.tobytes()
+
+
 @pytest.mark.parametrize("max_iters", [0, 5])
 def test_non_finite_start_is_refused_by_name(max_iters):
     # it returned a NaN trace, or reported divergence at iteration 1

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from saddlenet import allocation, catalog, consensus
-from saddlenet.core import SaddleProblem, ValidationError, _norm, operator_F
+from saddlenet.core import SaddleProblem, ValidationError, operator_F
 from saddlenet.oracle import solve_allocation_kkt
 from saddlenet.sets import Ball, Box, WholeSpace
 from saddlenet.solvers import (DivergenceError, SolverConfig, delta_diagnostic,
                                eg_contraction_check, run, step_bound, step_eg,
                                step_gda, step_ogda)
+from test_allocation import matrix_coupled
 
 
 def xy_problem(set_x=None, set_y=None):
@@ -158,6 +159,13 @@ def example1():
     return prob, prob.meta["z0"]
 
 
+def matrix_allocation():
+    # the general Psi path: W_i of several shapes, no scalar fast path
+    prob = matrix_coupled(0)
+    assert prob._wdiag is None
+    return allocation.as_saddle_problem(prob), prob.start()
+
+
 def ball_bilinear():
     # no hooks, and a domain that does not project by one clip
     b = np.array([[1.0, 2.0], [-0.5, 1.5]])
@@ -170,6 +178,7 @@ def ball_bilinear():
 
 @pytest.mark.parametrize("build, method", [
     (example2_seed3, "OGDA"), (example2_seed3, "EG"),
+    (matrix_allocation, "OGDA"), (matrix_allocation, "EG"),
     (consensus5, "OGDA"), (consensus5, "EG"),
     (example1, "GDA"), (example1, "OGDA"), (example1, "EG"),
     (ball_bilinear, "OGDA"), (ball_bilinear, "EG")])
@@ -217,6 +226,22 @@ def test_non_finite_start_is_refused_by_name(bad, name, max_iters):
                        match=r"z0\[1\] is {}; the start must be finite"
                        .format(name)):
         run(prob, SolverConfig("OGDA", max_iters=max_iters), z0)
+
+
+@pytest.mark.parametrize("z_star, message", [
+    (np.zeros((2, 2)), r"z_star has shape \(2, 2\), expected \(2,\)$"),
+    (np.zeros(3), r"z_star has shape \(3,\), expected \(2,\)$"),
+    (np.array([0.0, np.nan]), r"z_star\[1\] is nan; the reference must be finite"),
+    (np.array([np.inf, 0.0]), r"z_star\[0\] is inf; the reference must be finite"),
+])
+@pytest.mark.parametrize("max_iters", [0, 5])
+def test_reference_point_is_checked_at_entry(z_star, message, max_iters):
+    # a (2, dim) reference gave a trace whose ergodic_gap raised a bare
+    # numpy broadcast error when read, a NaN one silent NaN gaps
+    prob = xy_problem(Box(-2.0, 2.0, dim=1), Box(-2.0, 2.0, dim=1))
+    with pytest.raises(ValidationError, match=message):
+        run(prob, SolverConfig("OGDA", max_iters=max_iters),
+            np.array([1.0, 1.0]), z_star=z_star)
 
 
 def test_step_size_bound_enforced():
@@ -424,7 +449,7 @@ def test_dist_to_ref_equals_the_row_norms(method, every):
                        record_every=every)
     trace = run(prob, cfg, prob.meta["z0"], z_star=z_star)
     assert trace.iters.size == (201 if every == 1 else 30)
-    rows = np.array([_norm(z - z_star) for z in trace.z])
+    rows = np.array([np.linalg.norm(z - z_star) for z in trace.z])
     assert trace.dist_to_ref.tobytes() == rows.tobytes()
     bare = run(prob, cfg, prob.meta["z0"])
     assert bare.dist_to_ref.shape == (trace.iters.size,)
@@ -502,7 +527,7 @@ def test_lazy_f_value_is_objective_per_row(build, method):
     eager = np.array([float(prob.value(*prob.split(z))) for z in trace.z])
     assert trace.f_value.tobytes() == eager.tobytes()
     # the derived columns equal the per-row values the loop used to store
-    dist = np.array([_norm(z - z_star) for z in trace.z])
+    dist = np.array([np.linalg.norm(z - z_star) for z in trace.z])
     assert trace.dist_to_ref.tobytes() == dist.tobytes()
     f_star = float(prob.value(*prob.split(z_star)))
     gap = [np.nan] + [abs(float(prob.value(*prob.split(e))) - f_star)
