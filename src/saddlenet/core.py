@@ -259,7 +259,11 @@ def check_monotone(problem, n_pairs=1000, seed=0):
         ``min_inner`` (worst sampled product), ``passed`` (all products
         at least ``-MONOTONE_TOL``) and ``worst_pair``.
     """
-    z1, z2, f1, f2 = _sampled_pairs(problem, n_pairs, seed)
+    return _monotone(*_sampled_pairs(problem, n_pairs, seed))
+
+
+def _monotone(z1, z2, f1, f2):
+    """`check_monotone`'s report on drawn pairs and F at both."""
     inner = _row_dots(f1 - f2, z1 - z2)
     # the first pair of least product; NaN products are skipped, and
     # without a finite product there is no witness
@@ -280,7 +284,11 @@ def estimate_kappa(problem, n_pairs=1000, seed=0):
     witnessing pair when the ratio exceeds ``kappa_m`` by more than the
     relative round-off slack `KAPPA_REL_TOL`.
     """
-    z1, z2, f1, f2 = _sampled_pairs(problem, n_pairs, seed)
+    return _lipschitz(problem, *_sampled_pairs(problem, n_pairs, seed))
+
+
+def _lipschitz(problem, z1, z2, f1, f2):
+    """`estimate_kappa`'s report on drawn pairs and F at both."""
     dz, df = z1 - z2, f1 - f2
     gap = np.sqrt(_row_dots(dz, dz))
     moved = gap != 0.0

@@ -33,7 +33,7 @@ import time
 import numpy as np
 
 from . import catalog, oracle, sets
-from .core import (ValidationError, check_monotone, estimate_kappa,
+from .core import (ValidationError, _lipschitz, _monotone, _sampled_pairs,
                    objective, operator_F, vi_residual)
 from .solvers import (DivergenceError, METHODS, SolverConfig, _budget,
                       delta_diagnostic, eg_contraction_check, run)
@@ -372,18 +372,22 @@ def cmd_verify(config):
         checks.append({"check": name, "passed": bool(passed),
                        "margin": margin, "detail": detail})
 
-    mono = check_monotone(stacked, n_pairs=1000, seed=config["seed"])
+    # `check_monotone` and `estimate_kappa` at this seed, from one draw
+    pairs = _sampled_pairs(stacked, 1000, config["seed"])
+    mono = _monotone(*pairs)
     add("monotonicity", mono["passed"], mono["min_inner"],
         "min inner product over 1000 pairs (bound -1e-10)")
 
     try:
-        kap = estimate_kappa(stacked, n_pairs=1000, seed=config["seed"])
+        kap = _lipschitz(stacked, *pairs)
         add("lipschitz_bound", kap["passed"],
             kap["kappa_m"] - kap["max_ratio"],
             "declared kappa {:.6g} minus max sampled ratio {:.6g}"
             .format(kap["kappa_m"], kap["max_ratio"]))
     except ValidationError as exc:
         add("lipschitz_bound", False, None, str(exc))
+    # four stacks of 1000 points, which nothing below reads
+    del pairs
 
     # the gradient checked is F, the operator the solvers run, with its
     # dual block negated back

@@ -387,15 +387,26 @@ def test_points_are_checked_before_any_oracle(name):
                 evaluate(prob, np.zeros(shape))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("name", FUSED)
 def test_run_builds_one_workspace_and_evaluates_once_per_call(name, method):
+    # a run that stops counts the evaluations of the steps it took past
+    # its stop, at most 15 of them
+    k = 2 if method == "EG" else 1
     prob, z, _ = hook_case(name)
-    counts = counting_builder(prob)
-    cfg = SolverConfig(method, max_iters=40, stop_tol=0.0)
-    trace = run(prob, cfg, z)
-    assert counts["builds"] == [()]
-    assert counts["evaluations"] == trace.gradient_calls
+    dense = run(prob, SolverConfig(method, max_iters=40, stop_tol=0.0), z)
+    assert dense.stopped_at is None and dense.gradient_calls == 1 + k * 40
+    for stop_tol in (0.0, float(np.min(dense.vi_residual[1:21]))):
+        prob, z, _ = hook_case(name)
+        counts = counting_builder(prob)
+        trace = run(prob, SolverConfig(method, max_iters=40,
+                                       stop_tol=stop_tol), z)
+        assert counts["builds"] == [()]
+        assert counts["evaluations"] == trace.gradient_calls
+    stop = trace.stopped_at
+    assert 1 <= stop <= 20 and trace.iters[-1] == stop
+    assert 1 + k * stop <= trace.gradient_calls <= 1 + k * (stop + 15)
 
 
 @pytest.mark.parametrize("name", FUSED)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from saddlenet import allocation, consensus, network
+from saddlenet import allocation, consensus, core, harness, network
 from saddlenet.harness import (PRESETS, ConfigError, cmd_solve, load_config,
                                main, resolve_config)
 
@@ -229,6 +229,33 @@ def test_verify_fails_when_one_agent_is_one_ulp_off(tmp_path, capsys,
     assert sorted(failed) == ["distributed_stacked_equivalence_EG",
                               "distributed_stacked_equivalence_OGDA"]
     assert all(dev > 0.0 for dev in failed.values())
+
+
+@pytest.mark.parametrize("preset", ["quadratic-saddle", "allocation3"])
+def test_verify_draws_its_sampled_pairs_once(tmp_path, capsys, monkeypatch,
+                                             preset):
+    # both sampled checks read one draw and report what `check_monotone`
+    # and `estimate_kappa` report at the run's seed
+    draws = []
+
+    def counted(problem, n_pairs, seed):
+        draws.append((n_pairs, seed))
+        return core._sampled_pairs(problem, n_pairs, seed)
+
+    monkeypatch.setattr(harness, "_sampled_pairs", counted)
+    code = main(["verify", "--preset", preset, "--seed", "3",
+                 "--out", str(tmp_path / "v")])
+    assert code == 0
+    assert draws == [(1000, 3)]
+    margins = {c["check"]: c["margin"]
+               for c in json.loads(capsys.readouterr().out)["checks"]}
+    problem = PRESETS[preset]["build"](3)
+    if PRESETS[preset]["kind"] == "allocation":
+        problem = allocation.as_saddle_problem(problem)
+    mono = core.check_monotone(problem, n_pairs=1000, seed=3)
+    kappa = core.estimate_kappa(problem, n_pairs=1000, seed=3)
+    assert margins["monotonicity"] == mono["min_inner"]
+    assert margins["lipschitz_bound"] == kappa["kappa_m"] - kappa["max_ratio"]
 
 
 def test_verify_report_lists_margins(tmp_path, capsys):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from saddlenet import allocation, catalog, consensus
-from saddlenet.core import SaddleProblem, ValidationError, operator_F
+from saddlenet.core import (SaddleProblem, ValidationError, operator_F,
+                            vi_residual)
 from saddlenet.oracle import solve_allocation_kkt
 from saddlenet.sets import Ball, Box, WholeSpace
 from saddlenet.solvers import (DivergenceError, SolverConfig, delta_diagnostic,
@@ -197,6 +198,182 @@ def test_buffered_run_equals_the_step_helpers_bitwise(build, method):
             assert trace.z_half[k].tobytes() == halves[k].tobytes(), k
     expected_calls = (2 if method == "EG" else 1) * iters + 1
     assert trace.gradient_calls == expected_calls
+
+
+def recorded_iters(max_iters, every, stop=None):
+    """Row 0, every `every`-th iteration, and the final one (stop or budget)."""
+    last = max_iters if stop is None else stop
+    return [0] + [k for k in range(1, last + 1) if k % every == 0 or k == last]
+
+
+def hand_rows(problem, method, alpha, z0, iters):
+    """Every column `run` records, per iteration, from the step helpers.
+
+    Residuals by `vi_residual`, step lengths by `np.linalg.norm` and
+    ergodic rows from one running sum; row 0 has no step and no average.
+    """
+    zs, halves = hand_iterates(problem, method, alpha, z0, iters)
+    resid = [vi_residual(problem, z) for z in zs]
+    steps, ergodic, total = [np.nan], [np.full(z0.size, np.nan)], 0.0
+    for k in range(1, iters + 1):
+        steps.append(float(np.linalg.norm(zs[k] - zs[k - 1])))
+        total = total + (halves[k] if method == "EG" else zs[k])
+        ergodic.append(total / k)
+    rows = {"z": np.array(zs), "vi_residual": np.array(resid),
+            "step_norm": np.array(steps), "ergodic": np.array(ergodic)}
+    if method == "EG":
+        rows["z_half"] = np.array([np.full(z0.size, np.nan)] + halves[1:])
+    return rows
+
+
+def assert_rows(trace, want, rows):
+    """Trace rows equal rows `rows` of the hand columns `want`, bitwise."""
+    assert trace.iters.tolist() == rows
+    assert (trace.z_half is None) == ("z_half" not in want)
+    for name, column in want.items():
+        assert getattr(trace, name).tobytes() == column[rows].tobytes(), name
+
+
+BLOCK_BUILDS = [example1, ball_bilinear]
+
+
+@pytest.mark.parametrize("method", ["GDA", "OGDA", "EG"])
+@pytest.mark.parametrize("build", BLOCK_BUILDS, ids=["clip", "ball"])
+def test_rows_at_block_boundaries_equal_the_step_helpers(build, method):
+    # budgets just short of, at and past a block of 16 and two, and
+    # recording grids that fall on and off the block edges
+    prob, z0 = build()
+    alpha = SolverConfig(method).resolved_step(prob.kappa_m)
+    want = hand_rows(prob, method, alpha, z0, 33)
+    for max_iters in (0, 1, 15, 16, 17, 33):
+        for every in (1, 3, 16, 17, 100):
+            trace = run(prob, SolverConfig(method, max_iters=max_iters,
+                                           stop_tol=0.0, record_every=every),
+                        z0)
+            assert_rows(trace, want, recorded_iters(max_iters, every))
+            assert trace.stopped_at is None
+            assert trace.gradient_calls == 1 + (2 if method == "EG"
+                                                else 1) * max_iters
+
+
+def pull_problem(set_x):
+    """``f = x.x / 2 - y.y / 2``: F(z) = z, so every method contracts to 0.
+
+    From inside the sets the natural-map residual is ``||z||`` and falls
+    at every iteration, so each of its values stops a run at one chosen
+    iteration.
+    """
+    return SaddleProblem(2, 2, set_x, Box(-1.0, 1.0, dim=2),
+                         lambda x, y: 0.5 * float(x @ x - y @ y),
+                         lambda x, y: x.copy(), lambda x, y: -y,
+                         kappa_m=1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("method", ["GDA", "OGDA", "EG"])
+@pytest.mark.parametrize("set_x", [Box(-1.0, 1.0, dim=2),
+                                   Ball(np.zeros(2), 1.0)],
+                         ids=["clip", "ball"])
+def test_a_stop_at_every_offset_of_a_block(set_x, method):
+    # stops at iterations 1..32 cover each offset 1..16 of the first two
+    # blocks; the run keeps the rows, stop and iteration count of the
+    # rule that checks every iteration, and counts the steps it took
+    # past the stop
+    prob = pull_problem(set_x)
+    z0 = np.array([0.5, -0.25, 0.375, 0.125])
+    want = hand_rows(prob, method, 0.1, z0, 48)
+    resid = want["vi_residual"]
+    assert (np.diff(resid) < 0).all()
+    k = 2 if method == "EG" else 1
+    for stop in range(1, 33):
+        for every in (1, 3, 100):
+            trace = run(prob, SolverConfig(method, step_size=0.1,
+                                           max_iters=40, stop_tol=resid[stop],
+                                           record_every=every), z0)
+            assert trace.stopped_at == stop
+            assert_rows(trace, want, recorded_iters(40, every, stop))
+            assert 1 + k * stop <= trace.gradient_calls <= 1 + k * (stop + 15)
+
+
+def test_a_stop_at_the_start_steps_nowhere():
+    prob = pull_problem(Box(-1.0, 1.0, dim=2))
+    z0 = np.array([0.5, -0.25, 0.375, 0.125])
+    trace = run(prob, SolverConfig("OGDA", max_iters=40, stop_tol=1.0), z0)
+    assert trace.stopped_at == 0
+    assert trace.iters.tolist() == [0]
+    assert trace.gradient_calls == 1
+
+
+def scripted_problem(path):
+    """GDA at step 1 walks `path` in x: F(x) = x - next(x), y stays at 0.
+
+    On the whole space the natural-map residual at a point of the path
+    is the length of the step that leaves it.
+    """
+    following = dict(zip(path, path[1:]))
+
+    def grad_x(x, y):
+        return x - following[float(x[0])]
+
+    return SaddleProblem(1, 1, WholeSpace(1), WholeSpace(1),
+                         lambda x, y: 0.0, grad_x, lambda x, y: np.zeros(1),
+                         kappa_m=1.0)
+
+
+def test_a_stop_before_a_divergence_in_its_block_wins():
+    # iteration 18 leaves a residual of 2^-30 behind; iteration 20 jumps
+    # past the divergence guard, in the same block of 16 (17..32)
+    path = [float(k) for k in range(19)] + [18.0 + 2.0 ** -30, 1e13]
+    prob = scripted_problem(path)
+    config = SolverConfig("GDA", step_size=1.0, max_iters=40, stop_tol=1e-9)
+    trace = run(prob, config, np.zeros(2))
+    assert trace.stopped_at == 18
+    assert trace.iters.tolist() == list(range(19))
+    assert trace.z[:, 0].tolist() == path[:19]
+    assert trace.vi_residual[-1] == 2.0 ** -30
+    # iteration 20 stepped, so F was evaluated at z_19 and no further
+    assert trace.gradient_calls == 20
+    with pytest.raises(DivergenceError) as err:
+        run(prob, SolverConfig("GDA", step_size=1.0, max_iters=40,
+                               stop_tol=0.0), np.zeros(2))
+    assert err.value.iteration == 20
+
+
+def first_divergence(problem, method, alpha, z0):
+    """The first iteration whose iterate fails the guard, by the step helpers."""
+    z = z_prev = z0
+    for k in range(1, 1000):
+        if method == "GDA":
+            z_next = step_gda(problem, z, alpha)
+        elif method == "OGDA":
+            z_next = step_ogda(problem, z, z_prev, alpha)
+        else:
+            z_next = step_eg(problem, z, alpha)[1]
+        if not np.linalg.norm(z_next) <= 1e12:
+            return k
+        z_prev, z = z, z_next
+    raise AssertionError("no divergence in 1000 iterations")
+
+
+@pytest.mark.parametrize("method", ["GDA", "OGDA", "EG"])
+@pytest.mark.parametrize("x0", [1.0, 3.0, 1e-3, 40.0])
+def test_divergence_in_mid_block_raises_at_its_iteration(method, x0):
+    # gradient ascent on -x^2 grows x geometrically until the guard trips,
+    # at iterations 112..190 that fall on offsets 0..14 of their blocks
+    prob = SaddleProblem(
+        dim_x=1, dim_y=1,
+        set_x=WholeSpace(1), set_y=WholeSpace(1),
+        value=lambda x, y: float(-x @ x),
+        grad_x=lambda x, y: -2.0 * x,
+        grad_y=lambda x, y: np.zeros(1),
+        kappa_m=4.0)
+    z0 = np.array([x0, 0.0])
+    expected = first_divergence(prob, method, 0.1, z0)
+    with pytest.raises(DivergenceError) as err:
+        run(prob, SolverConfig(method, step_size=0.1, max_iters=1000,
+                               stop_tol=1e-8), z0)
+    assert err.value.iteration == expected
+    assert "iteration {}".format(expected) in str(err.value)
 
 
 def test_trace_rows_are_copies_of_the_loop_buffers():
