@@ -117,10 +117,16 @@ _CONFIG_KEYS = ("preset", "seed", "out") + _RUN_KEYS
 
 
 def load_config(path):
-    """Parse a JSON config file; decode errors keep line/column info."""
+    """Parse a JSON config file; decode errors keep line/column info.
+
+    A file that cannot be read raises `ConfigError` naming its path.
+    """
     try:
         with open(path) as fh:
             cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError("{}: cannot read the config file: {}"
+                          .format(path, exc.strerror or exc))
     except json.JSONDecodeError as exc:
         raise ConfigError("{}: invalid JSON at line {} column {}: {}"
                           .format(path, exc.lineno, exc.colno, exc.msg))
@@ -363,6 +369,9 @@ def cmd_verify(config):
     when one is set; the runs are fixed (OGDA and EG, 1000 iterations
     each at the default step).
     """
+    # an output directory that cannot be made fails before the checks run
+    if config.get("out"):
+        os.makedirs(config["out"], exist_ok=True)
     problem = PRESETS[config["preset"]]["build"](config["seed"])
     kind = config["kind"]
     stacked, z0, reference, z_star = _setup(problem, config)
@@ -442,7 +451,6 @@ def cmd_verify(config):
               "passed": passed, "checks": checks}
     print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
     if config.get("out"):
-        os.makedirs(config["out"], exist_ok=True)
         _write_json(os.path.join(config["out"], "verify.json"), report)
     return 0 if passed else 3
 
@@ -519,6 +527,10 @@ def main(argv=None):
             return cmd_solve(config)
         return cmd_verify(config)
     except (ConfigError, ValidationError) as exc:
+        print("error: {}".format(exc), file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # an output that cannot be created or written
         print("error: {}".format(exc), file=sys.stderr)
         return 1
     except DivergenceError as exc:

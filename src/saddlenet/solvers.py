@@ -4,10 +4,11 @@ All three methods share the template ``z <- P(z - alpha * direction)``
 over the product set X x Y. OGDA adds the gradient-correction term
 ``alpha (F(z_k) - F(z_{k-1}))`` and EG probes a mid-point first. The
 runner keeps the running ergodic averages the O(1/T) rate statements
-are about (plain iterates for OGDA, mid-points for EG), streams rows to
-the trace at a configurable granularity, and counts operator
-evaluations: one per iteration for GDA and OGDA (the previous value is
-cached), two for EG, plus the single initial evaluation at z_0.
+are about (plain iterates for OGDA, mid-points for EG), records rows
+at a configurable granularity, builds the trace once from each block's
+rows when it ends, and counts operator evaluations: one per iteration
+for GDA and OGDA (the previous value is cached), two for EG, plus the
+single initial evaluation at z_0.
 
 A run steps in blocks of `_BLOCK` iterations. Inside a block it only
 steps, guards against divergence and evaluates the operator, writing
@@ -15,8 +16,9 @@ each iterate, its operator value and EG's mid-point into one row of
 fixed block arrays. At the end of a block a few stacked calls do the
 bookkeeping of all its rows at once: the natural-map residuals, the
 first row at the stop tolerance, the ergodic sums (one accumulate) and
-the recorded rows with their step lengths (one slice copy into the
-trace). The loop is bound by the dispatch of its numpy calls, not by
+the recorded rows with their step lengths (a copy of one slice of the
+block arrays, and of a one-row slice for a final row off the recording
+grid). The loop is bound by the dispatch of its numpy calls, not by
 their flops, so this serves sixteen rows with each dispatch. A run
 that stops has stepped up to ``_BLOCK - 1`` iterations past its stop;
 it discards them, so its stop, iterations and rows are those of a run
@@ -217,12 +219,13 @@ class RunTrace(object):
     """Recorded trajectory of one solver run.
 
     Rows are recorded every `record_every` iterations plus always the
-    initial point and the final iterate; `run` writes them a block of
-    iterations at a time. ``gradient_calls`` counts the operator
-    evaluations the run made, including those of the up to
-    ``_BLOCK - 1`` steps it took past a stop and discarded;
-    ``stopped_at`` is the stop iteration (None when the run used its
-    budget). Row arrays:
+    initial point and the final iterate. A trace is a finished record
+    that only `run` constructs, once, when the run ends: each row array
+    is one concatenation of the rows each block recorded, and owns its
+    memory. ``gradient_calls`` counts the operator evaluations the run
+    made, including those of the up to ``_BLOCK - 1`` steps it took past
+    a stop and discarded; ``stopped_at`` is the stop iteration (None
+    when the run used its budget). Row arrays:
 
     - ``iters``: iteration numbers of the rows.
     - ``z``: iterates, shape ``(rows, dim)``.
@@ -242,7 +245,7 @@ class RunTrace(object):
     """
 
     def __init__(self, method, alpha, record_every, kappa_m, z0, z_star,
-                 f_star, objective):
+                 f_star, objective, gradient_calls, stopped_at, chunks):
         self.method = method
         self.alpha = alpha
         self.record_every = record_every
@@ -250,54 +253,15 @@ class RunTrace(object):
         self.z0 = z0.copy()
         self.z_star = None if z_star is None else np.asarray(z_star, dtype=float)
         self.f_star = f_star
-        self.gradient_calls = 0
-        self.stopped_at = None
+        self.gradient_calls = gradient_calls
+        self.stopped_at = stopped_at
         self.delta_k = None
         self._objective = objective
-        # row arrays start with room for 64 rows, double when full and
-        # are trimmed to the recorded rows by `_finalize`
-        rows, dim = 64, z0.size
-        self.iters = np.empty(rows, dtype=int)
-        self.z = np.empty((rows, dim))
-        self.z_half = np.empty((rows, dim)) if method == "EG" else None
-        self.ergodic = np.empty((rows, dim))
-        self.vi_residual, self.step_norm = np.empty(rows), np.empty(rows)
-        self._rows = 0
-
-    _ROW_ARRAYS = ("iters", "z", "z_half", "ergodic", "vi_residual",
-                   "step_norm")
-
-    def _resize(self, rows):
-        """Reallocate the row arrays for `rows` rows, keeping those written."""
-        kept = self._rows
-        for name in self._ROW_ARRAYS:
-            old = getattr(self, name)
-            if old is not None:
-                new = np.empty((rows,) + old.shape[1:], dtype=old.dtype)
-                new[:kept] = old[:kept]
-                setattr(self, name, new)
-
-    def _append(self, iters, z, z_half, resid, step_norm, ergodic):
-        """Write the rows of iterations `iters` after those written.
-
-        Each other argument holds one value per row, stacked like the
-        row array it fills, or one scalar for all of them.
-        """
-        i, end = self._rows, self._rows + len(iters)
-        if end > self.iters.size:
-            self._resize(max(2 * self.iters.size, end))
-        self._rows = end
-        self.iters[i:end] = iters
-        self.z[i:end] = z
-        if self.z_half is not None:
-            self.z_half[i:end] = z_half
-        self.vi_residual[i:end] = resid
-        self.step_norm[i:end] = step_norm
-        self.ergodic[i:end] = ergodic
-
-    def _finalize(self):
-        if self._rows < self.iters.size:
-            self._resize(self._rows)
+        # one concatenation per column of the recorded chunks; a non-EG
+        # run's chunks carry no mid-points
+        (self.iters, self.z, self.z_half, self.vi_residual, self.step_norm,
+         self.ergodic) = (None if column[0] is None else np.concatenate(column)
+                          for column in zip(*chunks))
 
     @functools.cached_property
     def f_value(self):
@@ -436,8 +400,6 @@ def run(problem, config, z0, z_star=None):
 
     max_iters, every = config.max_iters, config.record_every
     stop_tol = config.stop_tol
-    trace = RunTrace(method, alpha, every, problem.kappa_m, z0, z_star,
-                     f_star, f)
 
     # The loop owns every array it writes. Its block arrays hold
     # `_BLOCK + 1` rows: row 0 carries the last row of the previous block
@@ -452,7 +414,9 @@ def run(problem, config, z0, z_star=None):
     # so a step allocates nothing. The loop calls ufuncs directly, with
     # positional outputs and 0-d step arrays (see the module docstring);
     # `project` is the one call that depends on the domain: one clip, or
-    # the domain's projection copied in.
+    # the domain's projection copied in. A block's recorded rows leave
+    # these arrays as copies, appended to `chunks`, and the trace is
+    # built once from the chunks when the run ends.
     evaluate = _bound_operator(problem, ())
     rows, dim = _BLOCK + 1, problem.dim
     Z, F, D, S = (np.empty((rows, dim)) for _ in range(4))
@@ -496,15 +460,18 @@ def run(problem, config, z0, z_star=None):
     f_before[...] = F[0]  # OGDA's F(z_{-1}), with z_{-1} = z_0
     S[0] = 0.0
     residuals(0, 1)
-    trace._append(J[:1], Z[:1], np.nan, R[:1], np.nan, np.nan)
+    # chunks are (iters, z, z_half, vi_residual, step_norm, ergodic);
+    # row 0 has no step (nor EG a mid-point) and no ergodic average
+    nan_row = np.full((1, dim), np.nan)
+    chunks = [(J[:1].copy(), Z[:1].copy(), nan_row if eg else None,
+               R[:1].copy(), np.full(1, np.nan), nan_row)]
     calls = 1
 
     # a zero tolerance never stops a run
     stops = stop_tol > 0
-    if stops and R[0] <= stop_tol:
-        trace.stopped_at = 0
+    stopped = 0 if stops and R[0] <= stop_tol else None
     base = 0
-    while trace.stopped_at is None and base < max_iters:
+    while stopped is None and base < max_iters:
         n = min(_BLOCK, max_iters - base)
         diverged = None
         for j, z, z_new, f_prev, f_z, f_new, z_half in steps[:n]:
@@ -541,37 +508,38 @@ def run(problem, config, z0, z_star=None):
                 hit = np.flatnonzero(R[1:n + 1] <= stop_tol)
                 if hit.size:
                     last = int(hit[0]) + 1
-                    trace.stopped_at = base + last
-        if diverged is not None and trace.stopped_at is None:
+                    stopped = base + last
+        if diverged is not None and stopped is None:
             raise DivergenceError(
                 "{} iterate diverged at iteration {}".format(method, diverged),
                 iteration=diverged)
         S[1:last + 1] = summed[1:last + 1]
         np.add.accumulate(S[:last + 1], 0, None, S[:last + 1])
 
-        # the rows on the recording grid, and the final row wherever it is
+        # the rows on the recording grid, then the final row when it is
+        # off the grid; the rows before them are the same slice shifted
+        # back by one
         first = every - base % every
-        grid = slice(first, last + 1, every)
-        if ((trace.stopped_at is not None or base + last == max_iters)
+        spans = [(first, every)] if first <= last else []
+        if ((stopped is not None or base + last == max_iters)
                 and (last < first or (last - first) % every)):
-            kept = np.append(J[grid], last)
-            before = kept - 1
-        else:
-            kept, before = grid, slice(first - 1, last, every)
-        if first <= last or kept is not grid:
+            spans.append((last, 1))
+        for start, stride in spans:
+            kept = slice(start, last + 1, stride)
+            before = slice(start - 1, last, stride)
             its = base + J[kept]
             d = Z[kept] - Z[before]
-            trace._append(its, Z[kept], H[kept] if eg else None,
-                          R[kept], np.sqrt(_row_dots(d, d)),
-                          np.divide(S[kept], its[:, None]))
+            chunks.append((its, Z[kept].copy(),
+                           H[kept].copy() if eg else None, R[kept].copy(),
+                           np.sqrt(_row_dots(d, d)),
+                           np.divide(S[kept], its[:, None])))
 
         f_before[...] = F[n - 1]
         Z[0], F[0], S[0] = Z[n], F[n], S[n]
         base += n
 
-    trace.gradient_calls = calls
-    trace._finalize()
-    return trace
+    return RunTrace(method, alpha, every, problem.kappa_m, z0, z_star, f_star,
+                    f, calls, stopped, chunks)
 
 
 def delta_diagnostic(problem, trace):

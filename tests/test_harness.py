@@ -76,6 +76,35 @@ def test_cli_error_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unreadable_config_names_its_path(tmp_path):
+    path = str(tmp_path / "missing.json")
+    with pytest.raises(ConfigError, match="missing.json: cannot read"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("case", ["missing-config", "solve-out-under-a-file",
+                                  "verify-out-is-a-file"])
+def test_input_and_output_errors_exit_1_without_a_traceback(tmp_path, capsys,
+                                                            case):
+    # each of these ended in a traceback; verify ran every check and
+    # printed its report before failing on its output directory
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    argv = {
+        "missing-config": ["solve", "--config", str(tmp_path / "no.json")],
+        "solve-out-under-a-file": solve_args("quadratic-saddle",
+                                             str(afile / "run"),
+                                             ["--iters", "5"]),
+        "verify-out-is-a-file": ["verify", "--preset", "quadratic-saddle",
+                                 "--out", str(afile)],
+    }[case]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_solve_writes_artifacts(tmp_path, capsys):
     out = str(tmp_path / "run")
     code = main(solve_args("quadratic-saddle", out,

@@ -376,19 +376,41 @@ def test_divergence_in_mid_block_raises_at_its_iteration(method, x0):
     assert "iteration {}".format(expected) in str(err.value)
 
 
-def test_trace_rows_are_copies_of_the_loop_buffers():
+ROW_ARRAYS = ("iters", "z", "z_half", "vi_residual", "step_norm", "ergodic")
+
+
+@pytest.mark.parametrize("ending", ["budget", "stop", "no-steps"])
+@pytest.mark.parametrize("every", [1, 7, 100])
+@pytest.mark.parametrize("method", ["GDA", "OGDA", "EG"])
+def test_trace_rows_are_copies_of_the_loop_buffers(method, every, ending):
+    # the budget runs out mid-block (50 = 3 x 16 + 2), the run stops at
+    # iteration 40, mid-block, or it takes no step at all
     prob, z0 = example2_seed3()
-    config = SolverConfig("EG", max_iters=50, stop_tol=0.0, record_every=1)
+    max_iters, stop_tol = {"budget": (50, 0.0), "stop": (50, None),
+                           "no-steps": (0, 0.0)}[ending]
+    if stop_tol is None:
+        full = run(prob, SolverConfig(method, max_iters=50, stop_tol=0.0), z0)
+        stop_tol = full.vi_residual[40]
+    config = SolverConfig(method, max_iters=max_iters, stop_tol=stop_tol,
+                          record_every=every)
     first = run(prob, config, z0)
-    z, z_half = first.z.copy(), first.z_half.copy()
-    # writing into a returned row reaches neither the loop nor a rerun
-    first.z[3] = np.nan
-    first.z_half[3] = np.nan
+    assert first.stopped_at == (40 if ending == "stop" else None)
+    kept = {name: getattr(first, name).copy() for name in ROW_ARRAYS
+            if getattr(first, name) is not None}
+    assert ("z_half" in kept) == (method == "EG")
     again = run(prob, config, z0)
-    assert again.z.tobytes() == z.tobytes()
-    assert again.z_half.tobytes() == z_half.tobytes()
-    # nor do the rows alias each other
-    assert not np.shares_memory(first.z[1], first.z[2])
+    arrays = [getattr(trace, name) for trace in (first, again)
+              for name in kept]
+    for i, a in enumerate(arrays):
+        assert a.shape[0] == first.iters.size
+        assert a.base is None
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+    # writing into a returned row reaches neither the loop nor a rerun
+    for name in kept:
+        getattr(first, name)[-1] = -1
+    third = run(prob, config, z0)
+    for name, value in kept.items():
+        assert getattr(third, name).tobytes() == value.tobytes(), name
 
 
 @pytest.mark.parametrize("bad, name", [(np.nan, "nan"), (np.inf, "inf"),
@@ -740,8 +762,7 @@ def test_run_evaluates_the_objective_once_for_the_reference(monkeypatch):
 
 @pytest.mark.parametrize("method", ["GDA", "OGDA", "EG"])
 def test_sparse_rows_equal_dense_rows(method):
-    # 73 rows: more than the row arrays first hold, and a final row
-    # off the recording grid
+    # 73 rows from 32 blocks, and a final row off the recording grid
     prob = catalog.example1_bilinear(seed=0)
     z0, z_star = prob.meta["z0"], prob.meta["z_star"]
     dense = run(prob, SolverConfig(method, max_iters=500, stop_tol=0.0),
