@@ -252,13 +252,10 @@ def _setup(problem, config):
     """
     kind = config["kind"]
     if kind == "saddle":
-        z0, z_star = problem.meta.get("z0"), problem.meta.get("z_star")
-        if z0 is None:
-            z0 = problem.domain.project(np.zeros(problem.domain.dim))
-        if z_star is None or config.get("negative_control"):
-            return problem, z0, None, None
+        # every saddle preset records its start, reference point and value
+        z0, z_star = problem.meta["z0"], problem.meta["z_star"]
         return (problem, z0,
-                {"z_star": z_star, "f_star": problem.meta.get("f_star"),
+                {"z_star": z_star, "f_star": problem.meta["f_star"],
                  "vi_residual": vi_residual(problem, z_star)}, z_star)
     stacked, z0 = problem._route().stacked(problem), problem.start()
     if config.get("negative_control"):
@@ -318,12 +315,10 @@ def _solve(problem, stacked, config, outdir, summary, z0, z_star):
                  "final_vi_residual": float(trace.vi_residual[-1]),
                  "trace_csv": path}
         if kind == "saddle":
-            if (method == "OGDA" and trace.z_star is not None
-                    and config["record_every"] == 1):
+            if method == "OGDA" and config["record_every"] == 1:
                 delta_diagnostic(problem, trace)
             entry["final_f"] = float(trace.f_value[-1])
-            if trace.f_star is not None:
-                entry["final_f_gap"] = abs(entry["final_f"] - trace.f_star)
+            entry["final_f_gap"] = abs(entry["final_f"] - trace.f_star)
         else:
             entry["final_objective"] = float(trace.objective[-1])
         if kind == "consensus":
@@ -413,16 +408,15 @@ def cmd_verify(config):
     # one stacked run per method serves the equivalence and the
     # certificate checks
     traces = {}
-    if kind != "saddle" or z_star is not None:
-        for method in ("OGDA", "EG"):
-            cfg = SolverConfig(method=method, max_iters=1000, stop_tol=0.0)
-            traces[method] = trace = run(stacked, cfg, z0, z_star=z_star)
-            if kind != "saddle":
-                sim = problem._route().simulator(problem, method=method)
-                dev = sim.replay(trace)
-                add("distributed_stacked_equivalence_{}".format(method),
-                    dev == 0.0, dev,
-                    "max trajectory deviation, 1000 iterations (== 0 passes)")
+    for method in ("OGDA", "EG"):
+        cfg = SolverConfig(method=method, max_iters=1000, stop_tol=0.0)
+        traces[method] = trace = run(stacked, cfg, z0, z_star=z_star)
+        if kind != "saddle":
+            sim = problem._route().simulator(problem, method=method)
+            dev = sim.replay(trace)
+            add("distributed_stacked_equivalence_{}".format(method),
+                dev == 0.0, dev,
+                "max trajectory deviation, 1000 iterations (== 0 passes)")
 
     if isinstance(reference, oracle.CertificationError):
         add("reference_certification", False, None, str(reference))
@@ -526,11 +520,8 @@ def main(argv=None):
         if args.command == "solve":
             return cmd_solve(config)
         return cmd_verify(config)
-    except (ConfigError, ValidationError) as exc:
-        print("error: {}".format(exc), file=sys.stderr)
-        return 1
-    except OSError as exc:
-        # an output that cannot be created or written
+    except (ConfigError, ValidationError, OSError) as exc:
+        # an OSError is an output that cannot be created or written
         print("error: {}".format(exc), file=sys.stderr)
         return 1
     except DivergenceError as exc:

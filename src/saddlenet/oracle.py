@@ -247,15 +247,15 @@ class KKTReference(object):
         self.saddle_residual = saddle_residual
 
 
-def _bisect_derivative(dfun, a, b):
-    # 1-D minimizer of a convex function over [a, b] whose nondecreasing
-    # derivative is negative at a and positive at b, by bisection on the
-    # derivative run to ULP convergence
+def _bisect(above, a, b):
+    # bisection on [a, b] for the point where the monotone test `above`
+    # turns true: a midpoint where it holds becomes the upper end, any
+    # other the lower end; run to ULP convergence
     for _ in range(200):
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
-        if dfun(mid) > 0.0:
+        if above(mid):
             b = mid
         else:
             a = mid
@@ -347,8 +347,8 @@ def solve_allocation_kkt(problem):
         at_lo = g_lo + muw >= 0.0
         ys = np.where(at_lo, los, his)
         for i in np.flatnonzero(~(at_lo | (g_hi + muw <= 0.0))):
-            ys[i] = _bisect_derivative(
-                lambda t, i=i, c=muw[i]: slope(i, t) + c, los[i], his[i])
+            ys[i] = _bisect(lambda t, i=i, c=muw[i]: slope(i, t) + c > 0.0,
+                            los[i], his[i])
         return ys
 
     def gap(mu):
@@ -366,16 +366,8 @@ def solve_allocation_kkt(problem):
         raise CertificationError(
             "no multiplier bracket balances the coupling constraint;"
             " instance is likely infeasible")
-    a, b = -m_bracket, m_bracket
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        if gap(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    mu = 0.5 * (a + b)
+    # a gap of exactly 0 or NaN moves the upper end
+    mu = _bisect(lambda t: not gap(t) > 0.0, -m_bracket, m_bracket)
     y = y_of_mu(mu)
     feas = abs(float(np.sum(w * y) - d_total))
     if feas > 1e-10:

@@ -258,10 +258,15 @@ class RunTrace(object):
         self.delta_k = None
         self._objective = objective
         # one concatenation per column of the recorded chunks; a non-EG
-        # run's chunks carry no mid-points
+        # run's chunks carry no mid-points. The chunk list is emptied and
+        # each column's pieces are dropped once joined, so the rows are
+        # held twice only one column at a time.
+        columns = list(zip(*chunks))
+        chunks.clear()
+        for i, column in enumerate(columns):
+            columns[i] = None if column[0] is None else np.concatenate(column)
         (self.iters, self.z, self.z_half, self.vi_residual, self.step_norm,
-         self.ergodic) = (None if column[0] is None else np.concatenate(column)
-                          for column in zip(*chunks))
+         self.ergodic) = columns
 
     @functools.cached_property
     def f_value(self):
@@ -312,9 +317,14 @@ class RunTrace(object):
                    _csv_cells(self.f_value), _csv_cells(self.vi_residual),
                    _csv_cells(self.step_norm), _csv_cells(self.dist_to_ref),
                    _csv_cells(self.ergodic_gap), delta)
-        lines = [",".join(TRACE_COLUMNS)] + list(map(",".join, zip(*columns)))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(path, TRACE_COLUMNS, columns)
+
+
+def _write_csv(path, header, columns):
+    """Write the `header` line, then one line per row of the cell `columns`."""
+    lines = [",".join(header)] + list(map(",".join, zip(*columns)))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _g17_cells(values):
@@ -350,9 +360,7 @@ def _write_agent_csv(path, iters, blocks, totals):
     for name, total in totals:
         header.append(name)
         columns.append([cell for cell in _g17_cells(total) for _ in range(n)])
-    lines = [",".join(header)] + list(map(",".join, zip(*columns)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, header, columns)
 
 
 def _finite_point(name, role, z, dim):
@@ -542,6 +550,21 @@ def run(problem, config, z0, z_star=None):
                     f, calls, stopped, chunks)
 
 
+def _diagnosed(trace, method, name):
+    """`trace`'s ``(z_star, alpha, kappa_m)`` for the diagnostic `name`.
+
+    Raises `ValueError` on a trace of another method than `method`, one
+    with gaps between recorded iterates, or one without a reference point.
+    """
+    if trace.method != method:
+        raise ValueError("{} is defined along {} traces".format(name, method))
+    if trace.record_every != 1:
+        raise ValueError("{} needs consecutively recorded iterates".format(name))
+    if trace.z_star is None:
+        raise ValueError("{} needs a reference saddle point".format(name))
+    return trace.z_star, trace.alpha, trace.kappa_m
+
+
 def delta_diagnostic(problem, trace):
     """Evaluate the OGDA descent quantity Delta_k along a trace.
 
@@ -562,13 +585,7 @@ def delta_diagnostic(problem, trace):
         On a non-OGDA trace, a trace with gaps between recorded
         iterates, or a missing reference point.
     """
-    if trace.method != "OGDA":
-        raise ValueError("delta diagnostic is defined along OGDA traces")
-    if trace.record_every != 1:
-        raise ValueError("delta diagnostic needs consecutively recorded iterates")
-    z_star, alpha, kappa_m = trace.z_star, trace.alpha, trace.kappa_m
-    if z_star is None:
-        raise ValueError("delta diagnostic needs a reference saddle point")
+    z_star, alpha, kappa_m = _diagnosed(trace, "OGDA", "delta diagnostic")
 
     Z = trace.z
     Zprev = np.vstack([Z[:1], Z[:-1]])  # z_{-1} = z_0
@@ -601,13 +618,7 @@ def eg_contraction_check(trace):
         at most 1e-10 when passing), ``first_violation`` (iteration
         number or None) and ``rho``.
     """
-    if trace.method != "EG":
-        raise ValueError("contraction check is defined along EG traces")
-    if trace.record_every != 1:
-        raise ValueError("contraction check needs consecutively recorded iterates")
-    z_star, alpha, kappa_m = trace.z_star, trace.alpha, trace.kappa_m
-    if z_star is None:
-        raise ValueError("contraction check needs a reference saddle point")
+    z_star, alpha, kappa_m = _diagnosed(trace, "EG", "contraction check")
     rho = (1.0 - alpha ** 2 * kappa_m ** 2) / (2.0 * alpha)
 
     d2 = np.sum((trace.z - z_star) ** 2, axis=1)

@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -413,6 +416,25 @@ def test_trace_rows_are_copies_of_the_loop_buffers(method, every, ending):
         assert getattr(third, name).tobytes() == value.tobytes(), name
 
 
+@pytest.mark.parametrize("method", ["OGDA", "EG"])
+def test_building_the_trace_holds_its_rows_twice_one_column_at_a_time(method):
+    # joining every column while all the recorded pieces are still held
+    # peaked at 2.2x the kept rows; joining and dropping one column at a
+    # time peaks at 1.5-1.65x here
+    prob, z0 = consensus5()
+    config = SolverConfig(method, max_iters=20000, stop_tol=0.0,
+                          record_every=1)
+    tracemalloc.start()
+    try:
+        trace = run(prob, config, z0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(getattr(trace, name).nbytes for name in ROW_ARRAYS
+               if getattr(trace, name) is not None)
+    assert peak <= 1.8 * kept, (peak, kept)
+
+
 @pytest.mark.parametrize("bad, name", [(np.nan, "nan"), (np.inf, "inf"),
                                        (-np.inf, "-inf")])
 @pytest.mark.parametrize("max_iters", [0, 5])
@@ -591,6 +613,34 @@ def test_delta_diagnostic_rejects_wrong_method_and_gaps():
     sparse = run(prob, cfg, prob.meta["z0"], z_star=prob.meta["z_star"])
     with pytest.raises(ValueError):
         delta_diagnostic(prob, sparse)
+
+
+@pytest.mark.parametrize("unfit, method, every, with_ref, message", [
+    ("wrong-method", "EG", 1, True,
+     "delta diagnostic is defined along OGDA traces"),
+    ("gaps", "OGDA", 5, True,
+     "delta diagnostic needs consecutively recorded iterates"),
+    ("no-reference", "OGDA", 1, False,
+     "delta diagnostic needs a reference saddle point"),
+    ("wrong-method", "OGDA", 1, True,
+     "contraction check is defined along EG traces"),
+    ("gaps", "EG", 5, True,
+     "contraction check needs consecutively recorded iterates"),
+    ("no-reference", "EG", 1, False,
+     "contraction check needs a reference saddle point")])
+def test_diagnostics_refuse_an_unfit_trace(unfit, method, every, with_ref,
+                                            message):
+    # the delta diagnostic reads OGDA traces and the contraction check EG
+    # ones; both need every iteration and a reference point
+    prob = catalog.example1_bilinear(seed=0)
+    cfg = SolverConfig(method, max_iters=10, stop_tol=0.0, record_every=every)
+    trace = run(prob, cfg, prob.meta["z0"],
+                z_star=prob.meta["z_star"] if with_ref else None)
+    check = (functools.partial(delta_diagnostic, prob)
+             if message.startswith("delta") else eg_contraction_check)
+    with pytest.raises(ValueError) as info:
+        check(trace)
+    assert str(info.value) == message
 
 
 def test_eg_contraction_on_example1():
