@@ -75,7 +75,10 @@ def finite_diff_check(value, gradient, points):
         sees at most `FD_CHUNK_ROWS` rows. A one-point function ``f``
         serves as ``lambda P: [f(p) for p in P]``.
     gradient : callable
-        Claimed gradient of the scalar function at one 1-D point.
+        Claimed gradient of the scalar function, evaluated on stacks as
+        `value` is: called once with all of `points` ``(k, dim)``, it
+        returns their gradients, one per row, in an array of that shape.
+        A one-point gradient ``g`` serves as ``lambda P: [g(p) for p in P]``.
     points : array_like
         Points to test, one per row.
 
@@ -88,16 +91,20 @@ def finite_diff_check(value, gradient, points):
     Raises
     ------
     ValueError
-        When `value` does not return one value per row of its stack.
+        When `value` does not return one value per row of its stack, or
+        `gradient` not one gradient per row of `points`.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    grads = np.asarray(gradient(points), dtype=float)
+    if grads.shape != points.shape:
+        raise ValueError("gradient returned shape {} on points of shape {}"
+                         .format(grads.shape, points.shape))
     dim = points.shape[1]
     width = FD_CHUNK_ROWS // 2
     worst = 0.0
     worst_point = None
-    for p in points:
+    for p, g in zip(points, grads):
         h = 1e-6 * (1.0 + np.linalg.norm(p))
-        g = np.asarray(gradient(p), dtype=float)
         fd = np.empty(dim)
         for lo in range(0, dim, width):
             k = min(width, dim - lo)

@@ -72,6 +72,9 @@ METHODS = ("GDA", "OGDA", "EG")
 TRACE_COLUMNS = ("iter", "f_value", "vi_residual", "step_norm",
                  "dist_to_ref", "ergodic_gap", "delta_k")
 
+# c in each method's step bound ``1/(c kappa)``; GDA's 0 leaves it unbounded
+_STEP_FACTOR = {"GDA": 0.0, "OGDA": 2.0, "EG": 1.0}
+
 # iterates larger than this trip the divergence guard
 DIVERGENCE_NORM = 1e12
 
@@ -80,6 +83,12 @@ DIVERGENCE_NORM = 1e12
 # about 7% less, but 32 doubles the steps a stopping run takes past its
 # stop (consensus5 EG: 641 evaluations against 609 at 16)
 _BLOCK = 16
+
+# recorded chunks `run` joins into one, column by column, as it goes. A
+# chunk is six arrays, each with its own header, so at sparse recording,
+# one row per chunk, the headers cost several times the rows; joining
+# every 64 new chunks leaves one header set per 64
+_JOIN_CHUNKS = 64
 
 
 class DivergenceError(RuntimeError):
@@ -93,18 +102,34 @@ class DivergenceError(RuntimeError):
 def step_bound(method, kappa_m):
     """Largest admissible step size for `method` at operator constant `kappa_m`.
 
-    ``1/(2 kappa)`` for OGDA, ``1/kappa`` for EG, unbounded for the GDA
-    baseline (no convergence guarantee exists for it either way). A
-    `kappa_m` that is not finite and nonnegative raises `ValidationError`.
+    ``1/(c kappa)`` with ``c = 2`` for OGDA and 1 for EG; unbounded for
+    the GDA baseline (``c = 0``: no convergence guarantee exists for it
+    either way) and at ``kappa = 0``. A `kappa_m` that is not finite and
+    nonnegative raises `ValidationError`.
     """
     kappa_m = _finite_constant("kappa_m", kappa_m)
-    if method == "OGDA":
-        return np.inf if kappa_m == 0 else 1.0 / (2.0 * kappa_m)
-    if method == "EG":
-        return np.inf if kappa_m == 0 else 1.0 / kappa_m
-    if method == "GDA":
-        return np.inf
-    raise ValidationError("unknown method {!r}".format(method))
+    if method not in _STEP_FACTOR:
+        raise ValidationError("unknown method {!r}".format(method))
+    c = _STEP_FACTOR[method] * kappa_m
+    return np.inf if c == 0 else 1.0 / c
+
+
+def _admissible_step(method, kappa, alpha, name):
+    """The step of `method` at constant `kappa`, named `name` in errors.
+
+    A given `alpha` is returned when it is below the method's bound and
+    raises `ValidationError` otherwise (NaN included). Omitted, the step
+    is 0.9 times the bound, GDA taking OGDA's, or 1.0 when it is unbounded.
+    """
+    if alpha is None:
+        bound = step_bound("OGDA" if method == "GDA" else method, kappa)
+        return 0.9 * bound if np.isfinite(bound) else 1.0
+    bound = step_bound(method, kappa)
+    if not alpha < bound:
+        raise ValidationError(
+            "step size {:g} violates the {} bound {:g} ({}={:g})"
+            .format(alpha, method, bound, name, kappa))
+    return alpha
 
 
 def _budget(name, value, minimum, error=ValidationError):
@@ -153,38 +178,23 @@ class SolverConfig(object):
 
     def resolved_step(self, kappa_m):
         """Return the validated step size for a problem with constant `kappa_m`."""
-        bound = step_bound(self.method, kappa_m)
-        if self.step_size is None:
-            if not np.isfinite(bound):
-                ogda_bound = step_bound("OGDA", kappa_m)
-                return 1.0 if not np.isfinite(ogda_bound) else 0.9 * ogda_bound
-            return 0.9 * bound
-        if self.step_size >= bound:
-            raise ValidationError(
-                "step size {:g} violates the {} bound {:g} (kappa_m={:g})"
-                .format(self.step_size, self.method, bound, kappa_m))
-        return self.step_size
+        return _admissible_step(self.method, kappa_m, self.step_size, "kappa_m")
 
 
 def _distributed_step(problem, method, alpha):
     """Method and step of a distributed run on a networked `problem`.
 
-    Distributed runs are OGDA or EG. A given `alpha` must be positive
-    and below the method's bound at the problem's declared constant
-    (named in the error); omitted, it is `SolverConfig`'s default.
+    Distributed runs are OGDA or EG. A given `alpha` must be below the
+    method's bound at the problem's declared constant (named in the
+    error) and positive; omitted, it is `SolverConfig`'s default.
     Returns the upper-cased method and the step as a float.
     """
     method = str(method).upper()
     if method not in ("OGDA", "EG"):
         raise ValidationError("distributed methods are OGDA and EG")
-    kappa_name = problem._kappa_name
-    kappa = getattr(problem, kappa_name)
-    bound = step_bound(method, kappa)
-    if alpha is not None and not alpha < bound:
-        raise ValidationError(
-            "step size {:g} violates the {} bound {:g} ({}={:g})"
-            .format(alpha, method, bound, kappa_name, kappa))
-    return method, SolverConfig(method, step_size=alpha).resolved_step(kappa)
+    name = problem._kappa_name
+    alpha = _admissible_step(method, getattr(problem, name), alpha, name)
+    return method, SolverConfig(method, step_size=alpha).step_size
 
 
 def step_gda(problem, z, alpha):
@@ -257,16 +267,8 @@ class RunTrace(object):
         self.stopped_at = stopped_at
         self.delta_k = None
         self._objective = objective
-        # one concatenation per column of the recorded chunks; a non-EG
-        # run's chunks carry no mid-points. The chunk list is emptied and
-        # each column's pieces are dropped once joined, so the rows are
-        # held twice only one column at a time.
-        columns = list(zip(*chunks))
-        chunks.clear()
-        for i, column in enumerate(columns):
-            columns[i] = None if column[0] is None else np.concatenate(column)
         (self.iters, self.z, self.z_half, self.vi_residual, self.step_norm,
-         self.ergodic) = columns
+         self.ergodic) = _joined(chunks)
 
     @functools.cached_property
     def f_value(self):
@@ -318,6 +320,20 @@ class RunTrace(object):
                    _csv_cells(self.step_norm), _csv_cells(self.dist_to_ref),
                    _csv_cells(self.ergodic_gap), delta)
         _write_csv(path, TRACE_COLUMNS, columns)
+
+
+def _joined(chunks):
+    """The rows of the recorded `chunks` as one chunk, joined by column.
+
+    A non-EG run's chunks carry no mid-points, a None column. The chunk
+    list is emptied and each column's pieces are dropped once joined, so
+    the rows are held twice only one column at a time.
+    """
+    columns = list(zip(*chunks))
+    chunks.clear()
+    for i, column in enumerate(columns):
+        columns[i] = None if column[0] is None else np.concatenate(column)
+    return tuple(columns)
 
 
 def _write_csv(path, header, columns):
@@ -423,8 +439,9 @@ def run(problem, config, z0, z_star=None):
     # positional outputs and 0-d step arrays (see the module docstring);
     # `project` is the one call that depends on the domain: one clip, or
     # the domain's projection copied in. A block's recorded rows leave
-    # these arrays as copies, appended to `chunks`, and the trace is
-    # built once from the chunks when the run ends.
+    # these arrays as copies, appended to `chunks`; every `_JOIN_CHUNKS`
+    # new chunks are joined into one, and the trace is built once from
+    # the chunks when the run ends.
     evaluate = _bound_operator(problem, ())
     rows, dim = _BLOCK + 1, problem.dim
     Z, F, D, S = (np.empty((rows, dim)) for _ in range(4))
@@ -474,6 +491,7 @@ def run(problem, config, z0, z_star=None):
     chunks = [(J[:1].copy(), Z[:1].copy(), nan_row if eg else None,
                R[:1].copy(), np.full(1, np.nan), nan_row)]
     calls = 1
+    joined = 0  # the chunks before this index are joins of `_JOIN_CHUNKS`
 
     # a zero tolerance never stops a run
     stops = stop_tol > 0
@@ -541,6 +559,9 @@ def run(problem, config, z0, z_star=None):
                            H[kept].copy() if eg else None, R[kept].copy(),
                            np.sqrt(_row_dots(d, d)),
                            np.divide(S[kept], its[:, None])))
+        if len(chunks) - joined >= _JOIN_CHUNKS:
+            chunks[joined:] = [_joined(chunks[joined:])]
+            joined += 1
 
         f_before[...] = F[n - 1]
         Z[0], F[0], S[0] = Z[n], F[n], S[n]

@@ -303,7 +303,8 @@ def test_criterion_8_operator_property_suite(criterion):
         for value, gradient, cset in objectives:
             pts = sets.sample_points(cset, 100, rng)
             fd = finite_diff_check(lambda P, f=value: [f(p) for p in P],
-                                   gradient, pts)
+                                   lambda P, g=gradient: [g(p) for p in P],
+                                   pts)
             worst_fd = max(worst_fd, fd["max_rel_error"])
             assert fd["passed"], "finite difference fails on {}".format(name)
     ok = worst_mono >= -1e-10 and worst_fd <= 1e-5

@@ -9,7 +9,7 @@ from saddlenet.solvers import SolverConfig, run
 
 
 def rowwise(f):
-    """A one-point objective as `finite_diff_check` calls it, on stacks."""
+    """A one-point oracle as `finite_diff_check` calls it, on stacks."""
     return lambda P: [f(p) for p in P]
 
 
@@ -149,11 +149,11 @@ def test_badgrad_fails_finite_difference_only_on_first_agent():
     rng = np.random.default_rng(0)
     pts = rng.uniform(-10.0, 10.0, size=(30, 1))
     bad = finite_diff_check(rowwise(prob.agents[0].objective),
-                            prob.agents[0].gradient, pts)
+                            rowwise(prob.agents[0].gradient), pts)
     assert not bad["passed"]
     for agent in prob.agents[1:]:
-        good = finite_diff_check(rowwise(agent.objective), agent.gradient,
-                                 pts)
+        good = finite_diff_check(rowwise(agent.objective),
+                                 rowwise(agent.gradient), pts)
         assert good["passed"]
 
 
@@ -191,8 +191,8 @@ def test_example2_gradients_pass_finite_difference():
     rng = np.random.default_rng(5)
     pts = rng.uniform(-1.0, 1.0, size=(20, 1))
     for agent in prob.agents[:5]:
-        report = finite_diff_check(rowwise(agent.objective), agent.gradient,
-                                   pts)
+        report = finite_diff_check(rowwise(agent.objective),
+                                   rowwise(agent.gradient), pts)
         assert report["passed"]
 
 

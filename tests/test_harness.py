@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from saddlenet import allocation, consensus, core, harness, network
+from saddlenet import (allocation, consensus, core, harness, network, sets,
+                       solvers)
 from saddlenet.harness import (PRESETS, ConfigError, cmd_solve, load_config,
                                main, resolve_config)
 
@@ -287,6 +288,37 @@ def test_verify_draws_its_sampled_pairs_once(tmp_path, capsys, monkeypatch,
     assert margins["lipschitz_bound"] == kappa["kappa_m"] - kappa["max_ratio"]
 
 
+def test_verify_takes_its_finite_differences_from_its_draw(tmp_path, capsys,
+                                                          monkeypatch):
+    # the finite-difference points are the first 100 of the sampled pairs'
+    # first stack, and F is evaluated on all of them in one call: the two
+    # draws and two evaluations of the pairs, one for the finite
+    # differences and one for the OGDA descent diagnostic
+    draws, calls = [], []
+    sample_points, operator_F = sets.sample_points, core.operator_F
+
+    def counted_draw(cset, count, rng):
+        draws.append(count)
+        return sample_points(cset, count, rng)
+
+    def counted_call(problem, z):
+        calls.append(np.shape(z))
+        return operator_F(problem, z)
+
+    monkeypatch.setattr(sets, "sample_points", counted_draw)
+    for module in (core, harness, solvers):
+        assert module.operator_F is operator_F
+        monkeypatch.setattr(module, "operator_F", counted_call)
+    code = main(["verify", "--preset", "example2", "--seed", "3",
+                 "--out", str(tmp_path / "v")])
+    assert code == 0
+    dim = allocation.as_saddle_problem(PRESETS["example2"]["build"](3)).dim
+    assert draws == [1000, 1000]
+    assert calls == [(1000, dim), (1000, dim), (100, dim), (1001, dim)]
+    fd = {c["check"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert fd["gradient_finite_diff"]["passed"]
+
+
 def test_verify_report_lists_margins(tmp_path, capsys):
     code = main(["verify", "--preset", "quadratic-saddle",
                  "--out", str(tmp_path / "v")])
@@ -386,6 +418,25 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, bad, key):
     err = capsys.readouterr().err
     assert "config key '{}'".format(key) in err
     assert not os.path.exists(cfg["out"])
+
+
+@pytest.mark.parametrize("bad, key", [
+    ({"preset": ["example1"]}, "preset"),
+    ({"preset": {"a": 1}}, "preset"),
+    ({"out": 5}, "out"),
+    ({"out": ["x"]}, "out"),
+])
+def test_non_string_preset_or_out_exits_1_naming_the_key(tmp_path, capsys,
+                                                         monkeypatch, bad, key):
+    # a relative output directory would land in tmp_path, beside the config
+    monkeypatch.chdir(tmp_path)
+    cfg = {"preset": "quadratic-saddle", "methods": ["OGDA"], **bad}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["solve", "--config", "cfg.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key '{}'".format(key))
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 RUN_KEYS = {"method", "alpha", "iterations", "stopped_at", "gradient_calls",

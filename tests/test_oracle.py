@@ -62,7 +62,8 @@ def test_logistic_gradient_value():
     for agent in prob.agents[:3]:
         pts = np.zeros((1, 1))
         report = finite_diff_check(lambda P: [agent.objective(p) for p in P],
-                                   lambda p: agent.gradient(p), pts)
+                                   lambda P: [agent.gradient(p) for p in P],
+                                   pts)
         assert report["passed"]
 
 
@@ -307,6 +308,34 @@ def test_finite_diff_check_evaluates_one_stack_per_point():
     report = finite_diff_check(value, lambda p: p, pts)
     assert report["passed"]
     assert shapes == [(6, 3)] * 4
+
+
+def test_finite_diff_check_calls_the_gradient_once_on_the_whole_stack():
+    rng = np.random.default_rng(6)
+    pts = rng.normal(size=(5, 3))
+    stacks = []
+
+    def gradient(P):
+        stacks.append(P.copy())
+        return P
+
+    report = finite_diff_check(
+        lambda P: 0.5 * np.einsum("ij,ij->i", P, P), gradient, pts)
+    assert report["passed"]
+    assert len(stacks) == 1 and stacks[0].tobytes() == pts.tobytes()
+
+
+@pytest.mark.parametrize("gradient", [
+    lambda P: P[0],                # one point's gradient
+    lambda P: P[:, :2],            # too few entries per row
+    lambda P: P.T,                 # rows and entries swapped
+    lambda P: np.sum(P, axis=1),   # one number per row
+])
+def test_finite_diff_check_rejects_a_wrong_shaped_gradient(gradient):
+    pts = np.ones((4, 3))
+    with pytest.raises(ValueError, match=r"shape .* on points of shape"
+                                         r" \(4, 3\)"):
+        finite_diff_check(lambda P: np.sum(P, axis=1), gradient, pts)
 
 
 def finite_diff_one_stack(value, gradient, points):
