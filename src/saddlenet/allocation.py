@@ -172,8 +172,8 @@ class AllocationProblem(_NetworkProblem):
                         axis=-2, out=out)
 
     def _route(self):
-        return _Route(as_saddle_problem, simulate_allocation,
-                      AllocationNetworkSimulator, AllocationTrace)
+        return _Route(as_saddle_problem, AllocationNetworkSimulator,
+                      AllocationTrace)
 
 
 def lagrangian_L2(problem, y, a, lam):

@@ -113,8 +113,8 @@ class ConsensusProblem(_NetworkProblem):
         self.kappa_c = self.l_f + 2.0 * self.lambda_max
 
     def _route(self):
-        return _Route(as_saddle_problem, simulate_consensus,
-                      ConsensusNetworkSimulator, ConsensusTrace)
+        return _Route(as_saddle_problem, ConsensusNetworkSimulator,
+                      ConsensusTrace)
 
 
 def lagrangian_L1(problem, x, v):

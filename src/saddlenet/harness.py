@@ -192,6 +192,8 @@ def resolve_config(cfg):
             raise ConfigError("config key 'methods': must be a list of"
                               " method names, got {!r}".format(cfg["methods"]))
         out["methods"] = list(cfg["methods"])
+    if cfg.get("out") == "":
+        raise ConfigError("config key 'out': the output directory is empty")
     out["out"] = cfg.get("out") or os.path.join("runs", name)
 
     out["seed"] = _integer("seed", out.get("seed", 0), 0)
@@ -243,24 +245,26 @@ def _write_json(path, text):
         fh.write(text + "\n")
 
 
-def _setup(problem, config):
-    """The configured instance as one saddle problem, and its reference.
+def _setup(config):
+    """The configured preset's instance as one saddle problem, and its reference.
 
-    Returns ``(stacked, z0, reference, z_star)``: the problem and start
-    of the stacked runs, the reference JSON's dict and the reference as
-    one stacked point (both None without one). A reference that fails
-    its certificate leaves z_star None and its error in place of the dict.
+    Returns ``(problem, stacked, z0, reference, z_star)``: the built
+    instance, the problem and start of the stacked runs, the reference
+    JSON's dict and the reference as one stacked point (both None
+    without one). A reference that fails its certificate leaves z_star
+    None and its error in place of the dict.
     """
+    problem = PRESETS[config["preset"]]["build"](config["seed"])
     kind = config["kind"]
     if kind == "saddle":
         # every saddle preset records its start, reference point and value
         z0, z_star = problem.meta["z0"], problem.meta["z_star"]
-        return (problem, z0,
+        return (problem, problem, z0,
                 {"z_star": z_star, "f_star": problem.meta["f_star"],
                  "vi_residual": vi_residual(problem, z_star)}, z_star)
     stacked, z0 = problem._route().stacked(problem), problem.start()
     if config.get("negative_control"):
-        return stacked, z0, None, None
+        return problem, stacked, z0, None, None
     try:
         if kind == "consensus":
             ref = oracle.solve_consensus_reference(problem)
@@ -271,8 +275,8 @@ def _setup(problem, config):
                 ref = oracle.solve_allocation_kkt(problem)
             blocks = (ref.y, ref.a, ref.lam)
     except oracle.CertificationError as exc:
-        return stacked, z0, exc, None
-    return stacked, z0, vars(ref), problem.start(*blocks)
+        return problem, stacked, z0, exc, None
+    return problem, stacked, z0, vars(ref), problem.start(*blocks)
 
 
 def _resolve_alpha(stacked, config, method):
@@ -288,24 +292,25 @@ def _resolve_alpha(stacked, config, method):
 
 
 def _solve(problem, stacked, config, outdir, summary, z0, z_star):
-    """Run each configured method; write its trace and a summary entry."""
+    """Run each configured method; write its trace and a summary entry.
+
+    Every kind runs on the stacked problem with its reference; a
+    networked kind reports its own trace view of the run.
+    """
     kind = config["kind"]
-    if kind == "saddle":
-        def simulate(method, alpha, **budget):
-            trace = run(problem, SolverConfig(method, step_size=alpha, **budget),
-                        z0, z_star=z_star)
+    for method in config["methods"]:
+        cfg = SolverConfig(method,
+                           step_size=_resolve_alpha(stacked, config, method),
+                           max_iters=_iters_for(config, method),
+                           stop_tol=config["stop_tol"],
+                           record_every=config["record_every"])
+        t0 = time.perf_counter()
+        trace = run(stacked, cfg, z0, z_star=z_star)
+        if kind == "saddle":
             # computed on first read: keep them in the timed run
             trace.f_value, trace.dist_to_ref, trace.ergodic_gap
-            return trace
-    else:
-        simulate = functools.partial(problem._route().simulate, problem)
-    for method in config["methods"]:
-        alpha = _resolve_alpha(stacked, config, method)
-        t0 = time.perf_counter()
-        trace = simulate(method, alpha=alpha,
-                         max_iters=_iters_for(config, method),
-                         stop_tol=config["stop_tol"],
-                         record_every=config["record_every"])
+        else:
+            trace = problem._route().trace(problem, trace)
         wall = time.perf_counter() - t0
         path = os.path.join(outdir, "{}-{}.csv".format(config["preset"], method))
         entry = {"method": method, "alpha": trace.alpha,
@@ -336,11 +341,10 @@ def _solve(problem, stacked, config, outdir, summary, z0, z_star):
 
 def cmd_solve(config):
     """Run the configured experiment and write its artifacts."""
-    problem = PRESETS[config["preset"]]["build"](config["seed"])
     outdir = config["out"]
     os.makedirs(outdir, exist_ok=True)
     summary = {"preset": config["preset"], "seed": config["seed"], "runs": []}
-    stacked, z0, reference, z_star = _setup(problem, config)
+    problem, stacked, z0, reference, z_star = _setup(config)
     if isinstance(reference, oracle.CertificationError):
         raise reference
     if reference is not None:
@@ -362,16 +366,14 @@ def cmd_solve(config):
 def cmd_verify(config):
     """Run the invariant suite on the configured instance.
 
-    Reads the preset and seed, and writes into the output directory
-    when one is set; the runs are fixed (OGDA and EG, 1000 iterations
-    each at the default step).
+    Reads the preset and seed, and writes its report into the output
+    directory; the runs are fixed (OGDA and EG, 1000 iterations each at
+    the default step).
     """
     # an output directory that cannot be made fails before the checks run
-    if config.get("out"):
-        os.makedirs(config["out"], exist_ok=True)
-    problem = PRESETS[config["preset"]]["build"](config["seed"])
+    os.makedirs(config["out"], exist_ok=True)
     kind = config["kind"]
-    stacked, z0, reference, z_star = _setup(problem, config)
+    problem, stacked, z0, reference, z_star = _setup(config)
     checks = []
 
     def add(name, passed, margin, detail):
@@ -447,8 +449,7 @@ def cmd_verify(config):
               "passed": passed, "checks": checks}
     text = _json(report)
     print(text)
-    if config.get("out"):
-        _write_json(os.path.join(config["out"], "verify.json"), text)
+    _write_json(os.path.join(config["out"], "verify.json"), text)
     return 0 if passed else 3
 
 

@@ -86,7 +86,9 @@ def finite_diff_check(value, gradient, points):
     -------
     dict with ``max_rel_error``, ``passed`` (the relative error
     ``|fd - g| / (1 + |g|)`` is at most `FD_TOL` at every point) and
-    ``worst_point``.
+    ``worst_point``. A NaN in a gradient or a value makes that point's
+    error NaN: the result fails, with ``max_rel_error`` NaN and the
+    first such point as ``worst_point``.
 
     Raises
     ------
@@ -119,7 +121,8 @@ def finite_diff_check(value, gradient, points):
                                  .format(vals.shape, 2 * k))
             fd[lo:lo + k] = (vals[:k] - vals[k:]) / (2.0 * h)
         err = np.max(np.abs(fd - g)) / (1.0 + np.max(np.abs(g)))
-        if err > worst:
+        # a NaN error is the worst; the first one stays the worst point
+        if not (err <= worst or np.isnan(worst)):
             worst = err
             worst_point = p.copy()
     return {"max_rel_error": float(worst), "passed": bool(worst <= FD_TOL),

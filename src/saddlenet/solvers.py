@@ -656,9 +656,9 @@ def eg_contraction_check(trace):
 
 
 # What the two networked kinds, consensus and allocation, share. A kind's
-# `_Route` holds its `as_saddle_problem`, `simulate_*`, per-agent
-# simulator class and trace class.
-_Route = collections.namedtuple("_Route", "stacked simulate simulator trace")
+# `_Route` holds its `as_saddle_problem`, per-agent simulator class and
+# trace class.
+_Route = collections.namedtuple("_Route", "stacked simulator trace")
 
 
 class _NetworkProblem(object):

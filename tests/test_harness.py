@@ -368,11 +368,17 @@ def test_verify_config_file_equivalent_to_flags(tmp_path):
             == read_bytes(flag_out, "verify.json"))
 
 
-def test_solve_rejects_bad_alpha(tmp_path, capsys):
-    code = main(solve_args("example1", str(tmp_path / "r"),
-                           ["--alpha", "0.5", "--method", "OGDA"]))
+@pytest.mark.parametrize("preset, alpha", [("example1", "0.5"),
+                                           ("consensus5", "1.0")])
+def test_solve_rejects_bad_alpha(tmp_path, capsys, preset, alpha):
+    # every kind's step is checked by `run` against the stacked problem's
+    # constant
+    code = main(solve_args(preset, str(tmp_path / "r"),
+                           ["--alpha", alpha, "--method", "OGDA"]))
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and "violates the OGDA bound" in err
+    assert "kappa_m=" in err
 
 
 def test_cmd_solve_accepts_resolved_config(tmp_path):
@@ -425,6 +431,7 @@ def test_bad_config_exits_1_naming_the_key(tmp_path, capsys, bad, key):
     ({"preset": {"a": 1}}, "preset"),
     ({"out": 5}, "out"),
     ({"out": ["x"]}, "out"),
+    ({"out": ""}, "out"),
 ])
 def test_non_string_preset_or_out_exits_1_naming_the_key(tmp_path, capsys,
                                                          monkeypatch, bad, key):
@@ -432,11 +439,18 @@ def test_non_string_preset_or_out_exits_1_naming_the_key(tmp_path, capsys,
     monkeypatch.chdir(tmp_path)
     cfg = {"preset": "quadratic-saddle", "methods": ["OGDA"], **bad}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
-    assert main(["solve", "--config", "cfg.json"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: config key '{}'".format(key))
-    assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert os.listdir(tmp_path) == ["cfg.json"]
+    argvs = [["solve", "--config", "cfg.json"]]
+    if bad == {"out": ""}:
+        # the flag is refused as the config key is, by solve and verify
+        argvs += [solve_args("quadratic-saddle", ""),
+                  ["verify", "--preset", "quadratic-saddle", "--out", ""]]
+    for argv in argvs:
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key '{}'".format(key))
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        # nothing lands in the default runs/<preset> either
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 RUN_KEYS = {"method", "alpha", "iterations", "stopped_at", "gradient_calls",
@@ -476,25 +490,59 @@ def test_reference_json_keys(tmp_path, preset):
     assert set(reference) == REFERENCE_KEYS[preset]
 
 
-@pytest.mark.parametrize("preset, module, name", [
-    ("consensus5", consensus, "simulate_consensus"),
-    ("allocation3", allocation, "simulate_allocation"),
-])
-def test_solve_calls_the_simulate_function_it_finds_at_call_time(
-        tmp_path, monkeypatch, preset, module, name):
+@pytest.mark.parametrize("preset", ["consensus5", "allocation3",
+                                    "consensus5-badgrad"])
+def test_solve_calls_the_run_it_finds_at_call_time(tmp_path, monkeypatch,
+                                                    preset):
     # a tracer or a test replaces the module attribute; solve must run
-    # the replacement, not a function object captured at import
-    original = getattr(module, name)
+    # the replacement, not a function object captured at import, once
+    # per method on one stacked problem with the certified reference
+    original = harness.run
     calls = []
 
-    def replaced(*args, **kwargs):
-        calls.append(kwargs["max_iters"])
-        return original(*args, **kwargs)
+    def replaced(problem, config, z0, z_star=None):
+        calls.append((problem, config, z_star))
+        return original(problem, config, z0, z_star=z_star)
 
-    monkeypatch.setattr(module, name, replaced)
+    monkeypatch.setattr(harness, "run", replaced)
     out = str(tmp_path / "run")
     assert main(solve_args(preset, out, ["--iters", "7"])) == 0
-    assert calls == [7] * len(PRESETS[preset]["methods"])
+    assert [c.method for _, c, _ in calls] == PRESETS[preset]["methods"]
+    assert [c.max_iters for _, c, _ in calls] == [7] * len(calls)
+    stacked = calls[0][0]
+    assert isinstance(stacked, core.SaddleProblem)
+    assert all(problem is stacked for problem, _, _ in calls)
+    z_star = harness._setup(resolve_config({"preset": preset}))[-1]
+    if PRESETS[preset].get("negative_control"):
+        assert z_star is None
+        assert all(z is None for _, _, z in calls)
+    else:
+        assert all(z.tobytes() == z_star.tobytes() for _, _, z in calls)
+
+
+@pytest.mark.parametrize("method", ["OGDA", "EG"])
+@pytest.mark.parametrize("preset, seed", [("consensus5", 0),
+                                          ("allocation3", 0),
+                                          ("example2", 3)])
+def test_library_and_cli_routes_agree_bitwise(tmp_path, preset, seed, method):
+    # `simulate_*` is the library route, `solve` the command line's; both
+    # run the stacked problem and must report the same trace
+    out = str(tmp_path / "run")
+    assert main(solve_args(preset, out, ["--seed", str(seed), "--iters",
+                                         "250", "--method", method])) == 0
+    spec = PRESETS[preset]
+    simulate = (consensus.simulate_consensus if spec["kind"] == "consensus"
+                else allocation.simulate_allocation)
+    trace = simulate(spec["build"](seed), method, max_iters=250,
+                     record_every=spec["record_every"],
+                     stop_tol=spec["stop_tol"])
+    path = str(tmp_path / "library.csv")
+    trace.to_csv(path)
+    assert read_bytes(path) == read_bytes(out, "{}-{}.csv".format(preset,
+                                                                   method))
+    entry, = read_json(out, "summary.json")["runs"]
+    assert (entry["alpha"], entry["stopped_at"], entry["gradient_calls"]) \
+        == (trace.alpha, trace.stopped_at, trace.gradient_calls)
 
 
 def test_verify_replay_calls_agent_gradients_once_per_distinct_point(

@@ -14,7 +14,9 @@ from saddlenet.graphs import NetworkGraph, random_connected, ring
 from saddlenet.oracle import (CertificationError, finite_diff_check,
                               golden_section_min, solve_allocation_kkt,
                               solve_consensus_reference)
-from saddlenet.sets import Box, WholeSpace
+from saddlenet.core import objective, operator_F
+from saddlenet.sets import Box, WholeSpace, sample_points
+from test_core import nan_operator_problem
 
 
 def quad_agent(target, scale=1.0):
@@ -377,6 +379,52 @@ def test_finite_diff_check_rejects_a_one_point_value():
     pts = np.ones((2, 3))
     with pytest.raises(ValueError, match="one value per row"):
         finite_diff_check(lambda P: float(np.sum(P)), lambda p: p, pts)
+
+
+def half_square(P):
+    return 0.5 * np.einsum("ij,ij->i", P, P)
+
+
+def nan_gradient_at(i, j):
+    """The true gradient of `half_square`, NaN at entry j of point i."""
+    def gradient(P):
+        G = P.copy()
+        G[i, j] = np.nan
+        # a later point with a large finite error must not displace it
+        G[i + 1:] *= 1.5
+        return G
+    return gradient
+
+
+@pytest.mark.parametrize("value, gradient, first", [
+    (half_square, lambda P: np.full(P.shape, np.nan), 0),
+    (half_square, nan_gradient_at(2, 1), 2),
+    (lambda P: np.where(P[:, 0] > 10.0, np.nan, half_square(P)),
+     lambda P: P, 3),
+], ids=["gradient-nan-everywhere", "gradient-nan-at-one-entry", "value-nan"])
+def test_finite_diff_check_fails_at_the_first_nan_error(value, gradient,
+                                                        first):
+    pts = np.random.default_rng(7).normal(size=(6, 3))
+    pts[3, 0] = 20.0  # the only point whose value stack holds NaN
+    report = finite_diff_check(value, gradient, pts)
+    assert not report["passed"]
+    assert np.isnan(report["max_rel_error"])
+    assert report["worst_point"].tobytes() == pts[first].tobytes()
+
+
+def test_finite_diff_check_fails_on_a_nan_operator():
+    # F of this problem is NaN wherever x > 0.5; the check sees its
+    # gradient over a sampled box, as `verify` does
+    prob = nan_operator_problem()
+    pts = sample_points(prob.domain, 100, np.random.default_rng(0))
+    sign = np.array([1.0, -1.0])
+    report = finite_diff_check(lambda P: objective(prob, P),
+                               lambda P: sign * operator_F(prob, P), pts)
+    first = np.flatnonzero(pts[:, 0] > 0.5)[0]
+    assert first > 0
+    assert not report["passed"]
+    assert np.isnan(report["max_rel_error"])
+    assert report["worst_point"].tobytes() == pts[first].tobytes()
 
 
 def per_agent_bisect(dfun, lo, hi):

@@ -132,7 +132,10 @@ def vertex_minimum(box, p, g):
 def test_normal_cone_equals_the_vertex_minimum(dim, data):
     # a linear function attains its minimum over a box at a corner
     finite = st.floats(-1e3, 1e3)
-    pairs = [sorted(data.draw(st.tuples(finite, finite))) for _ in range(dim)]
+    # -0.0 sorts before 0.0: hypothesis refuses the range (0.0, -0.0)
+    pairs = [sorted(data.draw(st.tuples(finite, finite)),
+                    key=lambda v: (v, np.signbit(v) == 0))
+             for _ in range(dim)]
     box = Box([lo for lo, _ in pairs], [hi for _, hi in pairs])
     p = np.array([data.draw(st.floats(lo, hi)) for lo, hi in pairs])
     g = np.array(data.draw(st.lists(st.one_of(st.just(0.0), finite),
