@@ -39,7 +39,8 @@ d`` take an output (`AllocationProblem.wt_lam`, `wy_minus_d`), so an
 evaluation writes them into the workspace with the bits of the fresh
 products. One point ``(dim,)`` and a stack ``(..., dim)`` take the same
 calls, the stack's points as leading axes. L2 takes stacks too,
-through `lap_rows`.
+through one `lap_apply` of per-vertex rows in the same vertex-major
+layout.
 As in `consensus`, `simulate_allocation` is one call into the shared
 body in `solvers`, which runs the generic `solvers.run` on it and reads
 the per-agent trace off the recorded rows, and the per-agent route in
@@ -183,11 +184,11 @@ def lagrangian_L2(problem, y, a, lam):
     of points, ``y`` of shape ``(..., Q)`` with rows ``a`` and ``lam``
     of shape ``(..., N, m)``, gives one value per point. Blocks of any
     other shape raise `ValidationError`. Both Laplacian products come
-    from one `lap_apply` over the stacked columns ``[a, lam]``.
+    from one `lap_apply` of the per-vertex rows ``[a, lam]``.
     """
     y, a, lam = problem._shaped_blocks(y, a, lam)
     m = problem.m
-    lap = problem.graph.lap_rows(np.concatenate([a, lam], axis=-1))
+    lap = problem.graph.lap_apply(np.concatenate([a, lam], axis=-1))
     # np.add.reduce is what np.sum calls, minus its Python wrapper; over
     # the trailing axes of each point it sums exactly as over all axes
     # of one point

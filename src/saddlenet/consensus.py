@@ -28,7 +28,8 @@ the pass's work arrays and the result are fixed when a workspace is
 built, once per `solvers.run` and once per `core.operator_F` call, and
 each evaluation returns the result buffer. Phi takes one point
 ``(dim,)`` or a stack ``(..., dim)`` through the same calls, and L1
-takes stacks through `lap_rows`, so one pass serves every point.
+takes a stack of rows ``(..., N, m)`` through one `lap_apply`, in the
+same vertex-major layout, so one pass serves every point.
 `simulate_consensus` is one call into the body it shares with
 `allocation` in `solvers`, which runs the generic `solvers.run` on it
 and reads the per-agent trace off the recorded rows; the trace class
@@ -121,11 +122,12 @@ def lagrangian_L1(problem, x, v):
     """Augmented Lagrangian value.
 
     `x` and `v` as rows or flat vectors give a float; stacks of rows
-    ``(..., N, m)`` give one value per point, from one `lap_apply`.
+    ``(..., N, m)`` give one value per point, from one `lap_apply` of
+    the rows ``x``.
     Blocks of any other shape raise `ValidationError`.
     """
     x, v = problem._shaped_blocks(x, v)
-    lap_x = problem.graph.lap_rows(x)
+    lap_x = problem.graph.lap_apply(x)
     # np.add.reduce is what np.sum calls, minus its Python wrapper; over
     # the trailing axes of each point it sums exactly as over all axes
     # of one point
@@ -192,14 +194,13 @@ def consensus_residual(problem, x):
 def _residual_rows(problem, xs):
     """`consensus_residual` of each ``(N, m)`` block of ``xs``.
 
-    One Laplacian pass takes every block's decisions as columns; each
-    norm is that of the block raveled into contiguous memory, as
+    One `lap_apply` takes every block as a point; its result is
+    C-ordered, so each block's norm sums over it raveled, as
     `np.linalg.norm` takes it (a strided dot sums in another order), and
     one batched matmul takes every block's dot.
     """
     rows, n, m = xs.shape
-    lap = np.ascontiguousarray(problem.graph.lap_rows(xs))
-    flat = lap.reshape(rows, n * m)
+    flat = problem.graph.lap_apply(xs).reshape(rows, n * m)
     return np.sqrt(_row_dots(flat, flat))
 
 

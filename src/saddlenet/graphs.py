@@ -11,18 +11,18 @@ results. It gathers its operands from a flat buffer, one point or a
 stack, through a plan of absolute indices from
 `NetworkGraph.gather_plan`. A pass takes the plan only as
 `NetworkGraph.pass_workspace` binds it to work and output buffers,
-after checking it against the buffer. `lap_apply` and `lap_rows` pass
-every per-vertex column as one buffer of a plan over the vertices,
-built on their first call and bound on each. The stacked consensus and allocation operators
-build theirs with the operator, over their flat iterates, and bind it
-once per workspace, so that their passes allocate nothing.
+after checking it against the buffer. There is one layout: per-vertex
+rows, vertex by vertex. `lap_apply` takes rows ``(..., n, c)`` as
+their flat buffer ``(..., n * c)`` and builds and binds a plan of `c`
+columns per vertex on each call. The stacked consensus and allocation
+operators build theirs with the operator, over their flat iterates,
+and bind it once per workspace, so that their passes allocate nothing.
 
 The step sizes of both networked problems rest on `lambda_max`, an upper
 bound by construction: `core.spectral_norm` of the dense Laplacian.
 """
 
 import collections
-import functools
 
 import numpy as np
 
@@ -106,11 +106,6 @@ class NetworkGraph(object):
             L[j, j] += 1.0
         return L
 
-    def fiedler_value(self):
-        """Second-smallest Laplacian eigenvalue; positive iff connected."""
-        vals = np.linalg.eigvalsh(self.laplacian())
-        return float(vals[1]) if self.n > 1 else 0.0
-
     def gather_plan(self, starts, width):
         """Plan of one `lap_pass` over column blocks of a flat buffer.
 
@@ -167,7 +162,8 @@ class NetworkGraph(object):
             gathers, differences and sums into, all fixed here, so that
             a pass through it allocates nothing and returns `out`. This
             is the only form `lap_pass` takes; the fused operators bind
-            once per workspace, `lap_apply` once per call.
+            once per workspace, `lap_apply` once per call, each its own
+            plan.
 
         Raises
         ------
@@ -228,45 +224,29 @@ class NetworkGraph(object):
 
         Parameters
         ----------
-        u : array of shape (n,) or (n, ...)
-            One value (or array of any shape) per vertex.
+        u : array of shape (n,) or (..., n, c)
+            One value per vertex, or per-vertex rows of `c` values;
+            leading axes, such as a stack of points, are independent.
 
         Returns
         -------
         array of the same shape
             Row i holds ``sum over neighbors j of (u_i - u_j)``, from
-            one `lap_pass` that takes each trailing entry's values at
-            the vertices as one buffer, through the vertex plan bound
-            for this call. Trailing
-            axes are independent columns, so stacking several vectors as
-            columns of one call gives the same values as one call per
-            vector.
+            one `lap_pass` over the flat vertex-major buffer of `u`
+            through a plan of `c` columns per vertex, the layout the
+            fused operators pass. Columns are independent, so stacking
+            several vectors as columns or as points of one call gives
+            the same values as one call per vector. The result is
+            C-ordered, as sums over it assume.
         """
         u = np.asarray(u, dtype=float)
-        if u.shape[:1] != (self.n,):
-            raise ValueError("u has shape {}, expected ({}, ...)"
-                             .format(u.shape, self.n))
-        # vertices last: each trailing entry is one buffer of the pass;
-        # the result is C-ordered like `u`, as sums over it assume
-        rows = u.reshape(self.n, u.size // self.n).T
-        lap = self.lap_pass(rows, self.pass_workspace(self._vertex_plan,
-                                                      rows))
-        return np.ascontiguousarray(lap.T).reshape(u.shape)
-
-    @functools.cached_property
-    def _vertex_plan(self):
-        """`gather_plan` of one value per vertex, for `lap_apply`."""
-        return self.gather_plan((0,), 1)
-
-    def lap_rows(self, u):
-        """`lap_apply` of per-vertex rows ``(..., n, c)``.
-
-        Leading axes, such as a stack of points, join the trailing ones
-        as independent columns of one `lap_apply`. Moving the vertex
-        axis to the front and back are `swapaxes` views, both no-ops for
-        a single ``(n, c)`` block.
-        """
-        return self.lap_apply(u.swapaxes(0, -2)).swapaxes(0, -2)
+        if u.shape[-2:-1] != (self.n,) and u.shape != (self.n,):
+            raise ValueError("u has shape {}, expected ({},) or (..., {}, c)"
+                             .format(u.shape, self.n, self.n))
+        width = u.shape[-1] if u.ndim > 1 else 1
+        flat = u.reshape(u.shape[:-2] + (self.n * width,))
+        plan = self.pass_workspace(self.gather_plan((0,), width), flat)
+        return self.lap_pass(flat, plan).reshape(u.shape)
 
     def __repr__(self):
         return "NetworkGraph(n={}, edges={})".format(self.n, len(self.edges))

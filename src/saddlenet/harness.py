@@ -291,19 +291,33 @@ def _resolve_alpha(stacked, config, method):
     return alpha
 
 
-def _solve(problem, stacked, config, outdir, summary, z0, z_star):
-    """Run each configured method; write its trace and a summary entry.
+def _solver_configs(stacked, config):
+    """Each configured method's `SolverConfig`, its step checked on `stacked`.
 
-    Every kind runs on the stacked problem with its reference; a
-    networked kind reports its own trace view of the run.
+    A step that `run` would refuse raises `ValidationError` here, before
+    any method runs or any output is written.
     """
-    kind = config["kind"]
+    configs = []
     for method in config["methods"]:
         cfg = SolverConfig(method,
                            step_size=_resolve_alpha(stacked, config, method),
                            max_iters=_iters_for(config, method),
                            stop_tol=config["stop_tol"],
                            record_every=config["record_every"])
+        cfg.resolved_step(stacked.kappa_m)
+        configs.append(cfg)
+    return configs
+
+
+def _solve(problem, stacked, configs, config, outdir, summary, z0, z_star):
+    """Run each of `configs`; write its trace and a summary entry.
+
+    Every kind runs on the stacked problem with its reference; a
+    networked kind reports its own trace view of the run.
+    """
+    kind = config["kind"]
+    for cfg in configs:
+        method = cfg.method
         t0 = time.perf_counter()
         trace = run(stacked, cfg, z0, z_star=z_star)
         if kind == "saddle":
@@ -340,18 +354,23 @@ def _solve(problem, stacked, config, outdir, summary, z0, z_star):
 
 
 def cmd_solve(config):
-    """Run the configured experiment and write its artifacts."""
-    outdir = config["out"]
-    os.makedirs(outdir, exist_ok=True)
-    summary = {"preset": config["preset"], "seed": config["seed"], "runs": []}
+    """Run the configured experiment and write its artifacts.
+
+    A failed reference or a refused step raises before the output
+    directory is made, so a refused solve writes nothing.
+    """
     problem, stacked, z0, reference, z_star = _setup(config)
     if isinstance(reference, oracle.CertificationError):
         raise reference
+    configs = _solver_configs(stacked, config)
+    outdir = config["out"]
+    os.makedirs(outdir, exist_ok=True)
+    summary = {"preset": config["preset"], "seed": config["seed"], "runs": []}
     if reference is not None:
         _write_json(os.path.join(
             outdir, "{}-reference.json".format(config["preset"])),
             _json(reference))
-    _solve(problem, stacked, config, outdir, summary, z0, z_star)
+    _solve(problem, stacked, configs, config, outdir, summary, z0, z_star)
     _write_json(os.path.join(outdir, "config.json"),
                 _json({k: v for k, v in config.items()
                        if k in _CONFIG_KEYS or k in ("kind",)}))

@@ -804,9 +804,6 @@ class _NetworkProblem(object):
                          [flat[..., sl] for sl in self._agent_slices])
         return out
 
-    def total_objective(self, decisions):
-        return float(np.add.reduce(self.objective_rows(decisions), axis=None))
-
     def _agent_columns(self):
         """Each agent's columns of a stacked iterate.
 

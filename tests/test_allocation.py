@@ -220,7 +220,8 @@ def test_vectorized_oracles_match_rowwise():
                                   for i, a in enumerate(prob.agents)])
         assert np.allclose(prob.gradient_rows(y), rowwise, atol=1e-12)
         row_obj = sum(a.objective(y[i:i + 1]) for i, a in enumerate(prob.agents))
-        assert prob.total_objective(y) == pytest.approx(row_obj, rel=1e-12)
+        total = float(np.sum(prob.objective_rows(y)))
+        assert total == pytest.approx(row_obj, rel=1e-12)
 
 
 def test_non_finite_gradient_trips_divergence_guard():

@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from saddlenet import (allocation, consensus, core, harness, network, sets,
-                       solvers)
+from saddlenet import (allocation, consensus, core, harness, network, oracle,
+                       sets, solvers)
 from saddlenet.harness import (PRESETS, ConfigError, cmd_solve, load_config,
                                main, resolve_config)
 
@@ -371,14 +371,28 @@ def test_verify_config_file_equivalent_to_flags(tmp_path):
 @pytest.mark.parametrize("preset, alpha", [("example1", "0.5"),
                                            ("consensus5", "1.0")])
 def test_solve_rejects_bad_alpha(tmp_path, capsys, preset, alpha):
-    # every kind's step is checked by `run` against the stacked problem's
-    # constant
-    code = main(solve_args(preset, str(tmp_path / "r"),
-                           ["--alpha", alpha, "--method", "OGDA"]))
+    # every kind's step is checked against the stacked problem's constant,
+    # for every method of the preset before any runs (example1's GDA
+    # accepts the step its OGDA refuses), so nothing is written
+    out = str(tmp_path / "r")
+    code = main(solve_args(preset, out, ["--alpha", alpha]))
     assert code == 1
     err = capsys.readouterr().err
     assert "error:" in err and "violates the OGDA bound" in err
     assert "kappa_m=" in err
+    assert not os.path.exists(out)
+
+
+def test_solve_with_a_failed_reference_writes_nothing(tmp_path, capsys,
+                                                      monkeypatch):
+    def failed(problem):
+        raise oracle.CertificationError("reference residual too large")
+
+    monkeypatch.setattr(oracle, "solve_consensus_reference", failed)
+    out = str(tmp_path / "r")
+    assert main(solve_args("consensus5", out)) == 3
+    assert "certification failed" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_cmd_solve_accepts_resolved_config(tmp_path):

@@ -183,12 +183,12 @@ def counting_lap_pass(graph):
 
 def psi_before_plan(prob, z):
     """Psi as `allocation` evaluated it before its gather plan: one
-    `lap_rows` over the per-vertex columns ``[lam, a + lam]``."""
+    `lap_apply` over the per-vertex columns ``[lam, a + lam]``."""
     y, a, lam = prob.split(z)
     n, m = prob.n, prob.m
     sy, sa, sl = prob._zslices
     rows = y.shape[:-1] + (n, m)
-    lap = prob.graph.lap_rows(np.concatenate([lam, a + lam], axis=-1))
+    lap = prob.graph.lap_apply(np.concatenate([lam, a + lam], axis=-1))
     psi = np.empty(y.shape[:-1] + (sl.stop,))
     np.add(prob.gradient_rows(y), prob.wt_lam(lam), out=psi[..., sy])
     np.negative(lap[..., :m], out=psi[..., sa].reshape(rows))
@@ -200,11 +200,11 @@ def psi_before_plan(prob, z):
 
 def phi_before_plan(prob, z):
     """Phi as `consensus` evaluated it before its gather plan: one
-    `lap_rows` over the per-vertex columns ``[x + v, x]``."""
+    `lap_apply` over the per-vertex columns ``[x + v, x]``."""
     n, m = prob.n, prob.m
     lead = z.shape[:-1]
     x, v = (block.reshape(lead + (n, m)) for block in np.split(z, 2, axis=-1))
-    lap = prob.graph.lap_rows(np.concatenate([x + v, x], axis=-1))
+    lap = prob.graph.lap_apply(np.concatenate([x + v, x], axis=-1))
     phi = np.empty(lead + (2, n, m))
     np.add(prob.gradient_rows(x), lap[..., :m], out=phi[..., 0, :, :])
     np.negative(lap[..., m:], out=phi[..., 1, :, :])
@@ -406,16 +406,19 @@ def test_trace_feasibility_gap_is_rowwise_norm(kind):
 def test_lap_apply_columns_are_independent(graph, k, c, data):
     values = st.one_of(SIGNED_ZEROS, st.sampled_from([np.inf, -np.inf]),
                        st.floats(-1e300, 1e300))
-    u = np.array(data.draw(st.lists(values, min_size=graph.n * k * c,
-                                    max_size=graph.n * k * c)),
-                 dtype=float).reshape(graph.n, k, c)
+    u = np.array(data.draw(st.lists(values, min_size=k * graph.n * c,
+                                    max_size=k * graph.n * c)),
+                 dtype=float).reshape(k, graph.n, c)
     with np.errstate(over="ignore", invalid="ignore"):
         got = graph.lap_apply(u)
-        rows = graph.lap_rows(u.swapaxes(0, 1))
         for j in range(k):
-            want = graph.lap_apply(u[:, j, :].copy())
-            assert np.ascontiguousarray(got[:, j, :]).tobytes() == want.tobytes()
-            assert np.ascontiguousarray(rows[j]).tobytes() == want.tobytes()
+            want = graph.lap_apply(u[j].copy())
+            assert got[j].tobytes() == want.tobytes()
+            # each column alone, as one vector
+            for col in range(c):
+                alone = graph.lap_apply(u[j, :, col].copy())
+                assert np.ascontiguousarray(
+                    want[:, col]).tobytes() == alone.tobytes()
 
 
 def consensus_on(graph, kind, rng, bounds=None):
@@ -493,13 +496,12 @@ def test_stacked_operator_and_objective_equal_per_point(problem_kind, kind,
     try:
         F = operator_F(saddle, Z)
         f = objective(saddle, Z)
-        # one pass each: the operator's over the 2m payload columns of
-        # every point, the objective's (through `lap_apply`) over every
-        # column of every point, one buffer each: x for L1, [a, lam]
-        # for L2
+        # one pass each over every point: the operator's over the 2m
+        # payload columns, the objective's (through `lap_apply`) over
+        # the per-vertex rows x for L1 and [a, lam] for L2
         m = 1 if kind == "scalar" else 2
         width = m if problem_kind == "consensus" else 2 * m
-        assert calls == [((k,), 2 * m), ((k * width,), 1)]
+        assert calls == [((k,), 2 * m), ((k,), width)]
     finally:
         del graph.lap_pass
     assert F.shape == Z.shape and f.shape == (k,)
