@@ -3,7 +3,8 @@
 Everything here exists to certify answers before the main solvers are
 trusted: gradients against finite differences, consensus optima by 1-D
 search or projected gradient on the agreement variable, allocation
-optima by dual bisection on the coupling multiplier, and full saddle
+optima by a bracketed root search on the coupling multiplier (an
+Illinois regula falsi that ends on bisection's bits), and full saddle
 references by assembling the operators from dense Laplacian matrices
 (never the neighbor-sum code under test).
 
@@ -68,12 +69,15 @@ def finite_diff_check(value, gradient, points):
     ----------
     value : callable
         The scalar function, evaluated on stacks: it maps an array of
-        points ``(k, dim)``, one per row, to their ``k`` values. Per
-        tested point the coordinates are taken in chunks of
-        ``FD_CHUNK_ROWS / 2``; each chunk is one call on the stack of
-        its ``+h`` perturbations followed by its ``-h`` ones, so a call
-        sees at most `FD_CHUNK_ROWS` rows. A one-point function ``f``
-        serves as ``lambda P: [f(p) for p in P]``.
+        points ``(k, dim)``, one per row, to their ``k`` values. Each
+        tested point's coordinates are taken in chunks of
+        ``FD_CHUNK_ROWS / 2``, each chunk giving the stack of its ``+h``
+        perturbations followed by its ``-h`` ones. Consecutive chunks,
+        in point order, share one call while their rows fit in
+        `FD_CHUNK_ROWS`: a point of dimension at most ``FD_CHUNK_ROWS /
+        2`` is one chunk, and as many whole points as fit go in one
+        call. A one-point function ``f`` serves as ``lambda P: [f(p)
+        for p in P]``.
     gradient : callable
         Claimed gradient of the scalar function, evaluated on stacks as
         `value` is: called once with all of `points` ``(k, dim)``, it
@@ -103,24 +107,39 @@ def finite_diff_check(value, gradient, points):
                          .format(grads.shape, points.shape))
     dim = points.shape[1]
     width = FD_CHUNK_ROWS // 2
-    worst = 0.0
-    worst_point = None
-    for p, g in zip(points, grads):
-        h = 1e-6 * (1.0 + np.linalg.norm(p))
-        fd = np.empty(dim)
+    hs = [1e-6 * (1.0 + np.linalg.norm(p)) for p in points]
+    # blocks (point, first coordinate, coordinates) in chunks of `width`
+    # coordinates, packed in order into calls of at most FD_CHUNK_ROWS rows
+    calls, rows = [], FD_CHUNK_ROWS
+    for i in range(len(points)):
         for lo in range(0, dim, width):
             k = min(width, dim - lo)
-            # row r of each half moves coordinate lo + r alone: adding
-            # h * 0.0 leaves the other coordinates exactly as they were
-            step = h * np.eye(k, dim, lo)
-            vals = np.asarray(value(np.concatenate([p + step, p - step])),
-                              dtype=float)
-            if vals.shape != (2 * k,):
-                raise ValueError("value returned shape {} on a stack of {}"
-                                 " points; it must return one value per row"
-                                 .format(vals.shape, 2 * k))
-            fd[lo:lo + k] = (vals[:k] - vals[k:]) / (2.0 * h)
-        err = np.max(np.abs(fd - g)) / (1.0 + np.max(np.abs(g)))
+            if rows + 2 * k > FD_CHUNK_ROWS:
+                calls.append([])
+                rows = 0
+            calls[-1].append((i, lo, k))
+            rows += 2 * k
+    fd = np.empty(points.shape)
+    for call in calls:
+        # row r of each half of a block moves coordinate lo + r alone:
+        # adding h * 0.0 leaves the other coordinates exactly as they were
+        stack = []
+        for i, lo, k in call:
+            step = hs[i] * np.eye(k, dim, lo)
+            stack += [points[i] + step, points[i] - step]
+        stack = np.concatenate(stack)
+        vals = np.asarray(value(stack), dtype=float)
+        if vals.shape != (len(stack),):
+            raise ValueError("value returned shape {} on a stack of {}"
+                             " points; it must return one value per row"
+                             .format(vals.shape, len(stack)))
+        for i, lo, k in call:
+            fd[i, lo:lo + k] = (vals[:k] - vals[k:2 * k]) / (2.0 * hs[i])
+            vals = vals[2 * k:]
+    worst = 0.0
+    worst_point = None
+    for p, g, f in zip(points, grads, fd):
+        err = np.max(np.abs(f - g)) / (1.0 + np.max(np.abs(g)))
         # a NaN error is the worst; the first one stays the worst point
         if not (err <= worst or np.isnan(worst)):
             worst = err
@@ -257,32 +276,75 @@ class KKTReference(object):
         self.saddle_residual = saddle_residual
 
 
-def _bisect(above, a, b):
-    # bisection on [a, b] for the point where the monotone test `above`
-    # turns true: a midpoint where it holds becomes the upper end, any
-    # other the lower end; run to ULP convergence
-    for _ in range(200):
+# `_bracket` interpolates freely for this many steps; after them its
+# bracket must shrink by `_SQRT_HALF` per step, or it takes a midpoint
+_FREE_STEPS = 6
+_SQRT_HALF = 0.5 ** 0.5
+# cap on `_bracket`'s steps: where bisection ends within 200 steps,
+# `_bracket` ends within twice those plus `_FREE_STEPS`
+_BRACKET_STEPS = 2 * 200 + _FREE_STEPS + 4
+
+
+def _bracket(value, a, b, va, vb):
+    # Illinois regula falsi (Dowell & Jarratt 1971) on [a, b] for the
+    # point where the monotone signed `value` turns positive. A tested
+    # point whose value is > 0 becomes the upper end, any other (zero,
+    # negative, NaN) the lower end; `a` counts as below and `b` as above
+    # whatever their values `va` and `vb`. Each step tests the
+    # interpolant of the end values, halving the value of an end kept
+    # twice in a row, or the midpoint when the ends are not finite values
+    # of opposite sign, when the interpolant leaves the open bracket, or
+    # when the guard forces it: after `_FREE_STEPS` steps the bracket
+    # must shrink by sqrt(2) per step, so the search takes at most about
+    # twice bisection's steps plus `_FREE_STEPS`. It stops where
+    # bisection stops, when the midpoint lands on an end, and returns
+    # that midpoint: on a test that flips once on the floats, both end on
+    # the same two adjacent floats and return the same bits. Where
+    # bisection stops at its cap of 200 steps instead, this search runs
+    # on to `_BRACKET_STEPS` and returns a point of a narrower bracket.
+    limit = 0.5 * b - 0.5 * a
+    side = 0
+    for k in range(_BRACKET_STEPS):
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
             break
-        if above(mid):
-            b = mid
+        x = mid
+        if k >= _FREE_STEPS:
+            limit *= _SQRT_HALF
+        if -np.inf < va < 0.0 < vb < np.inf and 0.5 * b - 0.5 * a <= limit:
+            t = a + (b - a) * (va / (va - vb))
+            if a < t < b:
+                x = t
+        v = value(x)
+        if v > 0.0:
+            b, vb = x, v
+            if side > 0:
+                va *= 0.5
+            side = 1
         else:
-            a = mid
+            a, va = x, v
+            if side < 0:
+                vb *= 0.5
+            side = -1
     return 0.5 * (a + b)
 
 
 def _grid_refine_rows(fun_rows, lo, hi, levels=5, points=100):
     # nested uniform grids for every column at once; final resolution
     # (hi-lo) / points**levels per column. `fun_rows` maps a (points + 1,
-    # N) stack of grids to its values. Each column is its own np.linspace:
-    # an array-valued one switches formula for every column once any
-    # column has zero width.
+    # N) stack of grids to its values. Each column is built as its own
+    # np.linspace builds it: ``k * step + a``, or ``(k / points) * delta
+    # + a`` where the step ``delta / points`` is zero (a zero or
+    # subnormal width), with the last row set to the end ``b``.
     a, b = lo, hi
     cols = np.arange(lo.size)
+    k_col = np.arange(points + 1.0)[:, None]
     for _ in range(levels):
-        grid = np.stack([np.linspace(ai, bi, points + 1)
-                         for ai, bi in zip(a, b)], axis=1)
+        delta = b - a
+        step = delta / points
+        grid = np.where(step == 0.0, (k_col / points) * delta,
+                        k_col * step) + a
+        grid[-1] = b
         k = np.argmin(fun_rows(grid), axis=0)
         a = grid[np.maximum(k - 1, 0), cols]
         b = grid[np.minimum(k + 1, points), cols]
@@ -302,23 +364,41 @@ def _allocation_saddle_residual(problem, y, e, a, lam):
 
 
 def solve_allocation_kkt(problem):
-    """Reference allocation optimum by bisection on the coupling dual.
+    """Reference allocation optimum by a root search on the coupling dual.
 
     Requires scalar coupling (m = 1) and scalar box sets with finite
     bounds. For each multiplier value, every agent's inner problem
-    ``h_i(y) + mu W_i y`` over its box is solved by derivative bisection
-    (convex, so the derivative is nondecreasing); the outer bisection
-    exploits that the aggregate supply is nonincreasing in the
-    multiplier. Both loops run to ULP convergence, so on instances with
-    exact-float optima the reference is exact.
+    ``h_i(y) + mu W_i y`` over its box is solved by a root search on its
+    derivative (convex, so the derivative is nondecreasing); the outer
+    search exploits that the aggregate supply is nonincreasing in the
+    multiplier. Both searches run to ULP convergence, so on instances
+    with exact-float optima the reference is exact.
+
+    Both searches are one bracketed Illinois regula falsi on the signed
+    values: the inner derivative ``grad h_i(t) + mu W_i`` (a zero or NaN
+    counts as below the root) and the aggregate imbalance (a zero or NaN
+    moves the multiplier's upper end). It takes the midpoint whenever
+    the interpolant leaves the bracket or the end values are not finite
+    of opposite sign, and a guard forces midpoints once the bracket
+    falls behind half of bisection's pace, so it takes at most about
+    twice bisection's steps plus six. It stops where bisection stops
+    (the midpoint lands on an end) and returns that midpoint, so on a
+    test that changes sign once on the floats its bits equal those of
+    bisection from the same bracket. On such a test they differ only
+    where bisection needs more than its 200 halvings (a root at 0.0,
+    where the floats are densest): there both stop at their caps,
+    bisection at 200 steps and this search at 410, inside the same
+    bracket.
 
     Each agent's derivative at its two box ends does not depend on the
     multiplier, so the per-agent gradient oracles are evaluated there
-    once per problem. For each multiplier an agent whose inner
-    derivative ``grad h_i + mu W_i`` is nonnegative at its lower end
-    (else nonpositive at its upper end) sits at that end; only the
-    remaining interior agents bisect, calling their per-agent gradient
-    oracle at each midpoint.
+    once per problem; they are the inner search's end values. For each
+    multiplier an agent whose inner derivative ``grad h_i + mu W_i`` is
+    nonnegative at its lower end (else nonpositive at its upper end)
+    sits at that end; only the remaining interior agents search,
+    calling their per-agent gradient oracle at each tested point. The
+    outer search starts from the imbalances at the multiplier bracket
+    that its widening loop already evaluated.
 
     The stationarity certificate compares every agent's decision with a
     nested grid search of its inner problem, run for all agents at once:
@@ -333,11 +413,11 @@ def solve_allocation_kkt(problem):
     the reference objective is not finite, or when a certificate fails.
     """
     if problem.m != 1:
-        raise CertificationError("dual bisection requires scalar coupling")
+        raise CertificationError("dual root search requires scalar coupling")
     if not all(a.cset.dim == 1 and _bounded_box(a.cset)
                for a in problem.agents):
         raise CertificationError(
-            "dual bisection requires scalar bounded box sets")
+            "dual root search requires scalar bounded box sets")
     n = problem.n
     w = np.array([a.weight[0, 0] for a in problem.agents])
     d_total = float(problem.demand.sum())
@@ -357,8 +437,9 @@ def solve_allocation_kkt(problem):
         at_lo = g_lo + muw >= 0.0
         ys = np.where(at_lo, los, his)
         for i in np.flatnonzero(~(at_lo | (g_hi + muw <= 0.0))):
-            ys[i] = _bisect(lambda t, i=i, c=muw[i]: slope(i, t) + c > 0.0,
-                            los[i], his[i])
+            c = muw[i]
+            ys[i] = _bracket(lambda t, i=i, c=c: slope(i, t) + c,
+                             los[i], his[i], g_lo[i] + c, g_hi[i] + c)
         return ys
 
     def gap(mu):
@@ -369,20 +450,23 @@ def solve_allocation_kkt(problem):
     nonzero = np.abs(w[w != 0.0])
     m_bracket = 10.0 * (1.0 + sup_grad / nonzero.min()) if nonzero.size else 10.0
     for _ in range(6):
-        if gap(-m_bracket) >= 0.0 >= gap(m_bracket):
+        gap_lo, gap_hi = gap(-m_bracket), gap(m_bracket)
+        if gap_lo >= 0.0 >= gap_hi:
             break
         m_bracket *= 10.0
     else:
         raise CertificationError(
             "no multiplier bracket balances the coupling constraint;"
             " instance is likely infeasible")
-    # a gap of exactly 0 or NaN moves the upper end
-    mu = _bisect(lambda t: not gap(t) > 0.0, -m_bracket, m_bracket)
+    # the gap falls as mu rises, and a gap of exactly 0 or NaN moves the
+    # upper end of mu: in s = -mu the gap rises and those move the lower
+    # end, the inner search's rule
+    mu = -_bracket(lambda s: gap(-s), -m_bracket, m_bracket, gap_hi, gap_lo)
     y = y_of_mu(mu)
     feas = abs(float(np.sum(w * y) - d_total))
     if feas > 1e-10:
         raise CertificationError(
-            "bisection left aggregate imbalance %.3e > 1e-10" % feas)
+            "root search left aggregate imbalance %.3e > 1e-10" % feas)
 
     # grid-refinement stationarity certificate: each agent's decision
     # must be at least as good as a brute-force search of its inner

@@ -5,10 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from saddlenet import catalog, oracle
 from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
-                                  feasibility_gap, operator_psi)
+                                  as_saddle_problem, feasibility_gap,
+                                  operator_psi)
 from saddlenet.consensus import ConsensusAgentSpec, ConsensusProblem
 from saddlenet.graphs import NetworkGraph, random_connected, ring
 from saddlenet.oracle import (CertificationError, finite_diff_check,
@@ -298,7 +301,7 @@ def test_grid_objective_cross_check():
             for y, c in zip([-1.0, 0.0, 1.0], [1.0, 2.0, 3.0])), abs=1e-8)
 
 
-def test_finite_diff_check_evaluates_one_stack_per_point():
+def test_finite_diff_check_packs_whole_points_into_one_stack():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(4, 3))
     shapes = []
@@ -309,7 +312,7 @@ def test_finite_diff_check_evaluates_one_stack_per_point():
 
     report = finite_diff_check(value, lambda p: p, pts)
     assert report["passed"]
-    assert shapes == [(6, 3)] * 4
+    assert shapes == [(24, 3)]
 
 
 def test_finite_diff_check_calls_the_gradient_once_on_the_whole_stack():
@@ -371,6 +374,30 @@ def test_finite_diff_check_bounds_its_stacks_and_keeps_the_bits():
     sizes.clear()
     worst, worst_point = finite_diff_one_stack(value, np.cos, pts)
     assert sizes == [2 * dim] * 3
+    assert np.float64(report["max_rel_error"]).tobytes() == worst.tobytes()
+    assert report["worst_point"].tobytes() == worst_point.tobytes()
+
+
+def test_finite_diff_check_packs_example2_points_in_pairs():
+    # verify's check on example2: 100 points of 60 coordinates, 120 rows
+    # each, two points to a call; every row keeps the bits it has in a
+    # stack of its own point
+    stacked = as_saddle_problem(catalog.example2_allocation(seed=0))
+    pts = sample_points(stacked.domain, 100, np.random.default_rng(0))
+    sign = np.where(np.arange(stacked.dim) < stacked.dim_x, 1.0, -1.0)
+    grads = sign * operator_F(stacked, pts)
+    sizes = []
+
+    def value(P):
+        sizes.append(len(P))
+        return objective(stacked, P)
+
+    report = finite_diff_check(value, lambda P: grads, pts)
+    assert report["passed"]
+    assert sizes == [240] * 50
+    rows = iter(grads)
+    worst, worst_point = finite_diff_one_stack(
+        lambda P: objective(stacked, P), lambda p: next(rows), pts)
     assert np.float64(report["max_rel_error"]).tobytes() == worst.tobytes()
     assert report["worst_point"].tobytes() == worst_point.tobytes()
 
@@ -584,6 +611,169 @@ def test_example2_kkt_matches_the_per_agent_loop(monkeypatch):
         loop = catalog.example2_allocation(seed=seed)
         assert prob.meta["redraws"] == loop.meta["redraws"], seed
         assert_same_reference(prob.meta["kkt"], loop.meta["kkt"])
+
+
+def count_gradient_calls(problem):
+    """Wrap every agent's gradient oracle; returns the running count."""
+    count = [0]
+    for sp in problem.agents:
+        def counted(y, gradient=sp.gradient):
+            count[0] += 1
+            return gradient(y)
+        sp.gradient = counted
+    return count
+
+
+def test_example2_kkt_takes_a_quarter_of_the_loops_gradient_calls():
+    calls, loop_calls = 0, 0
+    for seed in range(20):
+        prob = catalog.example2_allocation(seed=seed)
+        count = count_gradient_calls(prob)
+        solve_allocation_kkt(prob)
+        calls += count[0]
+        count[0] = 0
+        kkt_per_agent_loop(prob)
+        loop_calls += count[0]
+    assert 4 * calls <= loop_calls
+
+
+def zero_weight_at_zero():
+    """Three suppliers and a fourth agent that the coupling ignores (W =
+    0): its inner problem ``y^2 / 2`` has its root at exactly 0.0, where
+    the floats are densest, whatever the multiplier."""
+    agents = [AllocationAgentSpec(
+        objective=lambda y, t=t: float(0.5 * (y[0] - t) ** 2),
+        gradient=lambda y, t=t: y - t,
+        cset=Box(-1.0, 1.0, dim=1), weight=[[wi]], demand=[0.0],
+        lipschitz=1.0)
+        for t, wi in ((-0.5, 1.0), (0.0, 1.0), (0.5, 1.0), (0.0, 0.0))]
+    return AllocationProblem(ring(4), agents)
+
+
+def test_kkt_root_past_bisections_cap():
+    # The fourth agent's derivative y is 0 at 0.0, which counts as below,
+    # and > 0 from 5e-324 up: more than 1,000 halvings from its box.
+    # Bisection tests 0.0 first and stops at its cap of 200 steps with
+    # the bracket [0, 2**-199]. The new search interpolates to 0.0 on its
+    # first step and stops at its own cap of `_BRACKET_STEPS` (410)
+    # steps, all midpoints, with [0, 2**-409]. The decision differs; each
+    # reference meets its certificates, with the same values of every
+    # other field.
+    prob = zero_weight_at_zero()
+    ref, loop = solve_allocation_kkt(prob), kkt_per_agent_loop(prob)
+    assert oracle._BRACKET_STEPS == 410
+    assert ref.y[3] == 2.0 ** -410 and loop.y[3] == 2.0 ** -200
+    ref.y[3] = loop.y[3]
+    assert_same_reference(ref, loop)
+    assert ref.feasibility <= 1e-10 and ref.stationarity_gap <= 1e-12
+    assert ref.saddle_residual <= oracle.REFERENCE_TOL
+
+
+def bisect_reference(above, a, b):
+    """The bisection `_bracket` replaced: the midpoint it returns and the
+    steps it took, or None for the steps when it stopped at its cap."""
+    for steps in range(200):
+        mid = 0.5 * (a + b)
+        if mid <= a or mid >= b:
+            return 0.5 * (a + b), steps
+        if above(mid):
+            b = mid
+        else:
+            a = mid
+    return 0.5 * (a + b), None
+
+
+# monotone shapes of the signed value around its root; "step" gives the
+# interpolation nothing, "lopsided" ends of very different sizes
+BRACKET_SHAPES = {
+    "linear": lambda d: d,
+    "step": np.sign,
+    "square": lambda d: d * abs(d),
+    "cube": lambda d: d ** 3,
+    "lopsided": lambda d: 1e-300 if d > 0.0 else -1.0,
+}
+
+bracket_ends = st.tuples(
+    st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)).filter(
+        lambda ends: ends[0] < ends[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(ends=bracket_ends,
+       where=st.one_of(st.floats(0.0, 1.0),
+                       st.sampled_from([0.0, 1.0, -0.5, 1.5])),
+       shape=st.sampled_from(sorted(BRACKET_SHAPES)),
+       scale=st.sampled_from([1e-300, 1e-5, 1.0, 1e5, 1e300]),
+       nan_side=st.one_of(st.none(), st.floats(0.0, 1.0)),
+       falling=st.booleans())
+# brackets across zero, of subnormal width and of huge magnitude
+@example(ends=(-1.0, 3.0), where=0.3, shape="cube", scale=1.0,
+         nan_side=0.5, falling=True)
+@example(ends=(5e-324, 1e-320), where=0.6, shape="linear", scale=1e300,
+         nan_side=None, falling=False)
+@example(ends=(1e299, 1e300), where=0.999, shape="lopsided", scale=1e-300,
+         nan_side=0.9, falling=False)
+def test_bracket_returns_bisections_bits(ends, where, shape, scale,
+                                         nan_side, falling):
+    # `where` puts the root inside [a, b], on an end or beyond one;
+    # `nan_side` makes the value NaN over a region on the root's far
+    # side from it. Rising values count NaN and 0.0 as below, as the
+    # inner search does; falling ones count them as above, as the outer
+    # search does, which runs `_bracket` on the reflected axis.
+    a, b = ends
+    root = a + (b - a) * where
+    fold = BRACKET_SHAPES[shape]
+    nan_edge = None if nan_side is None else (
+        root + (b - root) * nan_side if falling else
+        root + (a - root) * nan_side)
+
+    def value(t):
+        if nan_edge is not None and (t > nan_edge if falling
+                                     else t < nan_edge):
+            return np.nan
+        with np.errstate(all="ignore"):
+            v = float(scale * fold(np.float64(t) - root))
+        return -v if falling else v
+
+    steps = [0]
+
+    def counted(t):
+        steps[0] += 1
+        return value(t)
+
+    if falling:
+        want, taken = bisect_reference(lambda t: not value(t) > 0.0, a, b)
+        got = -oracle._bracket(lambda s: counted(-s), -b, -a,
+                               value(b), value(a))
+    else:
+        want, taken = bisect_reference(lambda t: value(t) > 0.0, a, b)
+        got = oracle._bracket(counted, a, b, value(a), value(b))
+    assert steps[0] <= oracle._BRACKET_STEPS
+    if taken is not None:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert steps[0] <= 2 * taken + oracle._FREE_STEPS
+
+
+def test_grid_rows_match_per_column_linspace():
+    # widths: zero, subnormal ones whose step underflows to zero or
+    # stays nonzero, tiny and normal ones, at and off the origin
+    lo = np.array([0.3, -0.0, 0.0, 5e-324, 0.0, -1e-300, -1.0, 1e300])
+    hi = np.array([0.3, 0.0, 1e-322, 2e-323, 1e-321, 1e-300, 2.0, 1.5e300])
+    grids = []
+
+    def fun_rows(grid):
+        grids.append(grid.copy())
+        # a minimum inside each column, so later levels shrink around it
+        return (grid - (0.3 * lo + 0.7 * hi)) ** 2
+
+    with np.errstate(over="ignore"):
+        oracle._grid_refine_rows(fun_rows, lo, hi)
+    assert len(grids) == 5
+    for level, grid in enumerate(grids):
+        a, b = (lo, hi) if level == 0 else (grid[0], grid[-1])
+        columns = np.stack([np.linspace(ai, bi, 101)
+                            for ai, bi in zip(a, b)], axis=1)
+        assert grid.tobytes() == columns.tobytes(), level
 
 
 def test_example2_kkt_evaluates_objectives_by_stack(monkeypatch):
