@@ -25,22 +25,27 @@ base also gives the blocks of ``z`` (`split`), the start (`start`) and
 the agents' oracles on stacks (`objective_rows`, `gradient_rows`). The
 operator is Psi in the same layout. It copies ``z`` into a buffer
 ``[z, a + lam]`` and takes both Laplacian products from a single
-`NetworkGraph.lap_pass` over the columns ``[lam, a + lam]``, the
-payloads the agents of `network` exchange, through a gather plan of
-absolute indices into that buffer. The operator builds the plan when
-it is made (`as_saddle_problem`). The pass writes its two blocks
-straight into the ``a`` and ``lam`` blocks of the result, where one
-negation finishes them. The operator is a workspace builder (see
-`core.SaddleProblem`): the buffer, the pass's work arrays, the rows of
-``W y - d`` and the result are fixed when a workspace is built, once per
-`solvers.run` and once per `core.operator_F` call, and each evaluation
-returns the result buffer. The coupling products ``W' lam`` and ``W y -
-d`` take an output (`AllocationProblem.wt_lam`, `wy_minus_d`), so an
-evaluation writes them into the workspace with the bits of the fresh
-products. One point ``(dim,)`` and a stack ``(..., dim)`` take the same
-calls, the stack's points as leading axes. L2 takes stacks too,
-through one `lap_apply` of per-vertex rows in the same vertex-major
-layout.
+Laplacian pass over the columns ``[lam, a + lam]``, the payloads the
+agents of `network` exchange, through a gather plan of absolute
+indices into that buffer. The operator builds the plan when it is made
+(`as_saddle_problem`). The pass writes its two blocks straight into
+the ``a`` and ``lam`` blocks of the result, where one negation
+finishes them. The operator is a workspace builder (see
+`core.SaddleProblem`): the buffer, the pass bound to it
+(`NetworkGraph.pass_workspace`), the rows of ``W y - d``, the result
+and the routes of the coupling products and of the gradient are fixed
+when a workspace is built, once per `solvers.run` and once per
+`core.operator_F` call, and each evaluation returns the result buffer.
+With scalar weights (every ``W_i`` 1x1, as in example2) the coupling
+products ``W' lam`` and ``W y - d`` are multiplies by the weight
+vector on flat views of the workspace; other weights go through
+`AllocationProblem.wt_lam` and `wy_minus_d`, which take an output, so
+an evaluation writes them into the workspace with the bits of the
+fresh products. A vector gradient oracle is called directly, its
+result checked on every evaluation. One point ``(dim,)`` and a stack
+``(..., dim)`` take the same calls, the stack's points as leading
+axes. L2 takes stacks too, through one `lap_apply` of per-vertex rows
+in the same vertex-major layout.
 As in `consensus`, `simulate_allocation` is one call into the shared
 body in `solvers`, which runs the generic `solvers.run` on it and reads
 the per-agent trace off the recorded rows, and the per-agent route in
@@ -51,8 +56,8 @@ produce the same trajectories.
 import numpy as np
 
 from . import sets
-from .core import (SaddleProblem, ValidationError, _finite_constant,
-                   _matvec, _row_dots, spectral_norm)
+from .core import (SaddleProblem, ValidationError, _batched,
+                   _finite_constant, _matvec, _row_dots, spectral_norm)
 from .network import AllocationNetworkSimulator
 from .solvers import (_NetworkProblem, _NetworkTrace, _Route, _simulate,
                       _write_agent_csv, step_eg, step_ogda)
@@ -205,48 +210,77 @@ def _psi_operator(problem):
 
     Returns the fused hook, a workspace builder (see
     `core.SaddleProblem`): ``build(lead)`` fixes the buffer ``[z, a +
-    lam]`` with its block views, the pass's work arrays, rows for ``W y
-    - d`` and F, whose dual blocks take the output of one
-    `NetworkGraph.lap_pass` over the columns ``[lam, a + lam]`` of that
-    buffer. Its ``evaluate(z)`` writes ``grad h + W'lam``, ``-L lam``
-    and ``-(W y - d - L(a + lam))`` into F, laid out like ``z``, and
-    returns it; ``W'lam`` is written straight into F's ``y`` block and
-    ``W y - d`` into its rows. The gather plan
-    is built with the hook. A stack ``(..., dim)`` takes the same calls
-    as one point, with its points as leading axes.
+    lam]`` with its block views, the Laplacian pass over its columns
+    ``[lam, a + lam]`` (`NetworkGraph.pass_workspace`), which writes
+    into F's dual blocks, the rows of ``W y - d``, F, and the route of
+    the coupling products and the gradient. Its ``evaluate(z)`` writes
+    ``grad h + W'lam``, ``-L lam`` and ``-(W y - d - L(a + lam))`` into
+    F, laid out like ``z``, and returns it; ``W'lam`` is written
+    straight into F's ``y`` block. With scalar weights (every ``W_i``
+    1x1) both coupling products are single multiplies by the weight
+    vector, on flat views fixed here; other weights go through
+    `AllocationProblem.wt_lam` and `wy_minus_d` with an output. A vector
+    gradient oracle is called directly and its result checked on every
+    call as `core._batched` checks it; without one the per-agent loop
+    of `gradient_rows` runs. The gather plan is built with the hook. A
+    stack ``(..., dim)`` takes the same calls as one point, with its
+    points as leading axes.
     """
     n, m = problem.n, problem.m
     sy, sa, sl = problem._zslices
     dim, nm = sl.stop, n * m
     plan = problem.graph.gather_plan((sl.start, dim), m)
+    wdiag = problem._wdiag
+    scalar = wdiag is not None
+    demand = problem._demand_col if scalar else None
+    wt_lam, wy_minus_d = problem.wt_lam, problem.wy_minus_d
+    # the vector oracle, followed inline by the check `_batched` makes;
+    # without one the per-agent loop, which always passes that check
+    gradient = problem.vector_gradient
+    if gradient is None:
+        gradient = problem.gradient_rows
+    ndarray, FLOAT = np.ndarray, sets._FLOAT
+    add, subtract, multiply, negative = (np.add, np.subtract, np.multiply,
+                                         np.negative)
 
     def build(lead):
-        rows = lead + (n, m)
         ext = np.empty(lead + (dim + nm,))
-        zbuf, y, a, pay = (ext[..., :dim], ext[..., sy], ext[..., sa],
-                           ext[..., dim:])
-        lam = ext[..., sl]
-        lam_rows = lam.reshape(rows)
+        zbuf, y, a, lam, pay = (ext[..., :dim], ext[..., sy], ext[..., sa],
+                                ext[..., sl], ext[..., dim:])
         out = np.empty(lead + (dim,))
-        gy, duals = out[..., sy], out[..., sa.start:]
-        glam = duals[..., nm:].reshape(rows)
-        wy_d = np.empty(rows)
+        gy, duals, glam = out[..., sy], out[..., sa.start:], out[..., sl]
         # the pass writes [L lam, L(a + lam)] into the a and lam blocks
-        bound = problem.graph.pass_workspace(plan, ext, out=duals)
-        lap_pass, gradient_rows = problem.graph.lap_pass, problem.gradient_rows
-        wt_lam, wy_minus_d = problem.wt_lam, problem.wy_minus_d
-        add, subtract, negative = np.add, np.subtract, np.negative
+        lap_pass = problem.graph.pass_workspace(plan, ext, out=duals)
+        # scalar weights take lam and its block of F flat, (..., N): with
+        # m = 1 that is the rows' one column; other weights take rows
+        lam_rows = lam.reshape(lead + (n, m))
+        if not scalar:
+            glam = glam.reshape(lam_rows.shape)
+        wy_d = np.empty(glam.shape)
+        y_shape = y.shape
 
         def evaluate(z):
             zbuf[...] = z
             add(a, lam, pay)
             # grad h + W'lam, with W'lam written into its block first
-            wt_lam(lam_rows, gy)
-            add(gradient_rows(y), gy, gy)
-            lap_pass(ext, bound)
+            if scalar:
+                multiply(wdiag, lam, gy)
+            else:
+                wt_lam(lam_rows, gy)
+            g = gradient(y)
+            if not (g.__class__ is ndarray and g.dtype is FLOAT
+                    and g.shape == y_shape):
+                g = _batched(g, y_shape, "vector_gradient")
+            add(g, gy, gy)
+            lap_pass()
             # W y - d - L(a + lam) in place, then one negation of both
             # dual blocks
-            subtract(wy_minus_d(y, wy_d), glam, glam)
+            if scalar:
+                multiply(wdiag, y, wy_d)
+                subtract(wy_d, demand, wy_d)
+            else:
+                wy_minus_d(y, wy_d)
+            subtract(wy_d, glam, glam)
             negative(duals, duals)
             return out
 

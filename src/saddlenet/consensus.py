@@ -18,13 +18,14 @@ same shape, both agent-major. The base also gives the blocks of ``z``
 (`objective_rows`, `gradient_rows`).
 
 The operator is Phi: it copies ``z`` into a buffer ``[z, x + v]`` and
-takes both Laplacian products from a single `NetworkGraph.lap_pass`
-over the columns ``[x + v, x]``, the payloads the agents of `network`
-exchange, through a gather plan of absolute indices into that buffer.
-The operator builds the plan when it is made (`as_saddle_problem`);
-the pass comes out laid out like ``z``, straight into the result. The
-operator is a workspace builder (see `core.SaddleProblem`): the buffer,
-the pass's work arrays and the result are fixed when a workspace is
+takes both Laplacian products from a single Laplacian pass over the
+columns ``[x + v, x]``, the payloads the agents of `network` exchange,
+through a gather plan of absolute indices into that buffer. The
+operator builds the plan when it is made (`as_saddle_problem`); the
+pass comes out laid out like ``z``, straight into the result. The
+operator is a workspace builder (see `core.SaddleProblem`): the
+buffer, the pass bound to it (`NetworkGraph.pass_workspace`), the
+result and the route of the gradient are fixed when a workspace is
 built, once per `solvers.run` and once per `core.operator_F` call, and
 each evaluation returns the result buffer. Phi takes one point
 ``(dim,)`` or a stack ``(..., dim)`` through the same calls, and L1
@@ -33,15 +34,17 @@ same vertex-major layout, so one pass serves every point.
 `simulate_consensus` is one call into the body it shares with
 `allocation` in `solvers`, which runs the generic `solvers.run` on it
 and reads the per-agent trace off the recorded rows; the trace class
-extends a shared base there too. Every neighbor sum goes through
-`lap_pass` and the per-agent route in `network` uses the same
-expressions, so the two routes agree to the last bit.
+extends a shared base there too. Every neighbor sum goes through a
+pass that `NetworkGraph.pass_workspace` binds, and the per-agent route
+in `network` uses the same expressions, so the two routes agree to the
+last bit.
 """
 
 import numpy as np
 
 from . import sets
-from .core import SaddleProblem, ValidationError, _finite_constant, _row_dots
+from .core import (SaddleProblem, ValidationError, _batched,
+                   _finite_constant, _row_dots)
 from .network import ConsensusNetworkSimulator
 from .solvers import (_NetworkProblem, _NetworkTrace, _Route, _simulate,
                       _write_agent_csv, step_eg, step_ogda)
@@ -144,16 +147,26 @@ def _phi_operator(problem):
 
     Returns the fused hook, a workspace builder (see
     `core.SaddleProblem`): ``build(lead)`` fixes the buffer ``[z, x +
-    v]`` with its block views, the pass's work arrays and F, which takes
-    the output of one `NetworkGraph.lap_pass` over the columns ``[x +
-    v, x]`` of that buffer, laid out like ``z``. Its ``evaluate(z)``
-    writes ``grad f + L(x + v)`` and ``-L x`` into F and returns it. The
-    gather plan is built with the hook. A stack ``(..., dim)`` takes the
-    same calls as one point, with its points as leading axes.
+    v]`` with its block views, F, and the Laplacian pass over the
+    columns ``[x + v, x]`` of that buffer
+    (`NetworkGraph.pass_workspace`), which writes into F, laid out like
+    ``z``. Its ``evaluate(z)`` writes ``grad f + L(x + v)`` and ``-L x``
+    into F and returns it. A vector gradient oracle is called directly
+    and its result checked on every call as `core._batched` checks it;
+    without one the per-agent loop of `gradient_rows` runs. The gather
+    plan is built with the hook. A stack ``(..., dim)`` takes the same
+    calls as one point, with its points as leading axes.
     """
     n, m = problem.n, problem.m
     nm = n * m
     plan = problem.graph.gather_plan((2 * nm, 0), m)
+    # the vector oracle, followed inline by the check `_batched` makes;
+    # without one the per-agent loop, which always passes that check
+    gradient = problem.vector_gradient
+    if gradient is None:
+        gradient = problem.gradient_rows
+    ndarray, FLOAT = np.ndarray, sets._FLOAT
+    add, negative = np.add, np.negative
 
     def build(lead):
         rows = lead + (n, m)
@@ -163,16 +176,18 @@ def _phi_operator(problem):
         x_rows = x.reshape(rows)
         out = np.empty(lead + (2 * nm,))
         gx, gv = out[..., :nm].reshape(rows), out[..., nm:]
-        bound = problem.graph.pass_workspace(plan, ext, out=out)
-        lap_pass, gradient_rows = problem.graph.lap_pass, problem.gradient_rows
-        add, negative = np.add, np.negative
+        lap_pass = problem.graph.pass_workspace(plan, ext, out=out)
 
         def evaluate(z):
             zbuf[...] = z
             add(x, v, pay)
             # [L(x + v), L x], laid out like z
-            lap_pass(ext, bound)
-            add(gradient_rows(x_rows), gx, gx)
+            lap_pass()
+            g = gradient(x_rows)
+            if not (g.__class__ is ndarray and g.dtype is FLOAT
+                    and g.shape == rows):
+                g = _batched(g, rows, "vector_gradient")
+            add(g, gx, gx)
             negative(gv, gv)
             return out
 

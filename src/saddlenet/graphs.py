@@ -2,27 +2,28 @@
 
 The distributed algorithms never materialize the Kronecker product
 ``L (x) I_m``; every Laplacian product is assembled from per-agent
-neighbor sums. `NetworkGraph.lap_pass` is the one place that performs
-that assembly. It sums in a fixed order (ascending neighbor index, onto
-zeros) and leaves the padded ranks of lower-degree vertices at exact
-zeros, so that the vectorized stacked computation and a literal
-per-agent message-passing loop produce identical floating-point
-results. It gathers its operands from a flat buffer, one point or a
-stack, through a plan of absolute indices from
-`NetworkGraph.gather_plan`. A pass takes the plan only as
-`NetworkGraph.pass_workspace` binds it to work and output buffers,
-after checking it against the buffer. There is one layout: per-vertex
-rows, vertex by vertex. `lap_apply` takes rows ``(..., n, c)`` as
-their flat buffer ``(..., n * c)`` and builds and binds a plan of `c`
-columns per vertex on each call. The stacked consensus and allocation
-operators build theirs with the operator, over their flat iterates,
-and bind it once per workspace, so that their passes allocate nothing.
+neighbor sums. The pass that `NetworkGraph.pass_workspace` returns is
+the one place that performs that assembly. It sums in a fixed order
+(ascending neighbor index, onto zeros) and leaves the padded ranks of
+lower-degree vertices at exact zeros, so that the vectorized stacked
+computation and a literal per-agent message-passing loop produce
+identical floating-point results. It gathers its operands from a flat
+buffer, one point or a stack, through a plan of absolute indices from
+`NetworkGraph.gather_plan`, which `pass_workspace` checks against that
+buffer and binds to it, to work buffers and to an output. There is one
+layout: per-vertex rows, vertex by vertex. `lap_apply` takes rows
+``(..., n, c)`` as their flat buffer ``(..., n * c)`` and builds and
+binds a plan of `c` columns per vertex on each call. The stacked
+consensus and allocation operators build theirs with the operator,
+over their flat iterates, and bind it once per workspace, so that
+their passes allocate nothing.
 
 The step sizes of both networked problems rest on `lambda_max`, an upper
 bound by construction: `core.spectral_norm` of the dense Laplacian.
 """
 
 import collections
+import functools
 
 import numpy as np
 
@@ -73,7 +74,7 @@ class NetworkGraph(object):
         # padded neighbor index table by rank: row k holds the k-th sorted
         # neighbor of every vertex, padded with the vertex itself; on an
         # irregular graph `_real` marks the entries that are neighbors, and
-        # `lap_pass` leaves the padded differences at zero (u_i - u_i
+        # a pass leaves the padded differences at zero (u_i - u_i
         # would be NaN for an infinite u_i)
         self._nbr = np.empty((self.max_degree, n), dtype=int)
         for i in range(n):
@@ -107,7 +108,7 @@ class NetworkGraph(object):
         return L
 
     def gather_plan(self, starts, width):
-        """Plan of one `lap_pass` over column blocks of a flat buffer.
+        """Plan of one Laplacian pass over column blocks of a flat buffer.
 
         Parameters
         ----------
@@ -142,28 +143,32 @@ class NetworkGraph(object):
         return index.reshape(2, ranks[0], cols), real
 
     def pass_workspace(self, plan, flat, out=None):
-        """`plan` bound to the work buffers of passes over buffers like `flat`.
+        """The Laplacian pass of `plan` over `flat`, bound to fixed buffers.
 
         Parameters
         ----------
         plan : tuple
             ``(index, real)`` from `gather_plan`.
         flat : array of shape (..., size)
-            A buffer of the shape the bound passes will take; its values
-            are not read.
+            The buffer every pass reads, one buffer or a stack of them;
+            leading axes are independent.
         out : array of shape (..., cols), optional
             Where the passes write their result, with `flat`'s leading
             axes; a new array by default.
 
         Returns
         -------
-        tuple
-            ``(index, real, work)``: the plan with the buffers `lap_pass`
-            gathers, differences and sums into, all fixed here, so that
-            a pass through it allocates nothing and returns `out`. This
-            is the only form `lap_pass` takes; the fused operators bind
-            once per workspace, `lap_apply` once per call, each its own
-            plan.
+        callable
+            ``lap_pass()``, the pass over the current values of `flat`:
+            column c of `out` gets ``sum over neighbors j of (u_c -
+            u_(c at j))``, accumulated onto zeros in ascending neighbor
+            order, as a per-vertex loop sums, and `out` is returned.
+            Padded ranks add exact zeros (``u - u`` would be NaN for an
+            infinite ``u``). The gather, difference and sum buffers are
+            fixed here, so that a pass allocates nothing and unpacks no
+            plan. This is the only form a pass takes: the fused
+            operators bind theirs once per workspace, `lap_apply` once
+            per call.
 
         Raises
         ------
@@ -177,47 +182,32 @@ class NetworkGraph(object):
                              .format(flat.shape[-1]))
         lead = flat.shape[:-1]
         taken = np.empty(lead + index.shape)
+        own, nbrs = taken[..., 0, :, :], taken[..., 1, :, :]
         # padded ranks are never written, so they keep these zeros
         fill = np.empty if real is None else np.zeros
+        diffs = fill(lead + index.shape[1:])
         if out is None:
             out = np.empty(lead + index.shape[-1:])
-        return index, real, (taken, taken[..., 0, :, :], taken[..., 1, :, :],
-                             fill(lead + index.shape[1:]), out)
+        # a regular graph has no padded ranks, and an unmasked difference
+        # dispatches faster
+        where = {} if real is None else {"where": real}
+        difference = functools.partial(np.subtract, own, nbrs, diffs, **where)
+        take, total = flat.take, np.add.reduce
 
-    def lap_pass(self, flat, plan):
-        """The Laplacian pass over the planned columns of a flat buffer.
+        def lap_pass():
+            # one gather for the own entries and all ranks; binding
+            # checked the plan against the buffer, so clipping changes no
+            # index, and spares the copy a checked gather makes
+            take(index, -1, taken, "clip")
+            difference()
+            # rank by rank onto zeros: the rank axis lies outside the
+            # columns, so the reduction adds whole rows in order, as a
+            # loop would (an innermost reduction sums pairwise from 8
+            # terms up); axis, dtype, out, keepdims and initial go
+            # positionally, which dispatches faster
+            return total(diffs, -2, None, out, False, 0.0)
 
-        Parameters
-        ----------
-        flat : array of shape (..., size)
-            One buffer or a stack of them; leading axes are independent.
-        plan : tuple
-            A `gather_plan` bound by `pass_workspace` to fixed buffers
-            for buffers like `flat`.
-
-        Returns
-        -------
-        array of shape (..., cols)
-            Column c holds ``sum over neighbors j of (u_c - u_(c at j))``,
-            accumulated onto zeros in ascending neighbor order, as a
-            per-vertex loop sums. Padded ranks add exact zeros (``u - u``
-            would be NaN for an infinite ``u``). The result is the bound
-            plan's output buffer, which its next pass overwrites.
-        """
-        index, real, (taken, own, nbrs, diffs, out) = plan
-        # one gather for the own entries and all ranks; binding checked
-        # the plan against the buffer, so clipping changes no index, and
-        # spares the copy a checked gather makes
-        flat.take(index, -1, taken, "clip")
-        if real is None:
-            np.subtract(own, nbrs, diffs)
-        else:
-            np.subtract(own, nbrs, diffs, where=real)
-        # rank by rank onto zeros: the rank axis lies outside the columns,
-        # so the reduction adds whole rows in order, as a loop would (an
-        # innermost reduction sums pairwise from 8 terms up); axis, dtype,
-        # out, keepdims and initial go positionally, which dispatches faster
-        return np.add.reduce(diffs, -2, None, out, False, 0.0)
+        return lap_pass
 
     def lap_apply(self, u):
         """Apply the Laplacian through neighbor sums.
@@ -232,7 +222,7 @@ class NetworkGraph(object):
         -------
         array of the same shape
             Row i holds ``sum over neighbors j of (u_i - u_j)``, from
-            one `lap_pass` over the flat vertex-major buffer of `u`
+            one pass over the flat vertex-major buffer of `u`
             through a plan of `c` columns per vertex, the layout the
             fused operators pass. Columns are independent, so stacking
             several vectors as columns or as points of one call gives
@@ -245,8 +235,8 @@ class NetworkGraph(object):
                              .format(u.shape, self.n, self.n))
         width = u.shape[-1] if u.ndim > 1 else 1
         flat = u.reshape(u.shape[:-2] + (self.n * width,))
-        plan = self.pass_workspace(self.gather_plan((0,), width), flat)
-        return self.lap_pass(flat, plan).reshape(u.shape)
+        lap_pass = self.pass_workspace(self.gather_plan((0,), width), flat)
+        return lap_pass().reshape(u.shape)
 
     def __repr__(self):
         return "NetworkGraph(n={}, edges={})".format(self.n, len(self.edges))

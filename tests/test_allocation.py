@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from saddlenet import allocation, catalog
+from saddlenet import allocation, catalog, consensus
 from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
                                   as_saddle_problem, feasibility_gap,
                                   lagrangian_L2, operator_psi,
                                   simulate_allocation, step_allocation_eg,
                                   step_allocation_ogda)
-from saddlenet.core import SaddleProblem, ValidationError, operator_F
+from saddlenet.core import (SaddleProblem, ValidationError, _blockwise_F,
+                            operator_F)
 from saddlenet.graphs import NetworkGraph, lambda_max, ring
 from saddlenet.sets import Box
 from saddlenet.solvers import DivergenceError, SolverConfig, run
@@ -279,6 +280,31 @@ def test_vector_gradient_dropping_the_batch_axis_raises():
         prob.gradient_rows(np.stack([y, y]))
 
 
+def test_vector_gradient_of_wrong_shape_raises_through_psi():
+    # Psi checks the oracle's result on every evaluation, as
+    # `gradient_rows` does: on a stack and part way through a run
+    targets = np.array([1.0, 2.0, 3.0])
+    agents = catalog.allocation_quadratics().agents
+    flat = AllocationProblem(ring(3), agents,
+                             vector_gradient=lambda y: np.ravel(y - targets))
+    saddle = as_saddle_problem(flat)
+    with pytest.raises(ValidationError, match="vector_gradient"):
+        operator_F(saddle, np.zeros((2, saddle.dim)))
+    calls = []
+
+    def gradient(y):
+        # right on its first two calls, then a reduction over axis 0
+        calls.append(y.shape)
+        return y - targets if len(calls) < 3 else np.sum(y - targets, axis=0)
+
+    saddle = as_saddle_problem(
+        AllocationProblem(ring(3), agents, vector_gradient=gradient))
+    with pytest.raises(ValidationError, match="vector_gradient"):
+        run(saddle, SolverConfig("OGDA", max_iters=3, stop_tol=0.0),
+            np.zeros(saddle.dim))
+    assert calls == [(3,)] * 3
+
+
 def wt_lam_per_row(prob, lam):
     """Reference `AllocationProblem.wt_lam`: one stacked row at a time."""
     if lam.ndim > 2:
@@ -386,3 +412,40 @@ def test_lagrangian_refuses_blocks_of_another_shape(y, a, lam, name):
     prob = catalog.allocation_quadratics()
     with pytest.raises(ValidationError, match="^{} has shape".format(name)):
         lagrangian_L2(prob, y, a, lam)
+
+
+def with_signed_zeros(rng, shape):
+    """Normal draws with a third of the entries 0.0 or -0.0, and on a
+    stack a first point of -0.0 only."""
+    values = rng.normal(size=shape)
+    flat = values.reshape(-1)
+    picks = rng.choice(flat.size, size=flat.size // 3, replace=False)
+    flat[picks] = rng.choice([0.0, -0.0], size=picks.size)
+    if len(shape) > 1:
+        values.reshape(-1, shape[-1])[0] = -0.0
+    return values
+
+
+@pytest.mark.parametrize("build", [
+    lambda: as_saddle_problem(catalog.example2_allocation(0)),
+    lambda: as_saddle_problem(matrix_coupled(0)),
+    lambda: as_saddle_problem(catalog.allocation_quadratics()),
+    lambda: consensus.as_saddle_problem(catalog.consensus_quadratics(5))],
+    ids=["example2", "matrix-coupled", "allocation3", "consensus5"])
+@pytest.mark.parametrize("lead", [(), (7,), (3, 4)])
+def test_fused_operator_gives_the_bytes_of_the_blockwise_gradients(build,
+                                                                   lead):
+    # the contract of `SaddleProblem.operator`: each row is
+    # col(grad_x, -grad_y) at that row to the last bit; a second
+    # evaluation in the same workspace keeps to it
+    saddle = build()
+    rng = np.random.default_rng(len(lead))
+    evaluate = saddle.operator(lead)
+    for _ in range(2):
+        z = with_signed_zeros(rng, lead + (saddle.dim,))
+        want = np.stack([_blockwise_F(saddle, row)
+                         for row in z.reshape(-1, saddle.dim)])
+        got = evaluate(z)
+        assert got.shape == z.shape
+        assert got.tobytes() == want.tobytes()
+        assert operator_F(saddle, z).tobytes() == want.tobytes()

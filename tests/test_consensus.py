@@ -278,16 +278,16 @@ def test_agent_lipschitz_must_be_finite_and_nonnegative(lipschitz):
 def test_simulate_never_evaluates_the_lagrangian(method, monkeypatch):
     prob = catalog.consensus_quadratics(5)
     calls = []
-    lap_pass = prob.graph.lap_pass
+    pass_workspace = prob.graph.pass_workspace
 
-    def counted(flat, plan):
-        calls.append(np.shape(flat))
-        return lap_pass(flat, plan)
+    def counted(plan, flat, out=None):
+        lap_pass = pass_workspace(plan, flat, out)
+        return lambda: calls.append(np.shape(flat)) or lap_pass()
 
-    monkeypatch.setattr(prob.graph, "lap_pass", counted)
+    monkeypatch.setattr(prob.graph, "pass_workspace", counted)
     trace = simulate_consensus(prob, method, max_iters=1000, stop_tol=1e-8)
     # one Laplacian pass per operator evaluation, one for the residual
-    # column (`lap_apply` and the operators share `lap_pass`)
+    # column (`lap_apply` and the operators share `pass_workspace`)
     assert len(calls) == trace.gradient_calls + 1
 
 

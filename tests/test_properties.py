@@ -2,7 +2,7 @@
 
 Five fast paths are checked byte for byte against the plain loops they
 replace: the single-clip projection of a product of boxes and whole
-spaces, the one-gather Laplacian pass (`lap_apply`, `lap_pass`), and the
+spaces, the one-gather Laplacian pass (`lap_apply`, `pass_workspace`), and the
 one-pass evaluations of the allocation operator Psi, the modified
 Lagrangian L2 and the consensus operator Phi; Phi and Psi also on
 irregular graphs at infinities and NaN. The stack axis is checked the
@@ -167,17 +167,19 @@ def counting_lap_apply(graph):
 def counting_lap_pass(graph):
     """Record every Laplacian pass on `graph`; returns the list.
 
-    Each `lap_pass` call, which `lap_apply` and the fused operators
-    share, is recorded as ``(leading axes, columns per vertex)``.
+    Each call of a pass that `pass_workspace` binds, the only form a
+    pass takes in `lap_apply` and the fused operators, is recorded as
+    ``(leading axes, columns per vertex)``.
     """
     calls = []
-    original = graph.lap_pass
+    original = graph.pass_workspace
 
-    def counted(flat, plan):
-        calls.append((np.shape(flat)[:-1], plan[0].shape[-1] // graph.n))
-        return original(flat, plan)
+    def counted(plan, flat, out=None):
+        lap_pass = original(plan, flat, out)
+        call = (np.shape(flat)[:-1], plan[0].shape[-1] // graph.n)
+        return lambda: calls.append(call) or lap_pass()
 
-    graph.lap_pass = counted
+    graph.pass_workspace = counted
     return calls
 
 
@@ -270,7 +272,7 @@ def test_psi_is_one_laplacian_pass(kind, graph, data):
             f_z = operator_F(saddle, z)
             assert calls == [((), 2 * prob.m)] * 2
     finally:
-        del prob.graph.lap_pass
+        del prob.graph.pass_workspace
     with np.errstate(over="ignore", invalid="ignore"):
         before = psi_before_plan(prob, z)
         expect = psi_blockwise(prob, y, prob.rows(a), prob.rows(lam))
@@ -357,7 +359,7 @@ def test_phi_is_one_laplacian_pass(kind, graph, data):
             got = consensus.operator_phi(prob, x, v)
             assert calls == [((), 2 * prob.m)] * 2
     finally:
-        del prob.graph.lap_pass
+        del prob.graph.pass_workspace
     with np.errstate(over="ignore", invalid="ignore"):
         before = phi_before_plan(prob, z)
         expect = phi_blockwise(prob, x, v)
@@ -503,7 +505,7 @@ def test_stacked_operator_and_objective_equal_per_point(problem_kind, kind,
         width = m if problem_kind == "consensus" else 2 * m
         assert calls == [((k,), 2 * m), ((k,), width)]
     finally:
-        del graph.lap_pass
+        del graph.pass_workspace
     assert F.shape == Z.shape and f.shape == (k,)
     for i in range(k):
         assert F[i].tobytes() == operator_F(saddle, Z[i]).tobytes()
