@@ -2,8 +2,8 @@
 
 Five fast paths are checked byte for byte against the plain loops they
 replace: the single-clip projection of a product of boxes and whole
-spaces, the one-gather Laplacian pass (`lap_apply`, `pass_workspace`), and the
-one-pass evaluations of the allocation operator Psi, the modified
+spaces, the one-gather Laplacian pass (`lap_apply`, `pass_workspace`),
+and the one-pass evaluations of the allocation operator Psi, the modified
 Lagrangian L2 and the consensus operator Phi; Phi and Psi also on
 irregular graphs at infinities and NaN. The stack axis is checked the
 same way: `lap_apply` on several columns equals one call per column, and
