@@ -10,44 +10,51 @@ rows when it ends, and counts operator evaluations: one per iteration
 for GDA and OGDA (the previous value is cached), two for EG, plus the
 single initial evaluation at z_0.
 
-A run steps in blocks of `_BLOCK` iterations. Inside a block it only
-steps, guards against divergence and evaluates the operator, writing
-each iterate, its operator value and EG's mid-point into one row of
-fixed block arrays. At the end of a block a few stacked calls do the
-bookkeeping of all its rows at once: the natural-map residuals, the
-first row at the stop tolerance, the ergodic sums (one accumulate) and
-the recorded rows with their step lengths (a copy of one slice of the
-block arrays, and of a one-row slice for a final row off the recording
-grid). The loop is bound by the dispatch of its numpy calls, not by
-their flops, so this serves sixteen rows with each dispatch. A run
-that stops has stepped up to ``_BLOCK - 1`` iterations past its stop;
-it discards them, so its stop, iterations and rows are those of a run
-that checked every iteration, but ``gradient_calls`` counts the
-evaluations made, these steps included. A divergence raises at its
-iteration unless a row before it in the same block stopped the run.
+A run steps in long blocks of `_LONG_BLOCK` iterations, fewer for wide
+iterates (in steps of `_CHECK`) so that each block array stays within
+`_BLOCK_FLOATS` floats; a block never shrinks below `_CHECK` rows, so
+on iterates wider than 1927 its arrays exceed that budget. Inside a
+block it steps, guards against divergence and evaluates the operator,
+writing each iterate, its operator value and EG's mid-point into one
+row of fixed block arrays. After every `_CHECK` rows it takes their
+natural-map residuals in one stacked call and tests the stop: one
+NaN-ignoring minimum, and the first row at the tolerance only when it
+is met. A run without a stop tolerance takes the residuals once per
+block. At the end of a block, or when the run stops, diverges or ends
+its budget, a few stacked calls do the rest of the bookkeeping of all
+its rows at once: the ergodic sums (one accumulate) and the recorded
+rows with their step lengths (a copy of one slice of the block arrays,
+and of a one-row slice for a final row off the recording grid). The
+loop is bound by the dispatch of its numpy calls, not by their flops,
+so this serves up to 64 rows with each dispatch. A run that stops has
+stepped up to ``_CHECK - 1`` iterations past its stop; it discards
+them, so its stop, iterations and rows are those of a run that checked
+every iteration, but ``gradient_calls`` counts the evaluations made,
+these steps included. A divergence raises at its iteration unless a
+row before it in the same stop test stopped the run.
 
 Per iteration a run evaluates the operator as counted above and
 projects once per step (once for GDA and OGDA, twice for EG), and once
-per row for the residual at the end of its block. It allocates nothing
-per iteration: iterates, operator values and work vectors live in
-buffers the loop allocates once, the operator evaluates through one
-workspace built for the run (see `core.SaddleProblem`), whose value is
-copied into the block arrays, and a domain that projects by one clip
-clips into them. The loop body makes the fewest calls that keep the
-bits: the steps are written out in it rather than in helpers, every
-ufunc takes its output positionally, and the steps scale by alpha and
-2 alpha held as 0-d arrays, which a ufunc takes faster than a Python
-float and which give the same bits; a row's residual, ergodic sum and
-step length take the bits the per-iteration expressions give it. The
-step helpers `step_gda`, `step_ogda` and `step_eg` compute the same
-expressions in fresh arrays; they are the loop's reference, and the
-tests hold `run` to their bits. Per recorded row a run stores copies
-of the iterate and the ergodic average, the residual and the step
-length. The columns derived from those rows (`RunTrace.f_value`,
-`dist_to_ref`, `ergodic_gap`) are evaluated only when read, each in one
-pass over the stored rows. The networked kinds, consensus and
-allocation, also share their plumbing around this loop here (see
-`_NetworkProblem`).
+per row for the residual at its stop test or the end of its block. It
+allocates nothing per iteration: iterates, operator values and work
+vectors live in buffers the loop allocates once, the operator
+evaluates through one workspace built for the run (see
+`core.SaddleProblem`), whose value is copied into the block arrays,
+and a domain that projects by one clip clips into them. The loop body
+makes the fewest calls that keep the bits: the steps are written out
+in it rather than in helpers, every ufunc takes its output
+positionally, and the steps scale by alpha and 2 alpha held as 0-d
+arrays, which a ufunc takes faster than a Python float and which give
+the same bits; a row's residual, ergodic sum and step length take the
+bits the per-iteration expressions give it. The step helpers
+`step_gda`, `step_ogda` and `step_eg` compute the same expressions in
+fresh arrays; they are the loop's reference, and the tests hold `run`
+to their bits. Per recorded row a run stores copies of the iterate and
+the ergodic average, the residual and the step length. The columns
+derived from those rows (`RunTrace.f_value`, `dist_to_ref`,
+`ergodic_gap`) are evaluated only when read, each in one pass over the
+stored rows. The networked kinds, consensus and allocation, also share
+their plumbing around this loop here (see `_NetworkProblem`).
 """
 
 import collections
@@ -78,11 +85,19 @@ _STEP_FACTOR = {"GDA": 0.0, "OGDA": 2.0, "EG": 1.0}
 # iterates larger than this trip the divergence guard
 DIVERGENCE_NORM = 1e12
 
-# iterations `run` steps between two passes of its stacked bookkeeping.
-# On example1 runs recording every row, 8 took about 12% longer and 32
-# about 7% less, but 32 doubles the steps a stopping run takes past its
-# stop (consensus5 EG: 641 evaluations against 609 at 16)
-_BLOCK = 16
+# iterations `run` steps between two stop tests. A stopping run takes up
+# to `_CHECK - 1` steps past its stop, so 32 would double them
+# (consensus5 EG: 641 evaluations against 609 at 16)
+_CHECK = 16
+
+# iterations `run` steps between two passes of the rest of its stacked
+# bookkeeping, a multiple of `_CHECK`. Fewer rows by `_CHECK` at a time,
+# down to `_CHECK`, while a block array would hold more than
+# `_BLOCK_FLOATS` floats. On example1 runs recording every row, 64 took
+# about 11% less than 16; 256 rows of a wide block array weigh too much
+# next to a sparsely recorded trace's rows
+_LONG_BLOCK = 64
+_BLOCK_FLOATS = 2 ** 15
 
 # recorded chunks `run` joins into one, column by column, as it goes. A
 # chunk is six arrays, each with its own header, so at sparse recording,
@@ -233,7 +248,7 @@ class RunTrace(object):
     that only `run` constructs, once, when the run ends: each row array
     is one concatenation of the rows each block recorded, and owns its
     memory. ``gradient_calls`` counts the operator evaluations the run
-    made, including those of the up to ``_BLOCK - 1`` steps it took past
+    made, including those of the up to ``_CHECK - 1`` steps it took past
     a stop and discarded; ``stopped_at`` is the stop iteration (None
     when the run used its budget). Row arrays:
 
@@ -418,32 +433,44 @@ def run(problem, config, z0, z_star=None):
     if z_star is not None:
         z_star = _finite_point("z_star", "reference", z_star, problem.dim)
     alpha = config.resolved_step(problem.kappa_m)
-    method = config.method
     f = functools.partial(objective, problem)
     f_star = None if z_star is None else f(z_star)
+    calls, stopped, chunks = _stepped(problem, config, alpha, z0)
+    return RunTrace(config.method, alpha, config.record_every,
+                    problem.kappa_m, z0, z_star, f_star, f, calls, stopped,
+                    chunks)
 
-    max_iters, every = config.max_iters, config.record_every
-    stop_tol = config.stop_tol
 
-    # The loop owns every array it writes. Its block arrays hold
-    # `_BLOCK + 1` rows: row 0 carries the last row of the previous block
-    # (the start in the first), and step j of a block writes row j of the
-    # iterates `Z`, their operator values `F`, EG's mid-points `H` and, at
-    # the end of the block, the rows of the residual work `D`, the
-    # residuals `R` and the ergodic sums `S`, whose row 0 carries the sum
-    # so far. `f_before` carries OGDA's F(z_{k-1}) into the first step of
-    # a block; `arg` and `corr` take the step argument and OGDA's
-    # correction. The operator workspace is built once for the run and F
-    # is copied out of it, and projections write into the block arrays,
-    # so a step allocates nothing. The loop calls ufuncs directly, with
-    # positional outputs and 0-d step arrays (see the module docstring);
-    # `project` is the one call that depends on the domain: one clip, or
-    # the domain's projection copied in. A block's recorded rows leave
-    # these arrays as copies, appended to `chunks`; every `_JOIN_CHUNKS`
-    # new chunks are joined into one, and the trace is built once from
-    # the chunks when the run ends.
+def _stepped(problem, config, alpha, z0):
+    """The loop of `run`: ``(gradient_calls, stopped_at, chunks)``.
+
+    The block arrays go when it returns, before the trace joins the
+    recorded chunks, so they do not add to the join's peak.
+    """
+    method, max_iters = config.method, config.max_iters
+    every, stop_tol = config.record_every, config.stop_tol
+
+    # The loop owns every array it writes. Its block arrays hold `block + 1`
+    # rows: row 0 carries the last row of the previous block (the start in
+    # the first), and step j of a block writes row j of the iterates `Z`,
+    # their operator values `F`, EG's mid-points `H` and, at the block's
+    # stop tests or end, the rows of the residual work `D`, the residuals
+    # `R` and the ergodic sums `S`, whose row 0 carries the sum so far.
+    # `f_before` carries OGDA's F(z_{k-1}) into the first step of a block;
+    # `arg` and `corr` take the step argument and OGDA's correction. The
+    # operator workspace is built once for the run and F is copied out of
+    # it, and projections write into the block arrays, so a step allocates
+    # nothing. The loop calls ufuncs directly, with positional outputs and
+    # 0-d step arrays (see the module docstring); `project` is the one call
+    # that depends on the domain: one clip, or the domain's projection
+    # copied in. A block's recorded rows leave these arrays as copies,
+    # appended to `chunks`; every `_JOIN_CHUNKS` new chunks are joined into
+    # one, and the trace is built once from the chunks when the run ends.
     evaluate = _bound_operator(problem, ())
-    rows, dim = _BLOCK + 1, problem.dim
+    dim, block = problem.dim, _LONG_BLOCK
+    while block > _CHECK and (block + 1) * dim > _BLOCK_FLOATS:
+        block -= _CHECK
+    rows = block + 1
     Z, F, D, S = (np.empty((rows, dim)) for _ in range(4))
     R, J = np.empty(rows), np.arange(rows)
     f_before, arg, corr = np.empty(dim), np.empty(dim), np.empty(dim)
@@ -464,27 +491,35 @@ def run(problem, config, z0, z_star=None):
     ogda, eg = method == "OGDA", method == "EG"
     H = np.empty((rows, dim)) if eg else None
     summed = H if eg else Z  # the points the ergodic average is over
+    # a zero tolerance never stops a run
+    stops = stop_tol > 0
     # step j of a block: from row j - 1 to row j, with OGDA's F(z_{k-1})
-    # in `f_before` for j = 1
+    # in `f_before` for j = 1, and whether a stop test follows it
     zs, fs = list(Z), list(F)
     steps = list(zip(range(1, rows), zs, zs[1:], [f_before] + fs, fs, fs[1:],
-                     list(H[1:]) if eg else [None] * _BLOCK))
+                     list(H[1:]) if eg else [None] * block,
+                     [stops and j % _CHECK == 0 for j in range(1, rows)]))
 
-    def residuals(first, stop):
-        # natural-map residuals ||z - P(z - F(z))|| of rows first..stop-1;
-        # a row's is the square root of d.dot(d), the bits `_row_dots`
-        # gives each row
-        d, z = D[first:stop], Z[first:stop]
+    def first_stop(first, stop):
+        # the natural-map residuals ||z - P(z - F(z))|| of rows
+        # first..stop-1, a row's the square root of d.dot(d) with the bits
+        # `_row_dots` gives it, and the first of those rows at the stop
+        # tolerance, or None. fmin skips a NaN residual, so an operator
+        # value that turned NaN hides no earlier row
+        d, z, r = D[first:stop], Z[first:stop], R[first:stop]
         subtract(z, F[first:stop], d)
         project(d, d)
         subtract(z, d, d)
-        np.sqrt(_row_dots(d, d), R[first:stop])
+        np.sqrt(_row_dots(d, d), r)
+        if stops and np.fmin.reduce(r) <= stop_tol:
+            return first + int(np.flatnonzero(r <= stop_tol)[0])
+        return None
 
     Z[0] = z0
     F[0] = evaluate(Z[0])
     f_before[...] = F[0]  # OGDA's F(z_{-1}), with z_{-1} = z_0
     S[0] = 0.0
-    residuals(0, 1)
+    stopped = first_stop(0, 1)
     # chunks are (iters, z, z_half, vi_residual, step_norm, ergodic);
     # row 0 has no step (nor EG a mid-point) and no ergodic average
     nan_row = np.full((1, dim), np.nan)
@@ -493,14 +528,12 @@ def run(problem, config, z0, z_star=None):
     calls = 1
     joined = 0  # the chunks before this index are joins of `_JOIN_CHUNKS`
 
-    # a zero tolerance never stops a run
-    stops = stop_tol > 0
-    stopped = 0 if stops and R[0] <= stop_tol else None
     base = 0
     while stopped is None and base < max_iters:
-        n = min(_BLOCK, max_iters - base)
-        diverged = None
-        for j, z, z_new, f_prev, f_z, f_new, z_half in steps[:n]:
+        n = min(block, max_iters - base)
+        diverged = last = None
+        checked = 0  # rows 1..checked passed their stop test
+        for j, z, z_new, f_prev, f_z, f_new, z_half, check in steps[:n]:
             if ogda:
                 # z - 2 alpha F(z) + alpha F(z_prev), in that order
                 multiply(f_z, two_step, arg)
@@ -523,22 +556,27 @@ def run(problem, config, z0, z_star=None):
                 n = j - 1
                 break
             f_new[...] = evaluate(z_new)
+            if check:
+                last = first_stop(checked + 1, j + 1)
+                if last is not None:
+                    n = j
+                    break
+                checked = j
         # a diverging EG step has evaluated its mid-point
         calls += (2 if eg else 1) * n + (eg and diverged is not None)
 
-        # the bookkeeping of rows 1..n; a stop ends the block at its row
-        last = n
-        if n:
-            residuals(1, n + 1)
-            if stops:
-                hit = np.flatnonzero(R[1:n + 1] <= stop_tol)
-                if hit.size:
-                    last = int(hit[0]) + 1
-                    stopped = base + last
-        if diverged is not None and stopped is None:
+        # the rows after the last stop test; a stop ends the block at its
+        # row, and wins over a divergence after it
+        if last is None and checked < n:
+            last = first_stop(checked + 1, n + 1)
+        if last is not None:
+            stopped = base + last
+        elif diverged is not None:
             raise DivergenceError(
                 "{} iterate diverged at iteration {}".format(method, diverged),
                 iteration=diverged)
+        else:
+            last = n
         S[1:last + 1] = summed[1:last + 1]
         np.add.accumulate(S[:last + 1], 0, None, S[:last + 1])
 
@@ -567,8 +605,7 @@ def run(problem, config, z0, z_star=None):
         Z[0], F[0], S[0] = Z[n], F[n], S[n]
         base += n
 
-    return RunTrace(method, alpha, every, problem.kappa_m, z0, z_star, f_star,
-                    f, calls, stopped, chunks)
+    return calls, stopped, chunks
 
 
 def _diagnosed(trace, method, name):

@@ -243,13 +243,14 @@ BLOCK_BUILDS = [example1, ball_bilinear]
 @pytest.mark.parametrize("method", ["GDA", "OGDA", "EG"])
 @pytest.mark.parametrize("build", BLOCK_BUILDS, ids=["clip", "ball"])
 def test_rows_at_block_boundaries_equal_the_step_helpers(build, method):
-    # budgets just short of, at and past a block of 16 and two, and
-    # recording grids that fall on and off the block edges
+    # budgets just short of, at and past a stop test of 16 rows, two, a
+    # long block of 64 and two, and recording grids that fall on and off
+    # the edges of both
     prob, z0 = build()
     alpha = SolverConfig(method).resolved_step(prob.kappa_m)
-    want = hand_rows(prob, method, alpha, z0, 33)
-    for max_iters in (0, 1, 15, 16, 17, 33):
-        for every in (1, 3, 16, 17, 100):
+    want = hand_rows(prob, method, alpha, z0, 129)
+    for max_iters in (0, 1, 15, 16, 17, 33, 63, 64, 65, 129):
+        for every in (1, 3, 16, 17, 64, 65, 100):
             trace = run(prob, SolverConfig(method, max_iters=max_iters,
                                            stop_tol=0.0, record_every=every),
                         z0)
@@ -278,23 +279,23 @@ def pull_problem(set_x):
                                    Ball(np.zeros(2), 1.0)],
                          ids=["clip", "ball"])
 def test_a_stop_at_every_offset_of_a_block(set_x, method):
-    # stops at iterations 1..32 cover each offset 1..16 of the first two
-    # blocks; the run keeps the rows, stop and iteration count of the
-    # rule that checks every iteration, and counts the steps it took
-    # past the stop
+    # stops at iterations 1..80 cover each offset of the four stop tests
+    # of the first long block of 64 rows and the first of the second; the
+    # run keeps the rows, stop and iteration count of the rule that checks
+    # every iteration, and counts the steps it took past the stop
     prob = pull_problem(set_x)
     z0 = np.array([0.5, -0.25, 0.375, 0.125])
-    want = hand_rows(prob, method, 0.1, z0, 48)
+    want = hand_rows(prob, method, 0.1, z0, 100)
     resid = want["vi_residual"]
     assert (np.diff(resid) < 0).all()
     k = 2 if method == "EG" else 1
-    for stop in range(1, 33):
+    for stop in range(1, 81):
         for every in (1, 3, 100):
             trace = run(prob, SolverConfig(method, step_size=0.1,
-                                           max_iters=40, stop_tol=resid[stop],
+                                           max_iters=100, stop_tol=resid[stop],
                                            record_every=every), z0)
             assert trace.stopped_at == stop
-            assert_rows(trace, want, recorded_iters(40, every, stop))
+            assert_rows(trace, want, recorded_iters(100, every, stop))
             assert 1 + k * stop <= trace.gradient_calls <= 1 + k * (stop + 15)
 
 
@@ -340,6 +341,55 @@ def test_a_stop_before_a_divergence_in_its_block_wins():
         run(prob, SolverConfig("GDA", step_size=1.0, max_iters=40,
                                stop_tol=0.0), np.zeros(2))
     assert err.value.iteration == 20
+
+
+def test_a_stop_in_an_earlier_check_of_a_long_block_wins():
+    # iteration 18 leaves a residual of 2^-30 behind and stops the run at
+    # the stop test of rows 17..32; iteration 40, in the test of rows
+    # 33..48 of the same long block of 64, would jump past the guard
+    path = ([float(k) for k in range(19)]
+            + [k + 2.0 ** -30 for k in range(18, 39)] + [1e13])
+    prob = scripted_problem(path)
+    config = SolverConfig("GDA", step_size=1.0, max_iters=100, stop_tol=1e-9)
+    trace = run(prob, config, np.zeros(2))
+    assert trace.stopped_at == 18
+    assert trace.iters.tolist() == list(range(19))
+    assert trace.z[:, 0].tolist() == path[:19]
+    # the run stepped to the end of the stop test, and no further
+    assert trace.gradient_calls == 33
+    with pytest.raises(DivergenceError) as err:
+        run(prob, SolverConfig("GDA", step_size=1.0, max_iters=100,
+                               stop_tol=0.0), np.zeros(2))
+    assert err.value.iteration == 40
+
+
+@pytest.mark.parametrize("stop_tol", [1e-9, 0.0])
+def test_a_divergence_in_a_later_check_of_a_long_block_raises_at_it(stop_tol):
+    # steps of length 1 pass the stop tests of rows 1..16 and 17..32;
+    # iteration 40 jumps past the guard in the third test of the block
+    path = [float(k) for k in range(40)] + [1e13]
+    prob = scripted_problem(path)
+    with pytest.raises(DivergenceError) as err:
+        run(prob, SolverConfig("GDA", step_size=1.0, max_iters=100,
+                               stop_tol=stop_tol), np.zeros(2))
+    assert err.value.iteration == 40
+
+
+@pytest.mark.parametrize("stop", [15, 18])
+def test_a_nan_operator_row_hides_no_earlier_stop(stop):
+    # iteration `stop` leaves a residual of 2^-30 behind and F is NaN at
+    # the next iterate, so that row's residual is NaN. At 15 the NaN row
+    # ends its stop test (rows 1..16); at 18 the step after it diverges,
+    # mid-test (rows 17..32). A minimum over the test's residuals would be
+    # NaN and miss the stop
+    path = [float(k) for k in range(stop + 1)] + [stop + 2.0 ** -30, np.nan]
+    prob = scripted_problem(path)
+    config = SolverConfig("GDA", step_size=1.0, max_iters=100, stop_tol=1e-9)
+    trace = run(prob, config, np.zeros(2))
+    assert trace.stopped_at == stop
+    assert trace.iters.tolist() == list(range(stop + 1))
+    assert trace.vi_residual[-1] == 2.0 ** -30
+    assert trace.gradient_calls == 1 + {15: 16, 18: 19}[stop]
 
 
 def first_divergence(problem, method, alpha, z0):
@@ -453,6 +503,30 @@ def test_a_sparsely_recorded_trace_costs_little_more_than_its_rows(method):
     kept = sum(getattr(trace, name).nbytes for name in ROW_ARRAYS
                if getattr(trace, name) is not None)
     assert peak <= 2.0 * kept, (peak, kept)
+
+
+@pytest.mark.parametrize("method", ["OGDA", "EG"])
+def test_a_wide_iterate_keeps_its_block_arrays_at_16_rows(method):
+    # at dim 20,000 a block array of 17 rows already holds more than
+    # `_BLOCK_FLOATS`, so the long block stays at 16 rows. The four block
+    # arrays (EG five) of 17 rows peak at 83 (EG 103) rows of the iterate
+    # with the work vectors and the trace here; 33 rows would make 132
+    dim = 20000
+    prob = SaddleProblem(dim // 2, dim // 2, Box(-1.0, 1.0, dim=dim // 2),
+                         Box(-1.0, 1.0, dim=dim // 2),
+                         lambda x, y: 0.5 * float(x @ x - y @ y),
+                         lambda x, y: x.copy(), lambda x, y: -y, kappa_m=1.0)
+    z0 = np.linspace(-1.0, 1.0, dim)
+    config = SolverConfig(method, step_size=0.1, max_iters=2, stop_tol=0.0)
+    tracemalloc.start()
+    try:
+        trace = run(prob, config, z0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.iters.tolist() == [0, 1, 2]
+    arrays = 5 if method == "EG" else 4
+    assert peak <= (17 * arrays + 24) * dim * 8, peak / (dim * 8)
 
 
 @pytest.mark.parametrize("bad, name", [(np.nan, "nan"), (np.inf, "inf"),
