@@ -365,11 +365,12 @@ def step_allocation_eg(problem, z, alpha):
 class AllocationTrace(_NetworkTrace):
     """Recorded trajectory of a distributed allocation run.
 
-    Reads the per-agent view off a `RunTrace` of the stacked problem.
-    Arrays indexed by recorded row: ``y`` of shape ``(rows, Q)``,
-    ``a``/``lam`` of shape ``(rows, N, m)``, running ergodic averages
-    (NaN on row 0), ``feasibility_gap``, ``objective`` and the stacked
-    natural-map residual ``vi_residual``.
+    The `RunTrace` of the stacked run itself, taking over its attributes
+    as `ConsensusTrace` does. It adds, per recorded row, views of the
+    iterates, ``y`` of shape ``(rows, Q)`` and ``a``/``lam`` of shape
+    ``(rows, N, m)``, and of the running ergodic averages
+    ``erg_y``/``erg_a``/``erg_lam`` (NaN on row 0), ``feasibility_gap``
+    and ``objective`` (sum of agent objectives). Its CSV is per agent.
     """
 
     def __init__(self, problem, trace):

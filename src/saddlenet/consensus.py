@@ -266,12 +266,14 @@ def step_consensus_eg(problem, z, alpha):
 class ConsensusTrace(_NetworkTrace):
     """Recorded trajectory of a distributed consensus run.
 
-    Reads the per-agent view off a `RunTrace` of the stacked problem.
-    Arrays indexed by recorded row: iterates ``x``/``v`` of shape
-    ``(rows, N, m)``, running ergodic averages ``erg_x``/``erg_v``
-    (iterates for OGDA, mid-points for EG; NaN on row 0),
-    ``consensus_residual``, ``objective`` (sum of agent objectives),
-    and the stacked natural-map residual ``vi_residual``.
+    The `RunTrace` of the stacked run itself, taking over its attributes:
+    its rows (``z``, ``z_half``, ``ergodic``, ``vi_residual``,
+    ``step_norm``), ``dist_to_ref``, ``ergodic_gap`` and
+    ``rate_certificate()`` are the run's. It adds, per recorded row,
+    views of the iterates ``x``/``v`` of shape ``(rows, N, m)`` and of
+    the running ergodic averages ``erg_x``/``erg_v`` (iterates for OGDA,
+    mid-points for EG; NaN on row 0), ``consensus_residual`` and
+    ``objective`` (sum of agent objectives). Its CSV is per agent.
     """
 
     def __init__(self, problem, trace):

@@ -21,13 +21,15 @@ operator turns ``s`` into the agent's block of Phi (resp. Psi), and the
 agent moves its whole vector with the stacked step's expression and one
 projection onto its set times the free variables.
 
-A round is written once, as two steps every agent takes: its operator
-value from one exchange, then its projected step (OGDA's when given the
-previous operator values). A local vector may be one point or a stack
-of points ``(K, local_dim)``: payloads are then ``(K, 2m)``, sums,
-update expressions and projections act on every row alike, and the
-per-point gradient oracles are called once per distinct row. Two
-drivers run these rounds:
+A round is written once, in `_Simulator._round`: from the agents'
+points and their operator values (one exchange), OGDA takes its
+projected step with the previous operator values, and EG its projected
+probe, the operator values at the probes (a second exchange) and its
+projected step. A local vector may be one point or a stack of points
+``(K, local_dim)``: payloads are then ``(K, 2m)``, sums, update
+expressions and projections act on every row alike, and the per-point
+gradient oracles are called once per distinct row. Two drivers take
+the operator values and hand them to that round:
 
 - `run` (the serial run): every agent holds one point and the network
   takes ``iters`` rounds, one exchange per OGDA step and two per EG
@@ -35,7 +37,9 @@ drivers run these rounds:
 - `replay` (the replay): every agent holds its slices of all the
   iterates a stacked `solvers.run` recorded, and takes one step from
   each of them in one round (two exchanges for EG), the shifted
-  operator values serving as OGDA's previous ones.
+  operator values serving as OGDA's previous ones. The replayed trace
+  may be a `RunTrace` or a kind's trace of one, which is the same
+  record.
 
 Since an agent's step depends only on its own slice and its neighbors'
 payloads, the serial run reproduces a stacked trace bitwise iff it
@@ -128,6 +132,19 @@ class _Simulator(object):
         return [cset.project(w - 2.0 * a * gi + a * gp)
                 for cset, w, gi, gp in zip(self._csets, points, g, prev)]
 
+    def _round(self, points, g, prev):
+        """One round from `points` given their operator values `g`.
+
+        OGDA steps with the previous operator values `prev`; EG, which
+        ignores `prev`, probes mid-points and steps from `points` with
+        the operator values there, from a second exchange. Returns
+        ``(mid-points or None, next points)``.
+        """
+        if self.method == "OGDA":
+            return None, self._descend(points, g, prev)
+        half = self._descend(points, g)
+        return half, self._descend(points, self._operators(half))
+
     def _history(self, iters):
         """Stacked iterates of `iters` rounds from the start, row 0 the start."""
         iters = _budget("iters", iters, 0)
@@ -137,11 +154,8 @@ class _Simulator(object):
         prev = None
         for k in range(1, iters + 1):
             g = self._operators(w)
-            if self.method == "OGDA":
-                # z_{-1} = z_0 on the first step
-                w, prev = self._descend(w, g, g if prev is None else prev), g
-            else:
-                w = self._descend(w, self._operators(self._descend(w, g)))
+            # z_{-1} = z_0 on the first step
+            w, prev = self._round(w, g, g if prev is None else prev)[1], g
             np.concatenate(w, out=hist[k])
         # from the agents' concatenated vectors to the stacked layout
         stacked = np.empty_like(hist)
@@ -183,15 +197,13 @@ class _Simulator(object):
         z, cols = trace.z, self._cols
         w = [z[:-1, c] for c in cols]
         g = self._operators(w)
+        # OGDA's previous point's operator; z_{-1} = z_0 on row 0
+        prev = ([np.concatenate((gi[:1], gi[:-1])) for gi in g]
+                if self.method == "OGDA" else None)
+        half, steps = self._round(w, g, prev)
         devs = [np.abs(z[0] - self._z0)]
-        if self.method == "OGDA":
-            # the previous point's operator; z_{-1} = z_0 on row 0
-            steps = self._descend(
-                w, g, [np.concatenate((gi[:1], gi[:-1])) for gi in g])
-        else:
-            half = self._descend(w, g)
+        if half is not None:
             devs += [np.abs(h - trace.z_half[1:, c]) for h, c in zip(half, cols)]
-            steps = self._descend(w, self._operators(half))
         devs += [np.abs(step - z[1:, c]) for step, c in zip(steps, cols)]
         return float(np.max([np.max(d, initial=0.0) for d in devs]))
 

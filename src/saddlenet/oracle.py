@@ -69,15 +69,14 @@ def finite_diff_check(value, gradient, points):
     ----------
     value : callable
         The scalar function, evaluated on stacks: it maps an array of
-        points ``(k, dim)``, one per row, to their ``k`` values. Each
-        tested point's coordinates are taken in chunks of
-        ``FD_CHUNK_ROWS / 2``, each chunk giving the stack of its ``+h``
-        perturbations followed by its ``-h`` ones. Consecutive chunks,
-        in point order, share one call while their rows fit in
-        `FD_CHUNK_ROWS`: a point of dimension at most ``FD_CHUNK_ROWS /
-        2`` is one chunk, and as many whole points as fit go in one
-        call. A one-point function ``f`` serves as ``lambda P: [f(p)
-        for p in P]``.
+        points ``(k, dim)``, one per row, to their ``k`` values. The
+        (point, coordinate) pairs are taken in order, point by point,
+        ``FD_CHUNK_ROWS / 2`` pairs to a call (the last call takes the
+        rest): a call's stack holds the ``+h`` perturbation of each of
+        its pairs, then their ``-h`` ones, so no call exceeds
+        `FD_CHUNK_ROWS` rows and a pair's rows do not depend on the
+        pairs it shares its call with. A one-point function ``f`` serves
+        as ``lambda P: [f(p) for p in P]``.
     gradient : callable
         Claimed gradient of the scalar function, evaluated on stacks as
         `value` is: called once with all of `points` ``(k, dim)``, it
@@ -106,36 +105,25 @@ def finite_diff_check(value, gradient, points):
         raise ValueError("gradient returned shape {} on points of shape {}"
                          .format(grads.shape, points.shape))
     dim = points.shape[1]
-    width = FD_CHUNK_ROWS // 2
-    hs = [1e-6 * (1.0 + np.linalg.norm(p)) for p in points]
-    # blocks (point, first coordinate, coordinates) in chunks of `width`
-    # coordinates, packed in order into calls of at most FD_CHUNK_ROWS rows
-    calls, rows = [], FD_CHUNK_ROWS
-    for i in range(len(points)):
-        for lo in range(0, dim, width):
-            k = min(width, dim - lo)
-            if rows + 2 * k > FD_CHUNK_ROWS:
-                calls.append([])
-                rows = 0
-            calls[-1].append((i, lo, k))
-            rows += 2 * k
+    hs = np.array([1e-6 * (1.0 + np.linalg.norm(p)) for p in points])
+    # the (point, coordinate) pairs in order, FD_CHUNK_ROWS / 2 to a call
     fd = np.empty(points.shape)
-    for call in calls:
-        # row r of each half of a block moves coordinate lo + r alone:
-        # adding h * 0.0 leaves the other coordinates exactly as they were
-        stack = []
-        for i, lo, k in call:
-            step = hs[i] * np.eye(k, dim, lo)
-            stack += [points[i] + step, points[i] - step]
-        stack = np.concatenate(stack)
+    pairs, width = fd.reshape(-1), FD_CHUNK_ROWS // 2
+    for lo in range(0, pairs.size, width):
+        i, j = np.divmod(np.arange(lo, min(lo + width, pairs.size)), dim)
+        k = i.size
+        # row r of each half moves coordinate j[r] of point i[r] alone:
+        # adding 0.0 leaves the other coordinates exactly as they were
+        step = np.zeros((k, dim))
+        step[np.arange(k), j] = hs[i]
+        at = points[i]
+        stack = np.concatenate([at + step, at - step])
         vals = np.asarray(value(stack), dtype=float)
-        if vals.shape != (len(stack),):
+        if vals.shape != (2 * k,):
             raise ValueError("value returned shape {} on a stack of {}"
                              " points; it must return one value per row"
-                             .format(vals.shape, len(stack)))
-        for i, lo, k in call:
-            fd[i, lo:lo + k] = (vals[:k] - vals[k:2 * k]) / (2.0 * hs[i])
-            vals = vals[2 * k:]
+                             .format(vals.shape, 2 * k))
+        pairs[lo:lo + k] = (vals[:k] - vals[k:]) / (2.0 * hs[i])
     worst = 0.0
     worst_point = None
     for p, g, f in zip(points, grads, fd):
@@ -189,10 +177,27 @@ class ConsensusReference(object):
         self.saddle_residual = saddle_residual
 
 
-def _consensus_saddle_residual(problem, x, v):
-    # dense-matrix assembly of the operator, independent of the
-    # neighbor-sum route the solvers use
+def _certified_dual(problem, kind, rhs, residual, negate=False):
+    # the dual rows pinv(L) rhs of a saddle point, with the dense
+    # Laplacian L built once, and the dense natural-map residual
+    # `residual(lap, dual)` of the saddle they complete, which must be
+    # at most REFERENCE_TOL. `negate` negates the pseudoinverse before
+    # the product, as consensus always has, which fixes the signs of its
+    # zeros
     lap = problem.graph.laplacian()
+    pinv = np.linalg.pinv(lap)
+    dual = (-pinv if negate else pinv) @ rhs
+    resid = residual(lap, dual)
+    if not resid <= REFERENCE_TOL:  # NaN fails
+        raise CertificationError(
+            "%s saddle failed certification: residual %.3e > %.1e"
+            % (kind, resid, REFERENCE_TOL))
+    return dual, resid
+
+
+def _consensus_saddle_residual(problem, lap, x, v):
+    # dense-matrix assembly of the operator with the Laplacian `lap`,
+    # independent of the neighbor-sum route the solvers use
     gx = problem.gradient_rows(x) + lap @ (x + v)
     gv = -(lap @ x)
     rx = x - problem.decision_set.project((x - gx).ravel()).reshape(x.shape)
@@ -245,12 +250,10 @@ def solve_consensus_reference(problem):
             "consensus optimum failed certification: normal-cone residual"
             " %.3e < -%.1e" % (cone, REFERENCE_TOL))
     x = np.tile(s, (problem.n, 1))
-    v = -np.linalg.pinv(problem.graph.laplacian()) @ problem.gradient_rows(x)
-    resid = _consensus_saddle_residual(problem, x, v)
-    if resid > REFERENCE_TOL:
-        raise CertificationError(
-            "consensus saddle failed certification: residual %.3e > %.1e"
-            % (resid, REFERENCE_TOL))
+    v, resid = _certified_dual(
+        problem, "consensus", problem.gradient_rows(x),
+        lambda lap, v: _consensus_saddle_residual(problem, lap, x, v),
+        negate=True)
     return ConsensusReference(s, x, v, _value_sum(problem, s), cone, resid)
 
 
@@ -351,9 +354,9 @@ def _grid_refine_rows(fun_rows, lo, hi, levels=5, points=100):
     return 0.5 * (a + b)
 
 
-def _allocation_saddle_residual(problem, y, e, a, lam):
-    # `e` holds the imbalance rows ``W_i y_i - d_i`` of `y`
-    lap = problem.graph.laplacian()
+def _allocation_saddle_residual(problem, lap, y, e, a, lam):
+    # `e` holds the imbalance rows ``W_i y_i - d_i`` of `y`; `lap` is the
+    # dense Laplacian
     grad = problem.gradient_rows(y)
     gy = grad + np.concatenate([sp.weight.T @ lam[i]
                                 for i, sp in enumerate(problem.agents)])
@@ -496,11 +499,8 @@ def solve_allocation_kkt(problem):
     lam = np.full((n, 1), mu)
     e = np.stack([sp.weight @ y[problem._agent_slices[i]] - sp.demand
                   for i, sp in enumerate(problem.agents)])
-    a_rows = np.linalg.pinv(problem.graph.laplacian()) @ e
-    resid = _allocation_saddle_residual(problem, y, e, a_rows, lam)
-    if resid > REFERENCE_TOL:
-        raise CertificationError(
-            "allocation saddle failed certification: residual %.3e > %.1e"
-            % (resid, REFERENCE_TOL))
+    a_rows, resid = _certified_dual(
+        problem, "allocation", e,
+        lambda lap, a: _allocation_saddle_residual(problem, lap, y, e, a, lam))
     return KKTReference(y, mu, a_rows, lam, objective, feas, gap_stat, resid)
 

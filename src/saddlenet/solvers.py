@@ -31,7 +31,11 @@ stepped up to ``_CHECK - 1`` iterations past its stop; it discards
 them, so its stop, iterations and rows are those of a run that checked
 every iteration, but ``gradient_calls`` counts the evaluations made,
 these steps included. A divergence raises at its iteration unless a
-row before it in the same stop test stopped the run.
+row before it in the same stop test stopped the run. So does an
+operator value that is not finite, at its iterate: the start's is
+tested once, and the block's rows once per block, with one reduction.
+It raises before the divergence it causes. EG's mid-point values are
+not stored, so they are not tested.
 
 Per iteration a run evaluates the operator as counted above and
 projects once per step (once for GDA and OGDA, twice for EG), and once
@@ -245,12 +249,14 @@ class RunTrace(object):
 
     Rows are recorded every `record_every` iterations plus always the
     initial point and the final iterate. A trace is a finished record
-    that only `run` constructs, once, when the run ends: each row array
-    is one concatenation of the rows each block recorded, and owns its
-    memory. ``gradient_calls`` counts the operator evaluations the run
-    made, including those of the up to ``_CHECK - 1`` steps it took past
-    a stop and discarded; ``stopped_at`` is the stop iteration (None
-    when the run used its budget). Row arrays:
+    that `run` constructs, once, when the run ends: each row array is one
+    concatenation of the rows each block recorded, and owns its memory.
+    A networked kind's trace (`ConsensusTrace`, `AllocationTrace`) is
+    the same record, taking over the run's attributes. ``gradient_calls``
+    counts the operator evaluations the run made, including those of the
+    up to ``_CHECK - 1`` steps it took past a stop and discarded;
+    ``stopped_at`` is the stop iteration (None when the run used its
+    budget). Row arrays:
 
     - ``iters``: iteration numbers of the rows.
     - ``z``: iterates, shape ``(rows, dim)``.
@@ -427,7 +433,9 @@ def run(problem, config, z0, z_star=None):
         reference point that is not a finite vector of the problem's
         dimension (naming its first non-finite entry).
     DivergenceError
-        When an iterate turns non-finite or leaves the guard region.
+        When an iterate turns non-finite or leaves the guard region, or
+        the operator value at an iterate is not finite (naming the
+        operator), unless the run stopped at an earlier iterate.
     """
     z0 = _finite_point("z0", "start", z0, problem.dim)
     if z_star is not None:
@@ -515,8 +523,20 @@ def _stepped(problem, config, alpha, z0):
             return first + int(np.flatnonzero(r <= stop_tol)[0])
         return None
 
+    def finite_operator(first, stop):
+        # raises at the first of rows first..stop-1 whose operator value
+        # is not finite
+        if not np.isfinite(F[first:stop]).all():
+            ok = np.isfinite(F[first:stop]).all(axis=1)
+            k = base + first + int(np.flatnonzero(~ok)[0])
+            raise DivergenceError(
+                "{} operator value is not finite at iteration {}"
+                .format(method, k), iteration=k)
+
+    base = 0
     Z[0] = z0
     F[0] = evaluate(Z[0])
+    finite_operator(0, 1)
     f_before[...] = F[0]  # OGDA's F(z_{-1}), with z_{-1} = z_0
     S[0] = 0.0
     stopped = first_stop(0, 1)
@@ -528,7 +548,6 @@ def _stepped(problem, config, alpha, z0):
     calls = 1
     joined = 0  # the chunks before this index are joins of `_JOIN_CHUNKS`
 
-    base = 0
     while stopped is None and base < max_iters:
         n = min(block, max_iters - base)
         diverged = last = None
@@ -566,9 +585,11 @@ def _stepped(problem, config, alpha, z0):
         calls += (2 if eg else 1) * n + (eg and diverged is not None)
 
         # the rows after the last stop test; a stop ends the block at its
-        # row, and wins over a divergence after it
+        # row, and wins over an operator value that is not finite after it,
+        # which wins over a divergence after it
         if last is None and checked < n:
             last = first_stop(checked + 1, n + 1)
+        finite_operator(1, (n if last is None else last) + 1)
         if last is not None:
             stopped = base + last
         elif diverged is not None:
@@ -856,21 +877,20 @@ class _NetworkProblem(object):
                                            self.n, self.m)
 
 
-class _NetworkTrace(object):
-    """The fields of both kinds' traces, read off a stacked `RunTrace`.
+class _NetworkTrace(RunTrace):
+    """A networked kind's trace: its stacked run's `RunTrace`, viewed per agent.
 
-    ``objective`` sums the agent objectives at each row of `decisions`;
-    a subclass adds its blocks, its residual or gap column and its CSV.
+    It takes over the run's attributes instead of copying them, so its
+    row arrays, reference, counts and any column the run already read
+    are the run's own objects, and `dist_to_ref`, `ergodic_gap` and
+    `rate_certificate` read as they do on the run. ``objective`` sums
+    the agent objectives at each row of `decisions`; a subclass adds its
+    blocks, its residual or gap column and its CSV.
     """
 
     def __init__(self, problem, trace, decisions):
+        vars(self).update(vars(trace))
         self.problem = problem
-        self.method = trace.method
-        self.alpha = trace.alpha
-        self.gradient_calls = trace.gradient_calls
-        self.stopped_at = trace.stopped_at
-        self.iters = trace.iters
-        self.vi_residual = trace.vi_residual
         self.objective = np.add.reduce(problem.objective_rows(decisions),
                                        axis=-1)
 

@@ -233,9 +233,13 @@ def test_non_finite_gradient_trips_divergence_guard():
         cset=Box(-10.0, 10.0, dim=1), weight=np.array([[1.0]]),
         demand=np.array([0.0]), lipschitz=0.0)
     prob = AllocationProblem(ring(3), agents)
-    with pytest.raises(DivergenceError) as err:
+    # the operator value at the start is NaN: the run names the operator
+    # at iteration 0, before the NaN step it would take to iteration 1
+    with pytest.raises(DivergenceError,
+                       match="EG operator value is not finite at iteration 0"
+                       ) as err:
         simulate_allocation(prob, "EG", max_iters=20, stop_tol=1e-8)
-    assert err.value.iteration == 1
+    assert err.value.iteration == 0
 
 
 @pytest.mark.parametrize("field, value, match", [

@@ -261,9 +261,13 @@ def test_non_finite_gradient_trips_divergence_guard():
         gradient=lambda s: np.full(s.shape, np.nan),
         cset=Box(-10.0, 10.0, dim=1), lipschitz=0.0)
     prob = ConsensusProblem(ring(5), 1, agents)
-    with pytest.raises(DivergenceError) as err:
+    # the operator value at the start is NaN: the run names the operator
+    # at iteration 0, before the NaN step it would take to iteration 1
+    with pytest.raises(DivergenceError,
+                       match="OGDA operator value is not finite at iteration 0"
+                       ) as err:
         simulate_consensus(prob, "OGDA", max_iters=20, stop_tol=1e-8)
-    assert err.value.iteration == 1
+    assert err.value.iteration == 0
 
 
 @pytest.mark.parametrize("lipschitz", [np.nan, np.inf, -1.0])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from saddlenet import catalog, consensus
+from saddlenet import catalog, consensus, harness, solvers
 from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
-                                  simulate_allocation)
+                                  AllocationTrace, simulate_allocation)
 from saddlenet.consensus import (ConsensusAgentSpec, ConsensusProblem,
                                  simulate_consensus)
 from saddlenet.core import ValidationError
@@ -11,7 +11,7 @@ from saddlenet.graphs import NetworkGraph, random_connected, ring
 from saddlenet.network import (AllocationNetworkSimulator,
                                ConsensusNetworkSimulator, Network)
 from saddlenet.sets import Ball, Box
-from saddlenet.solvers import SolverConfig, run, step_bound
+from saddlenet.solvers import RunTrace, SolverConfig, run, step_bound
 
 
 def test_exchange_delivers_neighbor_payloads_in_order():
@@ -443,3 +443,73 @@ def test_wrong_sized_agent_gradient_raises_on_both_routes(method):
         simulate_allocation(prob, method, max_iters=3, stop_tol=0.0)
     with pytest.raises(ValidationError, match=r"shape \(\) where \(2,\)"):
         prob.gradient_rows(np.zeros((4, prob.dim_y)))
+
+
+# the run's row arrays, which a networked trace holds as the same objects
+RUN_ROWS = ("iters", "z", "z_half", "ergodic", "vi_residual", "step_norm")
+
+
+def assert_the_runs_record(view, trace):
+    """`view` is the run `trace`'s record: the same row arrays, the same
+    certificate columns, and steps the per-agent replay reproduces."""
+    assert isinstance(view, RunTrace)
+    for name in RUN_ROWS:
+        assert getattr(view, name) is getattr(trace, name), name
+    for name in ("dist_to_ref", "ergodic_gap"):
+        assert getattr(view, name).tobytes() == getattr(trace, name).tobytes()
+    if trace.z_star is None:
+        with pytest.raises(ValueError, match="reference point"):
+            view.rate_certificate()
+    else:
+        assert (view.rate_certificate().tobytes()
+                == trace.rate_certificate().tobytes())
+    assert simulator(view.problem, view.method).replay(view) == 0.0
+
+
+NETWORKED_PRESETS = {"consensus5": 0, "example2": 3}
+
+
+@pytest.mark.parametrize("preset", sorted(NETWORKED_PRESETS))
+def test_a_networked_solve_writes_its_runs_own_record(preset, tmp_path,
+                                                      monkeypatch):
+    # `solve` runs each method on the stacked problem with its reference;
+    # the trace it writes is that run's `RunTrace`
+    runs, views = [], []
+
+    def recorded_run(*args, **kwargs):
+        runs.append(run(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(harness, "run", recorded_run)
+    for kind in (consensus.ConsensusTrace, AllocationTrace):
+        monkeypatch.setattr(kind, "to_csv",
+                            lambda view, path: views.append(view))
+    harness.cmd_solve(harness.resolve_config(
+        {"preset": preset, "seed": NETWORKED_PRESETS[preset], "iters": 300,
+         "record_every": 1, "out": str(tmp_path)}))
+    assert [view.method for view in views] == ["OGDA", "EG"]
+    assert len(runs) == 2
+    for view, trace in zip(views, runs):
+        assert trace.z_star is not None
+        assert_the_runs_record(view, trace)
+
+
+@pytest.mark.parametrize("method", ["OGDA", "EG"])
+@pytest.mark.parametrize("preset", sorted(NETWORKED_PRESETS))
+def test_a_simulated_trace_is_its_runs_record(preset, method, monkeypatch):
+    runs = []
+
+    def recorded_run(*args, **kwargs):
+        runs.append(run(*args, **kwargs))
+        # read before the trace view is made, so the view takes it over
+        runs[-1].f_value
+        return runs[-1]
+
+    monkeypatch.setattr(solvers, "run", recorded_run)
+    prob = harness.PRESETS[preset]["build"](NETWORKED_PRESETS[preset])
+    simulate = (simulate_consensus if preset == "consensus5"
+                else simulate_allocation)
+    view = simulate(prob, method, max_iters=300)
+    (trace,) = runs
+    assert view.f_value is trace.f_value
+    assert_the_runs_record(view, trace)

@@ -343,6 +343,42 @@ def test_finite_diff_check_rejects_a_wrong_shaped_gradient(gradient):
         finite_diff_check(lambda P: np.sum(P, axis=1), gradient, pts)
 
 
+@pytest.mark.parametrize("build, solve", [
+    (lambda: catalog.consensus_quadratics(5), solve_consensus_reference),
+    (catalog.allocation_quadratics, solve_allocation_kkt),
+    (lambda: catalog.example2_allocation(seed=0), solve_allocation_kkt),
+], ids=["consensus5", "allocation3", "example2"])
+def test_each_reference_builds_the_dense_laplacian_once(build, solve,
+                                                        monkeypatch):
+    problem = build()
+    built = []
+    laplacian = NetworkGraph.laplacian
+
+    def counted(graph):
+        built.append(graph)
+        return laplacian(graph)
+
+    monkeypatch.setattr(NetworkGraph, "laplacian", counted)
+    solve(problem)
+    assert built == [problem.graph]
+
+
+@pytest.mark.parametrize("build, solve, residual", [
+    (lambda: catalog.consensus_quadratics(5), solve_consensus_reference,
+     "_consensus_saddle_residual"),
+    (catalog.allocation_quadratics, solve_allocation_kkt,
+     "_allocation_saddle_residual"),
+], ids=["consensus5", "allocation3"])
+def test_a_nan_saddle_residual_fails_certification(build, solve, residual,
+                                                   monkeypatch):
+    # NaN is not at most REFERENCE_TOL: the reference is refused, not
+    # certified with a NaN residual
+    monkeypatch.setattr(oracle, residual, lambda *args: np.nan)
+    with pytest.raises(CertificationError,
+                       match="saddle failed certification: residual nan"):
+        solve(build())
+
+
 def finite_diff_one_stack(value, gradient, points):
     """The unchunked check: one ``(2 dim, dim)`` stack per point."""
     worst, worst_point = 0.0, None
@@ -379,9 +415,10 @@ def test_finite_diff_check_bounds_its_stacks_and_keeps_the_bits():
 
 
 def test_finite_diff_check_packs_example2_points_in_pairs():
-    # verify's check on example2: 100 points of 60 coordinates, 120 rows
-    # each, two points to a call; every row keeps the bits it has in a
-    # stack of its own point
+    # verify's check on example2: 100 points of 60 coordinates, 6000
+    # (point, coordinate) pairs taken in order, 128 pairs (256 rows) to a
+    # call and the last 112 in one of 224 rows; a call may split a point,
+    # and every row keeps the bits it has in a stack of its own point
     stacked = as_saddle_problem(catalog.example2_allocation(seed=0))
     pts = sample_points(stacked.domain, 100, np.random.default_rng(0))
     sign = np.where(np.arange(stacked.dim) < stacked.dim_x, 1.0, -1.0)
@@ -394,7 +431,7 @@ def test_finite_diff_check_packs_example2_points_in_pairs():
 
     report = finite_diff_check(value, lambda P: grads, pts)
     assert report["passed"]
-    assert sizes == [240] * 50
+    assert sizes == [256] * 46 + [224]
     rows = iter(grads)
     worst, worst_point = finite_diff_one_stack(
         lambda P: objective(stacked, P), lambda p: next(rows), pts)
@@ -543,8 +580,9 @@ def kkt_per_agent_loop(problem, tol=1e-8):
     lam = np.full((n, 1), mu)
     e = np.stack([sp.weight @ y[problem._agent_slices[i]] - sp.demand
                   for i, sp in enumerate(problem.agents)])
-    a_rows = np.linalg.pinv(problem.graph.laplacian()) @ e
-    resid = oracle._allocation_saddle_residual(problem, y, e, a_rows, lam)
+    lap = problem.graph.laplacian()
+    a_rows = np.linalg.pinv(lap) @ e
+    resid = oracle._allocation_saddle_residual(problem, lap, y, e, a_rows, lam)
     if resid > tol:
         raise CertificationError("saddle")
     return oracle.KKTReference(y, mu, a_rows, lam, objective, feas,

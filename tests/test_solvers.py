@@ -1,4 +1,5 @@
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,9 +10,9 @@ from saddlenet.core import (SaddleProblem, ValidationError, operator_F,
                             vi_residual)
 from saddlenet.oracle import solve_allocation_kkt
 from saddlenet.sets import Ball, Box, WholeSpace
-from saddlenet.solvers import (DivergenceError, SolverConfig, delta_diagnostic,
-                               eg_contraction_check, run, step_bound, step_eg,
-                               step_gda, step_ogda)
+from saddlenet.solvers import (METHODS, DivergenceError, SolverConfig,
+                               delta_diagnostic, eg_contraction_check, run,
+                               step_bound, step_eg, step_gda, step_ogda)
 from test_allocation import matrix_coupled
 
 
@@ -390,6 +391,62 @@ def test_a_nan_operator_row_hides_no_earlier_stop(stop):
     assert trace.iters.tolist() == list(range(stop + 1))
     assert trace.vi_residual[-1] == 2.0 ** -30
     assert trace.gradient_calls == 1 + {15: 16, 18: 19}[stop]
+
+
+def bad_operator_problem(method, bad=None, iterate=None):
+    """x^2/2 - y^2/2 on [-10, 10]^2, so F(z) = z, with F's x entry `bad`
+    at `iterate` of a `method` run (no bad value when it is None).
+
+    EG evaluates F at the mid-point before the iterate, so iterate k's
+    value is its evaluation 2k, counted from 0.
+    """
+    calls = itertools.count()
+    target = None if iterate is None else iterate * (2 if method == "EG" else 1)
+
+    def grad_x(x, y):
+        return np.array([bad]) if next(calls) == target else x.copy()
+
+    box = Box(-10.0, 10.0, dim=1)
+    return SaddleProblem(1, 1, box, box,
+                         lambda x, y: 0.5 * float(x @ x) - 0.5 * float(y @ y),
+                         grad_x, lambda x, y: -y, kappa_m=1.0)
+
+
+@pytest.mark.parametrize("stop_tol", [0.0, 1e-12])
+@pytest.mark.parametrize("iterate", [0, 16, 37])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_operator_value_raises_at_its_iterate(bad, method,
+                                                          iterate, stop_tol):
+    # NaN would turn the next iterate NaN and trip the guard one iteration
+    # later; an infinite x entry is clipped to the box bound, and the run
+    # would go on from there. Both raise at the iterate, naming the
+    # operator; 0 is the start, 16 ends a stop test and 37 is mid-test
+    prob = bad_operator_problem(method, bad, iterate)
+    config = SolverConfig(method, max_iters=40, stop_tol=stop_tol)
+    with pytest.raises(DivergenceError,
+                       match="^{} operator value is not finite at iteration"
+                             " {}$".format(method, iterate)) as err:
+        run(prob, config, np.array([5.0, 3.0]))
+    assert err.value.iteration == iterate
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_stop_before_a_non_finite_operator_value_wins(bad, method):
+    # the clean run stops at iterate s; a bad value at s + 1 leaves that
+    # stop, and one at s raises there
+    config = SolverConfig(method, max_iters=200, stop_tol=1e-6)
+    z0 = np.array([5.0, 3.0])
+    clean = run(bad_operator_problem(method), config, z0)
+    stop = clean.stopped_at
+    assert stop is not None
+    trace = run(bad_operator_problem(method, bad, stop + 1), config, z0)
+    assert trace.stopped_at == stop
+    assert trace.z.tobytes() == clean.z.tobytes()
+    with pytest.raises(DivergenceError, match="operator value") as err:
+        run(bad_operator_problem(method, bad, stop), config, z0)
+    assert err.value.iteration == stop
 
 
 def first_divergence(problem, method, alpha, z0):
