@@ -29,13 +29,16 @@ Laplacian pass over the columns ``[lam, a + lam]``, the payloads the
 agents of `network` exchange, through a gather plan of absolute
 indices into that buffer. The operator builds the plan when it is made
 (`as_saddle_problem`). The pass writes its two blocks straight into
-the ``a`` and ``lam`` blocks of the result, where one negation
+the ``a`` and ``lam`` blocks of the output, where one negation
 finishes them. The operator is a workspace builder (see
 `core.SaddleProblem`): the buffer, the pass bound to it
-(`NetworkGraph.pass_workspace`), the rows of ``W y - d``, the result
-and the routes of the coupling products and of the gradient are fixed
-when a workspace is built, once per `solvers.run` and once per
-`core.operator_F` call, and each evaluation returns the result buffer.
+(`NetworkGraph.pass_workspace`), the rows of ``W y - d`` and the routes
+of the coupling products and of the gradient are fixed when a
+workspace is built, once per `solvers.run` and once per
+`core.operator_F` call. A bind fixes an input and an output and the
+views of F's blocks in it, once per row of `solvers.run`'s block
+arrays, and each evaluation reads the input and writes the output;
+every bind shares the workspace's buffer, pass and rows of ``W y - d``.
 With scalar weights (every ``W_i`` 1x1, as in example2) the coupling
 products ``W' lam`` and ``W y - d`` are multiplies by the weight
 vector on flat views of the workspace; other weights go through
@@ -56,7 +59,7 @@ produce the same trajectories.
 import numpy as np
 
 from . import sets
-from .core import (SaddleProblem, ValidationError, _batched,
+from .core import (SaddleProblem, ValidationError, _batched, _evaluated,
                    _finite_constant, _matvec, _row_dots, spectral_norm)
 from .network import AllocationNetworkSimulator
 from .solvers import (_NetworkProblem, _NetworkTrace, _Route, _simulate,
@@ -209,22 +212,23 @@ def _psi_operator(problem):
     """Psi on flat iterates ``z = [y, a, lam]``, one point or a stack.
 
     Returns the fused hook, a workspace builder (see
-    `core.SaddleProblem`): ``build(lead)`` fixes the buffer ``[z, a +
-    lam]`` with its block views, the Laplacian pass over its columns
-    ``[lam, a + lam]`` (`NetworkGraph.pass_workspace`), which writes
-    into F's dual blocks, the rows of ``W y - d``, F, and the route of
-    the coupling products and the gradient. Its ``evaluate(z)`` writes
-    ``grad h + W'lam``, ``-L lam`` and ``-(W y - d - L(a + lam))`` into
-    F, laid out like ``z``, and returns it; ``W'lam`` is written
-    straight into F's ``y`` block. With scalar weights (every ``W_i``
-    1x1) both coupling products are single multiplies by the weight
-    vector, on flat views fixed here; other weights go through
-    `AllocationProblem.wt_lam` and `wy_minus_d` with an output. A vector
-    gradient oracle is called directly and its result checked on every
-    call as `core._batched` checks it; without one the per-agent loop
-    of `gradient_rows` runs. The gather plan is built with the hook. A
-    stack ``(..., dim)`` takes the same calls as one point, with its
-    points as leading axes.
+    `core.SaddleProblem`): ``build(lead)`` fixes the scratch, the buffer
+    ``[z, a + lam]`` with its block views, the Laplacian pass over its
+    columns ``[lam, a + lam]`` (`NetworkGraph.pass_workspace`) and the
+    rows of ``W y - d``, which every bind shares, and the route of the
+    coupling products and the gradient. ``bind(z, out)`` fixes the
+    views of F's blocks in `out`, and its ``evaluate()`` copies `z` into
+    the buffer and writes ``grad h + W'lam``, ``-L lam`` and ``-(W y -
+    d - L(a + lam))`` into `out`, laid out like ``z``; ``W'lam`` is
+    written straight into F's ``y`` block and the pass into its dual
+    blocks. With scalar weights (every ``W_i`` 1x1) both coupling
+    products are single multiplies by the weight vector, on flat views
+    fixed here; other weights go through `AllocationProblem.wt_lam` and
+    `wy_minus_d` with an output. A vector gradient oracle is called
+    directly and its result checked on every call as `core._batched`
+    checks it; without one the per-agent loop of `gradient_rows` runs.
+    The gather plan is built with the hook. A stack ``(..., dim)`` takes
+    the same calls as one point, with its points as leading axes.
     """
     n, m = problem.n, problem.m
     sy, sa, sl = problem._zslices
@@ -242,56 +246,62 @@ def _psi_operator(problem):
     ndarray, FLOAT = np.ndarray, sets._FLOAT
     add, subtract, multiply, negative = (np.add, np.subtract, np.multiply,
                                          np.negative)
+    # the blocks of F, as indices formed once: a bind takes its views with
+    # them and builds no slices
+    y_block, lam_block = (Ellipsis, sy), (Ellipsis, sl)
+    dual_blocks = (Ellipsis, slice(sa.start, None))
 
     def build(lead):
         ext = np.empty(lead + (dim + nm,))
         zbuf, y, a, lam, pay = (ext[..., :dim], ext[..., sy], ext[..., sa],
                                 ext[..., sl], ext[..., dim:])
-        out = np.empty(lead + (dim,))
-        gy, duals, glam = out[..., sy], out[..., sa.start:], out[..., sl]
-        # the pass writes [L lam, L(a + lam)] into the a and lam blocks
-        lap_pass = problem.graph.pass_workspace(plan, ext, out=duals)
+        lap_pass = problem.graph.pass_workspace(plan, ext)
         # scalar weights take lam and its block of F flat, (..., N): with
         # m = 1 that is the rows' one column; other weights take rows
         lam_rows = lam.reshape(lead + (n, m))
-        if not scalar:
-            glam = glam.reshape(lam_rows.shape)
-        wy_d = np.empty(glam.shape)
+        wy_d = np.empty(lam.shape if scalar else lam_rows.shape)
         y_shape = y.shape
 
-        def evaluate(z):
-            zbuf[...] = z
-            add(a, lam, pay)
-            # grad h + W'lam, with W'lam written into its block first
-            if scalar:
-                multiply(wdiag, lam, gy)
-            else:
-                wt_lam(lam_rows, gy)
-            g = gradient(y)
-            if not (g.__class__ is ndarray and g.dtype is FLOAT
-                    and g.shape == y_shape):
-                g = _batched(g, y_shape, "vector_gradient")
-            add(g, gy, gy)
-            lap_pass()
-            # W y - d - L(a + lam) in place, then one negation of both
-            # dual blocks
-            if scalar:
-                multiply(wdiag, y, wy_d)
-                subtract(wy_d, demand, wy_d)
-            else:
-                wy_minus_d(y, wy_d)
-            subtract(wy_d, glam, glam)
-            negative(duals, duals)
-            return out
+        def bind(z, out):
+            gy, duals, glam = out[y_block], out[dual_blocks], out[lam_block]
+            if not scalar:
+                glam = glam.reshape(lam_rows.shape)
 
-        return evaluate
+            def evaluate():
+                zbuf[...] = z
+                add(a, lam, pay)
+                # grad h + W'lam, with W'lam written into its block first
+                if scalar:
+                    multiply(wdiag, lam, gy)
+                else:
+                    wt_lam(lam_rows, gy)
+                g = gradient(y)
+                if not (g.__class__ is ndarray and g.dtype is FLOAT
+                        and g.shape == y_shape):
+                    g = _batched(g, y_shape, "vector_gradient")
+                add(g, gy, gy)
+                # [L lam, L(a + lam)] into the a and lam blocks
+                lap_pass(duals)
+                # W y - d - L(a + lam) in place, then one negation of both
+                # dual blocks
+                if scalar:
+                    multiply(wdiag, y, wy_d)
+                    subtract(wy_d, demand, wy_d)
+                else:
+                    wy_minus_d(y, wy_d)
+                subtract(wy_d, glam, glam)
+                negative(duals, duals)
+
+            return evaluate
+
+        return bind
 
     return build
 
 
 def operator_psi(problem, y, a, lam):
     """Saddle operator Psi at ``(y, a, lam)`` as one stacked vector."""
-    return _psi_operator(problem)(())(problem.start(y, a, lam))
+    return _evaluated(_psi_operator(problem), problem.start(y, a, lam))
 
 
 def feasibility_gap(problem, y):

@@ -66,26 +66,35 @@ def example1_bilinear(seed=0):
 def _bilinear_hooks(b):
     """Fused operator and objective of ``f(x, y) = x'By`` on points and stacks.
 
-    The operator is a workspace builder (see `core.SaddleProblem`). One
-    point and a stack ``(..., dim)`` go through the same per-item
-    batched matmuls, which write each point's gradients into fixed
-    ``(..., n, 1)`` views of the workspace's F buffer. Each point runs
-    the kernel the one-point oracles run (gemv, then dot) and keeps
-    their bits; a stacked gemm (``X @ b``) or einsum would not.
+    The operator is a workspace builder (see `core.SaddleProblem`) that
+    needs no scratch. A bind fixes the ``(..., n, 1)`` views of its
+    input's blocks and of its output's, so that an evaluation is three
+    ufunc calls with no slicing: one point and a stack ``(..., dim)`` go
+    through the same per-item batched matmuls, which write each point's
+    gradients straight into the output. Each point runs the kernel the
+    one-point oracles run (gemv, then dot) and keeps their bits; a
+    stacked gemm (``X @ b``) or einsum would not.
     """
     n, bt = b.shape[0], b.T
+    matmul, negative = np.matmul, np.negative
+    # the ``(..., n, 1)`` blocks, as indices formed once: a bind takes its
+    # views with them and builds no slices
+    x_block = (Ellipsis, slice(None, n), None)
+    y_block = (Ellipsis, slice(n, None), None)
 
     def build(lead):
-        out = np.empty(lead + (2 * n,))
-        gx, gy = out[..., :n, None], out[..., n:, None]
+        def bind(z, out):
+            zx, zy = z[x_block], z[y_block]
+            gx, gy = out[x_block], out[y_block]
 
-        def evaluate(z):
-            np.matmul(b, z[..., n:, None], gx)
-            np.matmul(bt, z[..., :n, None], gy)
-            np.negative(gy, gy)
-            return out
+            def evaluate():
+                matmul(b, zy, gx)
+                matmul(bt, zx, gy)
+                negative(gy, gy)
 
-        return evaluate
+            return evaluate
+
+        return bind
 
     def objective(z):
         values = np.matmul(np.matmul(z[..., None, :n], b),

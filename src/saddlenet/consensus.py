@@ -22,15 +22,18 @@ takes both Laplacian products from a single Laplacian pass over the
 columns ``[x + v, x]``, the payloads the agents of `network` exchange,
 through a gather plan of absolute indices into that buffer. The
 operator builds the plan when it is made (`as_saddle_problem`); the
-pass comes out laid out like ``z``, straight into the result. The
+pass comes out laid out like ``z``, straight into the output. The
 operator is a workspace builder (see `core.SaddleProblem`): the
-buffer, the pass bound to it (`NetworkGraph.pass_workspace`), the
-result and the route of the gradient are fixed when a workspace is
-built, once per `solvers.run` and once per `core.operator_F` call, and
-each evaluation returns the result buffer. Phi takes one point
-``(dim,)`` or a stack ``(..., dim)`` through the same calls, and L1
-takes a stack of rows ``(..., N, m)`` through one `lap_apply`, in the
-same vertex-major layout, so one pass serves every point.
+buffer, the pass bound to it (`NetworkGraph.pass_workspace`) and the
+route of the gradient are fixed when a workspace is built, once per
+`solvers.run` and once per `core.operator_F` call. A bind fixes an
+input and an output and the views of F's blocks in it, once per row
+of `solvers.run`'s block arrays, and each evaluation reads the input
+and writes the output; every bind shares the workspace's buffer and
+pass. Phi takes one point ``(dim,)`` or a stack ``(..., dim)`` through
+the same calls, and L1 takes a stack of rows ``(..., N, m)`` through
+one `lap_apply`, in the same vertex-major layout, so one pass serves
+every point.
 `simulate_consensus` is one call into the body it shares with
 `allocation` in `solvers`, which runs the generic `solvers.run` on it
 and reads the per-agent trace off the recorded rows; the trace class
@@ -43,7 +46,7 @@ last bit.
 import numpy as np
 
 from . import sets
-from .core import (SaddleProblem, ValidationError, _batched,
+from .core import (SaddleProblem, ValidationError, _batched, _evaluated,
                    _finite_constant, _row_dots)
 from .network import ConsensusNetworkSimulator
 from .solvers import (_NetworkProblem, _NetworkTrace, _Route, _simulate,
@@ -146,16 +149,18 @@ def _phi_operator(problem):
     """Phi on flat iterates ``z = [x, v]``, one point or a stack.
 
     Returns the fused hook, a workspace builder (see
-    `core.SaddleProblem`): ``build(lead)`` fixes the buffer ``[z, x +
-    v]`` with its block views, F, and the Laplacian pass over the
-    columns ``[x + v, x]`` of that buffer
-    (`NetworkGraph.pass_workspace`), which writes into F, laid out like
-    ``z``. Its ``evaluate(z)`` writes ``grad f + L(x + v)`` and ``-L x``
-    into F and returns it. A vector gradient oracle is called directly
-    and its result checked on every call as `core._batched` checks it;
-    without one the per-agent loop of `gradient_rows` runs. The gather
-    plan is built with the hook. A stack ``(..., dim)`` takes the same
-    calls as one point, with its points as leading axes.
+    `core.SaddleProblem`): ``build(lead)`` fixes the scratch, the buffer
+    ``[z, x + v]`` with its block views and the Laplacian pass over the
+    columns ``[x + v, x]`` of that buffer (`NetworkGraph.pass_workspace`),
+    which every bind shares. ``bind(z, out)`` fixes the views of F's
+    blocks in `out`, and its ``evaluate()`` copies `z` into the buffer
+    and writes ``grad f + L(x + v)`` and ``-L x`` into `out`, laid out
+    like ``z``; the pass writes straight into it. A vector gradient
+    oracle is called directly and its result checked on every call as
+    `core._batched` checks it; without one the per-agent loop of
+    `gradient_rows` runs. The gather plan is built with the hook. A
+    stack ``(..., dim)`` takes the same calls as one point, with its
+    points as leading axes.
     """
     n, m = problem.n, problem.m
     nm = n * m
@@ -167,6 +172,9 @@ def _phi_operator(problem):
         gradient = problem.gradient_rows
     ndarray, FLOAT = np.ndarray, sets._FLOAT
     add, negative = np.add, np.negative
+    # the blocks of F, as indices formed once: a bind takes its views with
+    # them and builds no slices
+    x_block, v_block = (Ellipsis, slice(None, nm)), (Ellipsis, slice(nm, None))
 
     def build(lead):
         rows = lead + (n, m)
@@ -174,31 +182,33 @@ def _phi_operator(problem):
         zbuf, x, v, pay = (ext[..., :2 * nm], ext[..., :nm],
                            ext[..., nm:2 * nm], ext[..., 2 * nm:])
         x_rows = x.reshape(rows)
-        out = np.empty(lead + (2 * nm,))
-        gx, gv = out[..., :nm].reshape(rows), out[..., nm:]
-        lap_pass = problem.graph.pass_workspace(plan, ext, out=out)
+        lap_pass = problem.graph.pass_workspace(plan, ext)
 
-        def evaluate(z):
-            zbuf[...] = z
-            add(x, v, pay)
-            # [L(x + v), L x], laid out like z
-            lap_pass()
-            g = gradient(x_rows)
-            if not (g.__class__ is ndarray and g.dtype is FLOAT
-                    and g.shape == rows):
-                g = _batched(g, rows, "vector_gradient")
-            add(g, gx, gx)
-            negative(gv, gv)
-            return out
+        def bind(z, out):
+            gx, gv = out[x_block].reshape(rows), out[v_block]
 
-        return evaluate
+            def evaluate():
+                zbuf[...] = z
+                add(x, v, pay)
+                # [L(x + v), L x], laid out like z
+                lap_pass(out)
+                g = gradient(x_rows)
+                if not (g.__class__ is ndarray and g.dtype is FLOAT
+                        and g.shape == rows):
+                    g = _batched(g, rows, "vector_gradient")
+                add(g, gx, gx)
+                negative(gv, gv)
+
+            return evaluate
+
+        return bind
 
     return build
 
 
 def operator_phi(problem, x, v):
     """Saddle operator Phi at ``(x, v)`` as one stacked ``2Nm`` vector."""
-    return _phi_operator(problem)(())(problem.start(x, v))
+    return _evaluated(_phi_operator(problem), problem.start(x, v))
 
 
 def consensus_residual(problem, x):

@@ -68,14 +68,21 @@ class SaddleProblem(object):
         their own ``kappa_c`` and ``kappa_s``.
     operator : callable, optional
         Fused operator hook, a workspace builder for problems that
-        evaluate both blocks of F in one pass: ``operator(lead)``
-        returns ``evaluate(z)`` for points ``z`` of shape ``lead +
-        (dim,)``, one point for ``lead = ()``. ``evaluate`` writes only
-        into buffers it owns and returns the one that holds F, which its
-        next call overwrites; every row must equal ``col(grad_x,
-        -grad_y)`` at that row to the last bit. Whoever evaluates F owns
-        the workspace: `solvers.run` builds one per run, `operator_F`
-        one per call, so one problem serves several threads at once.
+        evaluate both blocks of F in one pass: ``operator(lead)`` builds
+        a workspace for points of shape ``lead + (dim,)``, one point for
+        ``lead = ()``, and returns ``bind(z, out)``. A bind fixes an
+        input array `z` and an output array `out` of that shape and
+        returns ``evaluate()``, which reads `z`'s current values and
+        writes F into `out`; every row must equal ``col(grad_x,
+        -grad_y)`` at that row to the last bit. A bind makes only views
+        and a closure; the binds of one workspace share its scratch, so
+        their evaluations may not interleave. `operator_F` binds through
+        `_bound_operator`, which refuses an `out` of another shape or one
+        that overlaps `z`, and `solvers.run` checks its first bind so.
+        Whoever evaluates F owns the workspace: `solvers.run` builds one
+        per run and binds each row of its block arrays once,
+        `operator_F` builds one per call, so one problem serves several
+        threads at once.
     objective : callable, optional
         Fused objective hook ``objective(z) -> f``: a float at one point
         ``(dim,)``, an array of shape ``(...)`` on a stack ``(..., dim)``.
@@ -164,19 +171,54 @@ def _blockwise_F(problem, z):
     return np.concatenate([problem.grad_x(x, y), -problem.grad_y(x, y)])
 
 
-def _bound_operator(problem, lead):
-    """``evaluate(z)`` of F for points of leading axes `lead`.
+def _workspace(problem, lead):
+    """``bind(z, out)`` of a new workspace for points of leading axes `lead`.
 
-    With a fused hook this is the workspace the hook builds; without
-    one it calls the blockwise gradients once per distinct row.
+    With a fused hook this is the bind of the workspace the hook builds;
+    without one each evaluation calls the blockwise gradients once per
+    distinct row. The bind checks nothing; `_bound_operator` checks it.
     """
     if problem.operator is not None:
         return problem.operator(lead)
     point = functools.partial(_blockwise_F, problem)
-    if not lead:
-        return point
-    return lambda z: sets._each_point(point, z, np.empty(z.shape),
-                                      "grad_x and grad_y")
+
+    def bind(z, out):
+        return functools.partial(sets._each_point, point, z, out,
+                                 "grad_x and grad_y")
+
+    return bind
+
+
+def _bound_operator(problem, lead):
+    """``bind(z, out)`` of F for points of leading axes `lead`, checked.
+
+    The bind of a new `_workspace`, refusing with a `ValidationError` an
+    input or output of another shape than ``lead + (dim,)``, an output
+    that overlaps the input, and a hook whose bind does not return
+    ``evaluate()``.
+    """
+    return _checked(_workspace(problem, lead), tuple(lead) + (problem.dim,))
+
+
+def _checked(bind, shape):
+    """`bind` with the checks of `_bound_operator` on arrays of `shape`."""
+
+    def checked(z, out):
+        if z.shape != shape or out.shape != shape:
+            raise ValidationError(
+                "operator bound to shapes {} -> {}, expected {}"
+                .format(z.shape, out.shape, shape))
+        if np.shares_memory(z, out):
+            raise ValidationError("operator output overlaps its input")
+        evaluate = bind(z, out)
+        if not callable(evaluate):
+            raise ValidationError(
+                "operator hook bound to (z, out) returned {}, not"
+                " evaluate(); hooks take the form build(lead) -> bind(z,"
+                " out) -> evaluate()".format(type(evaluate).__name__))
+        return evaluate
+
+    return checked
 
 
 def operator_F(problem, z):
@@ -184,13 +226,21 @@ def operator_F(problem, z):
 
     `z` is one stacked point ``(dim,)`` or an array of them
     ``(..., dim)``; F is a new array of the same shape. The problem's
-    fused `operator` builds a workspace for this call and takes the
-    whole stack in one evaluation; without it each distinct row is one
-    call of the blockwise gradients. A last axis other than ``dim``
-    raises `ValidationError`.
+    fused `operator` builds a workspace for this call, binds `z` and the
+    new array to it, and takes the whole stack in one evaluation;
+    without it each distinct row is one call of the blockwise
+    gradients. A last axis other than ``dim`` raises `ValidationError`.
     """
     z = _points(problem, z)
-    return _bound_operator(problem, z.shape[:-1])(z)
+    return _evaluated(functools.partial(_bound_operator, problem), z)
+
+
+def _evaluated(build, z):
+    """F at `z` through the workspace builder `build`: one build, one
+    bind of `z` and a new array, one evaluation; returns the array."""
+    out = np.empty(z.shape)
+    build(z.shape[:-1])(z, out)()
+    return out
 
 
 def objective(problem, z):

@@ -10,13 +10,14 @@ computation and a literal per-agent message-passing loop produce
 identical floating-point results. It gathers its operands from a flat
 buffer, one point or a stack, through a plan of absolute indices from
 `NetworkGraph.gather_plan`, which `pass_workspace` checks against that
-buffer and binds to it, to work buffers and to an output. There is one
-layout: per-vertex rows, vertex by vertex. `lap_apply` takes rows
-``(..., n, c)`` as their flat buffer ``(..., n * c)`` and builds and
-binds a plan of `c` columns per vertex on each call. The stacked
-consensus and allocation operators build theirs with the operator,
-over their flat iterates, and bind it once per workspace, so that
-their passes allocate nothing.
+buffer and binds to it and to work buffers; each pass writes into the
+output it is given. There is one layout: per-vertex rows, vertex by
+vertex. `lap_apply` takes rows ``(..., n, c)`` as their flat buffer
+``(..., n * c)`` and builds and binds a plan of `c` columns per vertex
+on each call. The stacked consensus and allocation operators build
+theirs with the operator, over their flat iterates, and bind it once
+per workspace; every row bound to the workspace passes its own output,
+so that their passes allocate nothing.
 
 The step sizes of both networked problems rest on `lambda_max`, an upper
 bound by construction: `core.spectral_norm` of the dense Laplacian.
@@ -142,7 +143,7 @@ class NetworkGraph(object):
                                    index.shape[1:]).reshape(ranks[0], cols)
         return index.reshape(2, ranks[0], cols), real
 
-    def pass_workspace(self, plan, flat, out=None):
+    def pass_workspace(self, plan, flat):
         """The Laplacian pass of `plan` over `flat`, bound to fixed buffers.
 
         Parameters
@@ -152,23 +153,21 @@ class NetworkGraph(object):
         flat : array of shape (..., size)
             The buffer every pass reads, one buffer or a stack of them;
             leading axes are independent.
-        out : array of shape (..., cols), optional
-            Where the passes write their result, with `flat`'s leading
-            axes; a new array by default.
 
         Returns
         -------
         callable
-            ``lap_pass()``, the pass over the current values of `flat`:
-            column c of `out` gets ``sum over neighbors j of (u_c -
-            u_(c at j))``, accumulated onto zeros in ascending neighbor
-            order, as a per-vertex loop sums, and `out` is returned.
-            Padded ranks add exact zeros (``u - u`` would be NaN for an
-            infinite ``u``). The gather, difference and sum buffers are
-            fixed here, so that a pass allocates nothing and unpacks no
-            plan. This is the only form a pass takes: the fused
-            operators bind theirs once per workspace, `lap_apply` once
-            per call.
+            ``lap_pass(out)``, the pass over the current values of
+            `flat` into `out`, an array ``(..., cols)`` with `flat`'s
+            leading axes: column c of `out` gets ``sum over neighbors j
+            of (u_c - u_(c at j))``, accumulated onto zeros in ascending
+            neighbor order, as a per-vertex loop sums, and `out` is
+            returned. Padded ranks add exact zeros (``u - u`` would be
+            NaN for an infinite ``u``). The gather and difference
+            buffers are fixed here, so that a pass allocates nothing and
+            unpacks no plan, and one pass serves every output. This is
+            the only form a pass takes: the fused operators bind theirs
+            once per workspace, `lap_apply` once per call.
 
         Raises
         ------
@@ -186,15 +185,13 @@ class NetworkGraph(object):
         # padded ranks are never written, so they keep these zeros
         fill = np.empty if real is None else np.zeros
         diffs = fill(lead + index.shape[1:])
-        if out is None:
-            out = np.empty(lead + index.shape[-1:])
         # a regular graph has no padded ranks, and an unmasked difference
         # dispatches faster
         where = {} if real is None else {"where": real}
         difference = functools.partial(np.subtract, own, nbrs, diffs, **where)
         take, total = flat.take, np.add.reduce
 
-        def lap_pass():
+        def lap_pass(out):
             # one gather for the own entries and all ranks; binding
             # checked the plan against the buffer, so clipping changes no
             # index, and spares the copy a checked gather makes
@@ -236,7 +233,7 @@ class NetworkGraph(object):
         width = u.shape[-1] if u.ndim > 1 else 1
         flat = u.reshape(u.shape[:-2] + (self.n * width,))
         lap_pass = self.pass_workspace(self.gather_plan((0,), width), flat)
-        return lap_pass().reshape(u.shape)
+        return lap_pass(np.empty(flat.shape)).reshape(u.shape)
 
     def __repr__(self):
         return "NetworkGraph(n={}, edges={})".format(self.n, len(self.edges))

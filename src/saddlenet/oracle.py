@@ -12,6 +12,8 @@ This module deliberately avoids importing the solver module; the only
 shared code is the convex-set projections.
 """
 
+import math
+
 import numpy as np
 
 from . import sets
@@ -282,6 +284,11 @@ class KKTReference(object):
 # `_bracket` interpolates freely for this many steps; after them its
 # bracket must shrink by `_SQRT_HALF` per step, or it takes a midpoint
 _FREE_STEPS = 6
+# after a lower end whose value is exactly 0, `_bracket` tests up to this
+# many points above it before its next midpoint, the first the next float
+# and each `_PROBE_GROWTH` times as far as the one before
+_PROBES = 4
+_PROBE_GROWTH = 16.0
 _SQRT_HALF = 0.5 ** 0.5
 # cap on `_bracket`'s steps: where bisection ends within 200 steps,
 # `_bracket` ends within twice those plus `_FREE_STEPS`
@@ -299,14 +306,23 @@ def _bracket(value, a, b, va, vb):
     # of opposite sign, when the interpolant leaves the open bracket, or
     # when the guard forces it: after `_FREE_STEPS` steps the bracket
     # must shrink by sqrt(2) per step, so the search takes at most about
-    # twice bisection's steps plus `_FREE_STEPS`. It stops where
-    # bisection stops, when the midpoint lands on an end, and returns
-    # that midpoint: on a test that flips once on the floats, both end on
-    # the same two adjacent floats and return the same bits. Where
-    # bisection stops at its cap of 200 steps instead, this search runs
-    # on to `_BRACKET_STEPS` and returns a point of a narrower bracket.
+    # twice bisection's steps plus `_FREE_STEPS`. A lower end whose
+    # value is exactly 0 lies within rounding of the flip when the
+    # interpolant of a near-linear value found it, but no interpolant is
+    # taken from it, and midpoints would crawl down from the upper end.
+    # So after such an end the search tests the next float above it
+    # before any midpoint, then points `_PROBE_GROWTH` times as far above
+    # the lower end while its value stays 0, `_PROBES` tests in all per
+    # search; the first value > 0 leaves a bracket a few floats wide.
+    # It stops where bisection stops, when the midpoint
+    # lands on an end, and returns that midpoint: on a test that flips
+    # once on the floats, both end on the same two adjacent floats and
+    # return the same bits. Where bisection stops at its cap of 200 steps
+    # instead, this search runs on to `_BRACKET_STEPS` and returns a
+    # point of a narrower bracket.
     limit = 0.5 * b - 0.5 * a
     side = 0
+    probes, reach = _PROBES, 1.0
     for k in range(_BRACKET_STEPS):
         mid = 0.5 * (a + b)
         if mid <= a or mid >= b:
@@ -314,7 +330,13 @@ def _bracket(value, a, b, va, vb):
         x = mid
         if k >= _FREE_STEPS:
             limit *= _SQRT_HALF
-        if -np.inf < va < 0.0 < vb < np.inf and 0.5 * b - 0.5 * a <= limit:
+        if va == 0.0 and probes:
+            # a < next float <= x <= mid < b
+            x = min(a + (math.nextafter(a, math.inf) - a) * reach, mid)
+            probes -= 1
+            reach *= _PROBE_GROWTH
+        elif (-np.inf < va < 0.0 < vb < np.inf
+              and 0.5 * b - 0.5 * a <= limit):
             t = a + (b - a) * (va / (va - vb))
             if a < t < b:
                 x = t

@@ -15,27 +15,30 @@ iterates (in steps of `_CHECK`) so that each block array stays within
 `_BLOCK_FLOATS` floats; a block never shrinks below `_CHECK` rows, so
 on iterates wider than 1927 its arrays exceed that budget. Inside a
 block it steps, guards against divergence and evaluates the operator,
-writing each iterate, its operator value and EG's mid-point into one
-row of fixed block arrays. After every `_CHECK` rows it takes their
-natural-map residuals in one stacked call and tests the stop: one
-NaN-ignoring minimum, and the first row at the tolerance only when it
-is met. A run without a stop tolerance takes the residuals once per
-block. At the end of a block, or when the run stops, diverges or ends
-its budget, a few stacked calls do the rest of the bookkeeping of all
-its rows at once: the ergodic sums (one accumulate) and the recorded
-rows with their step lengths (a copy of one slice of the block arrays,
-and of a one-row slice for a final row off the recording grid). The
-loop is bound by the dispatch of its numpy calls, not by their flops,
-so this serves up to 64 rows with each dispatch. A run that stops has
-stepped up to ``_CHECK - 1`` iterations past its stop; it discards
-them, so its stop, iterations and rows are those of a run that checked
-every iteration, but ``gradient_calls`` counts the evaluations made,
-these steps included. A divergence raises at its iteration unless a
-row before it in the same stop test stopped the run. So does an
-operator value that is not finite, at its iterate: the start's is
-tested once, and the block's rows once per block, with one reduction.
-It raises before the divergence it causes. EG's mid-point values are
-not stored, so they are not tested.
+writing each iterate, its operator value, EG's mid-point and the
+operator value there into one row of fixed block arrays. After every
+`_CHECK` rows it takes their natural-map residuals in one stacked call
+and tests the stop: one NaN-ignoring minimum, and the first row at the
+tolerance only when it is met. A run without a stop tolerance takes
+the residuals once per block. At the end of a block, or when the run
+stops, diverges or ends its budget, a few stacked calls do the rest of
+the bookkeeping of all its rows at once: the ergodic sums (one
+accumulate) and the recorded rows with their step lengths (a copy of
+one slice of the block arrays, and of a one-row slice for a final row
+off the recording grid). The loop is bound by the dispatch of its
+numpy calls, not by their flops, so this serves up to 64 rows with
+each dispatch. A run that stops has stepped up to ``_CHECK - 1``
+iterations past its stop; it discards them, so its stop, iterations
+and rows are those of a run that checked every iteration, but
+``gradient_calls`` counts the evaluations made, these steps included.
+A divergence raises at its iteration unless a row before it in the
+same stop test stopped the run. So does an operator value that is not
+finite, at its iterate: the start's is tested once, and the block's
+rows once per block, with one reduction. It raises before the
+divergence it causes. So does EG's operator value at the mid-point of
+the step to iterate k, tested with one more reduction per block,
+naming the mid-point of iteration k; it comes before iterate k's own
+value.
 
 Per iteration a run evaluates the operator as counted above and
 projects once per step (once for GDA and OGDA, twice for EG), and once
@@ -43,14 +46,15 @@ per row for the residual at its stop test or the end of its block. It
 allocates nothing per iteration: iterates, operator values and work
 vectors live in buffers the loop allocates once, the operator
 evaluates through one workspace built for the run (see
-`core.SaddleProblem`), whose value is copied into the block arrays,
-and a domain that projects by one clip clips into them. The loop body
-makes the fewest calls that keep the bits: the steps are written out
-in it rather than in helpers, every ufunc takes its output
-positionally, and the steps scale by alpha and 2 alpha held as 0-d
-arrays, which a ufunc takes faster than a Python float and which give
-the same bits; a row's residual, ergodic sum and step length take the
-bits the per-iteration expressions give it. The step helpers
+`core.SaddleProblem`), to which each row of the block arrays is bound
+once, so an evaluation reads its row and writes F into its row with no
+slicing and no copy, and a domain that projects by one clip clips into
+them. The loop body makes the fewest calls that keep the bits: the
+steps are written out in it rather than in helpers, every ufunc takes
+its output positionally, and the steps scale by alpha and 2 alpha held
+as 0-d arrays, which a ufunc takes faster than a Python float and which
+give the same bits; a row's residual, ergodic sum and step length take
+the bits the per-iteration expressions give it. The step helpers
 `step_gda`, `step_ogda` and `step_eg` compute the same expressions in
 fresh arrays; they are the loop's reference, and the tests hold `run`
 to their bits. Per recorded row a run stores copies of the iterate and
@@ -70,8 +74,8 @@ import numbers
 import numpy as np
 
 from . import sets
-from .core import (ValidationError, _batched, _bound_operator,
-                   _finite_constant, _row_dots, objective, operator_F)
+from .core import (ValidationError, _batched, _checked, _finite_constant,
+                   _row_dots, _workspace, objective, operator_F)
 from .graphs import lambda_max
 
 __all__ = ["METHODS", "SolverConfig", "RunTrace", "DivergenceError",
@@ -461,20 +465,23 @@ def _stepped(problem, config, alpha, z0):
     # The loop owns every array it writes. Its block arrays hold `block + 1`
     # rows: row 0 carries the last row of the previous block (the start in
     # the first), and step j of a block writes row j of the iterates `Z`,
-    # their operator values `F`, EG's mid-points `H` and, at the block's
-    # stop tests or end, the rows of the residual work `D`, the residuals
-    # `R` and the ergodic sums `S`, whose row 0 carries the sum so far.
-    # `f_before` carries OGDA's F(z_{k-1}) into the first step of a block;
-    # `arg` and `corr` take the step argument and OGDA's correction. The
-    # operator workspace is built once for the run and F is copied out of
-    # it, and projections write into the block arrays, so a step allocates
-    # nothing. The loop calls ufuncs directly, with positional outputs and
-    # 0-d step arrays (see the module docstring); `project` is the one call
-    # that depends on the domain: one clip, or the domain's projection
-    # copied in. A block's recorded rows leave these arrays as copies,
-    # appended to `chunks`; every `_JOIN_CHUNKS` new chunks are joined into
-    # one, and the trace is built once from the chunks when the run ends.
-    evaluate = _bound_operator(problem, ())
+    # their operator values `F`, EG's mid-points `H` and their operator
+    # values `FH` and, at the block's stop tests or end, the rows of the
+    # residual work `D`, the residuals `R` and the ergodic sums `S`, whose
+    # row 0 carries the sum so far. `f_before` carries OGDA's F(z_{k-1})
+    # into the first step of a block; `arg` and `corr` take the step
+    # argument and OGDA's correction. The operator workspace is built once
+    # for the run, and each row of `Z` (and of `H`) is bound to it once,
+    # with its row of `F` (of `FH`) as the output, so an evaluation is one
+    # call with no argument; projections write into the block arrays, so a
+    # step allocates nothing. The loop calls ufuncs directly, with
+    # positional outputs and 0-d step arrays (see the module docstring);
+    # `project` is the one call that depends on the domain: one clip, or
+    # the domain's projection copied in. A block's recorded rows leave
+    # these arrays as copies, appended to `chunks`; every `_JOIN_CHUNKS`
+    # new chunks are joined into one, and the trace is built once from the
+    # chunks when the run ends.
+    bind = _workspace(problem, ())
     dim, block = problem.dim, _LONG_BLOCK
     while block > _CHECK and (block + 1) * dim > _BLOCK_FLOATS:
         block -= _CHECK
@@ -497,15 +504,27 @@ def _stepped(problem, config, alpha, z0):
             out[...] = proj(p)
     step, two_step = np.array(alpha), np.array(2.0 * alpha)
     ogda, eg = method == "OGDA", method == "EG"
-    H = np.empty((rows, dim)) if eg else None
-    summed = H if eg else Z  # the points the ergodic average is over
+    # the mid-points and their values; without EG these names alias the
+    # iterates and theirs, and the steps never read them
+    H, FH = (np.empty((rows, dim)), np.empty((rows, dim))) if eg else (Z, F)
+    summed = H  # the points the ergodic average is over
     # a zero tolerance never stops a run
     stops = stop_tol > 0
     # step j of a block: from row j - 1 to row j, with OGDA's F(z_{k-1})
-    # in `f_before` for j = 1, and whether a stop test follows it
+    # in `f_before` for j = 1, the evaluations bound to row j of Z and of
+    # H, and whether a stop test follows it
     zs, fs = list(Z), list(F)
-    steps = list(zip(range(1, rows), zs, zs[1:], [f_before] + fs, fs, fs[1:],
-                     list(H[1:]) if eg else [None] * block,
+    # the first bind checks the hook's form; the other rows are the loop's
+    # own, apart and of the same shape, and bind unchecked, which halves
+    # the cost of a bind
+    evaluations = ([_checked(bind, (dim,))(zs[0], fs[0])]
+                   + list(map(bind, zs[1:], fs[1:])))
+    hs, fhs, midpoints = zs, fs, evaluations
+    if eg:
+        hs, fhs = list(H), list(FH)
+        midpoints = list(map(bind, hs, fhs))
+    steps = list(zip(range(1, rows), zs, zs[1:], [f_before] + fs, fs,
+                     evaluations[1:], hs[1:], fhs[1:], midpoints[1:],
                      [stops and j % _CHECK == 0 for j in range(1, rows)]))
 
     def first_stop(first, stop):
@@ -523,20 +542,36 @@ def _stepped(problem, config, alpha, z0):
             return first + int(np.flatnonzero(r <= stop_tol)[0])
         return None
 
-    def finite_operator(first, stop):
-        # raises at the first of rows first..stop-1 whose operator value
-        # is not finite
-        if not np.isfinite(F[first:stop]).all():
-            ok = np.isfinite(F[first:stop]).all(axis=1)
-            k = base + first + int(np.flatnonzero(~ok)[0])
+    def first_bad(values, first, stop):
+        # the first of rows first..stop-1 of `values` that is not finite,
+        # or `stop`
+        if np.isfinite(values[first:stop]).all():
+            return stop
+        ok = np.isfinite(values[first:stop]).all(axis=1)
+        return first + int(np.flatnonzero(~ok)[0])
+
+    def finite_operator(first, stop, mid_stop):
+        # raises at the first operator value that is not finite, in the
+        # order the run evaluated them: the values at iterates
+        # first..stop-1 and EG's mid-point values of the steps to iterates
+        # first..mid_stop-1, the one of the step to iterate k before the
+        # value at k
+        k = first_bad(F, first, stop)
+        if eg:
+            mid = first_bad(FH, first, mid_stop)
+            if mid < mid_stop and mid <= k:
+                raise DivergenceError(
+                    "EG operator value is not finite at the mid-point of"
+                    " iteration {}".format(base + mid), iteration=base + mid)
+        if k < stop:
             raise DivergenceError(
                 "{} operator value is not finite at iteration {}"
-                .format(method, k), iteration=k)
+                .format(method, base + k), iteration=base + k)
 
     base = 0
     Z[0] = z0
-    F[0] = evaluate(Z[0])
-    finite_operator(0, 1)
+    evaluations[0]()
+    finite_operator(0, 1, 0)
     f_before[...] = F[0]  # OGDA's F(z_{-1}), with z_{-1} = z_0
     S[0] = 0.0
     stopped = first_stop(0, 1)
@@ -552,7 +587,8 @@ def _stepped(problem, config, alpha, z0):
         n = min(block, max_iters - base)
         diverged = last = None
         checked = 0  # rows 1..checked passed their stop test
-        for j, z, z_new, f_prev, f_z, f_new, z_half, check in steps[:n]:
+        for (j, z, z_new, f_prev, f_z, evaluate, z_half, f_half, midpoint,
+             check) in steps[:n]:
             if ogda:
                 # z - 2 alpha F(z) + alpha F(z_prev), in that order
                 multiply(f_z, two_step, arg)
@@ -566,7 +602,8 @@ def _stepped(problem, config, alpha, z0):
                 subtract(z, arg, arg)
                 if eg:
                     project(arg, z_half)
-                    multiply(evaluate(z_half), step, arg)
+                    midpoint()
+                    multiply(f_half, step, arg)
                     subtract(z, arg, arg)
             project(arg, z_new)
             # NaN and inf fail the comparison too
@@ -574,7 +611,7 @@ def _stepped(problem, config, alpha, z0):
                 diverged = base + j
                 n = j - 1
                 break
-            f_new[...] = evaluate(z_new)
+            evaluate()
             if check:
                 last = first_stop(checked + 1, j + 1)
                 if last is not None:
@@ -586,10 +623,12 @@ def _stepped(problem, config, alpha, z0):
 
         # the rows after the last stop test; a stop ends the block at its
         # row, and wins over an operator value that is not finite after it,
-        # which wins over a divergence after it
+        # which wins over a divergence after it. A diverging EG step has
+        # evaluated its mid-point, which is tested too
         if last is None and checked < n:
             last = first_stop(checked + 1, n + 1)
-        finite_operator(1, (n if last is None else last) + 1)
+        end = (n if last is None else last) + 1
+        finite_operator(1, end, end + (last is None and diverged is not None))
         if last is not None:
             stopped = base + last
         elif diverged is not None:

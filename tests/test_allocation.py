@@ -444,12 +444,13 @@ def test_fused_operator_gives_the_bytes_of_the_blockwise_gradients(build,
     # evaluation in the same workspace keeps to it
     saddle = build()
     rng = np.random.default_rng(len(lead))
-    evaluate = saddle.operator(lead)
+    z, got = np.empty(lead + (saddle.dim,)), np.empty(lead + (saddle.dim,))
+    evaluate = saddle.operator(lead)(z, got)
     for _ in range(2):
-        z = with_signed_zeros(rng, lead + (saddle.dim,))
+        z[...] = with_signed_zeros(rng, z.shape)
         want = np.stack([_blockwise_F(saddle, row)
                          for row in z.reshape(-1, saddle.dim)])
-        got = evaluate(z)
+        evaluate()
         assert got.shape == z.shape
         assert got.tobytes() == want.tobytes()
         assert operator_F(saddle, z).tobytes() == want.tobytes()

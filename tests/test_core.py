@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from saddlenet import allocation, catalog, consensus
+from saddlenet import allocation, catalog, consensus, solvers
 from saddlenet.core import (SaddleProblem, ValidationError, check_monotone,
                             estimate_kappa, objective, operator_F,
                             spectral_norm, vi_residual)
@@ -228,14 +228,19 @@ def test_fused_hooks_take_the_whole_stack():
 
     def build(lead):
         calls.append(("build", lead))
-        return lambda z: calls.append(z.shape) or z * [1.0, 1.0]
+
+        def bind(z, out):
+            calls.append(("bind", z.shape))
+            return lambda: calls.append(z.shape) or np.copyto(out, z)
+
+        return bind
 
     prob.operator = build
     prob.objective = lambda z: calls.append(z.shape) or np.zeros(z.shape[:-1])
     Z = np.ones((7, 2))
     operator_F(prob, Z)
     objective(prob, Z)
-    assert calls == [("build", (7,)), (7, 2), (7, 2)]
+    assert calls == [("build", (7,)), ("bind", (7, 2)), (7, 2), (7, 2)]
 
 
 def loop_monotone(problem, n_pairs, seed):
@@ -353,18 +358,27 @@ def hook_case(name, seed=0):
 
 
 def counting_builder(prob):
-    """Wrap `prob`'s workspace builder; count builds and evaluations."""
-    build, counts = prob.operator, {"builds": [], "evaluations": 0}
+    """Wrap `prob`'s workspace builder; record builds and binds, count
+    evaluations. A bind is recorded as the addresses of its input and
+    output."""
+    build = prob.operator
+    counts = {"builds": [], "binds": [], "evaluations": 0}
 
     def counted(lead):
         counts["builds"].append(lead)
-        evaluate = build(lead)
+        bind = build(lead)
 
-        def counted_evaluate(z):
-            counts["evaluations"] += 1
-            return evaluate(z)
+        def counted_bind(z, out):
+            counts["binds"].append((z.ctypes.data, out.ctypes.data))
+            evaluate = bind(z, out)
 
-        return counted_evaluate
+            def counted_evaluate():
+                counts["evaluations"] += 1
+                evaluate()
+
+            return counted_evaluate
+
+        return counted_bind
 
     prob.operator = counted
     return counts
@@ -404,6 +418,11 @@ def test_run_builds_one_workspace_and_evaluates_once_per_call(name, method):
                                        stop_tol=stop_tol), z)
         assert counts["builds"] == [()]
         assert counts["evaluations"] == trace.gradient_calls
+        # one bind per row of the block arrays, Z to F (and EG's H to
+        # FH), each row bound once
+        assert len(counts["binds"]) == k * (solvers._LONG_BLOCK + 1)
+        inputs, outputs = zip(*counts["binds"])
+        assert len(set(inputs + outputs)) == 2 * len(inputs)
     stop = trace.stopped_at
     assert 1 <= stop <= 20 and trace.iters[-1] == stop
     assert 1 + k * stop <= trace.gradient_calls <= 1 + k * (stop + 15)
@@ -417,7 +436,7 @@ def test_operator_F_builds_one_workspace_per_call(name):
         operator_F(prob, Z)
         operator_F(prob, z)
     assert counts["builds"] == [(2, 3), ()] * 2
-    assert counts["evaluations"] == 4
+    assert len(counts["binds"]) == counts["evaluations"] == 4
 
 
 @pytest.mark.parametrize("name", sorted(HOOK_CASES))

@@ -14,13 +14,17 @@ in another order than the per-vertex loop. The declared
 constants kappa_c and kappa_s are checked against sampled Lipschitz
 ratios on random graphs and boxes. The fused hooks of `example1` are
 checked against its blockwise oracles, and a hookless copy of it must
-run the same trajectories and trace columns bit for bit. The row helper
+run the same trajectories and trace columns bit for bit. Every shipped
+operator hook and the row-by-row fallback keep the bind contract: rows
+of one block array bound to one workspace and evaluated in any order
+each give the blockwise F of their current values. The row helper
 `sets._each_point`, which calls a one-point oracle once per distinct
 point of a stack, is checked against the per-row loop on repeated rows,
 signed zeros, NaN payloads and infinities.
 """
 
 import copy
+import functools
 
 import numpy as np
 import pytest
@@ -31,10 +35,12 @@ from saddlenet import allocation, catalog, consensus, sets
 from saddlenet.allocation import (AllocationAgentSpec, AllocationProblem,
                                   operator_psi)
 from saddlenet.consensus import ConsensusAgentSpec, ConsensusProblem
-from saddlenet.core import estimate_kappa, objective, operator_F
+from saddlenet.core import (ValidationError, _blockwise_F, _bound_operator,
+                            estimate_kappa, objective, operator_F)
 from saddlenet.graphs import random_connected, ring
 from saddlenet.sets import Ball, Box, Product, WholeSpace
 from saddlenet.solvers import SolverConfig, delta_diagnostic, run
+from test_allocation import matrix_coupled
 
 SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
 SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
@@ -174,10 +180,10 @@ def counting_lap_pass(graph):
     calls = []
     original = graph.pass_workspace
 
-    def counted(plan, flat, out=None):
-        lap_pass = original(plan, flat, out)
+    def counted(plan, flat):
+        lap_pass = original(plan, flat)
         call = (np.shape(flat)[:-1], plan[0].shape[-1] // graph.n)
-        return lambda: calls.append(call) or lap_pass()
+        return lambda out: calls.append(call) or lap_pass(out)
 
     graph.pass_workspace = counted
     return calls
@@ -560,7 +566,8 @@ def test_example1_hooks_equal_the_blockwise_oracles(seed, lead, data):
                            min_size=10 * rows, max_size=10 * rows))
     Z = np.concatenate([np.reshape(x, (rows, 10)), np.reshape(y, (rows, 10))],
                        axis=1)
-    F = prob.operator(lead)(Z.reshape(lead + (20,)))
+    F = np.empty(lead + (20,))
+    prob.operator(lead)(Z.reshape(lead + (20,)), F)()
     f = prob.objective(Z.reshape(lead + (20,)))
     assert F.shape == lead + (20,)
     if lead == ():
@@ -578,6 +585,107 @@ def hookless(prob):
     bare = copy.copy(prob)
     bare.operator = bare.objective = None
     return bare
+
+
+# every shipped operator hook, and the row-by-row fallback
+BIND_CASES = {
+    "example1": lambda: catalog.example1_bilinear(0),
+    "consensus5": lambda: consensus.as_saddle_problem(
+        catalog.consensus_quadratics(5)),
+    "example2": lambda: allocation.as_saddle_problem(
+        catalog.example2_allocation(0)),
+    "allocation3": lambda: allocation.as_saddle_problem(
+        catalog.allocation_quadratics()),
+    "matrix-coupled": lambda: allocation.as_saddle_problem(matrix_coupled(0)),
+    "row-by-row": lambda: hookless(catalog.example1_bilinear(0)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def bind_case(name):
+    return BIND_CASES[name]()
+
+
+def blockwise_rows(prob, z):
+    """`_blockwise_F` of each point of `z` ``(..., dim)``, in its shape."""
+    return np.stack([_blockwise_F(prob, row)
+                     for row in z.reshape(-1, prob.dim)]).reshape(z.shape)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(BIND_CASES)), st.sampled_from([(), (2,)]),
+       st.integers(2, 5), st.data())
+def test_rows_bound_to_one_workspace_evaluate_in_any_order(name, lead, rows,
+                                                           data):
+    # rows of one block array are bound once each to one workspace, as
+    # `run` binds them; each row is rewritten after its bind, so every
+    # evaluation must read its row's current values, and must write its
+    # own row of F and no other
+    prob = bind_case(name)
+    shape = lead + (prob.dim,)
+    Z, F = np.full((rows,) + shape, np.nan), np.full((rows,) + shape, np.nan)
+    bind = _bound_operator(prob, lead)
+    evaluations = [bind(z, f) for z, f in zip(Z, F)]
+    order = data.draw(st.lists(st.integers(0, rows - 1), min_size=1,
+                               max_size=2 * rows))
+    values = st.one_of(SIGNED_ZEROS, st.floats(-10.0, 10.0))
+    want = {}
+    for i in order:
+        Z[i] = np.reshape(data.draw(st.lists(values, min_size=Z[i].size,
+                                             max_size=Z[i].size)), shape)
+        evaluations[i]()
+        want[i] = blockwise_rows(prob, Z[i])
+        for j, w in want.items():
+            assert F[j].tobytes() == w.tobytes()
+    for j in set(range(rows)) - set(want):
+        assert np.isnan(F[j]).all()
+
+
+@pytest.mark.parametrize("name", sorted(BIND_CASES))
+def test_a_bind_refuses_an_output_that_overlaps_its_input(name):
+    prob = bind_case(name)
+    bind = _bound_operator(prob, ())
+    buf = np.zeros(prob.dim + 1)
+    for z, out in [(buf[:-1], buf[:-1]), (buf[:-1], buf[1:]),
+                   (buf[1:], buf[:-1])]:
+        with pytest.raises(ValidationError, match="overlaps its input"):
+            bind(z, out)
+    stack = np.zeros((2, 2 * prob.dim))
+    with pytest.raises(ValidationError, match="overlaps its input"):
+        _bound_operator(prob, (2,))(stack[:, :prob.dim],
+                                    stack[:, prob.dim - 1:-1])
+    # the two halves of each row are apart, however interleaved
+    _bound_operator(prob, (2,))(stack[:, :prob.dim], stack[:, prob.dim:])()
+
+
+@pytest.mark.parametrize("name", sorted(BIND_CASES))
+def test_an_old_style_hook_fails_at_its_first_bind(name):
+    # the form ``build(lead) -> evaluate(z) -> F`` that bound no rows
+    prob = copy.copy(bind_case(name))
+    z0 = np.ones(prob.dim)
+    config = SolverConfig("EG", max_iters=5, stop_tol=0.0)
+    old_calls = []
+
+    def old_build(lead):
+        def evaluate(z):
+            old_calls.append(z.shape)
+            return operator_F(bind_case(name), z)
+        return evaluate
+
+    prob.operator = old_build
+    with pytest.raises(TypeError, match="positional argument"):
+        operator_F(prob, z0)
+    with pytest.raises(TypeError, match="positional argument"):
+        run(prob, config, z0)
+    # an old evaluate that takes a second argument returns F, which is
+    # not ``evaluate()``
+    prob.operator = lambda lead: lambda z, *rest: old_build(lead)(z)
+    with pytest.raises(ValidationError, match=r"bind\(z, out\)"):
+        operator_F(prob, z0)
+    with pytest.raises(ValidationError, match=r"bind\(z, out\)"):
+        run(prob, config, z0)
+    # each failed at its first bind, after one old evaluation at most
+    assert old_calls == [(prob.dim,)] * 2
 
 
 @pytest.mark.parametrize("method", ["GDA", "OGDA", "EG"])

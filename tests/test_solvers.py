@@ -393,15 +393,19 @@ def test_a_nan_operator_row_hides_no_earlier_stop(stop):
     assert trace.gradient_calls == 1 + {15: 16, 18: 19}[stop]
 
 
-def bad_operator_problem(method, bad=None, iterate=None):
+def bad_operator_problem(method, bad=None, iterate=None, midpoint=False):
     """x^2/2 - y^2/2 on [-10, 10]^2, so F(z) = z, with F's x entry `bad`
-    at `iterate` of a `method` run (no bad value when it is None).
+    at `iterate` of a `method` run (no bad value when it is None), or
+    with `midpoint` at the mid-point of the EG step to `iterate`.
 
     EG evaluates F at the mid-point before the iterate, so iterate k's
-    value is its evaluation 2k, counted from 0.
+    value is its evaluation 2k, counted from 0, and the mid-point value
+    of the step to it evaluation 2k - 1.
     """
     calls = itertools.count()
     target = None if iterate is None else iterate * (2 if method == "EG" else 1)
+    if midpoint:
+        target -= 1
 
     def grad_x(x, y):
         return np.array([bad]) if next(calls) == target else x.copy()
@@ -446,6 +450,43 @@ def test_a_stop_before_a_non_finite_operator_value_wins(bad, method):
     assert trace.z.tobytes() == clean.z.tobytes()
     with pytest.raises(DivergenceError, match="operator value") as err:
         run(bad_operator_problem(method, bad, stop), config, z0)
+    assert err.value.iteration == stop
+
+
+@pytest.mark.parametrize("stop_tol", [0.0, 1e-12])
+@pytest.mark.parametrize("iterate", [1, 16, 37])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_mid_point_value_raises_at_its_iteration(bad, iterate,
+                                                             stop_tol):
+    # NaN makes iterate k NaN, a divergence at k; an infinite x entry is
+    # clipped to the box bound, and the run would go on from there. Both
+    # raise at k, naming the mid-point; 16 ends a stop test and 37 is
+    # mid-test
+    prob = bad_operator_problem("EG", bad, iterate, midpoint=True)
+    config = SolverConfig("EG", max_iters=40, stop_tol=stop_tol)
+    with pytest.raises(DivergenceError,
+                       match="^EG operator value is not finite at the"
+                             " mid-point of iteration {}$".format(iterate)
+                       ) as err:
+        run(prob, config, np.array([5.0, 3.0]))
+    assert err.value.iteration == iterate
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_stop_before_a_non_finite_mid_point_value_wins(bad):
+    # the clean run stops at iterate s; a bad mid-point value of the step
+    # to s + 1 leaves that stop, and one of the step to s raises there
+    config = SolverConfig("EG", max_iters=200, stop_tol=1e-6)
+    z0 = np.array([5.0, 3.0])
+    clean = run(bad_operator_problem("EG"), config, z0)
+    stop = clean.stopped_at
+    assert stop is not None
+    trace = run(bad_operator_problem("EG", bad, stop + 1, midpoint=True),
+                config, z0)
+    assert trace.stopped_at == stop
+    assert trace.z.tobytes() == clean.z.tobytes()
+    with pytest.raises(DivergenceError, match="mid-point") as err:
+        run(bad_operator_problem("EG", bad, stop, midpoint=True), config, z0)
     assert err.value.iteration == stop
 
 
@@ -566,8 +607,9 @@ def test_a_sparsely_recorded_trace_costs_little_more_than_its_rows(method):
 def test_a_wide_iterate_keeps_its_block_arrays_at_16_rows(method):
     # at dim 20,000 a block array of 17 rows already holds more than
     # `_BLOCK_FLOATS`, so the long block stays at 16 rows. The four block
-    # arrays (EG five) of 17 rows peak at 83 (EG 103) rows of the iterate
-    # with the work vectors and the trace here; 33 rows would make 132
+    # arrays (EG six, with its mid-points and their operator values) of 17
+    # rows peak at 83 (EG 118) rows of the iterate with the work vectors
+    # and the trace here; 33 rows would make 132 (EG 198)
     dim = 20000
     prob = SaddleProblem(dim // 2, dim // 2, Box(-1.0, 1.0, dim=dim // 2),
                          Box(-1.0, 1.0, dim=dim // 2),
@@ -582,7 +624,7 @@ def test_a_wide_iterate_keeps_its_block_arrays_at_16_rows(method):
     finally:
         tracemalloc.stop()
     assert trace.iters.tolist() == [0, 1, 2]
-    arrays = 5 if method == "EG" else 4
+    arrays = 6 if method == "EG" else 4
     assert peak <= (17 * arrays + 24) * dim * 8, peak / (dim * 8)
 
 
